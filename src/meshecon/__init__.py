@@ -47,6 +47,7 @@ from .regimes import (
     eu_no_peering,
     eu_peering_no_transfers,
     eu_peering_perfcomp,
+    gauss_nodes,
     integrate,
     intermediate_best_response,
     leapfrog_profitable,
@@ -56,6 +57,7 @@ from .regimes import (
     price_bounds,
     regime_utilities,
     social_cost,
+    utility_arrays,
     value_added,
 )
 from .equilibrium import (

@@ -15,8 +15,8 @@ pinned to a bracket edge is surfaced as BoundaryOptimum rather than
 reported as an interior solution, since its economics are ambiguous.
 
 Density is a continuous control throughout; "slots" map to choosing n.
-Grid scans are pure and independent per density, so callers may evaluate
-them concurrently; the refinement phases are sequential.
+Grid scans, bracket doublings and scaling densities are single batched
+utility_arrays calls; the refinement phases are sequential scalar calls.
 """
 
 import json
@@ -37,6 +37,7 @@ from .regimes import (
     intermediate_count,
     leapfrog_threshold,
     regime_utilities,
+    utility_arrays,
 )
 
 __all__ = [
@@ -150,16 +151,17 @@ def default_bracket(
     the absence of a crossing rather than inventing one.
     """
     n_lo = 2 / template.d_max
-    n_hi = 2 * n_lo
-    while total_eu(template, n_hi, regime, tol) >= 0 and n_hi < BRACKET_CAP:
-        n_hi = min(2 * n_hi, BRACKET_CAP)
+    doublings = [2 * n_lo]
+    while doublings[-1] < BRACKET_CAP:
+        doublings.append(min(2 * doublings[-1], BRACKET_CAP))
+    totals = sum(utility_arrays(template, regime, doublings, tol))
+    n_hi = next((x for x, t in zip(doublings, totals) if not t >= 0), doublings[-1])
     return DensityBracket(n_lo=n_lo, n_hi=n_hi, grid_points=grid_points)
 
 
 def _scan(template, regime, bracket, tol):
     grid = np.linspace(bracket.n_lo, bracket.n_hi, bracket.grid_points)
-    values = np.array([total_eu(template, float(x), regime, tol) for x in grid])
-    return grid, values
+    return grid, sum(utility_arrays(template, regime, grid, tol))
 
 
 def free_entry_density(
@@ -319,7 +321,6 @@ def congestion_scaling_exponent(
     n_values = [float(x) for x in n_values]
     if len(n_values) < 4:
         raise ParamError(f"need >= 4 densities for a fit, got {len(n_values)}")
-    outs = []
     for n in n_values:
         p = template.with_n(n)
         if not (connect_probability(p, max_peers(p)) > SCALING_MIN_P):
@@ -327,13 +328,13 @@ def congestion_scaling_exponent(
                 f"density n={n!r} leaves demand unsaturated "
                 f"(P <= {SCALING_MIN_P}); the congestion fit requires large P"
             )
-        eu_out = regime_utilities(p, regime, tol).eu_outsider
+    outs = utility_arrays(template, regime, n_values, tol)[2]
+    for n, eu_out in zip(n_values, outs):
         if eu_out == 0.0:
             raise ParamError(
                 f"outsider utility is zero at n={n!r} (w=0?); log-log fit undefined"
             )
-        outs.append(abs(eu_out))
-    slope = np.polyfit(np.log(n_values), np.log(outs), 1)[0]
+    slope = np.polyfit(np.log(n_values), np.log(np.abs(outs)), 1)[0]
     return float(slope)
 
 

@@ -27,6 +27,8 @@ import json
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .errors import ParamError
 
 __all__ = [
@@ -39,6 +41,9 @@ __all__ = [
     "intermediate_count",
     "hop_distance",
     "nodes_within",
+    "intermediate_count_array",
+    "hop_distance_array",
+    "nodes_within_array",
     "max_peers",
     "connect_probability",
     "distance_pdf",
@@ -201,6 +206,27 @@ def nodes_within(params: ModelParams, d: float) -> float:
     if not (d >= 0):
         raise ParamError(f"d must be >= 0, got {d!r}")
     return max(0.0, math.pi * d * d * params.n * params.n - 1)
+
+
+# Array forms of I, D and N: elementwise over broadcastable densities n and
+# distances x, without the range checks, for callers that evaluate whole
+# grids (the regime integrals, the simulator's per-offset tables).
+
+
+def intermediate_count_array(n, x):
+    """I(x) = max(0, n*x - 2) elementwise."""
+    return np.maximum(0.0, n * x - 2)
+
+
+def hop_distance_array(n, x):
+    """D(x) = x/(n*x - 1) where I(x) > 0, else x, elementwise."""
+    relayed = intermediate_count_array(n, x) > 0
+    return np.where(relayed, x / np.where(relayed, n * x - 1, 1.0), x)
+
+
+def nodes_within_array(n, x):
+    """N(x) = max(0, pi*x^2*n^2 - 1) elementwise."""
+    return np.maximum(0.0, math.pi * x * x * n * n - 1)
 
 
 def max_peers(params: ModelParams) -> float:

@@ -33,23 +33,37 @@ kept, not reconciled; the receiving-peer count is floored at zero so the
 outsider utility can never turn positive where the continuum approximation
 of N breaks down.
 
+utility_arrays() evaluates a regime over an array of densities at once, and
+regime_utilities() and the eu_* functions are its one-density calls. Both
+NO_PEERING roles are elementary closed forms. The peering roles use a fixed
+Gauss-Legendre rule (Golub & Welsch 1969), gauss_nodes(tol) nodes per piece
+(16 per three decimal digits of tol, 16 to 96, 48 at DEFAULT_TOL), on pieces
+where every integrand is smooth: [0, 1/(n sqrt(pi))], [1/(n sqrt(pi)),
+sqrt(2/pi)/n] and [sqrt(2/pi)/n, 2/n], cut where N(x), N(x) - 1 and I(x)
+leave their clamps, and [2/n, d_max] in s = log(nx - 1), which removes the
+near-pole of D(x) at x = 1/n. Cuts are clipped to d_max, so sparse networks
+(n d_max <= 2) have empty upper pieces. Non-finite utilities raise
+NumericsError.
+
 All operations are pure functions; nothing here holds mutable state.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
 
-from scipy.integrate import quad
+import numpy as np
 
 from .errors import NumericsError, ParamError
 from .model import (
     ModelParams,
-    connect_probability,
     hop_distance,
+    hop_distance_array,
     intermediate_count,
-    max_peers,
+    intermediate_count_array,
     nodes_within,
+    nodes_within_array,
     params_to_dict,
 )
 
@@ -61,7 +75,9 @@ __all__ = [
     "RegimeUtilities",
     "UTILITIES_CSV_HEADER",
     "DEFAULT_TOL",
+    "gauss_nodes",
     "integrate",
+    "utility_arrays",
     "eu_no_peering",
     "eu_peering_no_transfers",
     "eu_peering_perfcomp",
@@ -123,17 +139,6 @@ class RegimeUtilities:
     total: float
     params: ModelParams
 
-    @classmethod
-    def build(cls, regime, params, orig, inter, outsider):
-        return cls(
-            regime=regime,
-            eu_originator=orig,
-            eu_intermediate=inter,
-            eu_outsider=outsider,
-            total=orig + inter + outsider,
-            params=params,
-        )
-
     def to_json_dict(self) -> dict:
         return {
             "regime": self.regime.value,
@@ -162,81 +167,130 @@ UTILITIES_CSV_HEADER = ("regime", "n", "eu_orig", "eu_int", "eu_out", "total")
 # Quadrature
 
 
-# Large-magnitude integrals (the congestion term grows like n^2) cannot hit
-# an absolute error below ~1e-13 of their own size in float64; the error
-# contract is floored there.
+# Large integrals cannot hit an absolute error below ~1e-13 of their own
+# size in float64; integrate()'s error contract is floored there.
 _REL_FLOOR = 1e-13
+_MAX_SPLITS = 200
+
+
+def gauss_nodes(tol: float) -> int:
+    """Gauss-Legendre nodes per piece for tolerance tol: 16 for every three
+    decimal digits, clamped to [16, 96] (48 at DEFAULT_TOL)."""
+    if not (tol > 0):
+        raise ParamError(f"tol must be > 0, got {tol!r}")
+    digits = min(max(-math.log10(tol), 3.0), 18.0)
+    return 16 * math.ceil(digits / 3 - 1e-9)
+
+
+@functools.lru_cache(maxsize=None)
+def _legendre(m: int):
+    return np.polynomial.legendre.leggauss(m)
 
 
 def integrate(f, lo: float, hi: float, tol: float = DEFAULT_TOL) -> float:
-    """Adaptive quadrature of f over [lo, hi] with absolute error <= tol
-    (or within _REL_FLOOR of the value's magnitude, whichever is weaker).
+    """Adaptive Gauss-Legendre quadrature of a scalar f over [lo, hi].
 
-    Deterministic for a given tolerance. Raises NumericsError if the
-    integrand produces a non-finite sample or the error contract cannot be
-    met.
+    A piece is kept when its rules with gauss_nodes(tol) nodes and twice as
+    many agree to its share of tol (or to _REL_FLOOR of the value), and is
+    halved otherwise. Raises NumericsError on a non-finite sample, or when
+    _MAX_SPLITS halvings cannot meet tol (a divergent integral).
     """
     if not (lo <= hi):
         raise ParamError(f"integration bounds must satisfy lo <= hi, got {lo!r} > {hi!r}")
-    if not (tol > 0):
-        raise ParamError(f"tol must be > 0, got {tol!r}")
+    m = gauss_nodes(tol)
     if lo == hi:
         return 0.0
 
-    def checked(x):
-        y = f(x)
-        if not math.isfinite(y):
-            raise NumericsError(f"integrand returned non-finite value {y!r} at x={x!r}")
-        return y
+    def rule(nodes, a, b):
+        total = 0.0
+        for t, wt in zip(*(arr.tolist() for arr in _legendre(nodes))):
+            x = (a + b) / 2 + (b - a) / 2 * t
+            y = f(x)
+            if not math.isfinite(y):
+                raise NumericsError(f"integrand returned non-finite value {y!r} at x={x!r}")
+            total += wt * y
+        return (b - a) / 2 * total
 
-    # full_output suppresses QUADPACK's warning machinery; the achieved
-    # error estimate is checked against the contract directly.
-    value, abserr = quad(
-        checked, lo, hi, epsabs=tol, epsrel=_REL_FLOOR, limit=200, full_output=1
-    )[:2]
-    if abserr > max(tol, abs(value) * _REL_FLOOR):
-        raise NumericsError(
-            f"quadrature error estimate {abserr!r} exceeds tolerance {tol!r} "
-            f"on [{lo!r}, {hi!r}]"
-        )
+    value, splits, pending = 0.0, 0, [(lo, hi, tol)]
+    while pending:
+        a, b, budget = pending.pop()
+        fine = rule(2 * m, a, b)
+        if abs(fine - rule(m, a, b)) <= max(budget, abs(fine) * _REL_FLOOR):
+            value += fine
+        elif splits == _MAX_SPLITS:
+            raise NumericsError(f"quadrature on [{lo!r}, {hi!r}] missed tol {tol!r} "
+                                f"after {_MAX_SPLITS} halvings; the integral may diverge")
+        else:
+            splits += 1
+            pending += [(a, (a + b) / 2, budget / 2), ((a + b) / 2, b, budget / 2)]
     return value
 
 
-def _integrate_piecewise(f, lo, hi, tol, cuts):
-    """Integrate with explicit splits at known kinks (clamp boundaries)."""
-    points = sorted({lo, hi, *(c for c in cuts if lo < c < hi)})
-    per_piece = tol / max(1, len(points) - 1)
-    return sum(
-        integrate(f, a, b, per_piece) for a, b in zip(points[:-1], points[1:])
-    )
-
-
-def _kinks(params: ModelParams):
-    """Distances where the clamped elementary functions change branch."""
-    n = params.n
-    return (
-        1 / (n * math.sqrt(math.pi)),       # N(x) leaves its clamp
-        math.sqrt(2 / math.pi) / n,          # N(x) - 1 crosses zero
-        2 / n,                               # I(x) leaves its clamp
-    )
+def _distance_rule(n, d_max: float, m: int):
+    """Nodes x and weights, one row per density in the column n, such that
+    sum(g(x) * weights) integrates g against f(x) = 2x/d_max^2 on [0, d_max]."""
+    t, wt = _legendre(m)
+    cuts = (0.0, 1 / math.sqrt(math.pi), math.sqrt(2 / math.pi), 2.0)  # times 1/n
+    edges = np.minimum(np.hstack([c / n for c in cuts]), d_max)
+    half = np.diff(edges)[:, :, None] / 2
+    x_low = edges[:, :-1, None] + half * (1 + t)
+    s_half = np.log(np.maximum(n * d_max - 1, 1.0)) / 2
+    e_s = np.exp(s_half * (1 + t))  # n x - 1 at the upper nodes
+    x = np.hstack([x_low.reshape(len(n), 3 * m), (1 + e_s) / n])
+    w = np.hstack([(half * wt).reshape(len(n), 3 * m), s_half * wt * e_s / n])
+    return x, w * (2 * x / (d_max * d_max))
 
 
 # --------------------------------------------------------------------------
 # Expected utilities per regime
 
 
+def utility_arrays(template: ModelParams, regime: Regime, densities, tol=DEFAULT_TOL):
+    """Per-role utilities (originator, intermediate, outsider) at each density,
+    other parameters from template; no entry depends on the rest of the batch."""
+    p, d, m = template, template.d_max, gauss_nodes(tol)
+    n = np.asarray(densities, dtype=float).reshape(-1)
+    prob = 1.0 - np.exp(nodes_within_array(n, d) * math.log(p.z))
+    if regime is Regime.NO_PEERING:
+        x0 = np.minimum(1 / (n * math.sqrt(math.pi)), d)
+        area = lambda x: (math.pi * n * n * x * x / 2 - 1) * x * x  # int N(x) 2x dx
+        orig = prob * (p.v - 2 * p.cost(d) / (p.cost.beta + 2))
+        inter = np.zeros_like(n)
+        out = -p.w * prob * (area(d) - area(x0)) / (d * d)
+    elif regime in REGIME_ORDER:
+        x, weights = _distance_rule(n[:, None], d, m)
+        expect = lambda g: np.sum(g * weights, axis=1)
+        relays = intermediate_count_array(n[:, None], x)
+        hop = hop_distance_array(n[:, None], x)
+        hop_cost = p.cost(hop)
+        polluted = nodes_within_array(n[:, None], hop)
+        if regime is Regime.PEERING_NO_TRANSFERS:
+            orig = prob * expect(p.v - hop_cost)
+            inter = -prob * expect(relays * (p.w + hop_cost))
+            out = -p.w * prob * expect((relays + 1) * polluted)
+        else:
+            orig = prob * expect(p.v - (relays + 1) * hop_cost)
+            inter = -p.w * prob * expect(relays)
+            out = -p.w * prob * expect((relays + 1) * np.maximum(0.0, polluted - 1))
+    else:
+        raise ParamError(f"unknown regime {regime!r}")
+    finite = np.isfinite([orig, inter, out]).all(axis=0)
+    if not finite.all():
+        raise NumericsError(f"{regime.value} utility is not finite at n={n[~finite][0]}")
+    return orig, inter, out
+
+
+def regime_utilities(
+    params: ModelParams, regime: Regime, tol: float = DEFAULT_TOL
+) -> RegimeUtilities:
+    """The regime's expected utilities at params.n."""
+    orig, inter, out = (a.item() for a in utility_arrays(params, regime, [params.n], tol))
+    return RegimeUtilities(regime, orig, inter, out, orig + inter + out, params)
+
+
 def eu_no_peering(params: ModelParams, tol: float = DEFAULT_TOL) -> RegimeUtilities:
     """Expected utilities when every connection is direct."""
-    p_conn = connect_probability(params, max_peers(params))
-    d_max = params.d_max
-    f = lambda x: 2 * x / (d_max * d_max)
-    orig = p_conn * _integrate_piecewise(
-        lambda x: (params.v - params.cost(x)) * f(x), 0.0, d_max, tol, ()
-    )
-    outsider = -params.w * p_conn * _integrate_piecewise(
-        lambda x: nodes_within(params, x) * f(x), 0.0, d_max, tol, _kinks(params)
-    )
-    return RegimeUtilities.build(Regime.NO_PEERING, params, orig, 0.0, outsider)
+    return regime_utilities(params, Regime.NO_PEERING, tol)
 
 
 def eu_peering_no_transfers(
@@ -245,27 +299,7 @@ def eu_peering_no_transfers(
     """Expected utilities if every node relayed for free, and whether that
     arrangement is sustainable (it never is: a relay's best response to a
     zero price is refusal)."""
-    p_conn = connect_probability(params, max_peers(params))
-    d_max = params.d_max
-    f = lambda x: 2 * x / (d_max * d_max)
-    cuts = _kinks(params)
-    cD = lambda x: params.cost(hop_distance(params, x))
-    orig = p_conn * _integrate_piecewise(
-        lambda x: (params.v - cD(x)) * f(x), 0.0, d_max, tol, cuts
-    )
-    inter = -p_conn * _integrate_piecewise(
-        lambda x: intermediate_count(params, x) * (params.w + cD(x)) * f(x),
-        0.0, d_max, tol, cuts,
-    )
-    outsider = -params.w * p_conn * _integrate_piecewise(
-        lambda x: (intermediate_count(params, x) + 1)
-        * nodes_within(params, hop_distance(params, x)) * f(x),
-        0.0, d_max, tol, cuts,
-    )
-    utilities = RegimeUtilities.build(
-        Regime.PEERING_NO_TRANSFERS, params, orig, inter, outsider
-    )
-    return utilities, False
+    return regime_utilities(params, Regime.PEERING_NO_TRANSFERS, tol), False
 
 
 def eu_peering_perfcomp(params: ModelParams, tol: float = DEFAULT_TOL) -> RegimeUtilities:
@@ -274,42 +308,7 @@ def eu_peering_perfcomp(params: ModelParams, tol: float = DEFAULT_TOL) -> Regime
     The price exactly offsets relay cost, so the intermediate line is -w
     times the expected number of relay exposures.
     """
-    p_conn = connect_probability(params, max_peers(params))
-    d_max = params.d_max
-    f = lambda x: 2 * x / (d_max * d_max)
-    cuts = _kinks(params)
-    orig = p_conn * _integrate_piecewise(
-        lambda x: (
-            params.v
-            - (intermediate_count(params, x) + 1)
-            * params.cost(hop_distance(params, x))
-        ) * f(x),
-        0.0, d_max, tol, cuts,
-    )
-    inter = -params.w * p_conn * _integrate_piecewise(
-        lambda x: intermediate_count(params, x) * f(x), 0.0, d_max, tol, cuts
-    )
-    outsider = -params.w * p_conn * _integrate_piecewise(
-        lambda x: (intermediate_count(params, x) + 1)
-        * max(0.0, nodes_within(params, hop_distance(params, x)) - 1) * f(x),
-        0.0, d_max, tol, cuts,
-    )
-    return RegimeUtilities.build(
-        Regime.PEERING_PERFECT_COMPETITION, params, orig, inter, outsider
-    )
-
-
-def regime_utilities(
-    params: ModelParams, regime: Regime, tol: float = DEFAULT_TOL
-) -> RegimeUtilities:
-    """Dispatch to the regime's expected-utility computation."""
-    if regime is Regime.NO_PEERING:
-        return eu_no_peering(params, tol)
-    if regime is Regime.PEERING_NO_TRANSFERS:
-        return eu_peering_no_transfers(params, tol)[0]
-    if regime is Regime.PEERING_PERFECT_COMPETITION:
-        return eu_peering_perfcomp(params, tol)
-    raise ParamError(f"unknown regime {regime!r}")
+    return regime_utilities(params, Regime.PEERING_PERFECT_COMPETITION, tol)
 
 
 # --------------------------------------------------------------------------

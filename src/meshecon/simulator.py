@@ -55,13 +55,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParamError, SimulationError
-from .model import ModelParams, connect_probability, validate
+from .model import (
+    ModelParams,
+    connect_probability,
+    hop_distance_array,
+    intermediate_count_array,
+    validate,
+)
 from .regimes import (
     Choice,
     ConnectionChoice,
     DEFAULT_TOL,
     Regime,
-    eu_no_peering,
     regime_utilities,
 )
 
@@ -263,7 +268,7 @@ class _RegimeTables:
         n = p.n
         di, dj, r2 = lattice.offset_di, lattice.offset_dj, lattice.offset_r2
         d = np.sqrt(r2) / n
-        direct_cost = p.cost.a * d**p.cost.beta
+        direct_cost = p.cost(d)
 
         hops = np.maximum(np.abs(di), np.abs(dj))
         diag = np.minimum(np.abs(di), np.abs(dj))
@@ -272,10 +277,10 @@ class _RegimeTables:
 
         # Originator's DIRECT/PEER best response at the competitive price,
         # evaluated on the continuum quantities at the torus distance.
-        i_cont = np.maximum(0.0, n * d - 2)
-        denom = np.where(i_cont > 0, n * d - 1, 1.0)
-        hop_d = np.where(i_cont > 0, d / denom, d)
-        peer_cost = (i_cont + 1) * p.cost.a * hop_d**p.cost.beta
+        # Product order ((I+1) a) D^beta: where n d rounds just above 2 the
+        # two costs differ by about an ulp, and the order decides the choice.
+        i_cont = intermediate_count_array(n, d)
+        peer_cost = (i_cont + 1) * p.cost.a * hop_distance_array(n, d) ** p.cost.beta
         wants_peer = direct_cost > peer_cost  # ties go DIRECT
 
         count_in = np.searchsorted(lattice.offset_r2, r2, side="right")
@@ -615,8 +620,11 @@ class ComparisonRecord:
     under NOTRANS where relays refuse and the realized play is the
     no-peering outcome, so that is the comparable baseline. lattice_exact
     is the exact expectation of the discrete model itself; sim_mean differs
-    from it only by Monte Carlo noise, while bias against the continuum
-    closed form also carries the lattice discretization.
+    from it only by Monte Carlo noise, while bias and z against the
+    continuum closed form also carry the deterministic lattice offset.
+    flagged and flags therefore test sim_mean against lattice_exact: a flag
+    means the Monte Carlo disagrees with its own model, not that the lattice
+    differs from the continuum.
     """
 
     outcome: SimOutcome
@@ -647,9 +655,10 @@ def estimate_vs_analytic(
 ) -> ComparisonRecord:
     """Run the simulation and compare per-role means to the closed forms.
 
-    Requires >= 30 trials for a usable variance estimate. Roles whose
-    simulator mean sits more than 3 standard errors from the closed form
-    are flagged; measured bias is reported either way.
+    Requires >= 30 trials for a usable variance estimate. bias and z are
+    measured against the closed form. A role is flagged when its simulator
+    mean sits more than 3 standard errors from lattice_exact, or differs
+    from it at all when the standard error is zero.
     """
     if config.trials < 30:
         raise ParamError(
@@ -657,12 +666,11 @@ def estimate_vs_analytic(
         )
     outcome = run_instant(config)
 
-    if config.regime is Regime.PEERING_NO_TRANSFERS:
-        baseline_regime = Regime.NO_PEERING
-        analytic = eu_no_peering(config.params, tol)
-    else:
-        baseline_regime = config.regime
-        analytic = regime_utilities(config.params, config.regime, tol)
+    baseline_regime = (
+        Regime.NO_PEERING if config.regime is Regime.PEERING_NO_TRANSFERS
+        else config.regime
+    )
+    analytic = regime_utilities(config.params, baseline_regime, tol)
     analytic_by_role = {
         "originator": analytic.eu_originator,
         "intermediate": analytic.eu_intermediate,
@@ -683,7 +691,8 @@ def estimate_vs_analytic(
             zscore = bias / sim_se
         else:
             zscore = 0.0 if bias == 0 else math.copysign(math.inf, bias)
-        flagged = abs(zscore) > Z_FLAG_THRESHOLD
+        gap = sim_mean - exact[role]
+        flagged = abs(gap) > Z_FLAG_THRESHOLD * sim_se if sim_se > 0 else gap != 0
         if flagged:
             flags.append(role)
         rows.append(RoleComparison(

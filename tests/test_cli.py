@@ -250,6 +250,25 @@ def test_module_entry_point_subprocess():
     assert json.loads(proc.stdout)["shannon_capacity"] == 2.0
 
 
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is a test-only dependency; importing it made up most of the
+    # CLI's start-up time
+    import subprocess
+    import sys
+
+    import meshecon
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(meshecon.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = ("import sys, meshecon.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_reruns_are_byte_identical(capsys, tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     run(capsys, "simulate", "--side", "24", "--trials", "30", "--seed", "9",

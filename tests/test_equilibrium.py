@@ -19,6 +19,9 @@ from meshecon import (
     regime_utilities,
     total_eu,
 )
+from meshecon.equilibrium import BRACKET_CAP, _SCALING_N_VALUES, _scan
+from meshecon.regimes import DEFAULT_TOL, utility_arrays
+from conftest import random_draws
 import oracles
 
 PERFCOMP = Regime.PEERING_PERFECT_COMPETITION
@@ -97,6 +100,35 @@ def test_bracket_validation(defaults):
         DensityBracket(30.0, 20.0).validate_for(defaults)
     with pytest.raises(ParamError):
         DensityBracket(2.0, 20.0, grid_points=1).validate_for(defaults)
+
+
+@pytest.mark.parametrize("regime", list(Regime))
+def test_batched_evaluation_bit_identical_to_single(defaults, regime):
+    # every density the solvers evaluate in a batch (scan grid, bracket
+    # doublings, scaling densities) must give exactly the roles and total of
+    # a one-density regime_utilities call, or signs could disagree between
+    # the scan and the refinement
+    for t in [defaults] + [p for p, _ in random_draws(3, seed=13)]:
+        bracket = default_bracket(t, regime)
+        n_hi = 4 / t.d_max  # scalar reference for the doubling rule
+        while total_eu(t, n_hi, regime) >= 0 and n_hi < BRACKET_CAP:
+            n_hi = min(2 * n_hi, BRACKET_CAP)
+        assert bracket.n_hi == n_hi
+        grid, totals = _scan(t, regime, bracket, DEFAULT_TOL)
+        doublings = [4 / t.d_max]
+        while doublings[-1] < BRACKET_CAP:
+            doublings.append(min(2 * doublings[-1], BRACKET_CAP))
+        scaling = [x / t.d_max for x in _SCALING_N_VALUES]
+        assert all(len(r) == 0 for r in utility_arrays(t, regime, []))
+        for densities in (grid, doublings, scaling):
+            roles = utility_arrays(t, regime, densities)
+            for k, n in enumerate(densities):
+                one = regime_utilities(t.with_n(float(n)), regime)
+                got = tuple(float(r[k]) for r in roles)
+                assert got == (one.eu_originator, one.eu_intermediate, one.eu_outsider)
+                assert sum(got) == one.total
+                if densities is grid:
+                    assert totals[k] == one.total
 
 
 def test_default_bracket_contains_root(defaults):

@@ -13,6 +13,7 @@ from meshecon import (
     eu_no_peering,
     eu_peering_no_transfers,
     eu_peering_perfcomp,
+    gauss_nodes,
     hop_distance,
     integrate,
     intermediate_best_response,
@@ -152,10 +153,45 @@ def test_regime_utilities_identities():
 
 def test_regime_utilities_tolerance_stability(defaults):
     tol = 1e-9
+    assert gauss_nodes(tol) != gauss_nodes(tol / 10)  # two different rules
     for regime in Regime:
         coarse = regime_utilities(defaults, regime, tol=tol)
         fine = regime_utilities(defaults, regime, tol=tol / 10)
         assert abs(coarse.total - fine.total) < 10 * tol
+
+
+ORACLE_NAMES = {
+    Regime.NO_PEERING: "NO_PEERING",
+    Regime.PEERING_NO_TRANSFERS: "NOTRANS",
+    Regime.PEERING_PERFECT_COMPETITION: "PERFCOMP",
+}
+
+
+@pytest.mark.parametrize("n_d_max", [
+    1.5, 2.0,                              # no relay piece
+    1.001 / math.sqrt(math.pi),            # just past each cut of the rule
+    1.001 * math.sqrt(2 / math.pi),
+    1.001 * 2,
+    2000.0,
+])
+@pytest.mark.parametrize("regime", list(Regime))
+def test_regime_utilities_match_midpoint_oracle_beyond_reference(regime, n_d_max):
+    # off-default template, unvalidated (n*d_max < 1 breaks validate(), and
+    # neither side calls it). The relative allowance covers the congestion term near n = 2000/d_max
+    # (about -2e5), where the 1e6-sample midpoint oracle itself errs by
+    # about 5e-13 relative
+    kw = dict(d_max=0.7, v=10.0, w=0.03, z=0.95, a=2.0, beta=2.6)
+    n = n_d_max / kw["d_max"]
+    got = regime_utilities(make_params(n=n, **kw), regime)
+    want = oracles.eu_oracle(ORACLE_NAMES[regime], n=n, **kw)
+    roles = (got.eu_originator, got.eu_intermediate, got.eu_outsider)
+    assert roles == pytest.approx(want, abs=1e-8, rel=1e-12)
+
+
+@pytest.mark.parametrize("regime", list(Regime))
+def test_regime_utilities_non_finite_input_raises(defaults, regime):
+    with pytest.raises(NumericsError, match="not finite"):
+        regime_utilities(dataclasses.replace(defaults, v=math.nan), regime)
 
 
 def test_regime_utilities_serialization(defaults):

@@ -357,3 +357,9 @@ def test_estimate_simulation_consistent_with_lattice_expectation():
     for r in rec.roles:
         if r.sim_se > 0:
             assert abs(r.sim_mean - r.lattice_exact) < 5 * r.sim_se
+            assert r.z == r.bias / r.sim_se  # z stays against the closed form
+    # the outsider sits ~39 SE from the closed form (the deterministic
+    # lattice offset) but within noise of lattice_exact, so nothing is flagged
+    assert abs(rec.role("outsider").z) > 30
+    assert rec.flags == ()
+    assert not any(r.flagged for r in rec.roles)
