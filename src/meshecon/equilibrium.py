@@ -5,22 +5,29 @@ utility (originator + intermediate + outsider) is positive, so the
 equilibrium density is the largest downcrossing of total utility through
 zero — entry accumulates until utility hits zero from above, and any
 smaller root is unstable under that dynamic. The curve is scanned on a
-grid, then the crossing is refined by bisection on the residual.
+grid, then the crossing is refined by batched k-section: each round
+evaluates REFINE_POINTS evenly spaced interior densities of the current
+cell and keeps the cell of their largest downcrossing, until an endpoint's
+residual |total utility| is within tolerance.
 
 Club: an entry-controlling club admits members up to the density that
 maximizes the same per-node total under competitive relay pricing (not
 aggregate welfare n^2 x per-node utility — the per-node sum is the club
-member's objective). Grid scan plus golden-section refinement; a maximum
+member's objective). Grid scan plus a batched grid argmax: each round
+evaluates REFINE_POINTS interior densities of [a, b] and keeps the two grid
+cells around their argmax, until b - a is within tolerance. A maximum
 pinned to a bracket edge is surfaced as BoundaryOptimum rather than
 reported as an interior solution, since its economics are ambiguous.
 
 Density is a continuous control throughout; "slots" map to choosing n.
-Grid scans, bracket doublings and scaling densities are single batched
-utility_arrays calls; the refinement phases are sequential scalar calls.
+Grid scans, bracket doublings, refinement rounds and scaling densities are
+each one batched utility_arrays call, whose values are bit-identical to
+one-density calls; SolverDiagnostics.iterations counts refinement rounds.
+compare_regimes builds the competitive-pricing bracket and scan once and
+shares them between its free-entry and club solvers.
 """
 
 import json
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -55,11 +62,11 @@ __all__ = [
 ]
 
 RESIDUAL_TOL = 1e-9          # |total utility| at a reported free-entry root
-DENSITY_TOL = 1e-6           # golden-section interval width at the club optimum
+DENSITY_TOL = 1e-6           # interval width around the club optimum
 BRACKET_CAP = 1e5            # hard ceiling for automatic bracket growth
 SCALING_MIN_P = 0.99         # demand saturation required for a clean exponent fit
-
-_INV_PHI = (math.sqrt(5) - 1) / 2
+REFINE_POINTS = 15           # interior densities per batched refinement round
+MAX_ROUNDS = 50              # refinement round limit: 16^50 = 2^200, 200 halvings
 
 
 @dataclass(frozen=True)
@@ -164,60 +171,70 @@ def _scan(template, regime, bracket, tol):
     return grid, sum(utility_arrays(template, regime, grid, tol))
 
 
+def _scanned_bracket(template, regime, bracket, tol, scanned):
+    """The bracket (default_bracket when None) and its scan; scanned, when
+    given, is that scan already made by the caller on the same bracket."""
+    if bracket is None:
+        bracket = default_bracket(template, regime, tol=tol)
+    bracket.validate_for(template)
+    return (bracket, *(scanned or _scan(template, regime, bracket, tol)))
+
+
+def _refine_round(template, regime, xs, fs, tol):
+    """Evaluate REFINE_POINTS evenly spaced densities inside [xs[0], xs[-1]]
+    in one batch; return all REFINE_POINTS + 2 densities and totals."""
+    xs = np.linspace(xs[0], xs[-1], REFINE_POINTS + 2)
+    inner = sum(utility_arrays(template, regime, xs[1:-1], tol))
+    return xs, np.concatenate(([fs[0]], inner, [fs[-1]]))
+
+
 def free_entry_density(
     template: ModelParams,
     regime: Regime,
     bracket: DensityBracket | None = None,
     tol: float = DEFAULT_TOL,
     residual_tol: float = RESIDUAL_TOL,
+    *,
+    _scanned=None,
 ) -> EquilibriumResult:
     """Solve total utility = 0 for density under free entry.
 
     Scans the bracket grid for sign changes from positive to negative and
-    refines the largest such downcrossing by bisection until the residual
-    |total utility| falls to residual_tol. Raises NoCrossing when the curve
-    never passes from positive to negative inside the bracket.
+    refines the largest such downcrossing by batched k-section until an
+    endpoint's residual |total utility| falls to residual_tol. Raises
+    NoCrossing when the curve never passes from positive to negative inside
+    the bracket, and NumericsError when MAX_ROUNDS rounds cannot meet
+    residual_tol.
     """
     validate(template)
-    if bracket is None:
-        bracket = default_bracket(template, regime)
-    bracket.validate_for(template)
-    grid, values = _scan(template, regime, bracket, tol)
+    bracket, grid, values = _scanned_bracket(template, regime, bracket, tol, _scanned)
 
-    root = None
+    cell = None
     for i in range(len(grid) - 1):
         if values[i] == 0.0:
-            root = (float(grid[i]), float(grid[i]), 0.0, 0)
+            cell = [i, i]
         elif values[i] > 0 and values[i + 1] < 0:
-            root = (float(grid[i]), float(grid[i + 1]), None, None)
+            cell = [i, i + 1]
     if values[-1] == 0.0:
-        root = (float(grid[-1]), float(grid[-1]), 0.0, 0)
-    if root is None:
+        cell = [len(grid) - 1] * 2
+    if cell is None:
         raise NoCrossing(regime, bracket.n_lo, bracket.n_hi)
 
-    lo, hi, residual, iterations = root
-    if residual is None:
-        f_lo = total_eu(template, lo, regime, tol)
-        iterations = 0
-        mid, f_mid = lo, f_lo
-        while True:
-            mid = 0.5 * (lo + hi)
-            f_mid = total_eu(template, mid, regime, tol)
-            iterations += 1
-            if abs(f_mid) <= residual_tol or iterations >= 200:
-                break
-            if (f_lo > 0) == (f_mid > 0):
-                lo, f_lo = mid, f_mid
-            else:
-                hi = mid
-        if abs(f_mid) > residual_tol:
+    # invariant: fs[0] > 0 >= fs[-1], or both are an exact zero
+    xs, fs = grid[cell], values[cell]
+    iterations = 0
+    while not np.min(np.abs(fs)) <= residual_tol:
+        if iterations == MAX_ROUNDS:
             raise NumericsError(
-                f"bisection stalled at n={mid!r} with residual {f_mid!r} "
-                f"above {residual_tol!r}"
+                f"k-section stalled on [{float(xs[0])!r}, {float(xs[-1])!r}] with "
+                f"residuals {float(fs[0])!r}, {float(fs[-1])!r} above {residual_tol!r}"
             )
-        n_star, residual = mid, f_mid
-    else:
-        n_star = lo
+        xs, fs = _refine_round(template, regime, xs, fs, tol)
+        j = np.flatnonzero((fs[:-1] > 0) & (fs[1:] <= 0))[-1]
+        xs, fs = xs[j : j + 2], fs[j : j + 2]
+        iterations += 1
+    k = int(np.argmin(np.abs(fs)))
+    n_star, residual = float(xs[k]), float(fs[k])
 
     utilities = regime_utilities(template.with_n(n_star), regime, tol)
     return EquilibriumResult(
@@ -241,18 +258,18 @@ def club_optimal_density(
     bracket: DensityBracket | None = None,
     tol: float = DEFAULT_TOL,
     density_tol: float = DENSITY_TOL,
+    *,
+    _scanned=None,
 ) -> EquilibriumResult:
     """Maximize per-node total utility under competitive peering over density.
 
-    Grid scan locates the hump; golden-section refines the argmax to
-    density_tol. A grid argmax on a bracket edge raises BoundaryOptimum.
+    Grid scan locates the hump; batched grid rounds narrow [a, b] around the
+    argmax to density_tol (at most MAX_ROUNDS rounds) and report its
+    midpoint. A grid argmax on a bracket edge raises BoundaryOptimum.
     """
     regime = Regime.PEERING_PERFECT_COMPETITION
     validate(template)
-    if bracket is None:
-        bracket = default_bracket(template, regime, tol=tol)
-    bracket.validate_for(template)
-    grid, values = _scan(template, regime, bracket, tol)
+    bracket, grid, values = _scanned_bracket(template, regime, bracket, tol, _scanned)
 
     k = int(np.argmax(values))
     if k == 0:
@@ -266,22 +283,15 @@ def club_optimal_density(
     if len(rising) or len(falling):
         notes.append("multimodal grid profile")
 
-    a, b = float(grid[k - 1]), float(grid[k + 1])
-    x1 = b - _INV_PHI * (b - a)
-    x2 = a + _INV_PHI * (b - a)
-    f1 = total_eu(template, x1, regime, tol)
-    f2 = total_eu(template, x2, regime, tol)
+    xs, fs = grid[[k - 1, k + 1]], values[[k - 1, k + 1]]
     iterations = 0
-    while (b - a) > density_tol and iterations < 300:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _INV_PHI * (b - a)
-            f2 = total_eu(template, x2, regime, tol)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _INV_PHI * (b - a)
-            f1 = total_eu(template, x1, regime, tol)
+    while xs[-1] - xs[0] > density_tol and iterations < MAX_ROUNDS:
+        xs, fs = _refine_round(template, regime, xs, fs, tol)
+        j = int(np.argmax(fs))
+        keep = [max(j - 1, 0), min(j + 1, REFINE_POINTS + 1)]
+        xs, fs = xs[keep], fs[keep]
         iterations += 1
+    a, b = float(xs[0]), float(xs[-1])
     n_club = 0.5 * (a + b)
 
     utilities = regime_utilities(template.with_n(n_club), regime, tol)
@@ -427,12 +437,15 @@ def compare_regimes(
     fe_np = attempt(
         lambda: free_entry_density(template, Regime.NO_PEERING, bracket, tol)
     )
+    # one competitive-pricing bracket and scan serve both of its solvers
+    pc = Regime.PEERING_PERFECT_COMPETITION
+    pc_bracket, *scanned = _scanned_bracket(template, pc, bracket, tol, None)
     fe_pc = attempt(
-        lambda: free_entry_density(
-            template, Regime.PEERING_PERFECT_COMPETITION, bracket, tol
-        )
+        lambda: free_entry_density(template, pc, pc_bracket, tol, _scanned=scanned)
     )
-    club = attempt(lambda: club_optimal_density(template, bracket, tol))
+    club = attempt(
+        lambda: club_optimal_density(template, pc_bracket, tol, _scanned=scanned)
+    )
 
     def scaling(regime):
         try:

@@ -91,6 +91,15 @@ ROLES = ("originator", "intermediate", "outsider")
 Z_FLAG_THRESHOLD = 3.0
 
 
+def _check_side(side: int, params: ModelParams) -> None:
+    min_side = math.ceil(2 * params.d_max * params.n) + 1
+    if side < min_side:
+        raise ParamError(
+            f"side must be >= ceil(2*d_max*n)+1 = {min_side} to avoid "
+            f"torus aliasing of the d_max circle, got {side}"
+        )
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """One simulation run: lattice size, parameters, regime, trials, seed.
@@ -107,12 +116,7 @@ class SimConfig:
 
     def validated(self) -> "SimConfig":
         validate(self.params)
-        min_side = math.ceil(2 * self.params.d_max * self.params.n) + 1
-        if self.side < min_side:
-            raise ParamError(
-                f"side must be >= ceil(2*d_max*n)+1 = {min_side} to avoid "
-                f"torus aliasing of the d_max circle, got {self.side}"
-            )
+        _check_side(self.side, self.params)
         if self.trials < 1:
             raise ParamError(f"trials must be >= 1, got {self.trials!r}")
         if not (0 <= self.seed < 2**64):
@@ -130,12 +134,7 @@ class Lattice:
     """
 
     def __init__(self, side: int, params: ModelParams):
-        min_side = math.ceil(2 * params.d_max * params.n) + 1
-        if side < min_side:
-            raise ParamError(
-                f"side must be >= ceil(2*d_max*n)+1 = {min_side} to avoid "
-                f"torus aliasing of the d_max circle, got {side}"
-            )
+        _check_side(side, params)
         self.side = side
         self.params = params
         self.spacing = 1.0 / params.n

@@ -238,13 +238,23 @@ def test_no_partial_output_on_error(capsys, tmp_path):
     assert not target.exists()
 
 
+def _package_env():
+    """The environment with this test run's meshecon first on PYTHONPATH, so
+    a subprocess imports the same package whether or not it is installed."""
+    import meshecon
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(meshecon.__file__)))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+
 def test_module_entry_point_subprocess():
     import subprocess
     import sys
 
     proc = subprocess.run(
         [sys.executable, "-m", "meshecon", "radio", "--snr", "3"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=_package_env(),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["shannon_capacity"] == 2.0
@@ -256,15 +266,10 @@ def test_cli_import_leaves_scipy_unloaded():
     import subprocess
     import sys
 
-    import meshecon
-
-    src = os.path.dirname(os.path.dirname(os.path.abspath(meshecon.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH")))))
     code = ("import sys, meshecon.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=env, timeout=120)
+                          text=True, env=_package_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 

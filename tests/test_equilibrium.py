@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 
 import numpy as np
@@ -9,6 +10,7 @@ from meshecon import (
     DensityBracket,
     EquilibriumKind,
     NoCrossing,
+    NumericsError,
     ParamError,
     Regime,
     club_optimal_density,
@@ -19,12 +21,38 @@ from meshecon import (
     regime_utilities,
     total_eu,
 )
-from meshecon.equilibrium import BRACKET_CAP, _SCALING_N_VALUES, _scan
+import meshecon.equilibrium
+import meshecon.regimes
+from meshecon.cli import main
+from meshecon.equilibrium import (
+    BRACKET_CAP,
+    DENSITY_TOL,
+    MAX_ROUNDS,
+    REFINE_POINTS,
+    RESIDUAL_TOL,
+    _SCALING_N_VALUES,
+    _scan,
+)
 from meshecon.regimes import DEFAULT_TOL, utility_arrays
 from conftest import random_draws
 import oracles
 
 PERFCOMP = Regime.PEERING_PERFECT_COMPETITION
+
+
+@pytest.fixture
+def utility_calls(monkeypatch):
+    """Record (regime, densities, tol) for every utility_arrays call, under
+    both names the solvers and regime_utilities look it up by."""
+    calls = []
+
+    def spy(template, regime, densities, tol=DEFAULT_TOL):
+        calls.append((regime, np.array(densities, dtype=float).reshape(-1), tol))
+        return utility_arrays(template, regime, densities, tol)
+
+    monkeypatch.setattr(meshecon.equilibrium, "utility_arrays", spy)
+    monkeypatch.setattr(meshecon.regimes, "utility_arrays", spy)
+    return calls
 
 
 # --------------------------------------------------------------------------
@@ -91,6 +119,69 @@ def test_free_entry_deterministic(defaults):
     a = free_entry_density(defaults, Regime.NO_PEERING)
     b = free_entry_density(defaults, Regime.NO_PEERING)
     assert a == b
+
+
+@pytest.mark.parametrize("regime", [Regime.NO_PEERING, PERFCOMP])
+def test_free_entry_passes_tol_to_every_evaluation(defaults, regime, utility_calls):
+    free_entry_density(defaults, regime, tol=1e-6)
+    assert len(utility_calls) > 2  # bracket, scan, refinement, final point
+    assert [tol for _, _, tol in utility_calls] == [1e-6] * len(utility_calls)
+
+
+def _largest_downcrossing(grid, values):
+    cells = np.flatnonzero((values[:-1] > 0) & (values[1:] <= 0))
+    return (float(grid[cells[-1]]), float(grid[cells[-1] + 1])) if len(cells) else None
+
+
+@pytest.mark.parametrize("regime", [Regime.NO_PEERING, PERFCOMP])
+def test_free_entry_refinement_contract(defaults, regime):
+    templates = [defaults] + [p for p, _ in random_draws(20, seed=31)]
+    for t in templates:
+        grid, values = _scan(t, regime, default_bracket(t, regime), DEFAULT_TOL)
+        cell = _largest_downcrossing(grid, values)
+        if cell is None:
+            with pytest.raises(NoCrossing):
+                free_entry_density(t, regime)
+            continue
+        res = free_entry_density(t, regime)
+        assert abs(res.diagnostics.residual) <= RESIDUAL_TOL
+        assert res.diagnostics.residual == res.total_eu_at_n_star
+        assert cell[0] <= res.n_star <= cell[1]
+        assert res.diagnostics.iterations <= MAX_ROUNDS
+
+
+def test_club_refinement_contract(defaults):
+    templates = [defaults] + [p for p, _ in random_draws(20, seed=31)]
+    solved = 0
+    for t in templates:
+        try:
+            res = club_optimal_density(t)
+        except BoundaryOptimum:
+            continue
+        solved += 1
+        assert 0 < res.diagnostics.residual <= DENSITY_TOL  # b - a
+        # at the top of the hump, totals DENSITY_TOL apart differ by less than
+        # their rounding: repeated evaluations within +-DENSITY_TOL of n_star
+        # scatter by up to 3e-15 relative, so allow 1e-14 of the total
+        slack = 1e-14 * abs(res.total_eu_at_n_star)
+        for neighbor in (res.n_star - DENSITY_TOL, res.n_star + DENSITY_TOL):
+            assert res.total_eu_at_n_star >= total_eu(t, neighbor, PERFCOMP) - slack
+    assert solved >= 10
+
+
+def test_free_entry_stall_guard_raises(defaults, utility_calls):
+    # no density evaluates to an exact 0.0 here, so residual_tol=0 cannot be met
+    with pytest.raises(NumericsError, match="stalled"):
+        free_entry_density(defaults, PERFCOMP, residual_tol=0.0)
+    rounds = [d for _, d, _ in utility_calls if len(d) == REFINE_POINTS]
+    assert len(rounds) == MAX_ROUNDS
+
+
+def test_free_entry_stall_maps_to_cli_exit_3(monkeypatch, capsys):
+    stalling = functools.partial(free_entry_density, residual_tol=0.0)
+    monkeypatch.setattr(meshecon.equilibrium, "free_entry_density", stalling)
+    assert main(["equilibrium"]) == 3
+    assert "stalled" in capsys.readouterr().err
 
 
 def test_bracket_validation(defaults):
@@ -230,6 +321,22 @@ def test_compare_regimes_consistency(defaults):
     assert len(report.leapfrog_profile) > 0
     for d, threshold, price in report.leapfrog_profile:
         assert price < threshold  # c(D) < c(2D)
+
+
+def test_compare_regimes_shares_one_competitive_scan(defaults, utility_calls):
+    n_lo = 2 / defaults.d_max
+    doublings = [2 * n_lo]
+    while doublings[-1] < BRACKET_CAP:
+        doublings.append(min(2 * doublings[-1], BRACKET_CAP))
+    bracket = default_bracket(defaults, PERFCOMP)
+    grid = np.linspace(bracket.n_lo, bracket.n_hi, bracket.grid_points)
+    utility_calls.clear()
+    compare_regimes(defaults)
+    pc = [d for r, d, _ in utility_calls if r is PERFCOMP]
+    assert sum(np.array_equal(d, doublings) for d in pc) == 1
+    assert sum(np.array_equal(d, grid) for d in pc) == 1
+    # one-density calls: only the final regime_utilities of free entry and club
+    assert sum(len(d) == 1 for d in pc) == 2
 
 
 def test_compare_regimes_json_round_trip(defaults):

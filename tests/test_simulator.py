@@ -45,6 +45,19 @@ def test_config_validation(defaults):
     assert config(side=21).validated()
 
 
+def test_side_check_shared_by_config_and_lattice():
+    from meshecon.simulator import Lattice
+
+    text = ("side must be >= ceil(2*d_max*n)+1 = 21 to avoid torus aliasing "
+            "of the d_max circle, got 20")
+    with pytest.raises(ParamError) as from_config:
+        config(side=20).validated()
+    with pytest.raises(ParamError) as from_lattice:
+        Lattice(20, make_params())
+    assert str(from_config.value) == str(from_lattice.value) == text
+    assert Lattice(21, make_params()).side == 21
+
+
 def test_lattice_basic_geometry():
     # 100 nodes on a 1x1 torus at spacing 0.1; d_max small enough to fit
     cfg = config(side=10, d_max=0.45)
