@@ -40,7 +40,7 @@ from .model import (
     validate,
 )
 from .regimes import REGIME_ORDER, Regime, UTILITIES_CSV_HEADER, regime_utilities
-from .simulator import SimConfig, estimate_vs_analytic, run_instant, write_event_trace
+from .simulator import SimConfig, estimate_vs_analytic, write_event_trace
 
 ENV_CONFIG = "MESHECON_CONFIG"
 
@@ -176,10 +176,9 @@ def cmd_simulate(args) -> int:
         trials=args.trials,
         seed=args.seed,
     ).validated()
+    record = estimate_vs_analytic(config, collect_events=bool(args.trace))
     if args.trace:
-        traced = run_instant(config, collect_events=True)
-        write_event_trace(traced.events, args.trace)
-    record = estimate_vs_analytic(config)
+        write_event_trace(record.outcome.events, args.trace)
     _emit(record.to_json(), args.output)
     return EXIT_OK
 

@@ -36,11 +36,13 @@ congestion degrades utility, it never blocks a link.
 
 Because the torus is translation invariant, every per-connection quantity
 (costs, hop counts, polluted-node counts) is a pure function of the
-destination offset. The simulator precomputes those per-offset tables once,
-which reduces a trial to array lookups; exact per-offset expectations are
-exposed via lattice_exact_means() for diagnostics. Pollution and relay
-tallies are integer counts scaled by w at the end, so accumulation order
-cannot perturb them.
+destination offset. The simulator precomputes those per-offset tables once
+and counts each trial's connecting offsets into a per-offset histogram; the
+trial's tallies are that histogram dotted with the tables, a reduction over
+the K offsets rather than over the connections. Exact per-offset
+expectations are exposed via lattice_exact_means() for diagnostics.
+Pollution and relay tallies are integer counts scaled by w at the end, so
+accumulation order cannot perturb them.
 
 Randomness: the stream for trial t of a run is seeded by SeedSequence
 ([seed, t]) and consumed as fixed node-indexed arrays, so trials are
@@ -50,6 +52,7 @@ configs give bit-identical outcomes.
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,7 +94,14 @@ ROLES = ("originator", "intermediate", "outsider")
 Z_FLAG_THRESHOLD = 3.0
 
 
+def _check_int(name: str, value) -> None:
+    # bool is an Integral subclass but never a count or a seed
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ParamError(f"{name} must be an integer, got {value!r}")
+
+
 def _check_side(side: int, params: ModelParams) -> None:
+    _check_int("side", side)
     min_side = math.ceil(2 * params.d_max * params.n) + 1
     if side < min_side:
         raise ParamError(
@@ -105,7 +115,8 @@ class SimConfig:
     """One simulation run: lattice size, parameters, regime, trials, seed.
 
     side must be at least ceil(2 * d_max * n) + 1 so the d_max circle cannot
-    wrap onto itself; seed is a 64-bit unsigned integer.
+    wrap onto itself; seed is a 64-bit unsigned integer. side, trials and
+    seed must be integers (bool is rejected).
     """
 
     side: int
@@ -117,6 +128,8 @@ class SimConfig:
     def validated(self) -> "SimConfig":
         validate(self.params)
         _check_side(self.side, self.params)
+        _check_int("trials", self.trials)
+        _check_int("seed", self.seed)
         if self.trials < 1:
             raise ParamError(f"trials must be >= 1, got {self.trials!r}")
         if not (0 <= self.seed < 2**64):
@@ -256,11 +269,20 @@ class _RegimeTables:
     conn_cost   what the originator gives up: c(d) direct, or the whole
                 path's transmission cost when peering (first hop paid in
                 kind, the rest as marginal-cost transfers to the relays)
+    tallies     the integer tables below as the rows of one (4, K) int64
+                array, so a trial's offset histogram gives all four counts
+                in one product; the named tables are views of its rows
+    peer        1 if the originator chooses the relayed path, else 0
+    refused     NOTRANS only: 1 if the originator wanted to peer but relays
+                refuse, else 0
     relays      relay count (hops - 1) for peered connections, else 0
     polluted    nodes charged w across all of the connection's transmissions
-    peer        whether the originator chooses the relayed path
-    refused     NOTRANS only: the originator wanted to peer but relays refuse
     """
+
+    peer = property(lambda self: self.tallies[0])
+    refused = property(lambda self: self.tallies[1])
+    relays = property(lambda self: self.tallies[2])
+    polluted = property(lambda self: self.tallies[3])
 
     def __init__(self, lattice: Lattice, regime: Regime):
         p = lattice.params
@@ -278,33 +300,38 @@ class _RegimeTables:
         # evaluated on the continuum quantities at the torus distance.
         # Product order ((I+1) a) D^beta: where n d rounds just above 2 the
         # two costs differ by about an ulp, and the order decides the choice.
-        i_cont = intermediate_count_array(n, d)
-        peer_cost = (i_cont + 1) * p.cost.a * hop_distance_array(n, d) ** p.cost.beta
-        wants_peer = direct_cost > peer_cost  # ties go DIRECT
+        # One expression, so its temporaries are freed before the tables
+        # are stacked (that moment sets the simulator's peak memory).
+        wants_peer = direct_cost > (  # ties go DIRECT
+            (intermediate_count_array(n, d) + 1) * p.cost.a
+            * hop_distance_array(n, d) ** p.cost.beta
+        )
 
         count_in = np.searchsorted(lattice.offset_r2, r2, side="right")
         c1 = lattice.circle_count(1)
         c2 = lattice.circle_count(2)
 
         if regime is Regime.PEERING_PERFECT_COMPETITION:
-            self.peer = wants_peer
-            self.refused = np.zeros_like(wants_peer)
+            peer = wants_peer
+            refused = np.zeros_like(wants_peer)
             # Receiving endpoint of each hop is exempt from its circle.
-            self.polluted = np.where(
-                self.peer,
+            polluted = np.where(
+                peer,
                 straight * (c1 - 1) + diag * (c2 - 1),
                 count_in - 1,
             )
         else:
-            self.peer = np.zeros_like(wants_peer)
-            self.refused = (
+            peer = np.zeros_like(wants_peer)
+            refused = (
                 wants_peer if regime is Regime.PEERING_NO_TRANSFERS
                 else np.zeros_like(wants_peer)
             )
-            self.polluted = count_in  # receiver included
+            polluted = count_in  # receiver included
 
-        self.relays = np.where(self.peer, hops - 1, 0)
-        self.conn_cost = np.where(self.peer, path_cost, direct_cost)
+        self.tallies = np.stack(
+            [peer, refused, np.where(peer, hops - 1, 0), polluted], dtype=np.int64
+        )
+        self.conn_cost = np.where(peer, path_cost, direct_cost)
 
 
 # --------------------------------------------------------------------------
@@ -407,10 +434,17 @@ def _mean_se(series: np.ndarray) -> tuple[float, float]:
     return mean, float(series.std(ddof=1) / math.sqrt(len(series)))
 
 
+def _build(config: SimConfig) -> tuple[Lattice, _RegimeTables]:
+    lattice = build_lattice(config)
+    return lattice, _RegimeTables(lattice, config.regime)
+
+
 def run_instant(
     config: SimConfig,
     collect_per_node: bool = False,
     collect_events: bool = False,
+    *,
+    _built: tuple[Lattice, _RegimeTables] | None = None,
 ) -> SimOutcome:
     """Simulate config.trials independent instants and tally by role.
 
@@ -418,10 +452,14 @@ def run_instant(
     trials); collect_events attaches the full ConnectionEvent list with
     paths from the greedy router. Both are diagnostics and cost time;
     the statistical outcome is identical with or without them.
+
+    Each trial's tallies come from the histogram of its connecting
+    destination offsets: the integer counts as one exact int64 product with
+    the (4, K) tables, the originator's cost sum as an elementwise product
+    summed without BLAS, so its bytes cannot depend on the BLAS library
+    or its thread count.
     """
-    config.validated()
-    lattice = build_lattice(config)
-    tables = _RegimeTables(lattice, config.regime)
+    lattice, tables = _built or _build(config)
     p = lattice.params
     n_nodes = lattice.n_nodes
     k_offsets = lattice.n_offsets
@@ -439,22 +477,21 @@ def run_instant(
 
     for trial in range(config.trials):
         rng = np.random.default_rng(np.random.SeedSequence([config.seed, trial]))
-        wants = rng.random(n_nodes)
+        connecting = rng.random(n_nodes) < p_conn
         dest_k = rng.integers(0, k_offsets, n_nodes)
-        connecting = wants < p_conn
-        sel = dest_k[connecting]
+        hist = np.bincount(dest_k[connecting], minlength=k_offsets)
 
-        n_conn = int(sel.size)
-        n_peered = int(tables.peer[sel].sum())
-        relay_count = int(tables.relays[sel].sum())
-        polluted_count = int(tables.polluted[sel].sum())
+        n_conn = int(np.count_nonzero(connecting))
+        n_peered, n_refused, relay_count, polluted_count = (
+            tables.tallies @ hist
+        ).tolist()
         attempted += n_conn
         peered += n_peered
         direct += n_conn - n_peered
-        refused += int(tables.refused[sel].sum())
+        refused += n_refused
         pollution_total += polluted_count
 
-        orig_total = p.v * n_conn - float(np.sum(tables.conn_cost[sel]))
+        orig_total = p.v * n_conn - float((tables.conn_cost * hist).sum())
         int_total = -p.w * relay_count
         out_total = -p.w * polluted_count
         per_trial_orig[trial] = orig_total / n_nodes
@@ -568,12 +605,12 @@ def _tally_per_node(lattice, tables, per_node, origin, k, receiver_exempt):
             per_node[lattice.offset_target(origin, k)] -= 1
 
 
-def lattice_exact_means(config: SimConfig) -> dict:
+def lattice_exact_means(
+    config: SimConfig, *, _built: tuple[Lattice, _RegimeTables] | None = None
+) -> dict:
     """Exact per-node expected role means of the discrete model (no Monte
     Carlo error): demand probability times the per-offset average."""
-    config.validated()
-    lattice = build_lattice(config)
-    tables = _RegimeTables(lattice, config.regime)
+    lattice, tables = _built or _build(config)
     p = lattice.params
     p_conn = lattice.connect_prob
     return {
@@ -650,20 +687,24 @@ class ComparisonRecord:
 
 
 def estimate_vs_analytic(
-    config: SimConfig, tol: float = DEFAULT_TOL
+    config: SimConfig, tol: float = DEFAULT_TOL, *, collect_events: bool = False
 ) -> ComparisonRecord:
     """Run the simulation and compare per-role means to the closed forms.
 
     Requires >= 30 trials for a usable variance estimate. bias and z are
     measured against the closed form. A role is flagged when its simulator
     mean sits more than 3 standard errors from lattice_exact, or differs
-    from it at all when the standard error is zero.
+    from it at all when the standard error is zero. collect_events is
+    passed to run_instant, so record.outcome.events holds the trace of the
+    very run the record compares. The lattice and its tables are built once
+    for the run and the exact means.
     """
     if config.trials < 30:
         raise ParamError(
             f"estimate_vs_analytic needs trials >= 30, got {config.trials!r}"
         )
-    outcome = run_instant(config)
+    built = _build(config)
+    outcome = run_instant(config, collect_events=collect_events, _built=built)
 
     baseline_regime = (
         Regime.NO_PEERING if config.regime is Regime.PEERING_NO_TRANSFERS
@@ -676,7 +717,7 @@ def estimate_vs_analytic(
         "outsider": analytic.eu_outsider,
         "total": analytic.total,
     }
-    exact = lattice_exact_means(config)
+    exact = lattice_exact_means(config, _built=built)
     exact["total"] = sum(exact.values())
 
     rows = []

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -149,6 +150,40 @@ def test_simulate_record_and_trace(capsys, tmp_path):
     lines = trace.read_text().splitlines()
     assert lines[0].startswith("trial,origin,destination,path")
     assert len(lines) - 1 == blob["outcome"]["counts"]["attempted"]
+
+
+@pytest.mark.parametrize("regime", [r.value for r in Regime])
+def test_simulate_trace_reuses_the_compared_run(capsys, tmp_path, monkeypatch, regime):
+    import meshecon.cli as cli
+    import meshecon.simulator as sim
+
+    argv = ["simulate", "--regime", regime, "--side", "11", "--trials", "30",
+            "--seed", "5", "--set", "n=5"]
+    plain = tmp_path / "plain.json"
+    run(capsys, *argv, "--output", str(plain))
+
+    runs = []
+    real = sim.run_instant
+
+    def counted(*args, **kwargs):
+        runs.append(kwargs.get("collect_events", False))
+        return real(*args, **kwargs)
+    # count a run started by the command itself as well as by the comparison
+    monkeypatch.setattr(sim, "run_instant", counted)
+    monkeypatch.setattr(cli, "run_instant", counted, raising=False)
+    traced, trace = tmp_path / "traced.json", tmp_path / "events.csv"
+    assert run(capsys, *argv, "--output", str(traced), "--trace", str(trace))[0] == 0
+    assert runs == [True]  # one Monte Carlo run, traced
+    monkeypatch.undo()
+
+    # the record is the untraced record, the trace that of a separate run
+    assert traced.read_bytes() == plain.read_bytes()
+    reference = tmp_path / "reference.csv"
+    params = dataclasses.replace(default_params(), n=5.0)
+    config = sim.SimConfig(side=11, params=params, regime=Regime(regime),
+                           trials=30, seed=5)
+    sim.write_event_trace(real(config, collect_events=True).events, reference)
+    assert trace.read_bytes() == reference.read_bytes()
 
 
 def test_simulate_rejects_bad_config(capsys):

@@ -45,6 +45,22 @@ def test_config_validation(defaults):
     assert config(side=21).validated()
 
 
+@pytest.mark.parametrize("field, value", [
+    ("side", 24.5), ("side", 24.0), ("side", True),
+    ("trials", 2.5), ("trials", True),
+    ("seed", 1.5), ("seed", True), ("seed", np.float64(7.0)),
+])
+def test_config_rejects_non_integer_fields(field, value):
+    with pytest.raises(ParamError, match=f"{field} must be an integer"):
+        dataclasses.replace(config(), **{field: value}).validated()
+
+
+def test_config_accepts_numpy_integers():
+    cfg = config(side=np.int64(21), trials=np.int32(2), seed=np.uint64(2**63))
+    assert cfg.validated() is cfg
+    assert run_instant(cfg).connections_attempted > 0
+
+
 def test_side_check_shared_by_config_and_lattice():
     from meshecon.simulator import Lattice
 
@@ -194,6 +210,71 @@ def test_lattice_exact_means_match_oracle():
             assert got[role] == pytest.approx(oracle[role], rel=1e-12, abs=1e-15)
 
 
+def _gather_reference(cfg):
+    """The per-connection tally loop the histogram replaced: gather every
+    connection's table entries and sum them."""
+    from meshecon.simulator import _RegimeTables
+
+    lattice = build_lattice(cfg)
+    tables = _RegimeTables(lattice, cfg.regime)
+    p, n_nodes = cfg.params, lattice.n_nodes
+    counts = dict(attempted=0, peered=0, refused=0, pollution=0)
+    orig, inter, out = [], [], []
+    for trial in range(cfg.trials):
+        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, trial]))
+        wants = rng.random(n_nodes)
+        dest_k = rng.integers(0, lattice.n_offsets, n_nodes)
+        sel = dest_k[wants < lattice.connect_prob]
+        relay_count = int(tables.relays[sel].sum())
+        polluted_count = int(tables.polluted[sel].sum())
+        counts["attempted"] += int(sel.size)
+        counts["peered"] += int(tables.peer[sel].sum())
+        counts["refused"] += int(tables.refused[sel].sum())
+        counts["pollution"] += polluted_count
+        orig.append((p.v * sel.size - float(np.sum(tables.conn_cost[sel]))) / n_nodes)
+        inter.append(-p.w * relay_count / n_nodes)
+        out.append(-p.w * polluted_count / n_nodes)
+    return counts, np.array(orig), tuple(inter), tuple(out)
+
+
+@pytest.mark.parametrize("regime", list(Regime))
+@pytest.mark.parametrize("case", ["default", "full_demand", "min_side"])
+def test_histogram_tallies_match_gather_reference(regime, case):
+    cfg = {
+        "default": config(regime=regime, trials=20, seed=41),
+        "full_demand": config(regime=regime, trials=20, seed=42, z=1e-12),
+        "min_side": config(regime=regime, trials=20, seed=43, side=21),
+    }[case]
+    counts, orig, inter, out = _gather_reference(cfg)
+    got = run_instant(cfg)
+    if case == "full_demand":
+        assert got.connections_attempted == cfg.side ** 2 * cfg.trials  # P == 1.0
+    assert got.connections_attempted == counts["attempted"]
+    assert got.connections_peered == counts["peered"]
+    assert got.connections_direct == counts["attempted"] - counts["peered"]
+    assert got.connections_refused == counts["refused"]
+    assert got.pollution_events == counts["pollution"]
+    assert got.per_trial_intermediate == inter
+    assert got.per_trial_outsider == out
+    # only the originator's float sum changes order (K terms, not one per
+    # connection); float64 rounding of either order stays far inside 1e-14
+    got_orig = np.array(got.per_trial_originator)
+    assert np.all(np.abs(got_orig - orig) <= 1e-14 * np.abs(orig))
+
+
+def test_fast_path_does_no_per_connection_python_work(monkeypatch):
+    import meshecon.simulator as sim
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("per-connection work on the fast path")
+
+    monkeypatch.setattr(sim, "route_greedy", forbidden)
+    monkeypatch.setattr(sim, "_tally_per_node", forbidden)
+    monkeypatch.setattr(sim.Lattice, "offset_target", forbidden)
+    out = run_instant(config(regime=PERFCOMP, trials=5, seed=3))
+    assert out.connections_peered > 0
+
+
 def test_bit_identical_determinism():
     cfg = config(regime=PERFCOMP, trials=40, seed=123)
     assert run_instant(cfg) == run_instant(cfg)
@@ -339,6 +420,34 @@ def test_estimate_requires_enough_trials():
         estimate_vs_analytic(config(trials=1))
     with pytest.raises(ParamError, match="trials"):
         estimate_vs_analytic(config(trials=29))
+
+
+def test_estimate_builds_lattice_and_tables_once(monkeypatch):
+    import meshecon.simulator as sim
+
+    cfg = config(regime=PERFCOMP, trials=30, seed=19)
+    calls = {}
+
+    def counted(name):
+        fn = getattr(sim, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(sim, name, wrapper)
+
+    for name in ("validate", "build_lattice", "_RegimeTables",
+                 "run_instant", "lattice_exact_means"):
+        counted(name)
+    rec = estimate_vs_analytic(cfg)
+    # the public run_instant and lattice_exact_means are still both called
+    assert calls == {"validate": 1, "build_lattice": 1, "_RegimeTables": 1,
+                     "run_instant": 1, "lattice_exact_means": 1}
+    monkeypatch.undo()
+    exact = lattice_exact_means(cfg)
+    exact["total"] = sum(exact.values())
+    assert {r.role: r.lattice_exact for r in rec.roles} == exact
+    assert rec.outcome == run_instant(cfg)
 
 
 def test_estimate_record_structure(defaults):
