@@ -83,7 +83,6 @@ from .simulator import (
     lattice_exact_means,
     route_greedy,
     run_instant,
-    sample_demand,
 )
 
 __version__ = "0.1.0"

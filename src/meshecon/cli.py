@@ -168,14 +168,14 @@ def cmd_equilibrium(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    params = validate(_load_params(args))
+    # estimate_vs_analytic validates the whole config once, params first
     config = SimConfig(
         side=args.side,
-        params=params,
+        params=_load_params(args),
         regime=Regime(args.regime),
         trials=args.trials,
         seed=args.seed,
-    ).validated()
+    )
     record = estimate_vs_analytic(config, collect_events=bool(args.trace))
     if args.trace:
         write_event_trace(record.outcome.events, args.trace)

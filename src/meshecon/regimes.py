@@ -295,11 +295,11 @@ def eu_no_peering(params: ModelParams, tol: float = DEFAULT_TOL) -> RegimeUtilit
 
 def eu_peering_no_transfers(
     params: ModelParams, tol: float = DEFAULT_TOL
-) -> tuple[RegimeUtilities, bool]:
-    """Expected utilities if every node relayed for free, and whether that
-    arrangement is sustainable (it never is: a relay's best response to a
-    zero price is refusal)."""
-    return regime_utilities(params, Regime.PEERING_NO_TRANSFERS, tol), False
+) -> RegimeUtilities:
+    """Expected utilities if every node relayed for free. The arrangement
+    is never sustainable: a relay's best response to a zero price is
+    refusal."""
+    return regime_utilities(params, Regime.PEERING_NO_TRANSFERS, tol)
 
 
 def eu_peering_perfcomp(params: ModelParams, tol: float = DEFAULT_TOL) -> RegimeUtilities:

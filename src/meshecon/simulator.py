@@ -35,14 +35,17 @@ lines. All connections within a trial are simultaneous and non-blocking:
 congestion degrades utility, it never blocks a link.
 
 Because the torus is translation invariant, every per-connection quantity
-(costs, hop counts, polluted-node counts) is a pure function of the
-destination offset. The simulator precomputes those per-offset tables once
-and counts each trial's connecting offsets into a per-offset histogram; the
-trial's tallies are that histogram dotted with the tables, a reduction over
-the K offsets rather than over the connections. Exact per-offset
-expectations are exposed via lattice_exact_means() for diagnostics.
-Pollution and relay tallies are integer counts scaled by w at the end, so
-accumulation order cannot perturb them.
+(costs, hop counts, polluted-node counts, the path relative to its origin)
+is a pure function of the destination offset. The simulator precomputes
+those per-offset tables once and counts each trial's connecting offsets
+into a per-offset histogram; the trial's tallies are that histogram dotted
+with the tables, a reduction over the K offsets rather than over the
+connections. Event traces and per-node exposures shift each offset's
+tabulated path to the trial's origins; route_greedy is only the reference
+those paths are tested against. Exact per-offset expectations are exposed
+via lattice_exact_means() for diagnostics. Pollution and relay tallies are
+integer counts scaled by w at the end, so accumulation order cannot
+perturb them.
 
 Randomness: the stream for trial t of a run is seeded by SeedSequence
 ([seed, t]) and consumed as fixed node-indexed arrays, so trials are
@@ -82,7 +85,6 @@ __all__ = [
     "ComparisonRecord",
     "EVENT_CSV_HEADER",
     "build_lattice",
-    "sample_demand",
     "route_greedy",
     "run_instant",
     "estimate_vs_analytic",
@@ -177,10 +179,6 @@ class Lattice:
     def node_coords(self, idx: int) -> tuple[int, int]:
         return divmod(idx, self.side)
 
-    def position(self, idx: int) -> tuple[float, float]:
-        i, j = self.node_coords(idx)
-        return (i * self.spacing, j * self.spacing)
-
     def wrap_delta(self, origin: int, destination: int) -> tuple[int, int]:
         """Minimal-magnitude integer offset from origin to destination,
         components in [-side//2, (side-1)//2]."""
@@ -195,11 +193,6 @@ class Lattice:
         di, dj = self.wrap_delta(a, b)
         return math.hypot(di, dj) * self.spacing
 
-    def offset_target(self, origin: int, k: int) -> int:
-        """Node reached from origin by destination offset k."""
-        oi, oj = self.node_coords(origin)
-        return self.node_index(oi + int(self.offset_di[k]), oj + int(self.offset_dj[k]))
-
     def circle_count(self, r2: int) -> int:
         """Other nodes within squared lattice radius r2 of any node."""
         return int(np.searchsorted(self.offset_r2, r2, side="right"))
@@ -208,15 +201,6 @@ class Lattice:
 def build_lattice(config: SimConfig) -> Lattice:
     config.validated()
     return Lattice(config.side, config.params)
-
-
-def sample_demand(lattice: Lattice, node: int, rng) -> int | None:
-    """One node's demand draw: a destination node index with probability
-    P(K) over the K nodes within d_max, else None."""
-    if rng.random() >= lattice.connect_prob:
-        return None
-    k = int(rng.integers(lattice.n_offsets))
-    return lattice.offset_target(node, k)
 
 
 _NEIGHBOR_STEPS = (
@@ -230,8 +214,8 @@ def route_greedy(lattice: Lattice, origin: int, destination: int) -> list[int]:
     """Greedy 8-neighbor path: hop to the adjacent node that minimizes the
     remaining torus distance, ties to the lowest node index.
 
-    The hop budget guard only trips on a geometry bug, never on a valid
-    route.
+    The reference that the tests hold _PathTables' walks to. The hop budget
+    guard only trips on a geometry bug, never on a valid route.
     """
     if origin == destination:
         raise ParamError("route_greedy requires origin != destination")
@@ -332,6 +316,85 @@ class _RegimeTables:
             [peer, refused, np.where(peer, hops - 1, 0), polluted], dtype=np.int64
         )
         self.conn_cost = np.where(peer, path_cost, direct_cost)
+
+
+class _PathTables:
+    """Each destination offset's realized path, built for the diagnostics.
+
+    The greedy walk in closed form: after t steps a peered connection to
+    offset (di, dj) sits at (sgn(di) min(t, |di|), sgn(dj) min(t, |dj|));
+    a direct one jumps to (di, dj) in one step. pos_i, pos_j hold those
+    (K, H + 1) positions, padded with the destination; hops counts each
+    offset's transmissions, charged[k, t] the nodes in transmission t's
+    circle (0 past the last hop); fields[k] are a ConnectionEvent's last
+    three fields."""
+
+    CHARGE_BLOCK = 1 << 18  # elements per block in charge()
+
+    def __init__(self, lattice: Lattice, tables: _RegimeTables):
+        p = lattice.params
+        self.lattice = lattice
+        di, dj = lattice.offset_di, lattice.offset_dj
+        peer = tables.peer.astype(bool)
+        self.hops = np.where(peer, np.maximum(np.abs(di), np.abs(dj)), 1)
+        t = np.arange(self.hops.max() + 1)
+        steps = np.where(peer[:, None], t, np.minimum(t, 1) * lattice.side)
+        self.pos_i = np.sign(di)[:, None] * np.minimum(steps, np.abs(di)[:, None])
+        self.pos_j = np.sign(dj)[:, None] * np.minimum(steps, np.abs(dj)[:, None])
+        step_i, step_j = np.diff(self.pos_i), np.diff(self.pos_j)
+        self.charged = np.searchsorted(lattice.offset_r2, step_i**2 + step_j**2, side="right")
+        lengths = [
+            tuple(math.hypot(a, b) * lattice.spacing for a, b in zip(si[:h], sj[:h]))
+            for si, sj, h in zip(step_i.tolist(), step_j.tolist(), self.hops.tolist())
+        ]
+        self.fields = [
+            (hl, ConnectionChoice(Choice.PEER if pk else Choice.DIRECT, p.v - cost),
+             sum(p.cost(x) for x in hl[1:]) if pk else 0.0)
+            for hl, pk, cost in zip(lengths, peer.tolist(), tables.conn_cost.tolist())
+        ]
+
+    def walk(self, origins: np.ndarray, ks: np.ndarray):
+        """Lattice rows and columns of the paths from node ids origins to
+        offsets ks, one (H + 1)-wide row per connection."""
+        side = self.lattice.side
+        oi, oj = np.divmod(origins, side)
+        return (oi[:, None] + self.pos_i[ks]) % side, (oj[:, None] + self.pos_j[ks]) % side
+
+    def events(self, trial: int, origins: np.ndarray, ks: np.ndarray) -> list:
+        ti, tj = self.walk(origins, ks)
+        rows = (ti * self.lattice.side + tj).tolist()
+        hops = self.hops.tolist()
+        return [
+            ConnectionEvent(trial, origin, row[hops[k]], tuple(row[:hops[k] + 1]), *self.fields[k])
+            for origin, k, row in zip(origins.tolist(), ks.tolist(), rows)
+        ]
+
+    def charge(self, per_node, origins, ks, receiver_exempt: bool) -> None:
+        """Add 1 at every node inside each transmission's circle, the first
+        charged[k, t] lattice offsets around its transmitter; with
+        receiver_exempt, take each hop's receiving endpoint back out.
+
+        Transmissions go sorted by circle size, in blocks of about
+        CHARGE_BLOCK elements whose last count is their width: no temporary
+        grows with the number of connections times K.
+        """
+        lattice, side = self.lattice, self.lattice.side
+        ti, tj = self.walk(origins, ks)
+        counts = self.charged[ks]
+        live = counts > 0
+        if receiver_exempt:
+            receivers = (ti[:, 1:] * side + tj[:, 1:])[live]
+            per_node -= np.bincount(receivers, minlength=per_node.size)
+        order = np.argsort(counts[live])
+        ti, tj, counts = ti[:, :-1][live][order], tj[:, :-1][live][order], counts[live][order]
+        rows = max(1, self.CHARGE_BLOCK // int(counts.max(initial=1)))
+        for lo in range(0, counts.size, rows):
+            block = slice(lo, lo + rows)
+            width = int(counts[block][-1])
+            inside = np.arange(width) < counts[block, None]
+            i = (ti[block, None] + lattice.offset_di[:width]) % side
+            j = (tj[block, None] + lattice.offset_dj[:width]) % side
+            per_node += np.bincount((i * side + j)[inside], minlength=per_node.size)
 
 
 # --------------------------------------------------------------------------
@@ -449,9 +512,9 @@ def run_instant(
     """Simulate config.trials independent instants and tally by role.
 
     collect_per_node adds per-node outsider exposure counts (summed over
-    trials); collect_events attaches the full ConnectionEvent list with
-    paths from the greedy router. Both are diagnostics and cost time;
-    the statistical outcome is identical with or without them.
+    trials); collect_events attaches the full ConnectionEvent list. Both
+    are diagnostics, built from each offset's path in _PathTables, and
+    cost time; the statistical outcome is identical with or without them.
 
     Each trial's tallies come from the histogram of its connecting
     destination offsets: the integer counts as one exact int64 product with
@@ -470,10 +533,10 @@ def run_instant(
     per_trial_out = np.empty(config.trials)
     attempted = direct = peered = refused = 0
     pollution_total = 0
-    per_node = (
-        np.zeros(n_nodes, dtype=np.int64) if collect_per_node else None
-    )
+    per_node = np.zeros(n_nodes, dtype=np.int64) if collect_per_node else None
     events: list[ConnectionEvent] = []
+    paths = _PathTables(lattice, tables) if collect_per_node or collect_events else None
+    receiver_exempt = config.regime is Regime.PEERING_PERFECT_COMPETITION
 
     for trial in range(config.trials):
         rng = np.random.default_rng(np.random.SeedSequence([config.seed, trial]))
@@ -498,39 +561,13 @@ def run_instant(
         per_trial_int[trial] = int_total / n_nodes
         per_trial_out[trial] = out_total / n_nodes
 
-        if collect_per_node or collect_events:
-            self_exempt = config.regime is Regime.PEERING_PERFECT_COMPETITION
-            for node in np.flatnonzero(connecting):
-                node = int(node)
-                k = int(dest_k[node])
-                dest = lattice.offset_target(node, k)
-                if collect_events:
-                    if tables.peer[k]:
-                        path = route_greedy(lattice, node, dest)
-                        mode = Choice.PEER
-                    else:
-                        path = [node, dest]
-                        mode = Choice.DIRECT
-                    hop_lengths = tuple(
-                        lattice.distance(a, b) for a, b in zip(path[:-1], path[1:])
-                    )
-                    transfers = (
-                        sum(p.cost(h) for h in hop_lengths[1:])
-                        if tables.peer[k] else 0.0
-                    )
-                    events.append(ConnectionEvent(
-                        trial=trial,
-                        origin=node,
-                        destination=dest,
-                        path=tuple(path),
-                        hop_lengths=hop_lengths,
-                        choice=ConnectionChoice(
-                            mode, p.v - float(tables.conn_cost[k])
-                        ),
-                        transfers_paid=transfers,
-                    ))
-                if collect_per_node:
-                    _tally_per_node(lattice, tables, per_node, node, k, self_exempt)
+        if paths is not None:
+            origins = np.flatnonzero(connecting)
+            ks = dest_k[origins]
+            if collect_events:
+                events += paths.events(trial, origins, ks)
+            if collect_per_node:
+                paths.charge(per_node, origins, ks, receiver_exempt)
 
     mean_orig, se_orig = _mean_se(per_trial_orig)
     mean_int, se_int = _mean_se(per_trial_int)
@@ -564,45 +601,6 @@ def run_instant(
         ),
         events=tuple(events) if collect_events else None,
     )
-
-
-def _path_steps(di: int, dj: int):
-    """Greedy step sequence for an in-range offset: diagonal while both
-    coordinates remain, then straight along the longer axis."""
-    si = 1 if di > 0 else -1 if di < 0 else 0
-    sj = 1 if dj > 0 else -1 if dj < 0 else 0
-    diag = min(abs(di), abs(dj))
-    steps = [(si, sj)] * diag
-    if abs(di) > abs(dj):
-        steps += [(si, 0)] * (abs(di) - diag)
-    else:
-        steps += [(0, sj)] * (abs(dj) - diag)
-    return steps
-
-
-def _tally_per_node(lattice, tables, per_node, origin, k, receiver_exempt):
-    """Charge each transmission's circle to the nodes inside it."""
-    side = lattice.side
-    oi, oj = lattice.node_coords(origin)
-    di_off, dj_off = lattice.offset_di, lattice.offset_dj
-    if tables.peer[k]:
-        hops = _path_steps(int(lattice.offset_di[k]), int(lattice.offset_dj[k]))
-        ci, cj = oi, oj
-        for si, sj in hops:
-            r2 = si * si + sj * sj
-            count = lattice.circle_count(r2)
-            idx = ((ci + di_off[:count]) % side) * side + (cj + dj_off[:count]) % side
-            np.add.at(per_node, idx, 1)
-            ci, cj = ci + si, cj + sj
-            if receiver_exempt:
-                per_node[lattice.node_index(ci, cj)] -= 1
-    else:
-        r2 = int(lattice.offset_r2[k])
-        count = lattice.circle_count(r2)
-        idx = ((oi + di_off[:count]) % side) * side + (oj + dj_off[:count]) % side
-        np.add.at(per_node, idx, 1)
-        if receiver_exempt:
-            per_node[lattice.offset_target(origin, k)] -= 1
 
 
 def lattice_exact_means(
@@ -697,13 +695,14 @@ def estimate_vs_analytic(
     from it at all when the standard error is zero. collect_events is
     passed to run_instant, so record.outcome.events holds the trace of the
     very run the record compares. The lattice and its tables are built once
-    for the run and the exact means.
+    for the run and the exact means; building them validates config, before
+    the trials check, so a config that is invalid anyway reports that first.
     """
+    built = _build(config)
     if config.trials < 30:
         raise ParamError(
             f"estimate_vs_analytic needs trials >= 30, got {config.trials!r}"
         )
-    built = _build(config)
     outcome = run_instant(config, collect_events=collect_events, _built=built)
 
     baseline_regime = (

@@ -192,6 +192,43 @@ def test_simulate_rejects_bad_config(capsys):
     assert "side" in err
 
 
+def test_simulate_validates_once(capsys, monkeypatch):
+    import meshecon.cli as cli
+    import meshecon.model as model
+    import meshecon.simulator as sim
+
+    calls = []
+    real = model.validate
+
+    def counted(params):
+        calls.append(params)
+        return real(params)
+    for module in (model, cli, sim):
+        monkeypatch.setattr(module, "validate", counted)
+    assert run(capsys, "simulate", "--side", "24", "--trials", "30")[0] == 0
+    assert len(calls) == 1
+
+
+SIDE_ERROR = ("side must be >= ceil(2*d_max*n)+1 = 21 to avoid torus aliasing "
+              "of the d_max circle, got 10")
+
+
+@pytest.mark.parametrize("argv, message", [
+    # the parameters first, then side, then trials and seed, and only then
+    # the comparison's own trials >= 30
+    (["--set", "z=2", "--side", "10", "--trials", "0"],
+     "z must lie strictly inside (0, 1), got 2.0"),
+    (["--side", "10", "--trials", "0"], SIDE_ERROR),
+    (["--trials", "0"], "trials must be >= 1, got 0"),
+    (["--seed", "-1", "--trials", "0"], "trials must be >= 1, got 0"),
+    (["--side", "21", "--trials", "29", "--seed", "-1"],
+     "seed must be a 64-bit unsigned int, got -1"),
+    (["--trials", "29"], "estimate_vs_analytic needs trials >= 30, got 29"),
+])
+def test_simulate_error_precedence(capsys, argv, message):
+    assert run(capsys, "simulate", *argv) == (2, "", f"error: {message}\n")
+
+
 # --------------------------------------------------------------------------
 # radio, validate
 

@@ -85,8 +85,7 @@ def test_eu_no_peering_zero_pollution_and_zero_surplus(defaults):
 
 
 def test_eu_no_transfers_defaults_match_oracle(defaults):
-    got, sustainable = eu_peering_no_transfers(defaults)
-    assert sustainable is False
+    got = eu_peering_no_transfers(defaults)
     orig, inter, out = oracles.eu_oracle("NOTRANS")
     assert got.eu_originator == pytest.approx(orig, abs=1e-8)
     assert got.eu_intermediate == pytest.approx(inter, abs=1e-8)
@@ -95,17 +94,12 @@ def test_eu_no_transfers_defaults_match_oracle(defaults):
 
 def test_eu_no_transfers_originator_dominates_direct(defaults):
     direct = eu_no_peering(defaults).eu_originator
-    relayed = eu_peering_no_transfers(defaults)[0].eu_originator
+    relayed = eu_peering_no_transfers(defaults).eu_originator
     assert relayed > direct  # c(D(x)) <= c(x) pointwise
 
 
-def test_eu_no_transfers_never_sustainable():
-    for p, _ in random_draws(25, seed=11):
-        assert eu_peering_no_transfers(p)[1] is False
-
-
 def test_eu_no_transfers_zero_pollution(defaults):
-    got, _ = eu_peering_no_transfers(dataclasses.replace(defaults, w=0.0))
+    got = eu_peering_no_transfers(dataclasses.replace(defaults, w=0.0))
     assert got.eu_outsider == 0.0
 
 
@@ -135,7 +129,7 @@ def test_eu_perfcomp_outsider_nonpositive_in_sparse_networks():
 
 def test_eu_perfcomp_originator_below_no_transfers(defaults):
     # the originator now pays I * p on top of its own hop
-    free_ride = eu_peering_no_transfers(defaults)[0].eu_originator
+    free_ride = eu_peering_no_transfers(defaults).eu_originator
     paying = eu_peering_perfcomp(defaults).eu_originator
     assert paying < free_ride
 

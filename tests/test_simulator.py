@@ -6,6 +6,7 @@ import pytest
 
 from meshecon import (
     Choice,
+    ConnectionChoice,
     ParamError,
     Regime,
     SimConfig,
@@ -15,7 +16,6 @@ from meshecon import (
     lattice_exact_means,
     route_greedy,
     run_instant,
-    sample_demand,
 )
 from conftest import make_params
 import oracles
@@ -152,34 +152,27 @@ def test_row_paths_have_n_d_hops(defaults):
 
 
 # --------------------------------------------------------------------------
-# demand sampling
+# demand draws: run_instant's own random(N) and integers(0, K, N)
 
 
-def test_sample_demand_z_limits():
-    lat_rare = build_lattice(config(z=0.999999))
-    rng = np.random.default_rng(0)
-    draws = [sample_demand(lat_rare, 0, rng) for _ in range(1000)]
-    assert sum(d is not None for d in draws) <= 5  # P ~ 3e-4
+def test_demand_z_limits():
+    rare = run_instant(config(z=0.999999, trials=1))  # P ~ 3e-4 over 1600 nodes
+    assert rare.connections_attempted <= 5
 
-    lat_eager = build_lattice(config(z=0.5))  # K >= 30 so P > 1 - 2^-30
-    draws = [sample_demand(lat_eager, 0, rng) for _ in range(1000)]
-    assert all(d is not None for d in draws)
+    eager = config(z=0.5, trials=2)  # K >= 30 so P > 1 - 2^-30
+    assert run_instant(eager).connections_attempted == eager.side ** 2 * eager.trials
 
 
-def test_sample_demand_distance_distribution_ks():
-    # empirical distances approach F(d) = d^2/d_max^2 as n grows
+def test_demand_distance_distribution_ks():
+    # realized NO_PEERING hop lengths approach F(d) = d^2/d_max^2 as n grows
     from scipy.stats import kstest
 
-    cfg = config(side=61, n=30.0)
-    lat = build_lattice(cfg)
-    rng = np.random.default_rng(np.random.SeedSequence([3, 0]))
-    node = lat.node_index(30, 30)
-    distances = []
-    while len(distances) < 10_000:
-        dest = sample_demand(lat, node, rng)
-        if dest is not None:
-            distances.append(lat.distance(node, dest))
-    stat = kstest(np.array(distances), lambda d: np.clip(d * d, 0.0, 1.0)).statistic
+    cfg = config(side=61, n=30.0, trials=3, seed=3)
+    distances = np.array([
+        ev.hop_lengths[0] for ev in run_instant(cfg, collect_events=True).events
+    ])
+    assert distances.size >= 10_000
+    stat = kstest(distances, lambda d: np.clip(d * d, 0.0, 1.0)).statistic
     assert stat < 0.05
 
 
@@ -237,14 +230,18 @@ def _gather_reference(cfg):
     return counts, np.array(orig), tuple(inter), tuple(out)
 
 
+# the default config, z=1e-12 (P == 1.0 exactly) and side at its minimum
+CASES = {
+    "default": dict(seed=41),
+    "full_demand": dict(seed=42, z=1e-12),
+    "min_side": dict(seed=43, side=21),
+}
+
+
 @pytest.mark.parametrize("regime", list(Regime))
-@pytest.mark.parametrize("case", ["default", "full_demand", "min_side"])
+@pytest.mark.parametrize("case", list(CASES))
 def test_histogram_tallies_match_gather_reference(regime, case):
-    cfg = {
-        "default": config(regime=regime, trials=20, seed=41),
-        "full_demand": config(regime=regime, trials=20, seed=42, z=1e-12),
-        "min_side": config(regime=regime, trials=20, seed=43, side=21),
-    }[case]
+    cfg = config(regime=regime, trials=20, **CASES[case])
     counts, orig, inter, out = _gather_reference(cfg)
     got = run_instant(cfg)
     if case == "full_demand":
@@ -269,10 +266,98 @@ def test_fast_path_does_no_per_connection_python_work(monkeypatch):
         raise AssertionError("per-connection work on the fast path")
 
     monkeypatch.setattr(sim, "route_greedy", forbidden)
-    monkeypatch.setattr(sim, "_tally_per_node", forbidden)
-    monkeypatch.setattr(sim.Lattice, "offset_target", forbidden)
+    monkeypatch.setattr(sim, "_PathTables", forbidden)
     out = run_instant(config(regime=PERFCOMP, trials=5, seed=3))
     assert out.connections_peered > 0
+
+
+@pytest.mark.parametrize("side, n", [(21, 10.0), (40, 10.0), (42, 20.0)])
+def test_path_tables_walk_matches_greedy_router(side, n):
+    from types import SimpleNamespace
+
+    from meshecon.simulator import _PathTables
+
+    lat = build_lattice(config(side=side, n=n))
+    ks = np.arange(lat.n_offsets)
+    every_offset_peers = SimpleNamespace(
+        peer=np.ones_like(ks), conn_cost=np.zeros(lat.n_offsets)
+    )
+    paths = _PathTables(lat, every_offset_peers)
+    # the second origin sits on the edges, so walks wrap both ways
+    for origin in (0, lat.node_index(side - 1, 0)):
+        ti, tj = paths.walk(np.full(ks.size, origin), ks)
+        oi, oj = lat.node_coords(origin)
+        for k, nodes in enumerate((ti * side + tj).tolist()):
+            dest = lat.node_index(oi + int(lat.offset_di[k]), oj + int(lat.offset_dj[k]))
+            route = route_greedy(lat, origin, dest)
+            hops = int(paths.hops[k])
+            assert nodes[:hops + 1] == route
+            assert set(nodes[hops:]) == {dest}  # padded with the destination
+            r2 = [sum(x * x for x in lat.wrap_delta(a, b)) for a, b in zip(route, route[1:])]
+            assert paths.fields[k][0] == tuple(  # the hop lengths
+                lat.distance(a, b) for a, b in zip(route, route[1:])
+            )
+            assert paths.charged[k].tolist() == (
+                [lat.circle_count(x) for x in r2] + [0] * (paths.charged.shape[1] - hops)
+            )
+
+
+def _diagnostics_reference(cfg):
+    """The per-connection loop the path tables replaced: each peered
+    connection routed by route_greedy, each transmission's circle charged by
+    one np.add.at, the receiver taken back out under PERFCOMP."""
+    from meshecon.simulator import ConnectionEvent, _RegimeTables
+
+    lattice = build_lattice(cfg)
+    tables = _RegimeTables(lattice, cfg.regime)
+    p, side = cfg.params, lattice.side
+    per_node = np.zeros(lattice.n_nodes, dtype=np.int64)
+    events = []
+    for trial in range(cfg.trials):
+        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, trial]))
+        connecting = rng.random(lattice.n_nodes) < lattice.connect_prob
+        dest_k = rng.integers(0, lattice.n_offsets, lattice.n_nodes)
+        for node in np.flatnonzero(connecting).tolist():
+            k = int(dest_k[node])
+            oi, oj = lattice.node_coords(node)
+            dest = lattice.node_index(
+                oi + int(lattice.offset_di[k]), oj + int(lattice.offset_dj[k])
+            )
+            peer = bool(tables.peer[k])
+            path = route_greedy(lattice, node, dest) if peer else [node, dest]
+            hop_lengths = tuple(lattice.distance(a, b) for a, b in zip(path, path[1:]))
+            events.append(ConnectionEvent(
+                trial=trial,
+                origin=node,
+                destination=dest,
+                path=tuple(path),
+                hop_lengths=hop_lengths,
+                choice=ConnectionChoice(
+                    Choice.PEER if peer else Choice.DIRECT,
+                    p.v - float(tables.conn_cost[k]),
+                ),
+                transfers_paid=sum(p.cost(h) for h in hop_lengths[1:]) if peer else 0.0,
+            ))
+            for a, b in zip(path, path[1:]):
+                di, dj = lattice.wrap_delta(a, b)
+                count = lattice.circle_count(di * di + dj * dj)
+                ai, aj = lattice.node_coords(a)
+                idx = (((ai + lattice.offset_di[:count]) % side) * side
+                       + (aj + lattice.offset_dj[:count]) % side)
+                np.add.at(per_node, idx, 1)
+                if cfg.regime is PERFCOMP:
+                    per_node[b] -= 1
+    return tuple(per_node.tolist()), tuple(events)
+
+
+@pytest.mark.parametrize("regime", list(Regime))
+@pytest.mark.parametrize("case", list(CASES))
+def test_diagnostics_match_per_connection_reference(regime, case):
+    cfg = config(regime=regime, trials=2, **CASES[case])
+    per_node, events = _diagnostics_reference(cfg)
+    got = run_instant(cfg, collect_per_node=True, collect_events=True)
+    assert got.per_node_outsider_exposures == per_node
+    assert got.events == events
 
 
 def test_bit_identical_determinism():
@@ -403,8 +488,9 @@ def test_pollution_symmetry_under_full_demand():
     assert sum(out_small.per_node_outsider_exposures) == out_small.pollution_events
 
 
-def test_per_node_tally_matches_fast_totals():
-    cfg = config(regime=PERFCOMP, trials=8, seed=77)
+@pytest.mark.parametrize("regime", list(Regime))
+def test_per_node_tally_matches_fast_totals(regime):
+    cfg = config(regime=regime, trials=8, seed=77)
     with_nodes = run_instant(cfg, collect_per_node=True)
     assert sum(with_nodes.per_node_outsider_exposures) == with_nodes.pollution_events
     plain = run_instant(cfg)
