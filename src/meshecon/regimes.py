@@ -22,9 +22,8 @@ probability P(N(d_max)):
     out   PERFCOMP    -w P * int (I(x)+1) max(0, N(D(x))-1) f dx
 
 The no-transfers intermediate line aggregates the per-exposure payoff
--w - c(D) over the all-peer hypothesis so the (always false) sustainability
-flag has a quantitative counterfactual next to it: a relay's best response
-to a zero price is refusal, so unpriced peering never survives.
+-w - c(D) over the all-peer hypothesis, a counterfactual: a relay's best
+response to a zero price is refusal, so unpriced peering never survives.
 
 Note the outsider lines: the no-transfers form counts every node in a hop's
 circle, the competitive form excludes the hop's receiving endpoint (whose
@@ -34,15 +33,14 @@ outsider utility can never turn positive where the continuum approximation
 of N breaks down.
 
 utility_arrays() evaluates a regime over an array of densities at once, and
-regime_utilities() and the eu_* functions are its one-density calls. Both
-NO_PEERING roles are elementary closed forms. The peering roles use a fixed
-Gauss-Legendre rule (Golub & Welsch 1969), gauss_nodes(tol) nodes per piece
-(16 per three decimal digits of tol, 16 to 96, 48 at DEFAULT_TOL), on pieces
-where every integrand is smooth: [0, 1/(n sqrt(pi))], [1/(n sqrt(pi)),
-sqrt(2/pi)/n] and [sqrt(2/pi)/n, 2/n], cut where N(x), N(x) - 1 and I(x)
-leave their clamps, and [2/n, d_max] in s = log(nx - 1), which removes the
-near-pole of D(x) at x = 1/n. Cuts are clipped to d_max, so sparse networks
-(n d_max <= 2) have empty upper pieces. Non-finite utilities raise
+regime_utilities() and the eu_* functions are its one-density calls. In
+lattice units y = n x, every integrand depends on n only through
+Y = n d_max and c's scale, and every role is an elementary closed form,
+clamps included, but for the peering cost integrals int g c(D) 2y dy
+(g = 1, I or I + 1) over the relayed annulus 2 < y <= Y. Those take one
+fixed Gauss-Legendre rule (Golub & Welsch 1969) per density, in
+s = log(y - 1), with gauss_nodes(tol) nodes (16 per three decimal digits
+of tol, 16 to 96, 48 at DEFAULT_TOL). Non-finite utilities raise
 NumericsError.
 
 All operations are pure functions; nothing here holds mutable state.
@@ -59,9 +57,7 @@ from .errors import NumericsError, ParamError
 from .model import (
     ModelParams,
     hop_distance,
-    hop_distance_array,
     intermediate_count,
-    intermediate_count_array,
     nodes_within,
     nodes_within_array,
     params_to_dict,
@@ -226,21 +222,6 @@ def integrate(f, lo: float, hi: float, tol: float = DEFAULT_TOL) -> float:
     return value
 
 
-def _distance_rule(n, d_max: float, m: int):
-    """Nodes x and weights, one row per density in the column n, such that
-    sum(g(x) * weights) integrates g against f(x) = 2x/d_max^2 on [0, d_max]."""
-    t, wt = _legendre(m)
-    cuts = (0.0, 1 / math.sqrt(math.pi), math.sqrt(2 / math.pi), 2.0)  # times 1/n
-    edges = np.minimum(np.hstack([c / n for c in cuts]), d_max)
-    half = np.diff(edges)[:, :, None] / 2
-    x_low = edges[:, :-1, None] + half * (1 + t)
-    s_half = np.log(np.maximum(n * d_max - 1, 1.0)) / 2
-    e_s = np.exp(s_half * (1 + t))  # n x - 1 at the upper nodes
-    x = np.hstack([x_low.reshape(len(n), 3 * m), (1 + e_s) / n])
-    w = np.hstack([(half * wt).reshape(len(n), 3 * m), s_half * wt * e_s / n])
-    return x, w * (2 * x / (d_max * d_max))
-
-
 # --------------------------------------------------------------------------
 # Expected utilities per regime
 
@@ -258,20 +239,34 @@ def utility_arrays(template: ModelParams, regime: Regime, densities, tol=DEFAULT
         inter = np.zeros_like(n)
         out = -p.w * prob * (area(d) - area(x0)) / (d * d)
     elif regime in REGIME_ORDER:
-        x, weights = _distance_rule(n[:, None], d, m)
-        expect = lambda g: np.sum(g * weights, axis=1)
-        relays = intermediate_count_array(n[:, None], x)
-        hop = hop_distance_array(n[:, None], x)
-        hop_cost = p.cost(hop)
-        polluted = nodes_within_array(n[:, None], hop)
+        # In units y = n x, each role is an integral against 2y dy on [0, Y], over
+        # Y^2: D = x and I = 0 on the disc y <= 2; D = x / (y - 1) and I = y - 2 on
+        # the annulus, whose terms are factored in rim so they vanish when Y <= 2.
+        big_y = n * d
+        disc, rim, y2 = np.minimum(big_y, 2.0), np.maximum(big_y, 2.0) - 2, big_y * big_y
+        disc_cost = 2 * p.cost(disc / n) * disc * disc / (p.cost.beta + 2)
+        # The annulus's cost integrals take the Gauss-Legendre rule in s = log(y - 1),
+        # with hops = I + 1 = y - 1 at the nodes and y / (y - 1) <= 2 bounding c(D)
+        t, wt = _legendre(m)
+        s_half = np.log1p(rim)[:, None] / 2
+        hops = np.exp(s_half * (1 + t))
+        weights = (s_half * wt * 2) * hops * (1 + hops) * p.cost((1 + 1 / hops) / n[:, None])
+        annulus_cost = lambda g: np.sum(g * weights, axis=1)  # int g c(D) 2y dy
+        relays = 2 * rim * rim * (rim + 3) / 3  # int I 2y dy
+        # outsiders: int (I + 1) max(0, pi (n D)^2 - k) 2y dy, where PERFCOMP's k = 2
+        # exempts each hop's receiver: (pi/2) (y^2 - k/pi)^2 on the disc past the clamp,
+        # and the integral of 2 pi y^3 / (y - 1) - 2k y (y - 1) on the annulus
+        k = 1 if regime is Regime.PEERING_NO_TRANSFERS else 2
+        polluted = (math.pi / 2 * np.maximum(disc * disc - k / math.pi, 0.0) ** 2
+                    + 2 * math.pi * np.log1p(rim) + rim / 3 * (
+                        ((2 * math.pi - 2 * k) * rim + 15 * math.pi - 9 * k) * rim + 42 * math.pi - 12 * k))
+        out = -p.w * prob * polluted / y2
         if regime is Regime.PEERING_NO_TRANSFERS:
-            orig = prob * expect(p.v - hop_cost)
-            inter = -prob * expect(relays * (p.w + hop_cost))
-            out = -p.w * prob * expect((relays + 1) * polluted)
+            orig = prob * (p.v - (disc_cost + annulus_cost(1.0)) / y2)
+            inter = -prob * (p.w * relays + annulus_cost(hops - 1)) / y2
         else:
-            orig = prob * expect(p.v - (relays + 1) * hop_cost)
-            inter = -p.w * prob * expect(relays)
-            out = -p.w * prob * expect((relays + 1) * np.maximum(0.0, polluted - 1))
+            orig = prob * (p.v - (disc_cost + annulus_cost(hops)) / y2)
+            inter = -p.w * prob * relays / y2
     else:
         raise ParamError(f"unknown regime {regime!r}")
     finite = np.isfinite([orig, inter, out]).all(axis=0)

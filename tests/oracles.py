@@ -128,6 +128,34 @@ def perfcomp_total_mp(n):
     return _p_mp(n) * ((v - a_int) - w * b_int - w * c_int)
 
 
+def eu_quad_mp(regime: str, n, d_max, v, w, z, a, beta) -> tuple:
+    """Per-role expected utilities of NOTRANS or PERFCOMP at any template, by
+    mpmath tanh-sinh quadrature of the x-form integrands, cut where N(x),
+    N(x) - 1 and I(x) leave their clamps."""
+    with mp.workdps(20):
+        n, d_max, v, w, z, a, beta = (mp.mpf(repr(float(t))) for t in (n, d_max, v, w, z, a, beta))
+        zero = mp.mpf(0)
+        prob = 1 - mp.exp((mp.pi * d_max**2 * n**2 - 1) * mp.log(z))
+        cost = lambda d: a * d**beta
+        relays = lambda x: max(zero, n * x - 2)
+        hop = lambda x: x / (n * x - 1) if n * x > 2 else x
+        circle = lambda r: max(zero, mp.pi * r * r * n * n - 1)
+        cuts = [zero] + [c for c in (1 / (n * mp.sqrt(mp.pi)), mp.sqrt(2 / mp.pi) / n, 2 / n)
+                         if c < d_max] + [d_max]
+        expect = lambda g: mp.quad(lambda x: g(x) * 2 * x / d_max**2, cuts)
+        if regime == "NOTRANS":
+            roles = (prob * expect(lambda x: v - cost(hop(x))),
+                     -prob * expect(lambda x: relays(x) * (w + cost(hop(x)))),
+                     -w * prob * expect(lambda x: (relays(x) + 1) * circle(hop(x))))
+        elif regime == "PERFCOMP":
+            roles = (prob * expect(lambda x: v - (relays(x) + 1) * cost(hop(x))),
+                     -w * prob * expect(relays),
+                     -w * prob * expect(lambda x: (relays(x) + 1) * max(zero, circle(hop(x)) - 1)))
+        else:
+            raise ValueError(regime)
+        return tuple(float(r) for r in roles)
+
+
 def free_entry_root_mp(regime: str) -> float:
     f = no_peering_total_mp if regime == "NO_PEERING" else perfcomp_total_mp
     guess = 25 if regime == "NO_PEERING" else 700

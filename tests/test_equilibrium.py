@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -170,15 +171,17 @@ def test_club_refinement_contract(defaults):
 
 
 def test_free_entry_stall_guard_raises(defaults, utility_calls):
-    # no density evaluates to an exact 0.0 here, so residual_tol=0 cannot be met
+    # no |total| is below a negative residual_tol, so the guard must end the
+    # k-section (residual_tol=0 would be met by an exact 0.0 total, which the
+    # default template reaches at n = 698.1395333957213, 1 ulp from the root)
     with pytest.raises(NumericsError, match="stalled"):
-        free_entry_density(defaults, PERFCOMP, residual_tol=0.0)
+        free_entry_density(defaults, PERFCOMP, residual_tol=-1.0)
     rounds = [d for _, d, _ in utility_calls if len(d) == REFINE_POINTS]
     assert len(rounds) == MAX_ROUNDS
 
 
 def test_free_entry_stall_maps_to_cli_exit_3(monkeypatch, capsys):
-    stalling = functools.partial(free_entry_density, residual_tol=0.0)
+    stalling = functools.partial(free_entry_density, residual_tol=-1.0)
     monkeypatch.setattr(meshecon.equilibrium, "free_entry_density", stalling)
     assert main(["equilibrium"]) == 3
     assert "stalled" in capsys.readouterr().err
@@ -210,8 +213,12 @@ def test_batched_evaluation_bit_identical_to_single(defaults, regime):
         while doublings[-1] < BRACKET_CAP:
             doublings.append(min(2 * doublings[-1], BRACKET_CAP))
         scaling = [x / t.d_max for x in _SCALING_N_VALUES]
+        # the relayed annulus opens at n d_max = 2
+        edge = 2 / t.d_max
+        relay_edge = [edge, math.nextafter(edge, 0), math.nextafter(edge, math.inf),
+                      (2 - 1e-9) / t.d_max, (2 + 1e-9) / t.d_max]
         assert all(len(r) == 0 for r in utility_arrays(t, regime, []))
-        for densities in (grid, doublings, scaling):
+        for densities in (grid, doublings, scaling, relay_edge):
             roles = utility_arrays(t, regime, densities)
             for k, n in enumerate(densities):
                 one = regime_utilities(t.with_n(float(n)), regime)

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 
 from meshecon import (
@@ -26,8 +27,10 @@ from meshecon import (
     price_bounds,
     regime_utilities,
     social_cost,
+    utility_arrays,
     value_added,
 )
+from meshecon.equilibrium import BRACKET_CAP
 from conftest import make_params, random_draws
 import oracles
 
@@ -180,6 +183,57 @@ def test_regime_utilities_match_midpoint_oracle_beyond_reference(regime, n_d_max
     want = oracles.eu_oracle(ORACLE_NAMES[regime], n=n, **kw)
     roles = (got.eu_originator, got.eu_intermediate, got.eu_outsider)
     assert roles == pytest.approx(want, abs=1e-8, rel=1e-12)
+
+
+PEERING = {Regime.PEERING_NO_TRANSFERS: "NOTRANS", Regime.PEERING_PERFECT_COMPETITION: "PERFCOMP"}
+
+
+def _roles(p):
+    return (p.eu_originator, p.eu_intermediate, p.eu_outsider)
+
+
+@pytest.mark.parametrize("regime", list(PEERING))
+def test_peering_intermediate_exactly_zero_without_relays(regime):
+    # n d_max <= 2: no connection in range is long enough to need a relay
+    d_max = 0.5
+    densities = np.array([1.0001, 1.2, 1.5, 1.9, 1.999999, 2.0]) / d_max
+    assert (densities * d_max <= 2.0).all()
+    inter = utility_arrays(make_params(d_max=d_max, v=20.0), regime, densities)[1]
+    assert [x == 0.0 for x in inter] == [True] * len(densities)
+
+
+@pytest.mark.parametrize("beta", [1.0001, 12.0, 200.0])
+@pytest.mark.parametrize("regime", list(PEERING))
+def test_peering_roles_finite_and_accurate_at_extreme_beta(regime, beta):
+    # a = d_max^-beta makes c(d_max) = 1, so relay costs weigh in near
+    # n d_max = 2; the annulus integrand stays bounded by c's value at D = 2/n
+    d_max = 0.7
+    p = make_params(d_max=d_max, w=0.03, z=0.95, a=d_max**-beta, beta=beta)
+    roles = utility_arrays(p, regime, np.geomspace(1.5 / d_max, BRACKET_CAP, 60))
+    assert np.isfinite(roles).all()
+    for n in (1.5 / d_max, 2.1 / d_max, 2.5 / d_max, 10 / d_max, BRACKET_CAP):
+        want = oracles.eu_quad_mp(PEERING[regime], n, d_max, p.v, p.w, p.z, p.cost.a, beta)
+        assert _roles(regime_utilities(p.with_n(n), regime)) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+def test_peering_roles_match_mpmath_quadrature_oracle(defaults):
+    # non-integer beta from the draws; the 1e-13 allowance covers the
+    # package's 1 - exp(N log z), which loses about 1e-14 relative when the
+    # demand probability is small
+    for p in [defaults] + [p for p, _ in random_draws(3, seed=61)]:
+        for n_d_max in (1.5, 2.5, 14.67, 1e3, 1e5):
+            n = n_d_max / p.d_max
+            for regime, name in PEERING.items():
+                got = _roles(regime_utilities(p.with_n(n), regime))
+                want = oracles.eu_quad_mp(name, n, p.d_max, p.v, p.w, p.z, p.cost.a, p.cost.beta)
+                assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("n", [2.5, 10.0, 14.67, 50.0, 698.14, 5000.0, 1e5])
+def test_perfcomp_total_matches_antiderivative_oracle(defaults, n):
+    total = sum(utility_arrays(defaults, Regime.PEERING_PERFECT_COMPETITION, [n]))[0]
+    want = float(oracles.perfcomp_total_mp(n))
+    assert total == pytest.approx(want, rel=1e-14, abs=1e-14)
 
 
 @pytest.mark.parametrize("regime", list(Regime))
