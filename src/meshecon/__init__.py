@@ -20,8 +20,6 @@ from .model import (
     channels_per_cell,
     connect_probability,
     default_params,
-    distance_cdf,
-    distance_pdf,
     hop_distance,
     intermediate_count,
     max_peers,

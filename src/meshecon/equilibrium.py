@@ -28,6 +28,7 @@ shares them between its free-entry and club solvers.
 """
 
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -458,14 +459,15 @@ def compare_regimes(
     profile = ()
     if isinstance(club, EquilibriumResult):
         p_club = template.with_n(club.n_star)
-        lo = 3 / p_club.n  # I(d) >= 1 from here
-        if lo < p_club.d_max:
-            ds = np.linspace(lo, p_club.d_max, 12)
+        if intermediate_count(p_club, p_club.d_max) >= 1:
+            # n * (3/n) can round below 3: start at the first density whose
+            # I(d) is at least 1, so all 12 rows carry a relay
+            lo = min(3 / p_club.n, p_club.d_max)
+            while intermediate_count(p_club, lo) < 1:
+                lo = math.nextafter(lo, p_club.d_max)
             profile = tuple(
-                (float(d), leapfrog_threshold(p_club, float(d)),
-                 competitive_price(p_club, float(d)))
-                for d in ds
-                if intermediate_count(p_club, float(d)) >= 1
+                (d, leapfrog_threshold(p_club, d), competitive_price(p_club, d))
+                for d in np.linspace(lo, p_club.d_max, 12).tolist()
             )
 
     return RegimeComparison(

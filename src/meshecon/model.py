@@ -11,7 +11,6 @@ handful of functions defined here:
     hop_distance         D(d) = d / (n*d - 1)      per-hop length, (I+1)*D = d
     nodes_within         N(d) = max(0, pi*d^2*n^2 - 1)   interference circle
     connect_probability  P(N) = 1 - z^N            demand for a connection
-    distance_pdf/cdf     f(d) = 2d/d_max^2, F(d) = d^2/d_max^2
 
 I and N are clamped at zero: the linear/quadratic forms go negative below
 d = 2/n and d = 1/(n*sqrt(pi)), and clamping keeps every integral over
@@ -46,8 +45,6 @@ __all__ = [
     "nodes_within_array",
     "max_peers",
     "connect_probability",
-    "distance_pdf",
-    "distance_cdf",
     "shannon_capacity",
     "channels_per_cell",
     "path_loss",
@@ -244,22 +241,6 @@ def connect_probability(params: ModelParams, peer_count: float) -> float:
     if not (peer_count >= 0):
         raise ParamError(f"peer_count must be >= 0, got {peer_count!r}")
     return 1.0 - math.exp(peer_count * math.log(params.z))
-
-
-def distance_cdf(params: ModelParams, d: float) -> float:
-    """Probability a random destination lies within d: d^2/d_max^2
-    (large-network form of N(d)/N(d_max))."""
-    if not (0 <= d <= params.d_max):
-        raise ParamError(f"d must lie in [0, d_max={params.d_max!r}], got {d!r}")
-    return (d * d) / (params.d_max * params.d_max)
-
-
-def distance_pdf(params: ModelParams, d: float) -> float:
-    """Density of the connection distance: 2d/d_max^2, normalized so it
-    integrates to 1 on [0, d_max]."""
-    if not (0 <= d <= params.d_max):
-        raise ParamError(f"d must lie in [0, d_max={params.d_max!r}], got {d!r}")
-    return 2 * d / (params.d_max * params.d_max)
 
 
 # --------------------------------------------------------------------------

@@ -50,7 +50,11 @@ perturb them.
 Randomness: the stream for trial t of a run is seeded by SeedSequence
 ([seed, t]) and consumed as fixed node-indexed arrays, so trials are
 independent and a parallel executor could not reorder draws. Identical
-configs give bit-identical outcomes.
+configs give bit-identical outcomes. A trial draws N demand uniforms, one
+64-bit output each, then N destination indices. Where P(K) == 1.0 exactly
+every uniform passes, so the trial jumps the stream over them with the
+generator's advance(N) instead of drawing them: the stream position, the
+destinations and every output are the same as if they had been drawn.
 """
 
 import json
@@ -520,7 +524,9 @@ def run_instant(
     destination offsets: the integer counts as one exact int64 product with
     the (4, K) tables, the originator's cost sum as an elementwise product
     summed without BLAS, so its bytes cannot depend on the BLAS library
-    or its thread count.
+    or its thread count. When lattice.connect_prob == 1.0 every node
+    connects; the demand uniforms are then jumped over, not drawn, which
+    leaves the stream and the outcome unchanged.
     """
     lattice, tables = _built or _build(config)
     p = lattice.params
@@ -537,14 +543,20 @@ def run_instant(
     events: list[ConnectionEvent] = []
     paths = _PathTables(lattice, tables) if collect_per_node or collect_events else None
     receiver_exempt = config.regime is Regime.PEERING_PERFECT_COMPETITION
+    full_demand = p_conn == 1.0
 
     for trial in range(config.trials):
         rng = np.random.default_rng(np.random.SeedSequence([config.seed, trial]))
-        connecting = rng.random(n_nodes) < p_conn
-        dest_k = rng.integers(0, k_offsets, n_nodes)
-        hist = np.bincount(dest_k[connecting], minlength=k_offsets)
+        if full_demand:
+            # random(N) < 1.0 holds at every node: jump over its N outputs
+            rng.bit_generator.advance(n_nodes)
+            ks = rng.integers(0, k_offsets, n_nodes)
+        else:
+            connecting = rng.random(n_nodes) < p_conn
+            ks = rng.integers(0, k_offsets, n_nodes)[connecting]
+        hist = np.bincount(ks, minlength=k_offsets)
 
-        n_conn = int(np.count_nonzero(connecting))
+        n_conn = ks.size
         n_peered, n_refused, relay_count, polluted_count = (
             tables.tallies @ hist
         ).tolist()
@@ -562,8 +574,7 @@ def run_instant(
         per_trial_out[trial] = out_total / n_nodes
 
         if paths is not None:
-            origins = np.flatnonzero(connecting)
-            ks = dest_k[origins]
+            origins = np.arange(n_nodes) if full_demand else np.flatnonzero(connecting)
             if collect_events:
                 events += paths.events(trial, origins, ks)
             if collect_per_node:

@@ -10,6 +10,7 @@ from meshecon import (
     BoundaryOptimum,
     DensityBracket,
     EquilibriumKind,
+    EquilibriumResult,
     NoCrossing,
     NumericsError,
     ParamError,
@@ -328,6 +329,23 @@ def test_compare_regimes_consistency(defaults):
     assert len(report.leapfrog_profile) > 0
     for d, threshold, price in report.leapfrog_profile:
         assert price < threshold  # c(D) < c(2D)
+
+
+def test_leapfrog_profile_length_depends_only_on_relay_reach(defaults):
+    # n * (3/n) rounds below 3 at about 5 % of club densities; the profile
+    # must not lose its first row to that rounding
+    rounded_below = 0
+    for template in [defaults] + [p for p, _ in random_draws(40, seed=7)]:
+        report = compare_regimes(template)
+        if not isinstance(report.club, EquilibriumResult):
+            continue
+        n, d_max = report.club.n_star, template.d_max
+        rounded_below += n * (3 / n) < 3
+        assert len(report.leapfrog_profile) == (12 if n * d_max > 3 else 0)
+        ds = [d for d, _, _ in report.leapfrog_profile]
+        assert ds == sorted(ds) and ds[-1] == d_max
+        assert all(n * d - 2 >= 1 for d in ds)
+    assert rounded_below > 0
 
 
 def test_compare_regimes_shares_one_competitive_scan(defaults, utility_calls):

@@ -9,8 +9,6 @@ from meshecon import (
     RadioParams,
     channels_per_cell,
     connect_probability,
-    distance_cdf,
-    distance_pdf,
     hop_distance,
     intermediate_count,
     max_peers,
@@ -180,34 +178,6 @@ def test_connect_probability_increasing_concave(defaults):
     assert np.all((vals >= 0) & (vals < 1))
     with pytest.raises(ParamError):
         connect_probability(defaults, -1.0)
-
-
-# --------------------------------------------------------------------------
-# distance distribution
-
-
-def test_distance_cdf_pdf_examples(defaults):
-    assert distance_cdf(defaults, defaults.d_max) == 1.0
-    assert distance_pdf(defaults, 0.5) == 1.0
-    with pytest.raises(ParamError):
-        distance_pdf(defaults, 1.5)
-    with pytest.raises(ParamError):
-        distance_cdf(defaults, -0.1)
-
-
-def test_distance_pdf_integrates_to_one():
-    for d_max in (1.0, 0.7, 2.5):
-        p = make_params(d_max=d_max)
-        total = oracles.midpoint(lambda x: 2 * x / (d_max * d_max), 0, d_max)
-        assert total == pytest.approx(1.0, abs=1e-9)
-        assert distance_cdf(p, d_max) == 1.0
-
-
-def test_distance_pdf_is_cdf_derivative(defaults):
-    h = 1e-7
-    for d in (0.1, 0.33, 0.5, 0.9):
-        fd = (distance_cdf(defaults, d + h) - distance_cdf(defaults, d - h)) / (2 * h)
-        assert fd == pytest.approx(distance_pdf(defaults, d), rel=1e-6)
 
 
 # --------------------------------------------------------------------------

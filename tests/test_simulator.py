@@ -159,8 +159,27 @@ def test_demand_z_limits():
     rare = run_instant(config(z=0.999999, trials=1))  # P ~ 3e-4 over 1600 nodes
     assert rare.connections_attempted <= 5
 
-    eager = config(z=0.5, trials=2)  # K >= 30 so P > 1 - 2^-30
+    # K = 316, so z^K = 2^-316 and P == 1.0 exactly: the uniforms are skipped
+    eager = config(z=0.5, trials=2)
     assert run_instant(eager).connections_attempted == eager.side ** 2 * eager.trials
+
+
+@pytest.mark.parametrize("n_nodes", [1, 529, 14_400, 40_001])
+def test_pcg64_advance_matches_drawn_uniforms(n_nodes):
+    # the numpy behaviour run_instant's P == 1.0 path relies on: random(N)
+    # takes one 64-bit output per double, so advance(N) leaves the stream,
+    # and the destination draws after it, exactly where random(N) would
+    for seed, trial in ((7, 0), (2**63 + 5, 199)):
+        drawn = np.random.default_rng(np.random.SeedSequence([seed, trial]))
+        jumped = np.random.default_rng(np.random.SeedSequence([seed, trial]))
+        drawn.random(n_nodes)
+        jumped.bit_generator.advance(n_nodes)
+        assert drawn.bit_generator.state == jumped.bit_generator.state
+        for k_offsets in (316, 5024):
+            np.testing.assert_array_equal(
+                drawn.integers(0, k_offsets, n_nodes),
+                jumped.integers(0, k_offsets, n_nodes),
+            )
 
 
 def test_demand_distance_distribution_ks():
@@ -230,22 +249,34 @@ def _gather_reference(cfg):
     return counts, np.array(orig), tuple(inter), tuple(out)
 
 
-# the default config, z=1e-12 (P == 1.0 exactly) and side at its minimum
+# the default config, z=1e-12 (P == 1.0 exactly), side at its minimum, and
+# z^K = 2^-53 at K = 316, where P is the largest double below 1.0: the
+# uniforms are drawn and compared, not skipped
 CASES = {
     "default": dict(seed=41),
     "full_demand": dict(seed=42, z=1e-12),
     "min_side": dict(seed=43, side=21),
+    "below_full": dict(seed=44, z=2.0 ** (-53 / 316)),
 }
+
+
+def _check_case_demand(cfg, case):
+    p_conn = build_lattice(cfg).connect_prob
+    if case == "full_demand":
+        assert p_conn == 1.0
+    if case == "below_full":
+        assert p_conn == math.nextafter(1.0, 0.0) < 1.0
 
 
 @pytest.mark.parametrize("regime", list(Regime))
 @pytest.mark.parametrize("case", list(CASES))
 def test_histogram_tallies_match_gather_reference(regime, case):
     cfg = config(regime=regime, trials=20, **CASES[case])
+    _check_case_demand(cfg, case)
     counts, orig, inter, out = _gather_reference(cfg)
     got = run_instant(cfg)
     if case == "full_demand":
-        assert got.connections_attempted == cfg.side ** 2 * cfg.trials  # P == 1.0
+        assert got.connections_attempted == cfg.side ** 2 * cfg.trials
     assert got.connections_attempted == counts["attempted"]
     assert got.connections_peered == counts["peered"]
     assert got.connections_direct == counts["attempted"] - counts["peered"]
@@ -257,6 +288,29 @@ def test_histogram_tallies_match_gather_reference(regime, case):
     # connection); float64 rounding of either order stays far inside 1e-14
     got_orig = np.array(got.per_trial_originator)
     assert np.all(np.abs(got_orig - orig) <= 1e-14 * np.abs(orig))
+
+
+@pytest.mark.parametrize("case", ["default", "below_full", "full_demand"])
+def test_demand_uniforms_skipped_only_at_full_demand(monkeypatch, case):
+    calls = []
+
+    class CountingGenerator:
+        def __init__(self, rng):
+            self._rng = rng
+
+        def random(self, *args, **kwargs):
+            calls.append(args)
+            return self._rng.random(*args, **kwargs)
+
+        def __getattr__(self, name):
+            return getattr(self._rng, name)
+
+    cfg = config(trials=3, **CASES[case])
+    plain = run_instant(cfg)
+    make_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda seq: CountingGenerator(make_rng(seq)))
+    assert run_instant(cfg) == plain
+    assert len(calls) == (0 if case == "full_demand" else cfg.trials)
 
 
 def test_fast_path_does_no_per_connection_python_work(monkeypatch):
@@ -354,6 +408,7 @@ def _diagnostics_reference(cfg):
 @pytest.mark.parametrize("case", list(CASES))
 def test_diagnostics_match_per_connection_reference(regime, case):
     cfg = config(regime=regime, trials=2, **CASES[case])
+    _check_case_demand(cfg, case)
     per_node, events = _diagnostics_reference(cfg)
     got = run_instant(cfg, collect_per_node=True, collect_events=True)
     assert got.per_node_outsider_exposures == per_node
