@@ -343,8 +343,9 @@ def test_leapfrog_profile_length_depends_only_on_relay_reach(defaults):
         rounded_below += n * (3 / n) < 3
         assert len(report.leapfrog_profile) == (12 if n * d_max > 3 else 0)
         ds = [d for d, _, _ in report.leapfrog_profile]
-        assert ds == sorted(ds) and ds[-1] == d_max
-        assert all(n * d - 2 >= 1 for d in ds)
+        assert ds == sorted(ds) and all(n * d - 2 >= 1 for d in ds)
+        if ds:
+            assert ds[-1] == d_max
     assert rounded_below > 0
 
 
