@@ -42,9 +42,6 @@ from .regimes import (
     RegimeUtilities,
     REGIME_ORDER,
     competitive_price,
-    eu_no_peering,
-    eu_peering_no_transfers,
-    eu_peering_perfcomp,
     gauss_nodes,
     integrate,
     intermediate_best_response,

@@ -8,16 +8,18 @@ The parsed invocation fully determines a run: every command is
 deterministic given its flags (including --seed), and numeric output uses
 full round-trip precision.
 
-Exit codes: 0 success; 2 configuration or validation error; 3 numeric
-failure; 4 solver findings (no free-entry crossing / boundary club optimum)
-— findings are reported results, not tool failures, but they get their own
-code so scripts can branch on them.
+Exit codes: 0 success; 2 configuration or validation error, or a file
+that cannot be read or written; 3 numeric failure; 4 solver findings (no
+free-entry crossing / boundary club optimum) — findings are reported
+results, not tool failures, but they get their own code so scripts can
+branch on them.
 
-Output files are written to a temporary name and renamed into place, so a
-failed command never leaves a partial file.
+Output files (--output and --trace) are written to a temporary name and
+renamed into place, so a failed command never leaves a partial file.
 """
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -83,20 +85,28 @@ def _load_params(args):
     return params_from_dict(base)
 
 
-def _emit(text: str, output: str | None) -> None:
-    if output is None:
-        sys.stdout.write(text)
-        return
-    directory = os.path.dirname(os.path.abspath(output))
+@contextlib.contextmanager
+def _atomic_file(path: str):
+    """A text stream on a temporary file beside path, renamed onto path when
+    the block completes and removed when it raises."""
+    directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".meshecon-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, output)
+            yield fh
+        os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _emit(text: str, output: str | None) -> None:
+    if output is None:
+        sys.stdout.write(text)
+        return
+    with _atomic_file(output) as fh:
+        fh.write(text)
 
 
 def _json_text(obj) -> str:
@@ -178,7 +188,8 @@ def cmd_simulate(args) -> int:
     )
     record = estimate_vs_analytic(config, collect_events=bool(args.trace))
     if args.trace:
-        write_event_trace(record.outcome.events, args.trace)
+        with _atomic_file(args.trace) as fh:
+            write_event_trace(record.outcome.events, fh)
     _emit(record.to_json(), args.output)
     return EXIT_OK
 
@@ -276,7 +287,7 @@ def main(argv=None) -> int:
     except ParamError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except FileNotFoundError as exc:
+    except OSError as exc:  # an unreadable --config, an unwritable --output or --trace
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (NumericsError, SimulationError) as exc:

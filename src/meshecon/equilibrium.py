@@ -4,11 +4,12 @@ Free entry: nodes keep joining while a marginal node's total expected
 utility (originator + intermediate + outsider) is positive, so the
 equilibrium density is the largest downcrossing of total utility through
 zero — entry accumulates until utility hits zero from above, and any
-smaller root is unstable under that dynamic. The curve is scanned on a
-grid, then the crossing is refined by batched k-section: each round
-evaluates REFINE_POINTS evenly spaced interior densities of the current
-cell and keeps the cell of their largest downcrossing, until an endpoint's
-residual |total utility| is within tolerance.
+smaller root is unstable under that dynamic. The curve is scanned at
+GRID_POINTS evenly spaced densities, then the crossing is refined by
+batched k-section: each round evaluates REFINE_POINTS evenly spaced
+interior densities of the current cell and keeps the cell of their largest
+downcrossing, until an endpoint's residual |total utility| is within
+tolerance.
 
 Club: an entry-controlling club admits members up to the density that
 maximizes the same per-node total under competitive relay pricing (not
@@ -37,7 +38,6 @@ import numpy as np
 from .errors import BoundaryOptimum, NoCrossing, NumericsError, ParamError
 from .model import ModelParams, connect_probability, max_peers, params_to_dict, validate
 from .regimes import (
-    DEFAULT_TOL,
     Regime,
     RegimeUtilities,
     UTILITIES_CSV_HEADER,
@@ -66,17 +66,17 @@ RESIDUAL_TOL = 1e-9          # |total utility| at a reported free-entry root
 DENSITY_TOL = 1e-6           # interval width around the club optimum
 BRACKET_CAP = 1e5            # hard ceiling for automatic bracket growth
 SCALING_MIN_P = 0.99         # demand saturation required for a clean exponent fit
+GRID_POINTS = 200            # densities per bracket scan
 REFINE_POINTS = 15           # interior densities per batched refinement round
 MAX_ROUNDS = 50              # refinement round limit: 16^50 = 2^200, 200 halvings
 
 
 @dataclass(frozen=True)
 class DensityBracket:
-    """Density search interval with a scan resolution."""
+    """Density search interval, scanned at GRID_POINTS densities."""
 
     n_lo: float
     n_hi: float
-    grid_points: int = 200
 
     def validate_for(self, template: ModelParams) -> "DensityBracket":
         if not (1 / template.d_max < self.n_lo < self.n_hi):
@@ -84,8 +84,6 @@ class DensityBracket:
                 f"bracket must satisfy 1/d_max < n_lo < n_hi, got "
                 f"[{self.n_lo!r}, {self.n_hi!r}] with d_max={template.d_max!r}"
             )
-        if self.grid_points < 2:
-            raise ParamError(f"grid_points must be >= 2, got {self.grid_points!r}")
         return self
 
 
@@ -136,20 +134,13 @@ class EquilibriumResult:
         }
 
 
-def total_eu(
-    template: ModelParams, n: float, regime: Regime, tol: float = DEFAULT_TOL
-) -> float:
+def total_eu(template: ModelParams, n: float, regime: Regime) -> float:
     """Total per-node expected utility at density n (template's other
     parameters unchanged)."""
-    return regime_utilities(template.with_n(n), regime, tol).total
+    return regime_utilities(template.with_n(n), regime).total
 
 
-def default_bracket(
-    template: ModelParams,
-    regime: Regime,
-    grid_points: int = 200,
-    tol: float = DEFAULT_TOL,
-) -> DensityBracket:
+def default_bracket(template: ModelParams, regime: Regime) -> DensityBracket:
     """Bracket [2/d_max, n_hi] with n_hi grown by doubling until total
     utility turns negative (capped at BRACKET_CAP).
 
@@ -162,30 +153,30 @@ def default_bracket(
     doublings = [2 * n_lo]
     while doublings[-1] < BRACKET_CAP:
         doublings.append(min(2 * doublings[-1], BRACKET_CAP))
-    totals = sum(utility_arrays(template, regime, doublings, tol))
+    totals = sum(utility_arrays(template, regime, doublings))
     n_hi = next((x for x, t in zip(doublings, totals) if not t >= 0), doublings[-1])
-    return DensityBracket(n_lo=n_lo, n_hi=n_hi, grid_points=grid_points)
+    return DensityBracket(n_lo=n_lo, n_hi=n_hi)
 
 
-def _scan(template, regime, bracket, tol):
-    grid = np.linspace(bracket.n_lo, bracket.n_hi, bracket.grid_points)
-    return grid, sum(utility_arrays(template, regime, grid, tol))
+def _scan(template, regime, bracket):
+    grid = np.linspace(bracket.n_lo, bracket.n_hi, GRID_POINTS)
+    return grid, sum(utility_arrays(template, regime, grid))
 
 
-def _scanned_bracket(template, regime, bracket, tol, scanned):
+def _scanned_bracket(template, regime, bracket, scanned):
     """The bracket (default_bracket when None) and its scan; scanned, when
     given, is that scan already made by the caller on the same bracket."""
     if bracket is None:
-        bracket = default_bracket(template, regime, tol=tol)
+        bracket = default_bracket(template, regime)
     bracket.validate_for(template)
-    return (bracket, *(scanned or _scan(template, regime, bracket, tol)))
+    return (bracket, *(scanned or _scan(template, regime, bracket)))
 
 
-def _refine_round(template, regime, xs, fs, tol):
+def _refine_round(template, regime, xs, fs):
     """Evaluate REFINE_POINTS evenly spaced densities inside [xs[0], xs[-1]]
     in one batch; return all REFINE_POINTS + 2 densities and totals."""
     xs = np.linspace(xs[0], xs[-1], REFINE_POINTS + 2)
-    inner = sum(utility_arrays(template, regime, xs[1:-1], tol))
+    inner = sum(utility_arrays(template, regime, xs[1:-1]))
     return xs, np.concatenate(([fs[0]], inner, [fs[-1]]))
 
 
@@ -193,7 +184,6 @@ def free_entry_density(
     template: ModelParams,
     regime: Regime,
     bracket: DensityBracket | None = None,
-    tol: float = DEFAULT_TOL,
     residual_tol: float = RESIDUAL_TOL,
     *,
     _scanned=None,
@@ -208,7 +198,7 @@ def free_entry_density(
     residual_tol.
     """
     validate(template)
-    bracket, grid, values = _scanned_bracket(template, regime, bracket, tol, _scanned)
+    bracket, grid, values = _scanned_bracket(template, regime, bracket, _scanned)
 
     cell = None
     for i in range(len(grid) - 1):
@@ -230,14 +220,14 @@ def free_entry_density(
                 f"k-section stalled on [{float(xs[0])!r}, {float(xs[-1])!r}] with "
                 f"residuals {float(fs[0])!r}, {float(fs[-1])!r} above {residual_tol!r}"
             )
-        xs, fs = _refine_round(template, regime, xs, fs, tol)
+        xs, fs = _refine_round(template, regime, xs, fs)
         j = np.flatnonzero((fs[:-1] > 0) & (fs[1:] <= 0))[-1]
         xs, fs = xs[j : j + 2], fs[j : j + 2]
         iterations += 1
     k = int(np.argmin(np.abs(fs)))
     n_star, residual = float(xs[k]), float(fs[k])
 
-    utilities = regime_utilities(template.with_n(n_star), regime, tol)
+    utilities = regime_utilities(template.with_n(n_star), regime)
     return EquilibriumResult(
         kind=EquilibriumKind.FREE_ENTRY,
         regime=regime,
@@ -248,7 +238,7 @@ def free_entry_density(
             iterations=iterations,
             n_lo=bracket.n_lo,
             n_hi=bracket.n_hi,
-            grid_points=bracket.grid_points,
+            grid_points=GRID_POINTS,
             residual=residual,
         ),
     )
@@ -257,7 +247,6 @@ def free_entry_density(
 def club_optimal_density(
     template: ModelParams,
     bracket: DensityBracket | None = None,
-    tol: float = DEFAULT_TOL,
     density_tol: float = DENSITY_TOL,
     *,
     _scanned=None,
@@ -270,7 +259,7 @@ def club_optimal_density(
     """
     regime = Regime.PEERING_PERFECT_COMPETITION
     validate(template)
-    bracket, grid, values = _scanned_bracket(template, regime, bracket, tol, _scanned)
+    bracket, grid, values = _scanned_bracket(template, regime, bracket, _scanned)
 
     k = int(np.argmax(values))
     if k == 0:
@@ -287,7 +276,7 @@ def club_optimal_density(
     xs, fs = grid[[k - 1, k + 1]], values[[k - 1, k + 1]]
     iterations = 0
     while xs[-1] - xs[0] > density_tol and iterations < MAX_ROUNDS:
-        xs, fs = _refine_round(template, regime, xs, fs, tol)
+        xs, fs = _refine_round(template, regime, xs, fs)
         j = int(np.argmax(fs))
         keep = [max(j - 1, 0), min(j + 1, REFINE_POINTS + 1)]
         xs, fs = xs[keep], fs[keep]
@@ -295,7 +284,7 @@ def club_optimal_density(
     a, b = float(xs[0]), float(xs[-1])
     n_club = 0.5 * (a + b)
 
-    utilities = regime_utilities(template.with_n(n_club), regime, tol)
+    utilities = regime_utilities(template.with_n(n_club), regime)
     if not (utilities.total >= 0):
         raise NumericsError(
             f"club optimum at n={n_club!r} has negative member utility "
@@ -311,7 +300,7 @@ def club_optimal_density(
             iterations=iterations,
             n_lo=bracket.n_lo,
             n_hi=bracket.n_hi,
-            grid_points=bracket.grid_points,
+            grid_points=GRID_POINTS,
             residual=b - a,
             notes=tuple(notes),
         ),
@@ -322,7 +311,6 @@ def congestion_scaling_exponent(
     template: ModelParams,
     regime: Regime,
     n_values,
-    tol: float = DEFAULT_TOL,
 ) -> float:
     """Least-squares slope of log|outsider utility| against log density.
 
@@ -339,7 +327,7 @@ def congestion_scaling_exponent(
                 f"density n={n!r} leaves demand unsaturated "
                 f"(P <= {SCALING_MIN_P}); the congestion fit requires large P"
             )
-    outs = utility_arrays(template, regime, n_values, tol)[2]
+    outs = utility_arrays(template, regime, n_values)[2]
     for n, eu_out in zip(n_values, outs):
         if eu_out == 0.0:
             raise ParamError(
@@ -421,7 +409,6 @@ class RegimeComparison:
 def compare_regimes(
     template: ModelParams,
     bracket: DensityBracket | None = None,
-    tol: float = DEFAULT_TOL,
 ) -> RegimeComparison:
     """Assemble the full comparison: free-entry densities, club density,
     scaling exponents, and the leapfrog price profile at the club density."""
@@ -435,23 +422,17 @@ def compare_regimes(
         except BoundaryOptimum as exc:
             return f"BOUNDARY_OPTIMUM@{exc.n_boundary!r}"
 
-    fe_np = attempt(
-        lambda: free_entry_density(template, Regime.NO_PEERING, bracket, tol)
-    )
+    fe_np = attempt(lambda: free_entry_density(template, Regime.NO_PEERING, bracket))
     # one competitive-pricing bracket and scan serve both of its solvers
     pc = Regime.PEERING_PERFECT_COMPETITION
-    pc_bracket, *scanned = _scanned_bracket(template, pc, bracket, tol, None)
-    fe_pc = attempt(
-        lambda: free_entry_density(template, pc, pc_bracket, tol, _scanned=scanned)
-    )
-    club = attempt(
-        lambda: club_optimal_density(template, pc_bracket, tol, _scanned=scanned)
-    )
+    pc_bracket, *scanned = _scanned_bracket(template, pc, bracket, None)
+    fe_pc = attempt(lambda: free_entry_density(template, pc, pc_bracket, _scanned=scanned))
+    club = attempt(lambda: club_optimal_density(template, pc_bracket, _scanned=scanned))
 
     def scaling(regime):
         try:
             return congestion_scaling_exponent(
-                template, regime, [x / template.d_max for x in _SCALING_N_VALUES], tol
+                template, regime, [x / template.d_max for x in _SCALING_N_VALUES]
             )
         except ParamError as exc:
             return f"UNDEFINED ({exc})"

@@ -33,15 +33,14 @@ outsider utility can never turn positive where the continuum approximation
 of N breaks down.
 
 utility_arrays() evaluates a regime over an array of densities at once, and
-regime_utilities() and the eu_* functions are its one-density calls. In
-lattice units y = n x, every integrand depends on n only through
-Y = n d_max and c's scale, and every role is an elementary closed form,
-clamps included, but for the peering cost integrals int g c(D) 2y dy
-(g = 1, I or I + 1) over the relayed annulus 2 < y <= Y. Those take one
-fixed Gauss-Legendre rule (Golub & Welsch 1969) per density, in
-s = log(y - 1), with gauss_nodes(tol) nodes (16 per three decimal digits
-of tol, 16 to 96, 48 at DEFAULT_TOL). Non-finite utilities raise
-NumericsError.
+regime_utilities() is its one-density call. In lattice units y = n x,
+every integrand depends on n only through Y = n d_max and c's scale, and
+every role is an elementary closed form, clamps included, but for the
+peering cost integrals int g c(D) 2y dy (g = 1, I or I + 1) over the
+relayed annulus 2 < y <= Y. Those take one fixed rule in s = log(y - 1),
+48 Gauss-Legendre nodes per density (ANNULUS_NODES; Golub & Welsch 1969),
+which a 96-node rule matches to 1e-13 relative.
+Non-finite utilities raise NumericsError.
 
 All operations are pure functions; nothing here holds mutable state.
 """
@@ -74,9 +73,6 @@ __all__ = [
     "gauss_nodes",
     "integrate",
     "utility_arrays",
-    "eu_no_peering",
-    "eu_peering_no_transfers",
-    "eu_peering_perfcomp",
     "regime_utilities",
     "intermediate_best_response",
     "originator_choice",
@@ -226,10 +222,15 @@ def integrate(f, lo: float, hi: float, tol: float = DEFAULT_TOL) -> float:
 # Expected utilities per regime
 
 
-def utility_arrays(template: ModelParams, regime: Regime, densities, tol=DEFAULT_TOL):
+# Nodes of utility_arrays' annulus rule; 32 would already move the printed
+# utilities by ulps.
+ANNULUS_NODES = 48
+
+
+def utility_arrays(template: ModelParams, regime: Regime, densities):
     """Per-role utilities (originator, intermediate, outsider) at each density,
     other parameters from template; no entry depends on the rest of the batch."""
-    p, d, m = template, template.d_max, gauss_nodes(tol)
+    p, d = template, template.d_max
     n = np.asarray(densities, dtype=float).reshape(-1)
     prob = 1.0 - np.exp(nodes_within_array(n, d) * math.log(p.z))
     if regime is Regime.NO_PEERING:
@@ -247,7 +248,7 @@ def utility_arrays(template: ModelParams, regime: Regime, densities, tol=DEFAULT
         disc_cost = 2 * p.cost(disc / n) * disc * disc / (p.cost.beta + 2)
         # The annulus's cost integrals take the Gauss-Legendre rule in s = log(y - 1),
         # with hops = I + 1 = y - 1 at the nodes and y / (y - 1) <= 2 bounding c(D)
-        t, wt = _legendre(m)
+        t, wt = _legendre(ANNULUS_NODES)
         s_half = np.log1p(rim)[:, None] / 2
         hops = np.exp(s_half * (1 + t))
         weights = (s_half * wt * 2) * hops * (1 + hops) * p.cost((1 + 1 / hops) / n[:, None])
@@ -275,35 +276,10 @@ def utility_arrays(template: ModelParams, regime: Regime, densities, tol=DEFAULT
     return orig, inter, out
 
 
-def regime_utilities(
-    params: ModelParams, regime: Regime, tol: float = DEFAULT_TOL
-) -> RegimeUtilities:
+def regime_utilities(params: ModelParams, regime: Regime) -> RegimeUtilities:
     """The regime's expected utilities at params.n."""
-    orig, inter, out = (a.item() for a in utility_arrays(params, regime, [params.n], tol))
+    orig, inter, out = (a.item() for a in utility_arrays(params, regime, [params.n]))
     return RegimeUtilities(regime, orig, inter, out, orig + inter + out, params)
-
-
-def eu_no_peering(params: ModelParams, tol: float = DEFAULT_TOL) -> RegimeUtilities:
-    """Expected utilities when every connection is direct."""
-    return regime_utilities(params, Regime.NO_PEERING, tol)
-
-
-def eu_peering_no_transfers(
-    params: ModelParams, tol: float = DEFAULT_TOL
-) -> RegimeUtilities:
-    """Expected utilities if every node relayed for free. The arrangement
-    is never sustainable: a relay's best response to a zero price is
-    refusal."""
-    return regime_utilities(params, Regime.PEERING_NO_TRANSFERS, tol)
-
-
-def eu_peering_perfcomp(params: ModelParams, tol: float = DEFAULT_TOL) -> RegimeUtilities:
-    """Expected utilities when relays are paid the competitive price c(D).
-
-    The price exactly offsets relay cost, so the intermediate line is -w
-    times the expected number of relay exposures.
-    """
-    return regime_utilities(params, Regime.PEERING_PERFECT_COMPETITION, tol)
 
 
 # --------------------------------------------------------------------------

@@ -57,6 +57,7 @@ generator's advance(N) instead of drawing them: the stream position, the
 destinations and every output are the same as if they had been drawn.
 """
 
+import csv
 import json
 import math
 import numbers
@@ -75,7 +76,6 @@ from .model import (
 from .regimes import (
     Choice,
     ConnectionChoice,
-    DEFAULT_TOL,
     Regime,
     regime_utilities,
 )
@@ -695,9 +695,7 @@ class ComparisonRecord:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
 
 
-def estimate_vs_analytic(
-    config: SimConfig, tol: float = DEFAULT_TOL, *, collect_events: bool = False
-) -> ComparisonRecord:
+def estimate_vs_analytic(config: SimConfig, *, collect_events: bool = False) -> ComparisonRecord:
     """Run the simulation and compare per-role means to the closed forms.
 
     Requires >= 30 trials for a usable variance estimate. bias and z are
@@ -720,7 +718,7 @@ def estimate_vs_analytic(
         Regime.NO_PEERING if config.regime is Regime.PEERING_NO_TRANSFERS
         else config.regime
     )
-    analytic = regime_utilities(config.params, baseline_regime, tol)
+    analytic = regime_utilities(config.params, baseline_regime)
     analytic_by_role = {
         "originator": analytic.eu_originator,
         "intermediate": analytic.eu_intermediate,
@@ -763,21 +761,19 @@ def estimate_vs_analytic(
     )
 
 
-def write_event_trace(events, path) -> None:
-    """Dump ConnectionEvents to CSV, one row per event (debugging aid)."""
-    import csv
-
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(EVENT_CSV_HEADER)
-        for ev in events:
-            writer.writerow([
-                ev.trial,
-                ev.origin,
-                ev.destination,
-                "|".join(str(i) for i in ev.path),
-                "|".join(repr(h) for h in ev.hop_lengths),
-                ev.choice.mode.value,
-                repr(ev.choice.net_utility),
-                repr(ev.transfers_paid),
-            ])
+def write_event_trace(events, fh) -> None:
+    """Write ConnectionEvents as CSV to the text stream fh, one row per
+    event (debugging aid); the caller owns the file."""
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(EVENT_CSV_HEADER)
+    for ev in events:
+        writer.writerow([
+            ev.trial,
+            ev.origin,
+            ev.destination,
+            "|".join(str(i) for i in ev.path),
+            "|".join(repr(h) for h in ev.hop_lengths),
+            ev.choice.mode.value,
+            repr(ev.choice.net_utility),
+            repr(ev.transfers_paid),
+        ])

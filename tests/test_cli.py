@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import json
 import os
 
@@ -8,9 +9,9 @@ import pytest
 from meshecon import (
     Regime,
     default_params,
-    eu_no_peering,
     params_to_kv,
     params_to_json,
+    regime_utilities,
 )
 from meshecon.cli import main
 
@@ -32,7 +33,7 @@ def test_eval_json_matches_library(capsys):
     assert code == 0
     blob = json.loads(out)
     assert set(blob) == {r.value for r in Regime}
-    lib = eu_no_peering(default_params())
+    lib = regime_utilities(default_params(), Regime.NO_PEERING)
     got = blob["NO_PEERING"]
     assert abs(got["total"] - lib.total) < 1e-12
     assert got["eu_originator"] == lib.eu_originator
@@ -52,7 +53,7 @@ def test_eval_csv_golden_header_and_row(capsys):
     assert len(lines) == 4
     first = lines[1].split(",")
     assert first[0] == "NO_PEERING"
-    lib = eu_no_peering(default_params())
+    lib = regime_utilities(default_params(), Regime.NO_PEERING)
     assert float(first[2]) == pytest.approx(lib.eu_originator, abs=1e-12)
     assert float(first[5]) == pytest.approx(lib.total, abs=1e-12)
 
@@ -178,12 +179,32 @@ def test_simulate_trace_reuses_the_compared_run(capsys, tmp_path, monkeypatch, r
 
     # the record is the untraced record, the trace that of a separate run
     assert traced.read_bytes() == plain.read_bytes()
-    reference = tmp_path / "reference.csv"
+    reference = io.StringIO()
     params = dataclasses.replace(default_params(), n=5.0)
     config = sim.SimConfig(side=11, params=params, regime=Regime(regime),
                            trials=30, seed=5)
     sim.write_event_trace(real(config, collect_events=True).events, reference)
-    assert trace.read_bytes() == reference.read_bytes()
+    assert trace.read_bytes() == reference.getvalue().encode()
+
+
+def test_failed_trace_leaves_old_trace(capsys, tmp_path, monkeypatch):
+    import meshecon.cli as cli
+
+    real = cli.write_event_trace
+
+    def failing(events, fh):
+        assert len(events) > 50
+        real(events[:50], fh)
+        fh.flush()
+        raise OSError("disk full")
+    monkeypatch.setattr(cli, "write_event_trace", failing)
+    trace = tmp_path / "events.csv"
+    trace.write_bytes(b"old trace\n")
+    code, out, err = run(capsys, "simulate", "--side", "11", "--trials", "30",
+                         "--set", "n=5", "--trace", str(trace))
+    assert (code, out, err) == (2, "", "error: disk full\n")
+    assert trace.read_bytes() == b"old trace\n"
+    assert os.listdir(tmp_path) == ["events.csv"]  # no .meshecon-* temp file
 
 
 def test_simulate_rejects_bad_config(capsys):
@@ -308,6 +329,17 @@ def test_no_partial_output_on_error(capsys, tmp_path):
     code, _, _ = run(capsys, "eval", "--set", "v=2.5", "--output", str(target))
     assert code == 2
     assert not target.exists()
+
+
+@pytest.mark.parametrize("flag", ["--output", "--config"])
+def test_unusable_path_is_a_config_error(capsys, tmp_path, flag):
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    code, out, err = run(capsys, "eval", flag, str(folder))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and str(folder) in err
+    assert os.listdir(tmp_path) == ["folder"]  # no .meshecon-* temp file
+    assert os.listdir(folder) == []
 
 
 def _package_env():

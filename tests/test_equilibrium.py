@@ -29,13 +29,14 @@ from meshecon.cli import main
 from meshecon.equilibrium import (
     BRACKET_CAP,
     DENSITY_TOL,
+    GRID_POINTS,
     MAX_ROUNDS,
     REFINE_POINTS,
     RESIDUAL_TOL,
     _SCALING_N_VALUES,
     _scan,
 )
-from meshecon.regimes import DEFAULT_TOL, utility_arrays
+from meshecon.regimes import utility_arrays
 from conftest import random_draws
 import oracles
 
@@ -44,13 +45,13 @@ PERFCOMP = Regime.PEERING_PERFECT_COMPETITION
 
 @pytest.fixture
 def utility_calls(monkeypatch):
-    """Record (regime, densities, tol) for every utility_arrays call, under
-    both names the solvers and regime_utilities look it up by."""
+    """Record (regime, densities) for every utility_arrays call, under both
+    names the solvers and regime_utilities look it up by."""
     calls = []
 
-    def spy(template, regime, densities, tol=DEFAULT_TOL):
-        calls.append((regime, np.array(densities, dtype=float).reshape(-1), tol))
-        return utility_arrays(template, regime, densities, tol)
+    def spy(template, regime, densities):
+        calls.append((regime, np.array(densities, dtype=float).reshape(-1)))
+        return utility_arrays(template, regime, densities)
 
     monkeypatch.setattr(meshecon.equilibrium, "utility_arrays", spy)
     monkeypatch.setattr(meshecon.regimes, "utility_arrays", spy)
@@ -123,13 +124,6 @@ def test_free_entry_deterministic(defaults):
     assert a == b
 
 
-@pytest.mark.parametrize("regime", [Regime.NO_PEERING, PERFCOMP])
-def test_free_entry_passes_tol_to_every_evaluation(defaults, regime, utility_calls):
-    free_entry_density(defaults, regime, tol=1e-6)
-    assert len(utility_calls) > 2  # bracket, scan, refinement, final point
-    assert [tol for _, _, tol in utility_calls] == [1e-6] * len(utility_calls)
-
-
 def _largest_downcrossing(grid, values):
     cells = np.flatnonzero((values[:-1] > 0) & (values[1:] <= 0))
     return (float(grid[cells[-1]]), float(grid[cells[-1] + 1])) if len(cells) else None
@@ -139,7 +133,7 @@ def _largest_downcrossing(grid, values):
 def test_free_entry_refinement_contract(defaults, regime):
     templates = [defaults] + [p for p, _ in random_draws(20, seed=31)]
     for t in templates:
-        grid, values = _scan(t, regime, default_bracket(t, regime), DEFAULT_TOL)
+        grid, values = _scan(t, regime, default_bracket(t, regime))
         cell = _largest_downcrossing(grid, values)
         if cell is None:
             with pytest.raises(NoCrossing):
@@ -177,7 +171,7 @@ def test_free_entry_stall_guard_raises(defaults, utility_calls):
     # default template reaches at n = 698.1395333957213, 1 ulp from the root)
     with pytest.raises(NumericsError, match="stalled"):
         free_entry_density(defaults, PERFCOMP, residual_tol=-1.0)
-    rounds = [d for _, d, _ in utility_calls if len(d) == REFINE_POINTS]
+    rounds = [d for _, d in utility_calls if len(d) == REFINE_POINTS]
     assert len(rounds) == MAX_ROUNDS
 
 
@@ -193,8 +187,6 @@ def test_bracket_validation(defaults):
         DensityBracket(0.5, 100.0).validate_for(defaults)  # n_lo <= 1/d_max
     with pytest.raises(ParamError):
         DensityBracket(30.0, 20.0).validate_for(defaults)
-    with pytest.raises(ParamError):
-        DensityBracket(2.0, 20.0, grid_points=1).validate_for(defaults)
 
 
 @pytest.mark.parametrize("regime", list(Regime))
@@ -209,7 +201,7 @@ def test_batched_evaluation_bit_identical_to_single(defaults, regime):
         while total_eu(t, n_hi, regime) >= 0 and n_hi < BRACKET_CAP:
             n_hi = min(2 * n_hi, BRACKET_CAP)
         assert bracket.n_hi == n_hi
-        grid, totals = _scan(t, regime, bracket, DEFAULT_TOL)
+        grid, totals = _scan(t, regime, bracket)
         doublings = [4 / t.d_max]
         while doublings[-1] < BRACKET_CAP:
             doublings.append(min(2 * doublings[-1], BRACKET_CAP))
@@ -355,10 +347,10 @@ def test_compare_regimes_shares_one_competitive_scan(defaults, utility_calls):
     while doublings[-1] < BRACKET_CAP:
         doublings.append(min(2 * doublings[-1], BRACKET_CAP))
     bracket = default_bracket(defaults, PERFCOMP)
-    grid = np.linspace(bracket.n_lo, bracket.n_hi, bracket.grid_points)
+    grid = np.linspace(bracket.n_lo, bracket.n_hi, GRID_POINTS)
     utility_calls.clear()
     compare_regimes(defaults)
-    pc = [d for r, d, _ in utility_calls if r is PERFCOMP]
+    pc = [d for r, d in utility_calls if r is PERFCOMP]
     assert sum(np.array_equal(d, doublings) for d in pc) == 1
     assert sum(np.array_equal(d, grid) for d in pc) == 1
     # one-density calls: only the final regime_utilities of free entry and club

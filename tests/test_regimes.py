@@ -11,10 +11,6 @@ from meshecon import (
     ParamError,
     Regime,
     competitive_price,
-    eu_no_peering,
-    eu_peering_no_transfers,
-    eu_peering_perfcomp,
-    gauss_nodes,
     hop_distance,
     integrate,
     intermediate_best_response,
@@ -30,6 +26,7 @@ from meshecon import (
     utility_arrays,
     value_added,
 )
+import meshecon.regimes
 from meshecon.equilibrium import BRACKET_CAP
 from conftest import make_params, random_draws
 import oracles
@@ -68,7 +65,7 @@ def test_integrate_input_errors():
 
 
 def test_eu_no_peering_defaults_pinned(defaults):
-    got = eu_no_peering(defaults)
+    got = regime_utilities(defaults, Regime.NO_PEERING)
     assert got.eu_originator == pytest.approx(oracles.EU_ORIG_NO_PEERING, abs=1e-9)
     assert got.eu_intermediate == 0.0
     assert got.eu_outsider == pytest.approx(oracles.EU_OUT_NO_PEERING, abs=1e-9)
@@ -79,16 +76,16 @@ def test_eu_no_peering_defaults_pinned(defaults):
 
 
 def test_eu_no_peering_zero_pollution_and_zero_surplus(defaults):
-    no_pollution = eu_no_peering(dataclasses.replace(defaults, w=0.0))
+    no_pollution = regime_utilities(dataclasses.replace(defaults, w=0.0), Regime.NO_PEERING)
     assert no_pollution.eu_outsider == 0.0
     # zero-surplus construction: v equals the mean connection cost; bypasses
     # validation on purpose
-    boundary = eu_no_peering(dataclasses.replace(defaults, v=0.5))
+    boundary = regime_utilities(dataclasses.replace(defaults, v=0.5), Regime.NO_PEERING)
     assert boundary.eu_originator == pytest.approx(0.0, abs=1e-9)
 
 
 def test_eu_no_transfers_defaults_match_oracle(defaults):
-    got = eu_peering_no_transfers(defaults)
+    got = regime_utilities(defaults, Regime.PEERING_NO_TRANSFERS)
     orig, inter, out = oracles.eu_oracle("NOTRANS")
     assert got.eu_originator == pytest.approx(orig, abs=1e-8)
     assert got.eu_intermediate == pytest.approx(inter, abs=1e-8)
@@ -96,18 +93,18 @@ def test_eu_no_transfers_defaults_match_oracle(defaults):
 
 
 def test_eu_no_transfers_originator_dominates_direct(defaults):
-    direct = eu_no_peering(defaults).eu_originator
-    relayed = eu_peering_no_transfers(defaults).eu_originator
+    direct = regime_utilities(defaults, Regime.NO_PEERING).eu_originator
+    relayed = regime_utilities(defaults, Regime.PEERING_NO_TRANSFERS).eu_originator
     assert relayed > direct  # c(D(x)) <= c(x) pointwise
 
 
 def test_eu_no_transfers_zero_pollution(defaults):
-    got = eu_peering_no_transfers(dataclasses.replace(defaults, w=0.0))
+    got = regime_utilities(dataclasses.replace(defaults, w=0.0), Regime.PEERING_NO_TRANSFERS)
     assert got.eu_outsider == 0.0
 
 
 def test_eu_perfcomp_defaults_match_oracle(defaults):
-    got = eu_peering_perfcomp(defaults)
+    got = regime_utilities(defaults, Regime.PEERING_PERFECT_COMPETITION)
     orig, inter, out = oracles.eu_oracle("PERFCOMP")
     assert got.eu_originator == pytest.approx(orig, abs=1e-8)
     assert got.eu_intermediate == pytest.approx(inter, abs=1e-8)
@@ -115,7 +112,7 @@ def test_eu_perfcomp_defaults_match_oracle(defaults):
 
 
 def test_eu_perfcomp_zero_pollution_zeroes_both_roles(defaults):
-    got = eu_peering_perfcomp(dataclasses.replace(defaults, w=0.0))
+    got = regime_utilities(dataclasses.replace(defaults, w=0.0), Regime.PEERING_PERFECT_COMPETITION)
     assert got.eu_intermediate == 0.0
     assert got.eu_outsider == 0.0
 
@@ -126,14 +123,14 @@ def test_eu_perfcomp_outsider_nonpositive_in_sparse_networks():
     p = make_params(n=1.05, d_max=1.0, v=20.0)
     validate_ok = p.v - p.u > p.cost(p.d_max)
     assert validate_ok
-    got = eu_peering_perfcomp(p)
+    got = regime_utilities(p, Regime.PEERING_PERFECT_COMPETITION)
     assert got.eu_outsider <= 0.0
 
 
 def test_eu_perfcomp_originator_below_no_transfers(defaults):
     # the originator now pays I * p on top of its own hop
-    free_ride = eu_peering_no_transfers(defaults).eu_originator
-    paying = eu_peering_perfcomp(defaults).eu_originator
+    free_ride = regime_utilities(defaults, Regime.PEERING_NO_TRANSFERS).eu_originator
+    paying = regime_utilities(defaults, Regime.PEERING_PERFECT_COMPETITION).eu_originator
     assert paying < free_ride
 
 
@@ -146,15 +143,6 @@ def test_regime_utilities_identities():
             assert got.eu_outsider <= 0.0
             if regime is Regime.NO_PEERING:
                 assert got.eu_intermediate == 0.0
-
-
-def test_regime_utilities_tolerance_stability(defaults):
-    tol = 1e-9
-    assert gauss_nodes(tol) != gauss_nodes(tol / 10)  # two different rules
-    for regime in Regime:
-        coarse = regime_utilities(defaults, regime, tol=tol)
-        fine = regime_utilities(defaults, regime, tol=tol / 10)
-        assert abs(coarse.total - fine.total) < 10 * tol
 
 
 ORACLE_NAMES = {
@@ -216,6 +204,20 @@ def test_peering_roles_finite_and_accurate_at_extreme_beta(regime, beta):
         assert _roles(regime_utilities(p.with_n(n), regime)) == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
+@pytest.mark.parametrize("beta", [1.0001, 2.0, 12.0, 200.0])
+@pytest.mark.parametrize("regime", list(PEERING))
+def test_annulus_rule_converged(monkeypatch, regime, beta):
+    # twice the annulus rule's nodes moves no role by more than 1e-13
+    # relative (1.6e-14 at worst here); a 16-node rule fails it
+    d_max = 0.7
+    p = make_params(d_max=d_max, w=0.03, z=0.95, a=d_max**-beta, beta=beta)
+    densities = np.geomspace(1.5 / d_max, BRACKET_CAP, 60)
+    rule = np.ravel(utility_arrays(p, regime, densities))
+    monkeypatch.setattr(meshecon.regimes, "ANNULUS_NODES", 96)
+    doubled = np.ravel(utility_arrays(p, regime, densities))
+    assert doubled.tolist() == pytest.approx(rule.tolist(), rel=1e-13, abs=0.0)
+
+
 def test_peering_roles_match_mpmath_quadrature_oracle(defaults):
     # non-integer beta from the draws; the 1e-13 allowance covers the
     # package's 1 - exp(N log z), which loses about 1e-14 relative when the
@@ -243,7 +245,7 @@ def test_regime_utilities_non_finite_input_raises(defaults, regime):
 
 
 def test_regime_utilities_serialization(defaults):
-    got = eu_no_peering(defaults)
+    got = regime_utilities(defaults, Regime.NO_PEERING)
     blob = json.loads(json.dumps(got.to_json_dict()))
     assert blob["regime"] == "NO_PEERING"
     assert blob["total"] == got.total

@@ -12,8 +12,8 @@ from meshecon import (
     SimConfig,
     build_lattice,
     estimate_vs_analytic,
-    eu_no_peering,
     lattice_exact_means,
+    regime_utilities,
     route_greedy,
     run_instant,
 )
@@ -595,7 +595,7 @@ def test_estimate_record_structure(defaults):
     rec = estimate_vs_analytic(config(trials=60, seed=7))
     roles = {r.role for r in rec.roles}
     assert roles == {"originator", "intermediate", "outsider", "total"}
-    analytic = eu_no_peering(make_params())
+    analytic = regime_utilities(make_params(), Regime.NO_PEERING)
     assert rec.role("originator").analytic == pytest.approx(analytic.eu_originator)
     assert rec.role("intermediate").z == 0.0
     for r in rec.roles:
