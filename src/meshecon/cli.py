@@ -14,8 +14,9 @@ free-entry crossing / boundary club optimum) — findings are reported
 results, not tool failures, but they get their own code so scripts can
 branch on them.
 
-Output files (--output and --trace) are written to a temporary name and
-renamed into place, so a failed command never leaves a partial file.
+Output files (--output and --trace) get the umask's mode. They are written
+to a temporary name and renamed into place, so a failed command never
+leaves a partial file; an existing FIFO or device is written in place.
 """
 
 import argparse
@@ -88,11 +89,19 @@ def _load_params(args):
 @contextlib.contextmanager
 def _atomic_file(path: str):
     """A text stream on a temporary file beside path, renamed onto path when
-    the block completes and removed when it raises."""
+    the block completes and removed when it raises. A special file at path
+    is written in place: renaming over it would replace it."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh
+        return
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".meshecon-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            umask = os.umask(0o777)  # reading the umask means setting it
+            os.umask(umask)
+            os.fchmod(fd, 0o666 & ~umask)  # mkstemp creates 0600
             yield fh
         os.replace(tmp, path)
     except BaseException:

@@ -36,13 +36,13 @@ from enum import Enum
 import numpy as np
 
 from .errors import BoundaryOptimum, NoCrossing, NumericsError, ParamError
-from .model import ModelParams, connect_probability, max_peers, params_to_dict, validate
+from .model import (ModelParams, connect_probability, intermediate_count, max_peers,
+                    params_to_dict, validate)
 from .regimes import (
     Regime,
     RegimeUtilities,
     UTILITIES_CSV_HEADER,
     competitive_price,
-    intermediate_count,
     leapfrog_threshold,
     regime_utilities,
     utility_arrays,
@@ -184,7 +184,6 @@ def free_entry_density(
     template: ModelParams,
     regime: Regime,
     bracket: DensityBracket | None = None,
-    residual_tol: float = RESIDUAL_TOL,
     *,
     _scanned=None,
 ) -> EquilibriumResult:
@@ -192,10 +191,9 @@ def free_entry_density(
 
     Scans the bracket grid for sign changes from positive to negative and
     refines the largest such downcrossing by batched k-section until an
-    endpoint's residual |total utility| falls to residual_tol. Raises
+    endpoint's residual |total utility| falls to RESIDUAL_TOL. Raises
     NoCrossing when the curve never passes from positive to negative inside
-    the bracket, and NumericsError when MAX_ROUNDS rounds cannot meet
-    residual_tol.
+    the bracket, and NumericsError when MAX_ROUNDS rounds cannot meet it.
     """
     validate(template)
     bracket, grid, values = _scanned_bracket(template, regime, bracket, _scanned)
@@ -214,11 +212,11 @@ def free_entry_density(
     # invariant: fs[0] > 0 >= fs[-1], or both are an exact zero
     xs, fs = grid[cell], values[cell]
     iterations = 0
-    while not np.min(np.abs(fs)) <= residual_tol:
+    while not np.min(np.abs(fs)) <= RESIDUAL_TOL:
         if iterations == MAX_ROUNDS:
             raise NumericsError(
                 f"k-section stalled on [{float(xs[0])!r}, {float(xs[-1])!r}] with "
-                f"residuals {float(fs[0])!r}, {float(fs[-1])!r} above {residual_tol!r}"
+                f"residuals {float(fs[0])!r}, {float(fs[-1])!r} above {RESIDUAL_TOL!r}"
             )
         xs, fs = _refine_round(template, regime, xs, fs)
         j = np.flatnonzero((fs[:-1] > 0) & (fs[1:] <= 0))[-1]
@@ -247,14 +245,13 @@ def free_entry_density(
 def club_optimal_density(
     template: ModelParams,
     bracket: DensityBracket | None = None,
-    density_tol: float = DENSITY_TOL,
     *,
     _scanned=None,
 ) -> EquilibriumResult:
     """Maximize per-node total utility under competitive peering over density.
 
     Grid scan locates the hump; batched grid rounds narrow [a, b] around the
-    argmax to density_tol (at most MAX_ROUNDS rounds) and report its
+    argmax to DENSITY_TOL (at most MAX_ROUNDS rounds) and report its
     midpoint. A grid argmax on a bracket edge raises BoundaryOptimum.
     """
     regime = Regime.PEERING_PERFECT_COMPETITION
@@ -275,7 +272,7 @@ def club_optimal_density(
 
     xs, fs = grid[[k - 1, k + 1]], values[[k - 1, k + 1]]
     iterations = 0
-    while xs[-1] - xs[0] > density_tol and iterations < MAX_ROUNDS:
+    while xs[-1] - xs[0] > DENSITY_TOL and iterations < MAX_ROUNDS:
         xs, fs = _refine_round(template, regime, xs, fs)
         j = int(np.argmax(fs))
         keep = [max(j - 1, 0), min(j + 1, REFINE_POINTS + 1)]

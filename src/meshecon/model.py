@@ -182,7 +182,7 @@ def intermediate_count(params: ModelParams, d: float) -> float:
     """
     if not (0 <= d <= params.d_max):
         raise ParamError(f"d must lie in [0, d_max={params.d_max!r}], got {d!r}")
-    return max(0.0, params.n * d - 2)
+    return intermediate_count_array(params.n, d).item()
 
 
 def hop_distance(params: ModelParams, d: float) -> float:
@@ -192,9 +192,7 @@ def hop_distance(params: ModelParams, d: float) -> float:
         raise ParamError(f"d must be > 0, got {d!r}")
     if not (d <= params.d_max):
         raise ParamError(f"d must be <= d_max={params.d_max!r}, got {d!r}")
-    if intermediate_count(params, d) == 0:
-        return d
-    return d / (params.n * d - 1)
+    return hop_distance_array(params.n, d).item()
 
 
 def nodes_within(params: ModelParams, d: float) -> float:
@@ -202,12 +200,12 @@ def nodes_within(params: ModelParams, d: float) -> float:
     max(0, pi*d^2*n^2 - 1)."""
     if not (d >= 0):
         raise ParamError(f"d must be >= 0, got {d!r}")
-    return max(0.0, math.pi * d * d * params.n * params.n - 1)
+    return nodes_within_array(params.n, d).item()
 
 
-# Array forms of I, D and N: elementwise over broadcastable densities n and
-# distances x, without the range checks, for callers that evaluate whole
-# grids (the regime integrals, the simulator's per-offset tables).
+# Array forms of I, D and N, the one definition of each: elementwise over
+# broadcastable densities n and distances x, without the range checks; the
+# regime integrals, the simulator's tables and the scalar forms above use them.
 
 
 def intermediate_count_array(n, x):
@@ -216,9 +214,8 @@ def intermediate_count_array(n, x):
 
 
 def hop_distance_array(n, x):
-    """D(x) = x/(n*x - 1) where I(x) > 0, else x, elementwise."""
-    relayed = intermediate_count_array(n, x) > 0
-    return np.where(relayed, x / np.where(relayed, n * x - 1, 1.0), x)
+    """D(x) = x/(n*x - 1) where I(x) > 0, else x: n*x - 1 > 1 iff n*x - 2 > 0."""
+    return x / np.maximum(n * x - 1, 1.0)
 
 
 def nodes_within_array(n, x):

@@ -348,11 +348,9 @@ def value_added(params: ModelParams, d: float) -> float:
     (beta=1, w=0). N can clamp to zero at tiny hop lengths, which zeroes the
     pollution half of the expression.
     """
-    if not (intermediate_count(params, d) >= 1):
-        raise ParamError(
-            f"value_added requires at least one relay to skip, "
-            f"I(d)={intermediate_count(params, d)!r}"
-        )
+    i = intermediate_count(params, d)
+    if not (i >= 1):
+        raise ParamError(f"value_added requires at least one relay to skip, I(d)={i!r}")
     hop = hop_distance(params, d)
     return (
         -2 * params.cost(hop)
@@ -386,11 +384,9 @@ def competitive_price(params: ModelParams, d: float) -> float:
 def leapfrog_threshold(params: ModelParams, d: float) -> float:
     """Relay price above which skipping a relay (transmitting 2D) pays:
     c(2 D(d))."""
-    if not (intermediate_count(params, d) >= 1):
-        raise ParamError(
-            f"leapfrog requires at least one relay, "
-            f"I(d)={intermediate_count(params, d)!r}"
-        )
+    i = intermediate_count(params, d)
+    if not (i >= 1):
+        raise ParamError(f"leapfrog requires at least one relay, I(d)={i!r}")
     return params.cost(2 * hop_distance(params, d))
 
 

@@ -242,3 +242,15 @@ def lattice_oracle(n: float, d_max: float, v: float, w: float, z: float,
         "intermediate": -w * p * sum_relays / k,
         "outsider": -w * p * sum_polluted / k,
     }
+
+
+# As n grows at fixed d_max, the greedy lattice walk to a destination at
+# angle theta and length d takes n d max(|cos|, |sin|) hops, n d min(...) of
+# them diagonal (7 nodes charged each) and the rest straight (3 each). Over a
+# uniform direction E[max] = 2 sqrt(2)/pi and E[min] = (4/pi)(1 - 1/sqrt(2)),
+# so the lattice charges 3 E[max] + 4 E[min] nodes per unit of n d, where the
+# closed form's (n d - 1)(pi (n D)^2 - 2) tends to (pi - 2) n d. Their ratio
+# less one is the limit of the PERFCOMP outsider's relative lattice gap.
+PERFCOMP_OUTSIDER_GAP_LIMIT = (
+    3 * 2 * math.sqrt(2) / math.pi + 4 * (4 / math.pi) * (1 - 1 / math.sqrt(2))
+) / (math.pi - 2) - 1

@@ -2,6 +2,7 @@ import dataclasses
 import io
 import json
 import os
+import stat
 
 import numpy as np
 import pytest
@@ -322,6 +323,34 @@ def test_output_file_written_atomically(capsys, tmp_path):
     assert json.loads(target.read_text())
     leftovers = [p for p in os.listdir(tmp_path) if p.startswith(".meshecon-")]
     assert leftovers == []
+
+
+def test_output_file_gets_the_umask_mode(capsys, tmp_path):
+    target = tmp_path / "out.json"
+    old = os.umask(0o022)
+    try:
+        code, _, _ = run(capsys, "eval", "--output", str(target))
+    finally:
+        os.umask(old)
+    assert code == 0
+    assert stat.S_IMODE(target.stat().st_mode) == 0o644
+
+
+def test_output_to_a_fifo_is_written_in_place(capsys, tmp_path):
+    # renaming over a special file would replace it, as it once replaced
+    # /dev/null when run as root; a FIFO in tmp_path shows the same safely
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # lets the writer open
+    try:
+        code, out, _ = run(capsys, "eval", "--output", str(fifo))
+        received = os.read(reader, 1 << 16)
+    finally:
+        os.close(reader)
+    assert (code, out) == (0, "")
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert os.listdir(tmp_path) == ["pipe"]
+    assert received.decode() == run(capsys, "eval")[1]
 
 
 def test_no_partial_output_on_error(capsys, tmp_path):

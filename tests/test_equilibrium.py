@@ -1,5 +1,4 @@
 import dataclasses
-import functools
 import json
 import math
 
@@ -165,19 +164,19 @@ def test_club_refinement_contract(defaults):
     assert solved >= 10
 
 
-def test_free_entry_stall_guard_raises(defaults, utility_calls):
-    # no |total| is below a negative residual_tol, so the guard must end the
-    # k-section (residual_tol=0 would be met by an exact 0.0 total, which the
+def test_free_entry_stall_guard_raises(defaults, utility_calls, monkeypatch):
+    # no |total| is below a negative RESIDUAL_TOL, so the guard must end the
+    # k-section (RESIDUAL_TOL=0 would be met by an exact 0.0 total, which the
     # default template reaches at n = 698.1395333957213, 1 ulp from the root)
+    monkeypatch.setattr(meshecon.equilibrium, "RESIDUAL_TOL", -1.0)
     with pytest.raises(NumericsError, match="stalled"):
-        free_entry_density(defaults, PERFCOMP, residual_tol=-1.0)
+        free_entry_density(defaults, PERFCOMP)
     rounds = [d for _, d in utility_calls if len(d) == REFINE_POINTS]
     assert len(rounds) == MAX_ROUNDS
 
 
 def test_free_entry_stall_maps_to_cli_exit_3(monkeypatch, capsys):
-    stalling = functools.partial(free_entry_density, residual_tol=-1.0)
-    monkeypatch.setattr(meshecon.equilibrium, "free_entry_density", stalling)
+    monkeypatch.setattr(meshecon.equilibrium, "RESIDUAL_TOL", -1.0)
     assert main(["equilibrium"]) == 3
     assert "stalled" in capsys.readouterr().err
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from meshecon import (
     CostFunction,
@@ -24,6 +25,8 @@ from meshecon import (
     shannon_capacity,
     validate,
 )
+from meshecon.equilibrium import BRACKET_CAP
+from meshecon.model import hop_distance_array, intermediate_count_array, nodes_within_array
 from conftest import make_params
 import oracles
 
@@ -134,6 +137,72 @@ def test_full_path_length_recovers_distance(defaults):
         i = intermediate_count(defaults, d)
         assert i > 0
         assert (i + 1) * hop_distance(defaults, d) == pytest.approx(d, rel=1e-14)
+
+
+def _distances(draw, n, d_max):
+    """d at 0 and d_max, n d at 1 and 2 and up to 3 ulps either side, or a
+    uniform draw from [0, d_max]."""
+    kind = draw(st.sampled_from(["zero", "d_max", "n d = 1", "n d = 2", "uniform"]))
+    if kind == "zero":
+        return 0.0
+    if kind == "d_max":
+        return d_max
+    if kind == "uniform":
+        return draw(st.floats(0.0, d_max))
+    d = (1.0 if kind == "n d = 1" else 2.0) / n
+    steps = draw(st.integers(-3, 3))
+    for _ in range(abs(steps)):
+        d = math.nextafter(d, math.copysign(math.inf, steps))
+    return min(d, d_max)
+
+
+@st.composite
+def elementary_points(draw):
+    d_max = draw(st.floats(0.05, 20.0))
+    n = draw(st.floats(math.nextafter(1 / d_max, math.inf), BRACKET_CAP))
+    return make_params(n=n, d_max=d_max), [_distances(draw, n, d_max) for _ in range(8)]
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(elementary_points())
+def test_elementary_scalars_are_their_array_forms_bit_for_bit(point):
+    # I, D and N are each defined once, as the array forms; the checked
+    # scalar functions must return exactly the array element, and both must
+    # equal the piecewise scalar expressions written out here, including at
+    # the kink n d = 2 of I and D and at n d = 1, where n d - 1 vanishes
+    p, ds = point
+    n, xs = p.n, np.array(ds)
+    arrays = (intermediate_count_array(n, xs), hop_distance_array(n, xs),
+              nodes_within_array(n, xs))
+    for k, d in enumerate(ds):
+        t = n * d
+        i_ref = max(0.0, t - 2)
+        n_ref = max(0.0, math.pi * d * d * n * n - 1)
+        assert intermediate_count(p, d) == arrays[0][k] == i_ref
+        assert nodes_within(p, d) == arrays[2][k] == n_ref
+        if d > 0:
+            d_ref = d if i_ref == 0 else d / (t - 1)
+            assert hop_distance(p, d) == arrays[1][k] == d_ref
+        assert type(intermediate_count(p, d)) is type(nodes_within(p, d)) is float
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(elementary_points(), st.floats(1e-300, 1e3))
+def test_elementary_scalars_reject_out_of_range_distances(point, excess):
+    p, _ = point
+    below, above = -excess, p.d_max + max(excess, math.ulp(p.d_max))
+    for d in (below, above):
+        with pytest.raises(ParamError) as err:
+            intermediate_count(p, d)
+        assert str(err.value) == f"d must lie in [0, d_max={p.d_max!r}], got {d!r}"
+    for d, text in ((below, f"d must be > 0, got {below!r}"), (0.0, "d must be > 0, got 0.0"),
+                    (above, f"d must be <= d_max={p.d_max!r}, got {above!r}")):
+        with pytest.raises(ParamError) as err:
+            hop_distance(p, d)
+        assert str(err.value) == text
+    with pytest.raises(ParamError) as err:
+        nodes_within(p, below)
+    assert str(err.value) == f"d must be >= 0, got {below!r}"
 
 
 # --------------------------------------------------------------------------

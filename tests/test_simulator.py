@@ -222,6 +222,23 @@ def test_lattice_exact_means_match_oracle():
             assert got[role] == pytest.approx(oracle[role], rel=1e-12, abs=1e-15)
 
 
+def test_perfcomp_outsider_gap_tends_to_the_square_lattice_limit():
+    # c07b asks the PERFCOMP outsider's bias to shrink as n doubles; on the
+    # square lattice its relative gap instead rises towards a constant, so
+    # the absolute gap grows linearly in n. The distance to the limit must
+    # shrink at each doubling, and one Richardson step (error O(1/n)) must
+    # land within 1e-2 of it.
+    limit = oracles.PERFCOMP_OUTSIDER_GAP_LIMIT
+    gaps = []
+    for n in (80.0, 160.0, 320.0):
+        lattice = oracles.lattice_oracle(n, 1.0, 10.0, 0.01, 0.99, 1.0, 2.0, "PERFCOMP")
+        closed = regime_utilities(make_params(n=n), PERFCOMP).eu_outsider
+        gaps.append(lattice["outsider"] / closed - 1)
+    distances = [abs(limit - g) for g in gaps]
+    assert distances[0] > distances[1] > distances[2], gaps
+    assert abs(2 * gaps[2] - gaps[1] - limit) < 1e-2, gaps
+
+
 def _gather_reference(cfg):
     """The per-connection tally loop the histogram replaced: gather every
     connection's table entries and sum them."""
