@@ -36,8 +36,8 @@ from enum import Enum
 import numpy as np
 
 from .errors import BoundaryOptimum, NoCrossing, NumericsError, ParamError
-from .model import (ModelParams, connect_probability, intermediate_count, max_peers,
-                    params_to_dict, validate)
+from .model import (ModelParams, connect_probability_array, intermediate_count,
+                    nodes_within_array, params_to_dict, validate)
 from .regimes import (
     Regime,
     RegimeUtilities,
@@ -317,13 +317,13 @@ def congestion_scaling_exponent(
     n_values = [float(x) for x in n_values]
     if len(n_values) < 4:
         raise ParamError(f"need >= 4 densities for a fit, got {len(n_values)}")
-    for n in n_values:
-        p = template.with_n(n)
-        if not (connect_probability(p, max_peers(p)) > SCALING_MIN_P):
-            raise ParamError(
-                f"density n={n!r} leaves demand unsaturated "
-                f"(P <= {SCALING_MIN_P}); the congestion fit requires large P"
-            )
+    peers = nodes_within_array(np.asarray(n_values), template.d_max)
+    saturated = connect_probability_array(peers, template.z) > SCALING_MIN_P
+    if not saturated.all():
+        raise ParamError(
+            f"density n={n_values[saturated.argmin()]!r} leaves demand unsaturated "
+            f"(P <= {SCALING_MIN_P}); the congestion fit requires large P"
+        )
     outs = utility_arrays(template, regime, n_values)[2]
     for n, eu_out in zip(n_values, outs):
         if eu_out == 0.0:
@@ -403,10 +403,7 @@ class RegimeComparison:
         return rows
 
 
-def compare_regimes(
-    template: ModelParams,
-    bracket: DensityBracket | None = None,
-) -> RegimeComparison:
+def compare_regimes(template: ModelParams) -> RegimeComparison:
     """Assemble the full comparison: free-entry densities, club density,
     scaling exponents, and the leapfrog price profile at the club density."""
     validate(template)
@@ -419,10 +416,10 @@ def compare_regimes(
         except BoundaryOptimum as exc:
             return f"BOUNDARY_OPTIMUM@{exc.n_boundary!r}"
 
-    fe_np = attempt(lambda: free_entry_density(template, Regime.NO_PEERING, bracket))
+    fe_np = attempt(lambda: free_entry_density(template, Regime.NO_PEERING))
     # one competitive-pricing bracket and scan serve both of its solvers
     pc = Regime.PEERING_PERFECT_COMPETITION
-    pc_bracket, *scanned = _scanned_bracket(template, pc, bracket, None)
+    pc_bracket, *scanned = _scanned_bracket(template, pc, None, None)
     fe_pc = attempt(lambda: free_entry_density(template, pc, pc_bracket, _scanned=scanned))
     club = attempt(lambda: club_optimal_density(template, pc_bracket, _scanned=scanned))
 

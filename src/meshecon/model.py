@@ -12,6 +12,9 @@ handful of functions defined here:
     nodes_within         N(d) = max(0, pi*d^2*n^2 - 1)   interference circle
     connect_probability  P(N) = 1 - z^N            demand for a connection
 
+Each is one *_array expression; the range-checked scalar forms return .item()
+of it. P is computed as -expm1(N log z), accurate where P is small.
+
 I and N are clamped at zero: the linear/quadratic forms go negative below
 d = 2/n and d = 1/(n*sqrt(pi)), and clamping keeps every integral over
 [0, d_max] well defined without changing values where the large-network
@@ -43,6 +46,7 @@ __all__ = [
     "intermediate_count_array",
     "hop_distance_array",
     "nodes_within_array",
+    "connect_probability_array",
     "max_peers",
     "connect_probability",
     "shannon_capacity",
@@ -203,9 +207,9 @@ def nodes_within(params: ModelParams, d: float) -> float:
     return nodes_within_array(params.n, d).item()
 
 
-# Array forms of I, D and N, the one definition of each: elementwise over
-# broadcastable densities n and distances x, without the range checks; the
-# regime integrals, the simulator's tables and the scalar forms above use them.
+# Array forms of I, D, N and P, the one definition of each: elementwise over
+# broadcastable densities n, distances x and peer counts, without the range
+# checks; the regimes, the solvers, the simulator and the scalar forms use them.
 
 
 def intermediate_count_array(n, x):
@@ -223,6 +227,12 @@ def nodes_within_array(n, x):
     return np.maximum(0.0, math.pi * x * x * n * n - 1)
 
 
+def connect_probability_array(peer_count, z):
+    """P(N) = 1 - z^N elementwise, as -expm1(N log z), which keeps full
+    relative accuracy where z^N is near 1."""
+    return -np.expm1(peer_count * math.log(z))
+
+
 def max_peers(params: ModelParams) -> float:
     """Nodes reachable without relaying: N(d_max)."""
     return nodes_within(params, params.d_max)
@@ -230,14 +240,10 @@ def max_peers(params: ModelParams) -> float:
 
 def connect_probability(params: ModelParams, peer_count: float) -> float:
     """Probability of wanting at least one connection among peer_count peers:
-    1 - z^peer_count.
-
-    Computed as 1 - exp(peer_count * log z); pow is unstable for the large
-    counts this model routinely produces.
-    """
+    1 - z^peer_count, computed by connect_probability_array."""
     if not (peer_count >= 0):
         raise ParamError(f"peer_count must be >= 0, got {peer_count!r}")
-    return 1.0 - math.exp(peer_count * math.log(params.z))
+    return connect_probability_array(peer_count, params.z).item()
 
 
 # --------------------------------------------------------------------------

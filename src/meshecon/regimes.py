@@ -55,6 +55,7 @@ import numpy as np
 from .errors import NumericsError, ParamError
 from .model import (
     ModelParams,
+    connect_probability_array,
     hop_distance,
     intermediate_count,
     nodes_within,
@@ -232,7 +233,7 @@ def utility_arrays(template: ModelParams, regime: Regime, densities):
     other parameters from template; no entry depends on the rest of the batch."""
     p, d = template, template.d_max
     n = np.asarray(densities, dtype=float).reshape(-1)
-    prob = 1.0 - np.exp(nodes_within_array(n, d) * math.log(p.z))
+    prob = connect_probability_array(nodes_within_array(n, d), p.z)
     if regime is Regime.NO_PEERING:
         x0 = np.minimum(1 / (n * math.sqrt(math.pi)), d)
         area = lambda x: (math.pi * n * n * x * x / 2 - 1) * x * x  # int N(x) 2x dx

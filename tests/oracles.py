@@ -131,9 +131,10 @@ def perfcomp_total_mp(n):
 def eu_quad_mp(regime: str, n, d_max, v, w, z, a, beta) -> tuple:
     """Per-role expected utilities of NOTRANS or PERFCOMP at any template, by
     mpmath tanh-sinh quadrature of the x-form integrands, cut where N(x),
-    N(x) - 1 and I(x) leave their clamps."""
+    N(x) - 1 and I(x) leave their clamps. Float inputs are taken at their
+    binary values, not their shortest decimals."""
     with mp.workdps(20):
-        n, d_max, v, w, z, a, beta = (mp.mpf(repr(float(t))) for t in (n, d_max, v, w, z, a, beta))
+        n, d_max, v, w, z, a, beta = (mp.mpf(float(t)) for t in (n, d_max, v, w, z, a, beta))
         zero = mp.mpf(0)
         prob = 1 - mp.exp((mp.pi * d_max**2 * n**2 - 1) * mp.log(z))
         cost = lambda d: a * d**beta

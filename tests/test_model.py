@@ -1,8 +1,9 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from meshecon import (
     CostFunction,
@@ -26,7 +27,8 @@ from meshecon import (
     validate,
 )
 from meshecon.equilibrium import BRACKET_CAP
-from meshecon.model import hop_distance_array, intermediate_count_array, nodes_within_array
+from meshecon.model import (connect_probability_array, hop_distance_array,
+                            intermediate_count_array, nodes_within_array)
 from conftest import make_params
 import oracles
 
@@ -237,6 +239,25 @@ def test_connect_probability_examples(defaults):
     assert connect_probability(defaults, max_peers(defaults)) == pytest.approx(
         oracles.P_DEFAULT, abs=1e-14
     )
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.floats(0.5, 1 - 1e-12), st.lists(st.floats(0.0, 1e6), max_size=7))
+@example(1 - 1e-9, [math.pi * 1.5**2 - 1])  # 1 - exp(N log z) is off by 3e-9 here
+def test_connect_probability_is_its_array_form_and_accurate(z, counts):
+    # P is defined once, as -expm1(N log z): the checked scalar returns the
+    # array element bit for bit, and both keep full relative accuracy when P
+    # is small, against -expm1 at 40 digits on the same binary inputs (a
+    # subnormal P is held to its spacing instead)
+    p, counts = make_params(z=z), [0.0] + counts
+    batch = connect_probability_array(np.array(counts), z)
+    with mp.workdps(40):
+        log_z = mp.log(mp.mpf(z))
+        want = [-mp.expm1(mp.mpf(c) * log_z) for c in counts]
+    for k, c in enumerate(counts):
+        got = connect_probability(p, c)
+        assert type(got) is float and got == batch[k]
+        assert abs(got - want[k]) <= max(1e-15 * abs(want[k]), math.ulp(0.0))
 
 
 def test_connect_probability_increasing_concave(defaults):

@@ -219,16 +219,28 @@ def test_annulus_rule_converged(monkeypatch, regime, beta):
 
 
 def test_peering_roles_match_mpmath_quadrature_oracle(defaults):
-    # non-integer beta from the draws; the 1e-13 allowance covers the
-    # package's 1 - exp(N log z), which loses about 1e-14 relative when the
-    # demand probability is small
+    # non-integer beta from the draws; the worst role, the no-transfers
+    # intermediate at the defaults and n d_max = 14.67, is off by 4.3e-15
     for p in [defaults] + [p for p, _ in random_draws(3, seed=61)]:
         for n_d_max in (1.5, 2.5, 14.67, 1e3, 1e5):
             n = n_d_max / p.d_max
             for regime, name in PEERING.items():
                 got = _roles(regime_utilities(p.with_n(n), regime))
                 want = oracles.eu_quad_mp(name, n, p.d_max, p.v, p.w, p.z, p.cost.a, p.cost.beta)
-                assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+                assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("z", [1 - 1e-6, 1 - 1e-9])
+@pytest.mark.parametrize("regime", list(PEERING))
+def test_peering_roles_accurate_as_z_approaches_one(regime, z):
+    # every role carries the factor P = 1 - z^N, about 6e-9 at z = 1 - 1e-9
+    # and n d_max = 1.5, where 1 - exp(N log z) is off by 3e-9 relative
+    p = make_params(z=z)
+    for n_d_max in (1.5, 2.5, 14.67, 1e3):
+        n = n_d_max / p.d_max
+        got = _roles(regime_utilities(p.with_n(n), regime))
+        want = oracles.eu_quad_mp(PEERING[regime], n, p.d_max, p.v, p.w, p.z, p.cost.a, p.cost.beta)
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize("n", [2.5, 10.0, 14.67, 50.0, 698.14, 5000.0, 1e5])
