@@ -11,7 +11,6 @@ from .errors import (
     NoCrossing,
     NumericsError,
     ParamError,
-    SimulationError,
 )
 from .model import (
     CostFunction,
@@ -76,7 +75,6 @@ from .simulator import (
     build_lattice,
     estimate_vs_analytic,
     lattice_exact_means,
-    route_greedy,
     run_instant,
 )
 

@@ -29,7 +29,7 @@ import sys
 import tempfile
 
 from .equilibrium import compare_regimes
-from .errors import BoundaryOptimum, NoCrossing, NumericsError, ParamError, SimulationError
+from .errors import BoundaryOptimum, NoCrossing, NumericsError, ParamError
 from .model import (
     PARAM_KEYS,
     RadioParams,
@@ -299,7 +299,7 @@ def main(argv=None) -> int:
     except OSError as exc:  # an unreadable --config, an unwritable --output or --trace
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NumericsError, SimulationError) as exc:
+    except NumericsError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except NoCrossing as exc:

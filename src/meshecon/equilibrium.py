@@ -36,17 +36,10 @@ from enum import Enum
 import numpy as np
 
 from .errors import BoundaryOptimum, NoCrossing, NumericsError, ParamError
-from .model import (ModelParams, connect_probability_array, intermediate_count,
-                    nodes_within_array, params_to_dict, validate)
-from .regimes import (
-    Regime,
-    RegimeUtilities,
-    UTILITIES_CSV_HEADER,
-    competitive_price,
-    leapfrog_threshold,
-    regime_utilities,
-    utility_arrays,
-)
+from .model import (ModelParams, connect_probability_array, hop_distance_array,
+                    intermediate_count, nodes_within_array, params_to_dict, validate)
+from .regimes import (Regime, RegimeUtilities, UTILITIES_CSV_HEADER, regime_utilities,
+                      utility_arrays)
 
 __all__ = [
     "DensityBracket",
@@ -189,28 +182,22 @@ def free_entry_density(
 ) -> EquilibriumResult:
     """Solve total utility = 0 for density under free entry.
 
-    Scans the bracket grid for sign changes from positive to negative and
-    refines the largest such downcrossing by batched k-section until an
-    endpoint's residual |total utility| falls to RESIDUAL_TOL. Raises
+    Scans the bracket grid for cells whose total falls from positive to zero
+    or below, and refines the largest such downcrossing by batched k-section
+    until an endpoint's residual |total utility| falls to RESIDUAL_TOL. Raises
     NoCrossing when the curve never passes from positive to negative inside
     the bracket, and NumericsError when MAX_ROUNDS rounds cannot meet it.
     """
     validate(template)
     bracket, grid, values = _scanned_bracket(template, regime, bracket, _scanned)
 
-    cell = None
-    for i in range(len(grid) - 1):
-        if values[i] == 0.0:
-            cell = [i, i]
-        elif values[i] > 0 and values[i + 1] < 0:
-            cell = [i, i + 1]
-    if values[-1] == 0.0:
-        cell = [len(grid) - 1] * 2
-    if cell is None:
+    cells = np.flatnonzero((values[:-1] > 0) & (values[1:] <= 0))
+    if not cells.size:
         raise NoCrossing(regime, bracket.n_lo, bracket.n_hi)
 
-    # invariant: fs[0] > 0 >= fs[-1], or both are an exact zero
-    xs, fs = grid[cell], values[cell]
+    # invariant: fs[0] > 0 >= fs[-1]
+    i = cells[-1]
+    xs, fs = grid[i : i + 2], values[i : i + 2]
     iterations = 0
     while not np.min(np.abs(fs)) <= RESIDUAL_TOL:
         if iterations == MAX_ROUNDS:
@@ -440,9 +427,11 @@ def compare_regimes(template: ModelParams) -> RegimeComparison:
             lo = min(3 / p_club.n, p_club.d_max)
             while intermediate_count(p_club, lo) < 1:
                 lo = math.nextafter(lo, p_club.d_max)
+            # rows are (d, leapfrog_threshold, competitive_price) from one D(d) batch
+            ds = np.linspace(lo, p_club.d_max, 12)
             profile = tuple(
-                (d, leapfrog_threshold(p_club, d), competitive_price(p_club, d))
-                for d in np.linspace(lo, p_club.d_max, 12).tolist()
+                (d, p_club.cost(2 * hop), p_club.cost(hop))
+                for d, hop in zip(ds.tolist(), hop_distance_array(p_club.n, ds).tolist())
             )
 
     return RegimeComparison(

@@ -39,8 +39,3 @@ class BoundaryOptimum(Exception):
             f"club objective is maximized at the {side} bracket edge "
             f"n={n_boundary!r} (value {value!r}); no interior optimum"
         )
-
-
-class SimulationError(RuntimeError):
-    """The lattice simulator hit an internal inconsistency (e.g. the greedy
-    router exceeded its hop budget, which signals a geometry bug)."""

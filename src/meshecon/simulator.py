@@ -41,11 +41,11 @@ those per-offset tables once and counts each trial's connecting offsets
 into a per-offset histogram; the trial's tallies are that histogram dotted
 with the tables, a reduction over the K offsets rather than over the
 connections. Event traces and per-node exposures shift each offset's
-tabulated path to the trial's origins; route_greedy is only the reference
-those paths are tested against. Exact per-offset expectations are exposed
-via lattice_exact_means() for diagnostics. Pollution and relay tallies are
-integer counts scaled by w at the end, so accumulation order cannot
-perturb them.
+tabulated path to the trial's origins; the tests hold those paths to a
+step-by-step greedy router kept in tests/oracles.py. Exact per-offset
+expectations are exposed via lattice_exact_means() for diagnostics.
+Pollution and relay tallies are integer counts scaled by w at the end, so
+accumulation order cannot perturb them.
 
 Randomness: the stream for trial t of a run is seeded by SeedSequence
 ([seed, t]) and consumed as fixed node-indexed arrays, so trials are
@@ -65,7 +65,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParamError, SimulationError
+from .errors import ParamError
 from .model import (
     ModelParams,
     connect_probability,
@@ -89,7 +89,6 @@ __all__ = [
     "ComparisonRecord",
     "EVENT_CSV_HEADER",
     "build_lattice",
-    "route_greedy",
     "run_instant",
     "estimate_vs_analytic",
     "lattice_exact_means",
@@ -175,26 +174,12 @@ class Lattice:
         self.n_offsets = len(self.offset_r2)
         self.connect_prob = connect_probability(params, self.n_offsets)
 
-    # -- geometry ---------------------------------------------------------
-
-    def node_index(self, i: int, j: int) -> int:
-        return (i % self.side) * self.side + (j % self.side)
-
-    def node_coords(self, idx: int) -> tuple[int, int]:
-        return divmod(idx, self.side)
-
-    def wrap_delta(self, origin: int, destination: int) -> tuple[int, int]:
-        """Minimal-magnitude integer offset from origin to destination,
-        components in [-side//2, (side-1)//2]."""
-        oi, oj = self.node_coords(origin)
-        di_, dj_ = self.node_coords(destination)
-        half = self.side // 2
-        di = (di_ - oi + half) % self.side - half
-        dj = (dj_ - oj + half) % self.side - half
-        return di, dj
-
     def distance(self, a: int, b: int) -> float:
-        di, dj = self.wrap_delta(a, b)
+        """Torus distance between node ids a and b."""
+        (ai, aj), (bi, bj) = divmod(a, self.side), divmod(b, self.side)
+        half = self.side // 2
+        di = (bi - ai + half) % self.side - half
+        dj = (bj - aj + half) % self.side - half
         return math.hypot(di, dj) * self.spacing
 
     def circle_count(self, r2: int) -> int:
@@ -205,46 +190,6 @@ class Lattice:
 def build_lattice(config: SimConfig) -> Lattice:
     config.validated()
     return Lattice(config.side, config.params)
-
-
-_NEIGHBOR_STEPS = (
-    (-1, -1), (-1, 0), (-1, 1),
-    (0, -1), (0, 1),
-    (1, -1), (1, 0), (1, 1),
-)
-
-
-def route_greedy(lattice: Lattice, origin: int, destination: int) -> list[int]:
-    """Greedy 8-neighbor path: hop to the adjacent node that minimizes the
-    remaining torus distance, ties to the lowest node index.
-
-    The reference that the tests hold _PathTables' walks to. The hop budget
-    guard only trips on a geometry bug, never on a valid route.
-    """
-    if origin == destination:
-        raise ParamError("route_greedy requires origin != destination")
-    path = [origin]
-    current = origin
-    budget = 4 * lattice.side
-    while current != destination:
-        if len(path) > budget:
-            raise SimulationError(
-                f"greedy route from {origin} to {destination} exceeded "
-                f"{budget} hops; torus geometry is inconsistent"
-            )
-        ci, cj = lattice.node_coords(current)
-        best = None
-        best_key = None
-        for si, sj in _NEIGHBOR_STEPS:
-            candidate = lattice.node_index(ci + si, cj + sj)
-            di, dj = lattice.wrap_delta(candidate, destination)
-            key = (di * di + dj * dj, candidate)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = candidate
-        path.append(best)
-        current = best
-    return path
 
 
 # --------------------------------------------------------------------------
@@ -534,11 +479,10 @@ def run_instant(
     k_offsets = lattice.n_offsets
     p_conn = lattice.connect_prob
 
-    per_trial_orig = np.empty(config.trials)
-    per_trial_int = np.empty(config.trials)
-    per_trial_out = np.empty(config.trials)
-    attempted = direct = peered = refused = 0
-    pollution_total = 0
+    # per trial: connections, the four tallies and the originators' cost sum
+    n_conn = np.empty(config.trials, dtype=np.int64)
+    tallies = np.empty((config.trials, 4), dtype=np.int64)
+    cost = np.empty(config.trials)
     per_node = np.zeros(n_nodes, dtype=np.int64) if collect_per_node else None
     events: list[ConnectionEvent] = []
     paths = _PathTables(lattice, tables) if collect_per_node or collect_events else None
@@ -556,22 +500,9 @@ def run_instant(
             ks = rng.integers(0, k_offsets, n_nodes)[connecting]
         hist = np.bincount(ks, minlength=k_offsets)
 
-        n_conn = ks.size
-        n_peered, n_refused, relay_count, polluted_count = (
-            tables.tallies @ hist
-        ).tolist()
-        attempted += n_conn
-        peered += n_peered
-        direct += n_conn - n_peered
-        refused += n_refused
-        pollution_total += polluted_count
-
-        orig_total = p.v * n_conn - float((tables.conn_cost * hist).sum())
-        int_total = -p.w * relay_count
-        out_total = -p.w * polluted_count
-        per_trial_orig[trial] = orig_total / n_nodes
-        per_trial_int[trial] = int_total / n_nodes
-        per_trial_out[trial] = out_total / n_nodes
+        n_conn[trial] = ks.size
+        tallies[trial] = tables.tallies @ hist
+        cost[trial] = (tables.conn_cost * hist).sum()
 
         if paths is not None:
             origins = np.arange(n_nodes) if full_demand else np.flatnonzero(connecting)
@@ -579,6 +510,13 @@ def run_instant(
                 events += paths.events(trial, origins, ks)
             if collect_per_node:
                 paths.charge(per_node, origins, ks, receiver_exempt)
+
+    _, _, relays, polluted = tallies.T
+    per_trial_orig = (p.v * n_conn - cost) / n_nodes
+    per_trial_int = -p.w * relays / n_nodes
+    per_trial_out = -p.w * polluted / n_nodes
+    attempted = int(n_conn.sum())
+    peered, refused, _, pollution_total = tallies.sum(axis=0).tolist()
 
     mean_orig, se_orig = _mean_se(per_trial_orig)
     mean_int, se_int = _mean_se(per_trial_int)
@@ -600,7 +538,7 @@ def run_instant(
         se_outsider=se_out,
         se_total=se_tot,
         connections_attempted=attempted,
-        connections_direct=direct,
+        connections_direct=attempted - peered,
         connections_peered=peered,
         connections_refused=refused,
         pollution_events=pollution_total,

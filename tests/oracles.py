@@ -255,3 +255,42 @@ def lattice_oracle(n: float, d_max: float, v: float, w: float, z: float,
 PERFCOMP_OUTSIDER_GAP_LIMIT = (
     3 * 2 * math.sqrt(2) / math.pi + 4 * (4 / math.pi) * (1 - 1 / math.sqrt(2))
 ) / (math.pi - 2) - 1
+
+
+# --------------------------------------------------------------------------
+# Step-by-step greedy router over node ids i * side + j on a side x side torus
+
+NEIGHBOR_STEPS = (
+    (-1, -1), (-1, 0), (-1, 1),
+    (0, -1), (0, 1),
+    (1, -1), (1, 0), (1, 1),
+)
+
+
+def node_index(side: int, i: int, j: int) -> int:
+    return (i % side) * side + (j % side)
+
+
+def wrap_delta(side: int, origin: int, destination: int) -> tuple[int, int]:
+    """Minimal-magnitude integer offset from origin to destination,
+    components in [-side//2, (side-1)//2]."""
+    (oi, oj), (di, dj) = divmod(origin, side), divmod(destination, side)
+    half = side // 2
+    return (di - oi + half) % side - half, (dj - oj + half) % side - half
+
+
+def route_greedy(side: int, origin: int, destination: int) -> list[int]:
+    """Greedy 8-neighbor path: hop to the adjacent node that minimizes the
+    remaining torus distance, ties to the lowest node id. The walks the
+    simulator tabulates per offset are held to this one."""
+    if origin == destination:
+        raise ValueError("route_greedy requires origin != destination")
+    path = [origin]
+    while path[-1] != destination:
+        assert len(path) <= 4 * side, "hop budget exceeded: torus geometry is inconsistent"
+        ci, cj = divmod(path[-1], side)
+        path.append(min(
+            (sum(x * x for x in wrap_delta(side, c, destination)), c)
+            for c in (node_index(side, ci + si, cj + sj) for si, sj in NEIGHBOR_STEPS)
+        )[1])
+    return path

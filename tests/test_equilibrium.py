@@ -16,9 +16,11 @@ from meshecon import (
     Regime,
     club_optimal_density,
     compare_regimes,
+    competitive_price,
     congestion_scaling_exponent,
     default_bracket,
     free_entry_density,
+    leapfrog_threshold,
     regime_utilities,
     total_eu,
 )
@@ -143,6 +145,20 @@ def test_free_entry_refinement_contract(defaults, regime):
         assert res.diagnostics.residual == res.total_eu_at_n_star
         assert cell[0] <= res.n_star <= cell[1]
         assert res.diagnostics.iterations <= MAX_ROUNDS
+
+
+def test_free_entry_ignores_an_exact_zero_no_positive_total_precedes(defaults):
+    # the default NO_PEERING scan ends below zero; an exact 0.0 planted at
+    # its last point follows a negative total, so it is no downcrossing
+    regime = Regime.NO_PEERING
+    bracket = default_bracket(defaults, regime)
+    grid, values = _scan(defaults, regime, bracket)
+    assert values[-2] < 0 and values[-1] < 0
+    planted = values.copy()
+    planted[-1] = 0.0
+    plain = free_entry_density(defaults, regime, bracket, _scanned=(grid, values))
+    got = free_entry_density(defaults, regime, bracket, _scanned=(grid, planted))
+    assert got.n_star == plain.n_star < bracket.n_hi
 
 
 def test_club_refinement_contract(defaults):
@@ -335,6 +351,10 @@ def test_leapfrog_profile_length_depends_only_on_relay_reach(defaults):
         assert len(report.leapfrog_profile) == (12 if n * d_max > 3 else 0)
         ds = [d for d, _, _ in report.leapfrog_profile]
         assert ds == sorted(ds) and all(n * d - 2 >= 1 for d in ds)
+        p_club = template.with_n(n)
+        assert list(report.leapfrog_profile) == [
+            (d, leapfrog_threshold(p_club, d), competitive_price(p_club, d)) for d in ds
+        ]
         if ds:
             assert ds[-1] == d_max
     assert rounded_below > 0

@@ -14,7 +14,6 @@ from meshecon import (
     estimate_vs_analytic,
     lattice_exact_means,
     regime_utilities,
-    route_greedy,
     run_instant,
 )
 from conftest import make_params
@@ -79,10 +78,10 @@ def test_lattice_basic_geometry():
     cfg = config(side=10, d_max=0.45)
     lat = build_lattice(cfg)
     assert lat.n_nodes == 100
-    a = lat.node_index(0, 0)
-    assert lat.distance(a, lat.node_index(0, 1)) == pytest.approx(0.1)
-    assert lat.distance(a, lat.node_index(0, 9)) == pytest.approx(0.1)  # wrap
-    assert lat.distance(a, lat.node_index(5, 5)) == pytest.approx(0.5 * math.sqrt(2))
+    a = 0  # node (0, 0); node (i, j) is i * 10 + j
+    assert lat.distance(a, 1) == pytest.approx(0.1)
+    assert lat.distance(a, 9) == pytest.approx(0.1)  # wrap
+    assert lat.distance(a, 55) == pytest.approx(0.5 * math.sqrt(2))
 
 
 def test_lattice_translation_invariant_neighborhoods():
@@ -107,48 +106,51 @@ def test_lattice_offset_count_matches_oracle(defaults):
 
 
 # --------------------------------------------------------------------------
-# greedy routing
+# the reference greedy router in oracles, on the default 40 x 40 torus
+
+SIDE = 40
 
 
-def test_route_straight_row(defaults):
-    lat = build_lattice(config())
-    origin = lat.node_index(0, 0)
-    dest = lat.node_index(0, 3)
-    path = route_greedy(lat, origin, dest)
-    assert path == [lat.node_index(0, j) for j in range(4)]  # 3 hops, 2 relays
+def node_at(i, j):
+    return oracles.node_index(SIDE, i, j)
+
+
+def route(origin, destination):
+    return oracles.route_greedy(SIDE, origin, destination)
+
+
+def test_route_straight_row():
+    path = route(node_at(0, 0), node_at(0, 3))
+    assert path == [node_at(0, j) for j in range(4)]  # 3 hops, 2 relays
     assert len(path) - 2 == 2
 
 
-def test_route_diagonal(defaults):
-    lat = build_lattice(config())
-    path = route_greedy(lat, lat.node_index(0, 0), lat.node_index(2, 2))
-    assert path == [lat.node_index(i, i) for i in range(3)]  # 2 hops, 1 relay
+def test_route_diagonal():
+    path = route(node_at(0, 0), node_at(2, 2))
+    assert path == [node_at(i, i) for i in range(3)]  # 2 hops, 1 relay
 
 
-def test_route_knight_offset(defaults):
+def test_route_knight_offset():
     # hand enumeration: greedy from (0,0) to (1,2) steps diagonally to (1,1),
     # then straight to (1,2)
-    lat = build_lattice(config())
-    path = route_greedy(lat, lat.node_index(0, 0), lat.node_index(1, 2))
-    assert path == [lat.node_index(0, 0), lat.node_index(1, 1), lat.node_index(1, 2)]
+    path = route(node_at(0, 0), node_at(1, 2))
+    assert path == [node_at(0, 0), node_at(1, 1), node_at(1, 2)]
 
 
-def test_route_wraps_and_rejects_self(defaults):
-    lat = build_lattice(config())
-    path = route_greedy(lat, lat.node_index(0, 0), lat.node_index(0, 38))
+def test_route_wraps_and_rejects_self():
+    path = route(node_at(0, 0), node_at(0, 38))
     assert len(path) == 3  # two wrap hops, not 38 forward hops
-    with pytest.raises(ParamError):
-        route_greedy(lat, 5, 5)
+    with pytest.raises(ValueError):
+        route(5, 5)
 
 
 def test_row_paths_have_n_d_hops(defaults):
     # hop count equals n*d on rows/columns, so relays = n*d - 1
-    lat = build_lattice(config())
     for k in (1, 4, 7, 10):
         d = k / 10
-        path = route_greedy(lat, lat.node_index(0, 0), lat.node_index(0, k))
-        assert len(path) - 1 == round(lat.params.n * d)
-        assert len(path) - 2 == round(lat.params.n * d) - 1
+        path = route(node_at(0, 0), node_at(0, k))
+        assert len(path) - 1 == round(defaults.n * d)
+        assert len(path) - 2 == round(defaults.n * d) - 1
 
 
 # --------------------------------------------------------------------------
@@ -336,7 +338,6 @@ def test_fast_path_does_no_per_connection_python_work(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("per-connection work on the fast path")
 
-    monkeypatch.setattr(sim, "route_greedy", forbidden)
     monkeypatch.setattr(sim, "_PathTables", forbidden)
     out = run_instant(config(regime=PERFCOMP, trials=5, seed=3))
     assert out.connections_peered > 0
@@ -355,18 +356,21 @@ def test_path_tables_walk_matches_greedy_router(side, n):
     )
     paths = _PathTables(lat, every_offset_peers)
     # the second origin sits on the edges, so walks wrap both ways
-    for origin in (0, lat.node_index(side - 1, 0)):
+    for origin in (0, oracles.node_index(side, side - 1, 0)):
         ti, tj = paths.walk(np.full(ks.size, origin), ks)
-        oi, oj = lat.node_coords(origin)
+        oi, oj = divmod(origin, side)
         for k, nodes in enumerate((ti * side + tj).tolist()):
-            dest = lat.node_index(oi + int(lat.offset_di[k]), oj + int(lat.offset_dj[k]))
-            route = route_greedy(lat, origin, dest)
+            dest = oracles.node_index(
+                side, oi + int(lat.offset_di[k]), oj + int(lat.offset_dj[k])
+            )
+            path = oracles.route_greedy(side, origin, dest)
             hops = int(paths.hops[k])
-            assert nodes[:hops + 1] == route
+            assert nodes[:hops + 1] == path
             assert set(nodes[hops:]) == {dest}  # padded with the destination
-            r2 = [sum(x * x for x in lat.wrap_delta(a, b)) for a, b in zip(route, route[1:])]
+            r2 = [sum(x * x for x in oracles.wrap_delta(side, a, b))
+                  for a, b in zip(path, path[1:])]
             assert paths.fields[k][0] == tuple(  # the hop lengths
-                lat.distance(a, b) for a, b in zip(route, route[1:])
+                lat.distance(a, b) for a, b in zip(path, path[1:])
             )
             assert paths.charged[k].tolist() == (
                 [lat.circle_count(x) for x in r2] + [0] * (paths.charged.shape[1] - hops)
@@ -375,8 +379,8 @@ def test_path_tables_walk_matches_greedy_router(side, n):
 
 def _diagnostics_reference(cfg):
     """The per-connection loop the path tables replaced: each peered
-    connection routed by route_greedy, each transmission's circle charged by
-    one np.add.at, the receiver taken back out under PERFCOMP."""
+    connection routed by oracles.route_greedy, each transmission's circle
+    charged by one np.add.at, the receiver taken back out under PERFCOMP."""
     from meshecon.simulator import ConnectionEvent, _RegimeTables
 
     lattice = build_lattice(cfg)
@@ -390,12 +394,12 @@ def _diagnostics_reference(cfg):
         dest_k = rng.integers(0, lattice.n_offsets, lattice.n_nodes)
         for node in np.flatnonzero(connecting).tolist():
             k = int(dest_k[node])
-            oi, oj = lattice.node_coords(node)
-            dest = lattice.node_index(
-                oi + int(lattice.offset_di[k]), oj + int(lattice.offset_dj[k])
+            oi, oj = divmod(node, side)
+            dest = oracles.node_index(
+                side, oi + int(lattice.offset_di[k]), oj + int(lattice.offset_dj[k])
             )
             peer = bool(tables.peer[k])
-            path = route_greedy(lattice, node, dest) if peer else [node, dest]
+            path = oracles.route_greedy(side, node, dest) if peer else [node, dest]
             hop_lengths = tuple(lattice.distance(a, b) for a, b in zip(path, path[1:]))
             events.append(ConnectionEvent(
                 trial=trial,
@@ -410,9 +414,9 @@ def _diagnostics_reference(cfg):
                 transfers_paid=sum(p.cost(h) for h in hop_lengths[1:]) if peer else 0.0,
             ))
             for a, b in zip(path, path[1:]):
-                di, dj = lattice.wrap_delta(a, b)
+                di, dj = oracles.wrap_delta(side, a, b)
                 count = lattice.circle_count(di * di + dj * dj)
-                ai, aj = lattice.node_coords(a)
+                ai, aj = divmod(a, side)
                 idx = (((ai + lattice.offset_di[:count]) % side) * side
                        + (aj + lattice.offset_dj[:count]) % side)
                 np.add.at(per_node, idx, 1)
@@ -512,7 +516,7 @@ def test_straight_and_diagonal_paths_have_tight_lengths():
     lat = build_lattice(cfg)
     seen = 0
     for ev in out.events:
-        di, dj = lat.wrap_delta(ev.origin, ev.destination)
+        di, dj = oracles.wrap_delta(lat.side, ev.origin, ev.destination)
         if di == 0 or dj == 0 or abs(di) == abs(dj):
             seen += 1
             assert sum(ev.hop_lengths) == pytest.approx(
@@ -533,9 +537,9 @@ def test_event_level_peering_beats_direct_socially():
         checked += 1
         peer_cost = 0.0
         for a, b, h in zip(ev.path[:-1], ev.path[1:], ev.hop_lengths):
-            di, dj = lat.wrap_delta(a, b)
+            di, dj = oracles.wrap_delta(lat.side, a, b)
             peer_cost += p.cost(h) + p.w * lat.circle_count(di * di + dj * dj)
-        di, dj = lat.wrap_delta(ev.origin, ev.destination)
+        di, dj = oracles.wrap_delta(lat.side, ev.origin, ev.destination)
         direct_cost = (
             p.cost(lat.distance(ev.origin, ev.destination))
             + p.w * lat.circle_count(di * di + dj * dj)
