@@ -55,7 +55,6 @@ from .regimes import (
     value_added,
 )
 from .equilibrium import (
-    DensityBracket,
     EquilibriumKind,
     EquilibriumResult,
     RegimeComparison,

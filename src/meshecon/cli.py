@@ -24,6 +24,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -149,6 +150,11 @@ def cmd_sweep(args) -> int:
         raise ParamError(f"--steps must be >= 2, got {args.steps}")
     if args.axis not in PARAM_KEYS:
         raise ParamError(f"--axis must be one of {', '.join(PARAM_KEYS)}, got {args.axis!r}")
+    # a non-finite end or width would put NaN into the grid (0 * inf)
+    width = args.hi - args.lo
+    for flag, value in (("--lo", args.lo), ("--hi", args.hi), ("--hi - --lo", width)):
+        if not math.isfinite(value):
+            raise ParamError(f"{flag} must be finite, got {value!r}")
     if not (args.lo <= args.hi):
         raise ParamError(f"--lo must be <= --hi, got {args.lo!r} > {args.hi!r}")
     base = params_to_dict(_load_params(args))

@@ -1,12 +1,14 @@
 """Density equilibria: free entry, club optimum, and congestion scaling.
 
+Both solvers scan one bracket, default_bracket(template, regime), at
+GRID_POINTS evenly spaced densities whose first and last are its ends.
+
 Free entry: nodes keep joining while a marginal node's total expected
 utility (originator + intermediate + outsider) is positive, so the
 equilibrium density is the largest downcrossing of total utility through
 zero — entry accumulates until utility hits zero from above, and any
-smaller root is unstable under that dynamic. The curve is scanned at
-GRID_POINTS evenly spaced densities, then the crossing is refined by
-batched k-section: each round evaluates REFINE_POINTS evenly spaced
+smaller root is unstable under that dynamic. The scan's crossing is refined
+by batched k-section: each round evaluates REFINE_POINTS evenly spaced
 interior densities of the current cell and keeps the cell of their largest
 downcrossing, until an endpoint's residual |total utility| is within
 tolerance.
@@ -23,9 +25,10 @@ reported as an interior solution, since its economics are ambiguous.
 Density is a continuous control throughout; "slots" map to choosing n.
 Grid scans, bracket doublings, refinement rounds and scaling densities are
 each one batched utility_arrays call, whose values are bit-identical to
-one-density calls; SolverDiagnostics.iterations counts refinement rounds.
-compare_regimes builds the competitive-pricing bracket and scan once and
-shares them between its free-entry and club solvers.
+one-density calls. A result holds the RegimeUtilities at its density and
+the SolverDiagnostics (bracket, refinement rounds, residual).
+compare_regimes shares one competitive-pricing scan between its free-entry
+and club solvers.
 """
 
 import json
@@ -42,7 +45,6 @@ from .regimes import (Regime, RegimeUtilities, UTILITIES_CSV_HEADER, regime_util
                       utility_arrays)
 
 __all__ = [
-    "DensityBracket",
     "EquilibriumKind",
     "EquilibriumResult",
     "SolverDiagnostics",
@@ -64,22 +66,6 @@ REFINE_POINTS = 15           # interior densities per batched refinement round
 MAX_ROUNDS = 50              # refinement round limit: 16^50 = 2^200, 200 halvings
 
 
-@dataclass(frozen=True)
-class DensityBracket:
-    """Density search interval, scanned at GRID_POINTS densities."""
-
-    n_lo: float
-    n_hi: float
-
-    def validate_for(self, template: ModelParams) -> "DensityBracket":
-        if not (1 / template.d_max < self.n_lo < self.n_hi):
-            raise ParamError(
-                f"bracket must satisfy 1/d_max < n_lo < n_hi, got "
-                f"[{self.n_lo!r}, {self.n_hi!r}] with d_max={template.d_max!r}"
-            )
-        return self
-
-
 class EquilibriumKind(Enum):
     FREE_ENTRY = "FREE_ENTRY"
     CLUB_OPTIMUM = "CLUB_OPTIMUM"
@@ -87,10 +73,11 @@ class EquilibriumKind(Enum):
 
 @dataclass(frozen=True)
 class SolverDiagnostics:
+    """The scanned bracket, refinement rounds and final residual."""
+
     iterations: int
     n_lo: float
     n_hi: float
-    grid_points: int
     residual: float
     notes: tuple = ()
 
@@ -99,7 +86,7 @@ class SolverDiagnostics:
             "iterations": self.iterations,
             "n_lo": self.n_lo,
             "n_hi": self.n_hi,
-            "grid_points": self.grid_points,
+            "grid_points": GRID_POINTS,
             "residual": self.residual,
             "notes": list(self.notes),
         }
@@ -110,11 +97,20 @@ class EquilibriumResult:
     """A solved density with the utilities prevailing there."""
 
     kind: EquilibriumKind
-    regime: Regime
-    n_star: float
-    total_eu_at_n_star: float
     utilities: RegimeUtilities
     diagnostics: SolverDiagnostics
+
+    @property
+    def regime(self) -> Regime:
+        return self.utilities.regime
+
+    @property
+    def n_star(self) -> float:
+        return self.utilities.params.n
+
+    @property
+    def total_eu_at_n_star(self) -> float:
+        return self.utilities.total
 
     def to_json_dict(self) -> dict:
         return {
@@ -133,8 +129,8 @@ def total_eu(template: ModelParams, n: float, regime: Regime) -> float:
     return regime_utilities(template.with_n(n), regime).total
 
 
-def default_bracket(template: ModelParams, regime: Regime) -> DensityBracket:
-    """Bracket [2/d_max, n_hi] with n_hi grown by doubling until total
+def default_bracket(template: ModelParams, regime: Regime) -> tuple:
+    """Bracket (2/d_max, n_hi) with n_hi grown by doubling until total
     utility turns negative (capped at BRACKET_CAP).
 
     With the lower edge at 2/d_max the peering formulas are non-degenerate
@@ -148,21 +144,13 @@ def default_bracket(template: ModelParams, regime: Regime) -> DensityBracket:
         doublings.append(min(2 * doublings[-1], BRACKET_CAP))
     totals = sum(utility_arrays(template, regime, doublings))
     n_hi = next((x for x, t in zip(doublings, totals) if not t >= 0), doublings[-1])
-    return DensityBracket(n_lo=n_lo, n_hi=n_hi)
+    return n_lo, n_hi
 
 
-def _scan(template, regime, bracket):
-    grid = np.linspace(bracket.n_lo, bracket.n_hi, GRID_POINTS)
+def _scan(template, regime):
+    """The default bracket's grid and totals: what _scanned passes in."""
+    grid = np.linspace(*default_bracket(template, regime), GRID_POINTS)
     return grid, sum(utility_arrays(template, regime, grid))
-
-
-def _scanned_bracket(template, regime, bracket, scanned):
-    """The bracket (default_bracket when None) and its scan; scanned, when
-    given, is that scan already made by the caller on the same bracket."""
-    if bracket is None:
-        bracket = default_bracket(template, regime)
-    bracket.validate_for(template)
-    return (bracket, *(scanned or _scan(template, regime, bracket)))
 
 
 def _refine_round(template, regime, xs, fs):
@@ -173,27 +161,35 @@ def _refine_round(template, regime, xs, fs):
     return xs, np.concatenate(([fs[0]], inner, [fs[-1]]))
 
 
+def _solved(kind, template, regime, n_star, grid, iterations, residual, notes=()):
+    """The result at n_star, found in iterations rounds on the scan grid."""
+    return EquilibriumResult(
+        kind=kind,
+        utilities=regime_utilities(template.with_n(n_star), regime),
+        diagnostics=SolverDiagnostics(
+            iterations, float(grid[0]), float(grid[-1]), residual, tuple(notes)
+        ),
+    )
+
+
 def free_entry_density(
-    template: ModelParams,
-    regime: Regime,
-    bracket: DensityBracket | None = None,
-    *,
-    _scanned=None,
+    template: ModelParams, regime: Regime, *, _scanned=None
 ) -> EquilibriumResult:
     """Solve total utility = 0 for density under free entry.
 
-    Scans the bracket grid for cells whose total falls from positive to zero
-    or below, and refines the largest such downcrossing by batched k-section
-    until an endpoint's residual |total utility| falls to RESIDUAL_TOL. Raises
-    NoCrossing when the curve never passes from positive to negative inside
-    the bracket, and NumericsError when MAX_ROUNDS rounds cannot meet it.
+    Scans the default bracket for cells whose total falls from positive to
+    zero or below, and refines the largest such downcrossing by batched
+    k-section until an endpoint's residual |total utility| falls to
+    RESIDUAL_TOL. Raises NoCrossing when the curve never passes from
+    positive to negative inside the bracket, and NumericsError when
+    MAX_ROUNDS rounds cannot meet it.
     """
     validate(template)
-    bracket, grid, values = _scanned_bracket(template, regime, bracket, _scanned)
+    grid, values = _scanned or _scan(template, regime)
 
     cells = np.flatnonzero((values[:-1] > 0) & (values[1:] <= 0))
     if not cells.size:
-        raise NoCrossing(regime, bracket.n_lo, bracket.n_hi)
+        raise NoCrossing(regime, float(grid[0]), float(grid[-1]))
 
     # invariant: fs[0] > 0 >= fs[-1]
     i = cells[-1]
@@ -210,40 +206,21 @@ def free_entry_density(
         xs, fs = xs[j : j + 2], fs[j : j + 2]
         iterations += 1
     k = int(np.argmin(np.abs(fs)))
-    n_star, residual = float(xs[k]), float(fs[k])
-
-    utilities = regime_utilities(template.with_n(n_star), regime)
-    return EquilibriumResult(
-        kind=EquilibriumKind.FREE_ENTRY,
-        regime=regime,
-        n_star=n_star,
-        total_eu_at_n_star=utilities.total,
-        utilities=utilities,
-        diagnostics=SolverDiagnostics(
-            iterations=iterations,
-            n_lo=bracket.n_lo,
-            n_hi=bracket.n_hi,
-            grid_points=GRID_POINTS,
-            residual=residual,
-        ),
-    )
+    return _solved(EquilibriumKind.FREE_ENTRY, template, regime, float(xs[k]), grid,
+                   iterations, float(fs[k]))
 
 
-def club_optimal_density(
-    template: ModelParams,
-    bracket: DensityBracket | None = None,
-    *,
-    _scanned=None,
-) -> EquilibriumResult:
+def club_optimal_density(template: ModelParams, *, _scanned=None) -> EquilibriumResult:
     """Maximize per-node total utility under competitive peering over density.
 
-    Grid scan locates the hump; batched grid rounds narrow [a, b] around the
-    argmax to DENSITY_TOL (at most MAX_ROUNDS rounds) and report its
-    midpoint. A grid argmax on a bracket edge raises BoundaryOptimum.
+    Grid scan of the default bracket locates the hump; batched grid rounds
+    narrow [a, b] around the argmax to DENSITY_TOL (at most MAX_ROUNDS
+    rounds) and report its midpoint. A grid argmax on a bracket edge raises
+    BoundaryOptimum.
     """
     regime = Regime.PEERING_PERFECT_COMPETITION
     validate(template)
-    bracket, grid, values = _scanned_bracket(template, regime, bracket, _scanned)
+    grid, values = _scanned or _scan(template, regime)
 
     k = int(np.argmax(values))
     if k == 0:
@@ -266,29 +243,15 @@ def club_optimal_density(
         xs, fs = xs[keep], fs[keep]
         iterations += 1
     a, b = float(xs[0]), float(xs[-1])
-    n_club = 0.5 * (a + b)
 
-    utilities = regime_utilities(template.with_n(n_club), regime)
-    if not (utilities.total >= 0):
+    res = _solved(EquilibriumKind.CLUB_OPTIMUM, template, regime, 0.5 * (a + b), grid,
+                  iterations, b - a, notes)
+    if not (res.total_eu_at_n_star >= 0):
         raise NumericsError(
-            f"club optimum at n={n_club!r} has negative member utility "
-            f"{utilities.total!r}; the objective should be nonnegative there"
+            f"club optimum at n={res.n_star!r} has negative member utility "
+            f"{res.total_eu_at_n_star!r}; the objective should be nonnegative there"
         )
-    return EquilibriumResult(
-        kind=EquilibriumKind.CLUB_OPTIMUM,
-        regime=regime,
-        n_star=n_club,
-        total_eu_at_n_star=utilities.total,
-        utilities=utilities,
-        diagnostics=SolverDiagnostics(
-            iterations=iterations,
-            n_lo=bracket.n_lo,
-            n_hi=bracket.n_hi,
-            grid_points=GRID_POINTS,
-            residual=b - a,
-            notes=tuple(notes),
-        ),
-    )
+    return res
 
 
 def congestion_scaling_exponent(
@@ -312,11 +275,12 @@ def congestion_scaling_exponent(
             f"(P <= {SCALING_MIN_P}); the congestion fit requires large P"
         )
     outs = utility_arrays(template, regime, n_values)[2]
-    for n, eu_out in zip(n_values, outs):
-        if eu_out == 0.0:
-            raise ParamError(
-                f"outsider utility is zero at n={n!r} (w=0?); log-log fit undefined"
-            )
+    zero = outs == 0.0
+    if zero.any():
+        raise ParamError(
+            f"outsider utility is zero at n={n_values[zero.argmax()]!r} (w=0?); "
+            f"log-log fit undefined"
+        )
     slope = np.polyfit(np.log(n_values), np.log(np.abs(outs)), 1)[0]
     return float(slope)
 
@@ -344,22 +308,14 @@ class RegimeComparison:
     scaling_perfcomp: float | str
     leapfrog_profile: tuple = ()
 
+    def _solver_outcomes(self) -> tuple:
+        return (self.free_entry_no_peering, self.free_entry_perfcomp, self.club)
+
     def has_findings(self) -> bool:
-        return any(
-            isinstance(x, str)
-            for x in (
-                self.free_entry_no_peering,
-                self.free_entry_perfcomp,
-                self.club,
-            )
-        )
+        return any(isinstance(x, str) for x in self._solver_outcomes())
 
     def solved_points(self):
-        out = []
-        for res in (self.free_entry_no_peering, self.free_entry_perfcomp, self.club):
-            if isinstance(res, EquilibriumResult):
-                out.append(res)
-        return out
+        return [x for x in self._solver_outcomes() if isinstance(x, EquilibriumResult)]
 
     def to_json_dict(self) -> dict:
         def enc(x):
@@ -404,11 +360,11 @@ def compare_regimes(template: ModelParams) -> RegimeComparison:
             return f"BOUNDARY_OPTIMUM@{exc.n_boundary!r}"
 
     fe_np = attempt(lambda: free_entry_density(template, Regime.NO_PEERING))
-    # one competitive-pricing bracket and scan serve both of its solvers
+    # one competitive-pricing scan serves both of its solvers
     pc = Regime.PEERING_PERFECT_COMPETITION
-    pc_bracket, *scanned = _scanned_bracket(template, pc, None, None)
-    fe_pc = attempt(lambda: free_entry_density(template, pc, pc_bracket, _scanned=scanned))
-    club = attempt(lambda: club_optimal_density(template, pc_bracket, _scanned=scanned))
+    scanned = _scan(template, pc)
+    fe_pc = attempt(lambda: free_entry_density(template, pc, _scanned=scanned))
+    club = attempt(lambda: club_optimal_density(template, _scanned=scanned))
 
     def scaling(regime):
         try:

@@ -128,6 +128,9 @@ def validate(params: ModelParams) -> ModelParams:
     Raises ParamError naming the offending field and the violated bound.
     """
     p = params
+    for key, value in params_to_dict(p).items():
+        if not math.isfinite(value):
+            raise ParamError(f"{key} must be finite, got {value!r}")
     if not (p.n > 0):
         raise ParamError(f"n must be > 0, got {p.n!r}")
     if not (p.d_max > 1 / p.n):
@@ -149,10 +152,16 @@ def validate(params: ModelParams) -> ModelParams:
         raise ParamError(
             f"cost_beta must be > 1 for strict convexity, got {p.cost.beta!r}"
         )
-    if not (p.v - p.u > p.cost(p.d_max)):
+    try:
+        cost_d_max = p.cost(p.d_max)
+    except OverflowError:
+        raise ParamError(
+            f"cost(d_max) overflows: {p.cost.a!r} * {p.d_max!r}**{p.cost.beta!r}"
+        ) from None
+    if not (p.v - p.u > cost_d_max):
         raise ParamError(
             f"model requires v - u > cost(d_max): {p.v!r} - {p.u!r} = "
-            f"{p.v - p.u!r} is not > {p.cost(p.d_max)!r}"
+            f"{p.v - p.u!r} is not > {cost_d_max!r}"
         )
     # Numerical spot check that cost is strictly increasing and strictly
     # convex on (0, d_max]; with a power law this is implied by a>0, beta>1,
@@ -336,6 +345,9 @@ def params_from_dict(data: dict) -> ModelParams:
     missing = [k for k in PARAM_KEYS if k not in data]
     if missing:
         raise ParamError(f"missing parameter keys: {', '.join(missing)}")
+    for k in PARAM_KEYS:
+        if isinstance(data[k], bool):  # float(True) is 1.0, but a flag is no value
+            raise ParamError(f"{k} must be a number, got {data[k]!r}")
     try:
         vals = {k: float(data[k]) for k in PARAM_KEYS}
     except (TypeError, ValueError) as exc:

@@ -107,7 +107,10 @@ def _check_int(name: str, value) -> None:
 
 def _check_side(side: int, params: ModelParams) -> None:
     _check_int("side", side)
-    min_side = math.ceil(2 * params.d_max * params.n) + 1
+    reach = 2 * params.d_max * params.n
+    if not math.isfinite(reach):
+        raise ParamError(f"2*d_max*n overflows: d_max={params.d_max!r}, n={params.n!r}")
+    min_side = math.ceil(reach) + 1
     if side < min_side:
         raise ParamError(
             f"side must be >= ceil(2*d_max*n)+1 = {min_side} to avoid "

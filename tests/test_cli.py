@@ -110,6 +110,19 @@ def test_sweep_reports_first_invalid_point(capsys):
     assert "v=0.5" in err
 
 
+@pytest.mark.parametrize("lo, hi, flag", [
+    ("1", "inf", "--hi must be finite, got inf"),
+    ("-inf", "1", "--lo must be finite, got -inf"),
+    ("1", "nan", "--hi must be finite, got nan"),
+    ("-1e308", "1e308", "--hi - --lo must be finite, got inf"),
+])
+def test_sweep_rejects_non_finite_bounds(capsys, lo, hi, flag):
+    # the grid would otherwise hold 0 * inf = nan, a point nobody asked for
+    code, out, err = run(capsys, "sweep", "--axis", "n", f"--lo={lo}", f"--hi={hi}",
+                         "--steps", "2")
+    assert (code, out, err) == (2, "", f"error: {flag}\n")
+
+
 # --------------------------------------------------------------------------
 # equilibrium
 
@@ -285,6 +298,27 @@ def test_validate_command(capsys, tmp_path):
 
     code, _, err = run(capsys, "validate", "--config", str(tmp_path / "absent.cfg"))
     assert code == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["validate", "--set", "v=inf"], "v must be finite, got inf"),
+    (["eval", "--set", "w=inf"], "w must be finite, got inf"),
+    (["simulate", "--set", "n=inf"], "n must be finite, got inf"),
+    (["validate", "--set", "d_max=1e300"], "cost(d_max) overflows"),
+    (["simulate", "--set", "n=1e308"], "2*d_max*n overflows"),
+])
+def test_non_finite_or_overflowing_params_are_config_errors(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+def test_json_config_rejects_booleans(capsys, tmp_path):
+    cfg = tmp_path / "params.json"
+    cfg.write_text(json.dumps({**json.loads(params_to_json(default_params())),
+                               "cost_a": True}))
+    code, out, err = run(capsys, "validate", "--config", str(cfg))
+    assert (code, out, err) == (2, "", "error: cost_a must be a number, got True\n")
 
 
 # --------------------------------------------------------------------------

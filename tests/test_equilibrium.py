@@ -7,7 +7,6 @@ import pytest
 
 from meshecon import (
     BoundaryOptimum,
-    DensityBracket,
     EquilibriumKind,
     EquilibriumResult,
     NoCrossing,
@@ -104,11 +103,9 @@ def test_free_entry_perfcomp_matches_root_oracle(defaults):
     assert abs(res.diagnostics.residual) <= 1e-9
 
 
-def test_free_entry_ordering_and_explicit_bracket(defaults):
-    res_np = free_entry_density(
-        defaults, Regime.NO_PEERING, DensityBracket(11.0, 2000.0)
-    )
-    res_pc = free_entry_density(defaults, PERFCOMP, DensityBracket(11.0, 2000.0))
+def test_free_entry_ordering(defaults):
+    res_np = free_entry_density(defaults, Regime.NO_PEERING)
+    res_pc = free_entry_density(defaults, PERFCOMP)
     assert res_pc.n_star > res_np.n_star
     assert abs(res_np.n_star - oracles.FREE_ENTRY_NO_PEERING) < 1e-7
     assert abs(res_pc.n_star - oracles.FREE_ENTRY_PERFCOMP) < 1e-6
@@ -134,7 +131,7 @@ def _largest_downcrossing(grid, values):
 def test_free_entry_refinement_contract(defaults, regime):
     templates = [defaults] + [p for p, _ in random_draws(20, seed=31)]
     for t in templates:
-        grid, values = _scan(t, regime, default_bracket(t, regime))
+        grid, values = _scan(t, regime)
         cell = _largest_downcrossing(grid, values)
         if cell is None:
             with pytest.raises(NoCrossing):
@@ -151,14 +148,13 @@ def test_free_entry_ignores_an_exact_zero_no_positive_total_precedes(defaults):
     # the default NO_PEERING scan ends below zero; an exact 0.0 planted at
     # its last point follows a negative total, so it is no downcrossing
     regime = Regime.NO_PEERING
-    bracket = default_bracket(defaults, regime)
-    grid, values = _scan(defaults, regime, bracket)
+    grid, values = _scan(defaults, regime)
     assert values[-2] < 0 and values[-1] < 0
     planted = values.copy()
     planted[-1] = 0.0
-    plain = free_entry_density(defaults, regime, bracket, _scanned=(grid, values))
-    got = free_entry_density(defaults, regime, bracket, _scanned=(grid, planted))
-    assert got.n_star == plain.n_star < bracket.n_hi
+    plain = free_entry_density(defaults, regime, _scanned=(grid, values))
+    got = free_entry_density(defaults, regime, _scanned=(grid, planted))
+    assert got.n_star == plain.n_star < grid[-1]
 
 
 def test_club_refinement_contract(defaults):
@@ -197,13 +193,6 @@ def test_free_entry_stall_maps_to_cli_exit_3(monkeypatch, capsys):
     assert "stalled" in capsys.readouterr().err
 
 
-def test_bracket_validation(defaults):
-    with pytest.raises(ParamError):
-        DensityBracket(0.5, 100.0).validate_for(defaults)  # n_lo <= 1/d_max
-    with pytest.raises(ParamError):
-        DensityBracket(30.0, 20.0).validate_for(defaults)
-
-
 @pytest.mark.parametrize("regime", list(Regime))
 def test_batched_evaluation_bit_identical_to_single(defaults, regime):
     # every density the solvers evaluate in a batch (scan grid, bracket
@@ -211,12 +200,11 @@ def test_batched_evaluation_bit_identical_to_single(defaults, regime):
     # a one-density regime_utilities call, or signs could disagree between
     # the scan and the refinement
     for t in [defaults] + [p for p, _ in random_draws(3, seed=13)]:
-        bracket = default_bracket(t, regime)
         n_hi = 4 / t.d_max  # scalar reference for the doubling rule
         while total_eu(t, n_hi, regime) >= 0 and n_hi < BRACKET_CAP:
             n_hi = min(2 * n_hi, BRACKET_CAP)
-        assert bracket.n_hi == n_hi
-        grid, totals = _scan(t, regime, bracket)
+        assert default_bracket(t, regime)[1] == n_hi
+        grid, totals = _scan(t, regime)
         doublings = [4 / t.d_max]
         while doublings[-1] < BRACKET_CAP:
             doublings.append(min(2 * doublings[-1], BRACKET_CAP))
@@ -237,10 +225,57 @@ def test_batched_evaluation_bit_identical_to_single(defaults, regime):
                     assert totals[k] == one.total
 
 
+def test_results_report_the_default_bracket(defaults):
+    # the scan grid's ends are the bracket, in every result and finding;
+    # w=0 templates have no crossing and a club optimum on the high edge
+    templates = [defaults, dataclasses.replace(defaults, w=0.0)]
+    templates += [p for p, _ in random_draws(40, seed=5)]
+    seen = {"solved": 0, "no_crossing": 0}
+
+    def check(template, regime, solve):
+        bracket = default_bracket(template, regime)
+        try:
+            res = solve()
+        except NoCrossing as exc:
+            seen["no_crossing"] += 1
+            assert (exc.regime, exc.n_lo, exc.n_hi) == (regime, *bracket)
+            return
+        except BoundaryOptimum:
+            return
+        if isinstance(res, str):  # a compare_regimes finding marker
+            return
+        seen["solved"] += 1
+        assert res.regime is regime
+        assert (res.diagnostics.n_lo, res.diagnostics.n_hi) == bracket
+        assert res.diagnostics.to_json_dict()["grid_points"] == GRID_POINTS
+
+    for t in templates:
+        for regime in (Regime.NO_PEERING, PERFCOMP):
+            check(t, regime, lambda: free_entry_density(t, regime))
+        check(t, PERFCOMP, lambda: club_optimal_density(t))
+        report = compare_regimes(t)
+        check(t, Regime.NO_PEERING, lambda: report.free_entry_no_peering)
+        check(t, PERFCOMP, lambda: report.free_entry_perfcomp)
+        check(t, PERFCOMP, lambda: report.club)
+    assert seen["solved"] >= 100 and seen["no_crossing"] >= 2
+
+
+def test_result_fields_are_its_utilities(defaults):
+    for res in compare_regimes(defaults).solved_points():
+        assert [f.name for f in dataclasses.fields(res)] == ["kind", "utilities",
+                                                             "diagnostics"]
+        u = res.utilities
+        assert (res.regime, res.n_star, res.total_eu_at_n_star) == (
+            u.regime, u.params.n, u.total)
+        blob = res.to_json_dict()
+        assert (blob["regime"], blob["n_star"], blob["total_eu_at_n_star"]) == (
+            u.regime.value, u.params.n, u.total)
+
+
 def test_default_bracket_contains_root(defaults):
-    br = default_bracket(defaults, Regime.NO_PEERING)
-    assert br.n_lo == 2.0
-    assert br.n_lo < oracles.FREE_ENTRY_NO_PEERING < br.n_hi
+    n_lo, n_hi = default_bracket(defaults, Regime.NO_PEERING)
+    assert n_lo == 2.0
+    assert n_lo < oracles.FREE_ENTRY_NO_PEERING < n_hi
 
 
 # --------------------------------------------------------------------------
@@ -260,7 +295,7 @@ def test_club_optimum_matches_argmax_oracle(defaults):
 def test_club_optimum_beats_grid_neighbors(defaults):
     res = club_optimal_density(defaults)
     br = res.diagnostics
-    grid = np.linspace(br.n_lo, br.n_hi, br.grid_points)
+    grid = np.linspace(br.n_lo, br.n_hi, GRID_POINTS)
     step = grid[1] - grid[0]
     for neighbor in (res.n_star - step, res.n_star + step):
         assert res.total_eu_at_n_star >= total_eu(defaults, float(neighbor), PERFCOMP)
@@ -365,8 +400,7 @@ def test_compare_regimes_shares_one_competitive_scan(defaults, utility_calls):
     doublings = [2 * n_lo]
     while doublings[-1] < BRACKET_CAP:
         doublings.append(min(2 * doublings[-1], BRACKET_CAP))
-    bracket = default_bracket(defaults, PERFCOMP)
-    grid = np.linspace(bracket.n_lo, bracket.n_hi, GRID_POINTS)
+    grid = np.linspace(*default_bracket(defaults, PERFCOMP), GRID_POINTS)
     utility_calls.clear()
     compare_regimes(defaults)
     pc = [d for r, d in utility_calls if r is PERFCOMP]

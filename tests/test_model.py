@@ -62,6 +62,14 @@ def test_validate_rejects_linear_cost():
     (dict(u=-1.0), "u"),
     (dict(a=0.0), "cost_a"),
     (dict(beta=0.5), "cost_beta"),
+    (dict(n=math.inf), "n must be finite"),
+    (dict(d_max=math.inf), "d_max must be finite"),
+    (dict(v=math.inf), "v must be finite"),
+    (dict(u=math.inf), "u must be finite"),
+    (dict(w=math.inf), "w must be finite"),
+    (dict(a=math.inf), "cost_a must be finite"),
+    (dict(beta=math.inf), "cost_beta must be finite"),
+    (dict(d_max=1e300), r"cost\(d_max\) overflows"),  # float pow raises
 ])
 def test_validate_names_offending_field(kwargs, field):
     with pytest.raises(ParamError, match=field):
