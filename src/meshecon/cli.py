@@ -238,65 +238,86 @@ def cmd_validate(args) -> int:
 # --------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _report_args(sub):  # eval and equilibrium
+    _add_param_args(sub)
+    _add_output_args(sub)
+
+
+def _sweep_args(sub):
+    _add_param_args(sub)
+    _add_output_args(sub)
+    sub.add_argument("--axis", required=True, help="parameter to sweep")
+    sub.add_argument("--lo", type=float, required=True)
+    sub.add_argument("--hi", type=float, required=True)
+    sub.add_argument("--steps", type=int, required=True)
+
+
+def _simulate_args(sub):
+    _add_param_args(sub)
+    _add_output_args(sub, formats=("json",))
+    sub.add_argument("--regime", choices=[r.value for r in REGIME_ORDER],
+                     default=Regime.NO_PEERING.value)
+    sub.add_argument("--side", type=int, default=40)
+    sub.add_argument("--trials", type=int, default=200)
+    sub.add_argument("--seed", type=int, default=7)
+    sub.add_argument("--trace", help="also write a per-connection CSV trace here")
+
+
+def _radio_args(sub):
+    _add_output_args(sub, formats=("json",))
+    sub.add_argument("--snr", type=float, default=0.0)
+    sub.add_argument("--alpha", type=float, default=1.0)
+    sub.add_argument("--bt", type=float, default=1e6)
+    sub.add_argument("--rb", type=float, default=1e4)
+    sub.add_argument("--k", type=float, default=1.0)
+    sub.add_argument("--freq", type=float, default=1.0)
+    sub.add_argument("--exp", type=float, default=2.0)
+    sub.add_argument("--dist", type=float, help="distance for the path-loss ratio")
+
+
+def _validate_args(sub):
+    _add_param_args(sub)
+    _add_output_args(sub, formats=("json",))
+
+
+# name: (help line, function adding its arguments); the handler is cmd_<name>
+COMMANDS = {
+    "eval": ("expected utilities for all regimes", _report_args),
+    "sweep": ("utilities over a parameter grid", _sweep_args),
+    "equilibrium": ("free-entry and club densities report", _report_args),
+    "simulate": ("Monte Carlo run cross-checked against the closed forms", _simulate_args),
+    "radio": ("radio-physics helper formulas", _radio_args),
+    "validate": ("check a parameter file", _validate_args),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser: every subcommand, or only command when given one.
+
+    A lone subcommand is listed under a metavar naming all of them, so the
+    top-level usage line, which argparse prints with errors such as
+    unrecognized arguments, reads the same either way.
+    """
     parser = argparse.ArgumentParser(
         prog="meshecon",
         description="Peer-to-peer relay economics: regime utilities, equilibria, simulation.",
     )
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    p_eval = subs.add_parser("eval", help="expected utilities for all regimes")
-    _add_param_args(p_eval)
-    _add_output_args(p_eval)
-    p_eval.set_defaults(fn=cmd_eval)
-
-    p_sweep = subs.add_parser("sweep", help="utilities over a parameter grid")
-    _add_param_args(p_sweep)
-    _add_output_args(p_sweep)
-    p_sweep.add_argument("--axis", required=True, help="parameter to sweep")
-    p_sweep.add_argument("--lo", type=float, required=True)
-    p_sweep.add_argument("--hi", type=float, required=True)
-    p_sweep.add_argument("--steps", type=int, required=True)
-    p_sweep.set_defaults(fn=cmd_sweep)
-
-    p_eq = subs.add_parser("equilibrium", help="free-entry and club densities report")
-    _add_param_args(p_eq)
-    _add_output_args(p_eq)
-    p_eq.set_defaults(fn=cmd_equilibrium)
-
-    p_sim = subs.add_parser("simulate", help="Monte Carlo run cross-checked against the closed forms")
-    _add_param_args(p_sim)
-    _add_output_args(p_sim, formats=("json",))
-    p_sim.add_argument("--regime", choices=[r.value for r in REGIME_ORDER],
-                       default=Regime.NO_PEERING.value)
-    p_sim.add_argument("--side", type=int, default=40)
-    p_sim.add_argument("--trials", type=int, default=200)
-    p_sim.add_argument("--seed", type=int, default=7)
-    p_sim.add_argument("--trace", help="also write a per-connection CSV trace here")
-    p_sim.set_defaults(fn=cmd_simulate)
-
-    p_radio = subs.add_parser("radio", help="radio-physics helper formulas")
-    _add_output_args(p_radio, formats=("json",))
-    p_radio.add_argument("--snr", type=float, default=0.0)
-    p_radio.add_argument("--alpha", type=float, default=1.0)
-    p_radio.add_argument("--bt", type=float, default=1e6)
-    p_radio.add_argument("--rb", type=float, default=1e4)
-    p_radio.add_argument("--k", type=float, default=1.0)
-    p_radio.add_argument("--freq", type=float, default=1.0)
-    p_radio.add_argument("--exp", type=float, default=2.0)
-    p_radio.add_argument("--dist", type=float, help="distance for the path-loss ratio")
-    p_radio.set_defaults(fn=cmd_radio)
-
-    p_val = subs.add_parser("validate", help="check a parameter file")
-    _add_param_args(p_val)
-    _add_output_args(p_val, formats=("json",))
-    p_val.set_defaults(fn=cmd_validate)
-
+    lone = command in COMMANDS
+    subs = parser.add_subparsers(
+        dest="command", required=True, metavar="{" + ",".join(COMMANDS) + "}" if lone else None,
+    )
+    for name in [command] if lone else COMMANDS:
+        help_line, add_args = COMMANDS[name]
+        sub = subs.add_parser(name, help=help_line)
+        add_args(sub)
+        sub.set_defaults(fn=globals()[f"cmd_{name}"])  # looked up now, so it can be wrapped
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # build only the named subcommand: parsing cannot reach the others
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.fn(args)
     except ParamError as exc:

@@ -40,7 +40,8 @@ peering cost integrals int g c(D) 2y dy (g = 1, I or I + 1) over the
 relayed annulus 2 < y <= Y. Those take one fixed rule in s = log(y - 1),
 48 Gauss-Legendre nodes per density (ANNULUS_NODES; Golub & Welsch 1969),
 which a 96-node rule matches to 1e-13 relative.
-Non-finite utilities raise NumericsError.
+Non-finite utilities, huge densities whose terms overflow included, raise
+NumericsError.
 
 All operations are pure functions; nothing here holds mutable state.
 """
@@ -228,6 +229,11 @@ def integrate(f, lo: float, hi: float, tol: float = DEFAULT_TOL) -> float:
 ANNULUS_NODES = 48
 
 
+# A density so large that the role terms overflow or turn NaN is reported by
+# the finiteness check as NumericsError, without numpy's RuntimeWarnings; an
+# overflow whose result stays finite (N log z reaching -inf, so P = 1) is a
+# correct value and is kept, as before.
+@np.errstate(over="ignore", invalid="ignore")
 def utility_arrays(template: ModelParams, regime: Regime, densities):
     """Per-role utilities (originator, intermediate, outsider) at each density,
     other parameters from template; no entry depends on the rest of the batch."""

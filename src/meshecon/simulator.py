@@ -47,12 +47,16 @@ expectations are exposed via lattice_exact_means() for diagnostics.
 Pollution and relay tallies are integer counts scaled by w at the end, so
 accumulation order cannot perturb them.
 
-Randomness: the stream for trial t of a run is seeded by SeedSequence
-([seed, t]) and consumed as fixed node-indexed arrays, so trials are
-independent and a parallel executor could not reorder draws. Identical
-configs give bit-identical outcomes. A trial draws N demand uniforms, one
-64-bit output each, then N destination indices. Where P(K) == 1.0 exactly
-every uniform passes, so the trial jumps the stream over them with the
+Randomness: the stream for trial t of a run is PCG64 seeded by
+SeedSequence([seed, t]) and consumed as fixed node-indexed arrays, so
+trials are independent and a parallel executor could not reorder draws.
+Identical configs give bit-identical outcomes. The generator states of all
+trials are computed in one batch (SeedSequence's hashing as uint32 arrays,
+PCG64's seeding step in Python ints) and loaded in turn into one PCG64;
+they equal what SeedSequence([seed, t]) gives, so only the per-trial
+construction cost goes. A trial draws N demand uniforms, one 64-bit
+output each, then N destination indices. Where P(K) == 1.0 exactly every
+uniform passes, so the trial jumps the stream over them with the
 generator's advance(N) instead of drawing them: the stream position, the
 destinations and every output are the same as if they had been drawn.
 """
@@ -454,6 +458,77 @@ def _build(config: SimConfig) -> tuple[Lattice, _RegimeTables]:
     return lattice, _RegimeTables(lattice, config.regime)
 
 
+# --------------------------------------------------------------------------
+# Per-trial streams: PCG64(SeedSequence([seed, t])) for every trial at once
+
+# numpy's SeedSequence hash and mix constants and PCG64's 128-bit multiplier
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_POOL_WORDS = 4
+_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+
+
+def _hash(value: np.ndarray, h: int, mult: int) -> tuple[np.ndarray, int]:
+    """SeedSequence's hash of the uint32 array value under its running hash
+    constant h, and the constant's next value."""
+    after = h * mult & _MASK32
+    value = (value ^ np.uint32(h)) * np.uint32(after)  # wraps mod 2**32
+    return value ^ (value >> 16), after
+
+
+def _pcg64_states(seed: int, trials: np.ndarray) -> list[dict]:
+    """PCG64(SeedSequence([seed, t])).state for every t in trials.
+
+    SeedSequence splits seed and t into 32-bit words, least significant
+    first, one word for a value below 2**32 and two otherwise: at most four,
+    its pool size, and a pool word with no entropy word hashes a zero. So
+    the pool of every t hashes the same four columns, the seed's words, then
+    t's low and high words, then zeros; its mixing and generate_state(4,
+    np.uint64) run once over all trials as uint32 arrays. PCG64 seeds its
+    128-bit LCG from the four 64-bit words (initstate from the first two,
+    the increment from the last two) by one step from state 0, adding
+    initstate, and one more step, in Python ints.
+    """
+    trials = np.asarray(trials, dtype=np.uint64)
+    seed_words = [seed & _MASK32] + ([seed >> 32] if seed >> 32 else [])
+    words = [np.full(trials.shape, w, np.uint32) for w in seed_words]
+    words += [(trials & _MASK32).astype(np.uint32), (trials >> 32).astype(np.uint32)]
+    words += [np.zeros(trials.shape, np.uint32)] * (_POOL_WORDS - len(words))
+
+    pool, h = [], _INIT_A
+    for word in words:
+        hashed, h = _hash(word, h, _MULT_A)
+        pool.append(hashed)
+    for src in range(_POOL_WORDS):
+        for dst in range(_POOL_WORDS):
+            if src != dst:
+                hashed, h = _hash(pool[src], h, _MULT_A)
+                mixed = _MIX_MULT_L * pool[dst] - _MIX_MULT_R * hashed
+                pool[dst] = mixed ^ (mixed >> 16)
+
+    generated, h = [], _INIT_B
+    for i in range(2 * _POOL_WORDS):
+        value, h = _hash(pool[i % _POOL_WORDS], h, _MULT_B)
+        generated.append(value.astype(np.uint64))
+    # PCG's initstate and initseq, each from two of the four 64-bit words
+    init_hi, init_lo, seq_hi, seq_lo = (
+        (generated[2 * j + 1] << 32 | generated[2 * j]).tolist() for j in range(_POOL_WORDS)
+    )
+    states = []
+    for s_hi, s_lo, q_hi, q_lo in zip(init_hi, init_lo, seq_hi, seq_lo):
+        inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
+        states.append({
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        })
+    return states
+
+
 def run_instant(
     config: SimConfig,
     collect_per_node: bool = False,
@@ -469,15 +544,17 @@ def run_instant(
     cost time; the statistical outcome is identical with or without them.
 
     Each trial's tallies come from the histogram of its connecting
-    destination offsets: the integer counts as one exact int64 product with
-    the (4, K) tables, the originator's cost sum as an elementwise product
-    summed without BLAS, so its bytes cannot depend on the BLAS library
-    or its thread count. When lattice.connect_prob == 1.0 every node
-    connects; the demand uniforms are then jumped over, not drawn, which
-    leaves the stream and the outcome unchanged.
+    destination offsets: the integer counts as one float64 product with the
+    (4, K) tables, exact because every partial sum is an integer below
+    2**53, the originator's cost sum as an elementwise product summed
+    without BLAS; so no byte depends on the BLAS library or its thread
+    count. The trials' generator states are computed in one batch before
+    the loop, and each trial loads its state into one reused PCG64. When
+    lattice.connect_prob == 1.0 every node connects; the demand uniforms
+    are then jumped over, not drawn, which leaves the stream and the
+    outcome unchanged.
     """
     lattice, tables = _built or _build(config)
-    p = lattice.params
     n_nodes = lattice.n_nodes
     k_offsets = lattice.n_offsets
     p_conn = lattice.connect_prob
@@ -491,9 +568,18 @@ def run_instant(
     paths = _PathTables(lattice, tables) if collect_per_node or collect_events else None
     receiver_exempt = config.regime is Regime.PEERING_PERFECT_COMPETITION
     full_demand = p_conn == 1.0
+    # Each table entry is below N = side^2 (K < N, and a relayed path charges
+    # at most 7 nodes per hop over at most side / 2 hops), so every
+    # partial sum of tallies_f @ hist is an integer below N^2. That is below
+    # 2**53 for side < 9742 (where one trial's N destination draws alone
+    # take 760 MB), so the float64 product is exact in any summation order,
+    # BLAS threads included, and equals the int64 one.
+    tallies_f = tables.tallies.astype(np.float64)
+    bit_gen = np.random.PCG64(0)  # each trial sets its own state
 
-    for trial in range(config.trials):
-        rng = np.random.default_rng(np.random.SeedSequence([config.seed, trial]))
+    for trial, state in enumerate(_pcg64_states(config.seed, np.arange(config.trials))):
+        bit_gen.state = state
+        rng = np.random.default_rng(bit_gen)
         if full_demand:
             # random(N) < 1.0 holds at every node: jump over its N outputs
             rng.bit_generator.advance(n_nodes)
@@ -501,10 +587,10 @@ def run_instant(
         else:
             connecting = rng.random(n_nodes) < p_conn
             ks = rng.integers(0, k_offsets, n_nodes)[connecting]
-        hist = np.bincount(ks, minlength=k_offsets)
+        hist = np.bincount(ks, minlength=k_offsets).astype(np.float64)
 
         n_conn[trial] = ks.size
-        tallies[trial] = tables.tallies @ hist
+        tallies[trial] = tallies_f @ hist
         cost[trial] = (tables.conn_cost * hist).sum()
 
         if paths is not None:
@@ -514,6 +600,14 @@ def run_instant(
             if collect_per_node:
                 paths.charge(per_node, origins, ks, receiver_exempt)
 
+    return _outcome(config, n_conn, tallies, cost, per_node,
+                    tuple(events) if collect_events else None)
+
+
+def _outcome(config, n_conn, tallies, cost, per_node, events) -> SimOutcome:
+    """A run's SimOutcome from its per-trial connection counts, (trials, 4)
+    int64 tallies and originator cost sums, plus the optional diagnostics."""
+    p, n_nodes = config.params, config.side * config.side
     _, _, relays, polluted = tallies.T
     per_trial_orig = (p.v * n_conn - cost) / n_nodes
     per_trial_int = -p.w * relays / n_nodes
@@ -548,10 +642,8 @@ def run_instant(
         per_trial_originator=tuple(per_trial_orig.tolist()),
         per_trial_intermediate=tuple(per_trial_int.tolist()),
         per_trial_outsider=tuple(per_trial_out.tolist()),
-        per_node_outsider_exposures=(
-            tuple(per_node.tolist()) if collect_per_node else None
-        ),
-        events=tuple(events) if collect_events else None,
+        per_node_outsider_exposures=None if per_node is None else tuple(per_node.tolist()),
+        events=events,
     )
 
 

@@ -313,6 +313,19 @@ def test_non_finite_or_overflowing_params_are_config_errors(capsys, argv, messag
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "--set", "n=1e308"],
+    ["sweep", "--axis", "n", "--lo", "1e307", "--hi", "1e308", "--steps", "2"],
+    ["equilibrium", "--set", "n=1.79e308", "--set", "d_max=6e-309", "--set", "cost_beta=1.01"],
+])
+def test_overflowing_densities_are_one_numeric_failure_line(capsys, argv):
+    # valid parameters whose role terms overflow; under the suite's
+    # error::RuntimeWarning filter a numpy warning would raise out of main
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("numeric failure: ") and err.count("\n") == 1
+
+
 def test_json_config_rejects_booleans(capsys, tmp_path):
     cfg = tmp_path / "params.json"
     cfg.write_text(json.dumps({**json.loads(params_to_json(default_params())),
@@ -413,6 +426,41 @@ def _package_env():
     src = os.path.dirname(os.path.dirname(os.path.abspath(meshecon.__file__)))
     return dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+
+def _parse_exit(capsys, parser, argv):
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("tail", [["--help"], ["--bogus"], ["stray"], ["--format", "xml"]])
+@pytest.mark.parametrize("command", ["eval", "sweep", "equilibrium", "simulate", "radio", "validate"])
+def test_one_command_parser_prints_what_the_full_parser_prints(capsys, command, tail):
+    # help, the subcommand's errors and the top-level usage line that
+    # unrecognized arguments print
+    from meshecon.cli import build_parser
+
+    argv = [command, *tail]
+    assert (_parse_exit(capsys, build_parser(command), argv)
+            == _parse_exit(capsys, build_parser(), argv))
+
+
+def test_main_builds_only_the_named_command(capsys, monkeypatch):
+    from meshecon.cli import COMMANDS
+
+    added = []
+    for name, (help_line, add_args) in list(COMMANDS.items()):
+        def recording(sub, name=name, add_args=add_args):
+            added.append(name)
+            add_args(sub)
+        monkeypatch.setitem(COMMANDS, name, (help_line, recording))
+    assert run(capsys, "radio", "--snr", "3")[0] == 0
+    assert added == ["radio"]
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert added == ["radio", *COMMANDS]
 
 
 def test_module_entry_point_subprocess():

@@ -332,6 +332,82 @@ def test_demand_uniforms_skipped_only_at_full_demand(monkeypatch, case):
     assert len(calls) == (0 if case == "full_demand" else cfg.trials)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**32 - 1, 2**32, 2**63 + 5, 2**64 - 1])
+def test_batch_seeding_matches_seed_sequence(seed):
+    from meshecon.simulator import _pcg64_states
+
+    # trial indices of one and two 32-bit words, passed directly
+    trials = [*range(1000), 65_535, 65_536, 2**32 - 1, 2**32]
+    assert _pcg64_states(seed, np.array(trials, dtype=np.uint64)) == [
+        np.random.PCG64(np.random.SeedSequence([seed, t])).state for t in trials
+    ]
+
+
+def _trial_loop_reference(cfg, collect_per_node=False, collect_events=False):
+    """run_instant's trial loop before batch seeding and the float64 tally
+    product: a fresh default_rng(SeedSequence([seed, t])) per trial and an
+    int64 (4, K) @ hist; the package's _outcome builds the SimOutcome."""
+    from meshecon.simulator import _PathTables, _RegimeTables, _outcome
+
+    lattice = build_lattice(cfg)
+    tables = _RegimeTables(lattice, cfg.regime)
+    n_nodes, k_offsets, p_conn = lattice.n_nodes, lattice.n_offsets, lattice.connect_prob
+    n_conn = np.empty(cfg.trials, dtype=np.int64)
+    tallies = np.empty((cfg.trials, 4), dtype=np.int64)
+    cost = np.empty(cfg.trials)
+    per_node = np.zeros(n_nodes, dtype=np.int64) if collect_per_node else None
+    events = []
+    paths = _PathTables(lattice, tables) if collect_per_node or collect_events else None
+    full_demand = p_conn == 1.0
+    for trial in range(cfg.trials):
+        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, trial]))
+        if full_demand:
+            rng.bit_generator.advance(n_nodes)
+            ks = rng.integers(0, k_offsets, n_nodes)
+        else:
+            connecting = rng.random(n_nodes) < p_conn
+            ks = rng.integers(0, k_offsets, n_nodes)[connecting]
+        hist = np.bincount(ks, minlength=k_offsets)
+        n_conn[trial] = ks.size
+        tallies[trial] = tables.tallies @ hist
+        cost[trial] = (tables.conn_cost * hist).sum()
+        if paths is not None:
+            origins = np.arange(n_nodes) if full_demand else np.flatnonzero(connecting)
+            if collect_events:
+                events += paths.events(trial, origins, ks)
+            if collect_per_node:
+                paths.charge(per_node, origins, ks, cfg.regime is PERFCOMP)
+    return _outcome(cfg, n_conn, tallies, cost, per_node,
+                    tuple(events) if collect_events else None)
+
+
+@pytest.mark.parametrize("per_node, events", [
+    (False, False), (True, False), (False, True), (True, True),
+])
+@pytest.mark.parametrize("regime", list(Regime))
+@pytest.mark.parametrize("case", list(CASES))
+def test_trial_loop_matches_per_trial_reference(regime, case, per_node, events):
+    cfg = config(regime=regime, trials=6, **CASES[case])
+    _check_case_demand(cfg, case)
+    got = run_instant(cfg, collect_per_node=per_node, collect_events=events)
+    ref = _trial_loop_reference(cfg, per_node, events)
+    assert got == ref
+    assert repr(got) == repr(ref)  # -0.0 and 0.0 differ here
+
+
+@pytest.mark.parametrize("regime", [PERFCOMP, Regime.NO_PEERING])
+def test_float_tallies_exact_on_a_large_full_demand_lattice(regime):
+    # every node connects on a 150^2 lattice with K = 15 372 offsets; under
+    # NO_PEERING each connection charges its whole circle, so a trial's
+    # pollution tally passes 10^8
+    cfg = config(side=150, n=70.0, z=1e-12, regime=regime, trials=3, seed=45)
+    assert build_lattice(cfg).connect_prob == 1.0
+    got = run_instant(cfg)
+    assert got == _trial_loop_reference(cfg)
+    if regime is Regime.NO_PEERING:
+        assert got.pollution_events > 10**8 * cfg.trials
+
+
 def test_fast_path_does_no_per_connection_python_work(monkeypatch):
     import meshecon.simulator as sim
 
