@@ -23,12 +23,23 @@ pinned to a bracket edge is surfaced as BoundaryOptimum rather than
 reported as an interior solution, since its economics are ambiguous.
 
 Density is a continuous control throughout; "slots" map to choosing n.
-Grid scans, bracket doublings, refinement rounds and scaling densities are
-each one batched utility_arrays call, whose values are bit-identical to
-one-density calls. A result holds the RegimeUtilities at its density and
-the SolverDiagnostics (bracket, refinement rounds, residual).
-compare_regimes shares one competitive-pricing scan between its free-entry
-and club solvers.
+A result holds the RegimeUtilities at its density and the SolverDiagnostics
+(bracket, refinement rounds, residual).
+
+Each solver is a step routine: a generator that yields the densities it
+needs next (bracket doublings, the scan grid, a refinement round, the
+scaling densities, the club's midpoint) and is sent their role arrays. A
+driver groups the steps into utility_arrays calls, whose values are
+bit-identical to one-density calls whatever else the batch holds, so the
+grouping moves no output. A public solver drives its steps alone, one call
+per step. compare_regimes validates once and makes one call per round for
+all pending densities of a regime: the scaling densities ride in the
+bracket's doubling call, free entry under competitive pricing and the club
+refine in lockstep on one shared scan, and the club's midpoint rides in a
+free-entry round when one is left. Free entry takes its result's roles from
+the round that found n*. Errors surface as in a sequential run: a merged
+call that fails is redone one solver at a time, and a solver's error waits
+until the solvers before it have finished.
 """
 
 import json
@@ -129,6 +140,61 @@ def total_eu(template: ModelParams, n: float, regime: Regime) -> float:
     return regime_utilities(template.with_n(n), regime).total
 
 
+# what a step routine may end in besides a result; anything else propagates
+_STEP_OUTCOMES = (NoCrossing, BoundaryOptimum, NumericsError, ParamError)
+
+
+def _lockstep(template, regime, lanes):
+    """Run step routines side by side and return each one's outcome: its
+    return value, or the finding or error it raised.
+
+    A step routine is a generator that yields the densities it needs next and
+    is sent their (originator, intermediate, outsider) role arrays. Each round
+    evaluates the pending densities of every lane in one utility_arrays call.
+    """
+    outcomes = [None] * len(lanes)
+    sends = [(i, None, None) for i in range(len(lanes))]  # (lane, roles, error)
+    while sends:
+        batch = []
+        for i, roles, error in sends:
+            try:
+                batch.append((i, lanes[i].send(roles) if error is None else lanes[i].throw(error)))
+            except StopIteration as stop:
+                outcomes[i] = stop.value
+            except _STEP_OUTCOMES as exc:
+                # kept without this frame, whose outcomes would hold exc in a cycle
+                outcomes[i] = exc.with_traceback(exc.__traceback__.tb_next)
+        sends = _evaluated(template, regime, batch) if batch else []
+    return outcomes
+
+
+def _evaluated(template, regime, batch):
+    """(lane, roles, error) for each (lane, densities) of batch, from one
+    utility_arrays call. A merged call that raises NumericsError is redone
+    one lane at a time, in lane order, so every lane meets the error its own
+    call raises."""
+    try:
+        roles = utility_arrays(template, regime, np.concatenate([d for _, d in batch]))
+    except NumericsError as exc:
+        if len(batch) == 1:
+            return [(batch[0][0], None, exc)]
+        return [sent for lane in batch for sent in _evaluated(template, regime, [lane])]
+    sends, lo = [], 0
+    for i, densities in batch:
+        hi = lo + len(densities)
+        sends.append((i, [r[lo:hi] for r in roles], None))
+        lo = hi
+    return sends
+
+
+def _drive(template, regime, steps):
+    """Run one step routine alone: one utility_arrays call per step."""
+    (outcome,) = _lockstep(template, regime, [steps])
+    if isinstance(outcome, _STEP_OUTCOMES):
+        raise outcome
+    return outcome
+
+
 def default_bracket(template: ModelParams, regime: Regime) -> tuple:
     """Bracket (2/d_max, n_hi) with n_hi grown by doubling until total
     utility turns negative (capped at BRACKET_CAP).
@@ -138,34 +204,48 @@ def default_bracket(template: ModelParams, regime: Regime) -> tuple:
     still positive the bracket ends at the cap; downstream scans then report
     the absence of a crossing rather than inventing one.
     """
+    return _drive(template, regime, _bracket_steps(template))
+
+
+def _bracket_steps(template):
+    """default_bracket's steps: one call on every doubling."""
     n_lo = 2 / template.d_max
     doublings = [2 * n_lo]
     while doublings[-1] < BRACKET_CAP:
         doublings.append(min(2 * doublings[-1], BRACKET_CAP))
-    totals = sum(utility_arrays(template, regime, doublings))
+    totals = sum((yield doublings))
     n_hi = next((x for x, t in zip(doublings, totals) if not t >= 0), doublings[-1])
     return n_lo, n_hi
 
 
+def _scan_steps(template):
+    """The default bracket's grid and its role arrays."""
+    grid = np.linspace(*(yield from _bracket_steps(template)), GRID_POINTS)
+    return grid, (yield grid)
+
+
 def _scan(template, regime):
-    """The default bracket's grid and totals: what _scanned passes in."""
-    grid = np.linspace(*default_bracket(template, regime), GRID_POINTS)
-    return grid, sum(utility_arrays(template, regime, grid))
+    """The default bracket's grid and roles: what _scanned passes in."""
+    return _drive(template, regime, _scan_steps(template))
 
 
-def _refine_round(template, regime, xs, fs):
+def _refine_steps(xs, fs):
     """Evaluate REFINE_POINTS evenly spaced densities inside [xs[0], xs[-1]]
-    in one batch; return all REFINE_POINTS + 2 densities and totals."""
+    in one step; return all REFINE_POINTS + 2 densities and totals, and the
+    roles of the interior ones."""
     xs = np.linspace(xs[0], xs[-1], REFINE_POINTS + 2)
-    inner = sum(utility_arrays(template, regime, xs[1:-1]))
-    return xs, np.concatenate(([fs[0]], inner, [fs[-1]]))
+    inner = yield xs[1:-1]
+    return xs, np.concatenate(([fs[0]], sum(inner), [fs[-1]])), inner
 
 
-def _solved(kind, template, regime, n_star, grid, iterations, residual, notes=()):
-    """The result at n_star, found in iterations rounds on the scan grid."""
+def _solved(kind, template, regime, n_star, roles, grid, iterations, residual, notes=()):
+    """The result at n_star, whose roles were evaluated there, found in
+    iterations rounds on the scan grid."""
+    orig, inter, out = (float(r) for r in roles)
     return EquilibriumResult(
         kind=kind,
-        utilities=regime_utilities(template.with_n(n_star), regime),
+        utilities=RegimeUtilities(regime, orig, inter, out, orig + inter + out,
+                                  template.with_n(n_star)),
         diagnostics=SolverDiagnostics(
             iterations, float(grid[0]), float(grid[-1]), residual, tuple(notes)
         ),
@@ -185,8 +265,14 @@ def free_entry_density(
     MAX_ROUNDS rounds cannot meet it.
     """
     validate(template)
-    grid, values = _scanned or _scan(template, regime)
+    scanned = _scanned or _scan(template, regime)
+    return _drive(template, regime, _free_entry_steps(template, regime, scanned))
 
+
+def _free_entry_steps(template, regime, scanned):
+    """free_entry_density's steps on a scan: its refinement rounds."""
+    grid, roles = scanned
+    values = sum(roles)
     cells = np.flatnonzero((values[:-1] > 0) & (values[1:] <= 0))
     if not cells.size:
         raise NoCrossing(regime, float(grid[0]), float(grid[-1]))
@@ -194,6 +280,7 @@ def free_entry_density(
     # invariant: fs[0] > 0 >= fs[-1]
     i = cells[-1]
     xs, fs = grid[i : i + 2], values[i : i + 2]
+    ends = [(roles, i), (roles, i + 1)]  # where the roles of xs were evaluated
     iterations = 0
     while not np.min(np.abs(fs)) <= RESIDUAL_TOL:
         if iterations == MAX_ROUNDS:
@@ -201,13 +288,16 @@ def free_entry_density(
                 f"k-section stalled on [{float(xs[0])!r}, {float(xs[-1])!r}] with "
                 f"residuals {float(fs[0])!r}, {float(fs[-1])!r} above {RESIDUAL_TOL!r}"
             )
-        xs, fs = _refine_round(template, regime, xs, fs)
+        xs, fs, inner = yield from _refine_steps(xs, fs)
         j = np.flatnonzero((fs[:-1] > 0) & (fs[1:] <= 0))[-1]
         xs, fs = xs[j : j + 2], fs[j : j + 2]
+        ends = [ends[0] if j == 0 else (inner, j - 1),
+                ends[1] if j == REFINE_POINTS else (inner, j)]
         iterations += 1
     k = int(np.argmin(np.abs(fs)))
-    return _solved(EquilibriumKind.FREE_ENTRY, template, regime, float(xs[k]), grid,
-                   iterations, float(fs[k]))
+    at, m = ends[k]
+    return _solved(EquilibriumKind.FREE_ENTRY, template, regime, float(xs[k]),
+                   [r[m] for r in at], grid, iterations, float(fs[k]))
 
 
 def club_optimal_density(template: ModelParams, *, _scanned=None) -> EquilibriumResult:
@@ -220,8 +310,15 @@ def club_optimal_density(template: ModelParams, *, _scanned=None) -> Equilibrium
     """
     regime = Regime.PEERING_PERFECT_COMPETITION
     validate(template)
-    grid, values = _scanned or _scan(template, regime)
+    scanned = _scanned or _scan(template, regime)
+    return _drive(template, regime, _club_steps(template, regime, scanned))
 
+
+def _club_steps(template, regime, scanned):
+    """club_optimal_density's steps on a scan: its refinement rounds, then
+    the midpoint."""
+    grid, roles = scanned
+    values = sum(roles)
     k = int(np.argmax(values))
     if k == 0:
         raise BoundaryOptimum(float(grid[0]), "low", float(values[0]))
@@ -237,15 +334,17 @@ def club_optimal_density(template: ModelParams, *, _scanned=None) -> Equilibrium
     xs, fs = grid[[k - 1, k + 1]], values[[k - 1, k + 1]]
     iterations = 0
     while xs[-1] - xs[0] > DENSITY_TOL and iterations < MAX_ROUNDS:
-        xs, fs = _refine_round(template, regime, xs, fs)
+        xs, fs, _ = yield from _refine_steps(xs, fs)
         j = int(np.argmax(fs))
         keep = [max(j - 1, 0), min(j + 1, REFINE_POINTS + 1)]
         xs, fs = xs[keep], fs[keep]
         iterations += 1
     a, b = float(xs[0]), float(xs[-1])
 
-    res = _solved(EquilibriumKind.CLUB_OPTIMUM, template, regime, 0.5 * (a + b), grid,
-                  iterations, b - a, notes)
+    n_star = 0.5 * (a + b)
+    roles = yield [n_star]
+    res = _solved(EquilibriumKind.CLUB_OPTIMUM, template, regime, n_star,
+                  [r[0] for r in roles], grid, iterations, b - a, notes)
     if not (res.total_eu_at_n_star >= 0):
         raise NumericsError(
             f"club optimum at n={res.n_star!r} has negative member utility "
@@ -264,17 +363,26 @@ def congestion_scaling_exponent(
     Requires at least four densities, all with demand effectively saturated
     (P(N(d_max)) > 0.99) so the fit isolates the congestion term's growth.
     """
+    return _drive(template, regime, _scaling_steps(template, n_values))
+
+
+def _scaling_steps(template, n_values):
+    """congestion_scaling_exponent's one step, after its checks."""
     n_values = [float(x) for x in n_values]
     if len(n_values) < 4:
         raise ParamError(f"need >= 4 densities for a fit, got {len(n_values)}")
-    peers = nodes_within_array(np.asarray(n_values), template.d_max)
-    saturated = connect_probability_array(peers, template.z) > SCALING_MIN_P
+    # compare_regimes runs this check before its bracket search: a density
+    # whose N(d_max) is not finite fails it without numpy warnings, as
+    # utility_arrays fails such a density
+    with np.errstate(over="ignore", invalid="ignore"):
+        peers = nodes_within_array(np.asarray(n_values), template.d_max)
+        saturated = connect_probability_array(peers, template.z) > SCALING_MIN_P
     if not saturated.all():
         raise ParamError(
             f"density n={n_values[saturated.argmin()]!r} leaves demand unsaturated "
             f"(P <= {SCALING_MIN_P}); the congestion fit requires large P"
         )
-    outs = utility_arrays(template, regime, n_values)[2]
+    outs = (yield n_values)[2]
     zero = outs == 0.0
     if zero.any():
         raise ParamError(
@@ -346,56 +454,82 @@ class RegimeComparison:
         return rows
 
 
+def _regime_outcomes(template, regime, solvers, scaling_n_values):
+    """The outcomes of solvers, step routines sharing one scan of the regime's
+    default bracket, and of its scaling fit, whose densities ride in the
+    bracket's doubling call."""
+    scanned, scaling = _lockstep(template, regime, [
+        _scan_steps(template), _scaling_steps(template, scaling_n_values)])
+    if isinstance(scanned, _STEP_OUTCOMES):
+        return [scanned] * len(solvers), scaling
+    return _lockstep(template, regime, [s(template, regime, scanned) for s in solvers]), scaling
+
+
+def _reported(outcome):
+    """A solver outcome as the comparison reports it: its result, or a
+    finding's marker. An error is raised."""
+    if isinstance(outcome, NoCrossing):
+        return "NO_CROSSING"
+    if isinstance(outcome, BoundaryOptimum):
+        return f"BOUNDARY_OPTIMUM@{outcome.n_boundary!r}"
+    if isinstance(outcome, _STEP_OUTCOMES):
+        raise outcome
+    return outcome
+
+
+def _leapfrog_profile(template, club) -> tuple:
+    """(d, threshold c(2D), competitive price c(D)) rows at the club density,
+    or no rows without a club result or a relay at d_max."""
+    if not isinstance(club, EquilibriumResult):
+        return ()
+    p_club = template.with_n(club.n_star)
+    if intermediate_count(p_club, p_club.d_max) < 1:
+        return ()
+    # n * (3/n) can round below 3: start at the first density whose
+    # I(d) is at least 1, so all 12 rows carry a relay
+    lo = min(3 / p_club.n, p_club.d_max)
+    while intermediate_count(p_club, lo) < 1:
+        lo = math.nextafter(lo, p_club.d_max)
+    # rows are (d, leapfrog_threshold, competitive_price) from one D(d) batch
+    ds = np.linspace(lo, p_club.d_max, 12)
+    return tuple(
+        (d, p_club.cost(2 * hop), p_club.cost(hop))
+        for d, hop in zip(ds.tolist(), hop_distance_array(p_club.n, ds).tolist())
+    )
+
+
 def compare_regimes(template: ModelParams) -> RegimeComparison:
     """Assemble the full comparison: free-entry densities, club density,
-    scaling exponents, and the leapfrog price profile at the club density."""
+    scaling exponents, and the leapfrog price profile at the club density.
+
+    Errors surface as if the solvers ran one after another: free entry
+    without peering, free entry under competitive pricing, the club, the
+    leapfrog profile, then the two scaling fits.
+    """
     validate(template)
+    scaling_n_values = [x / template.d_max for x in _SCALING_N_VALUES]
 
-    def attempt(fn):
-        try:
-            return fn()
-        except NoCrossing:
-            return "NO_CROSSING"
-        except BoundaryOptimum as exc:
-            return f"BOUNDARY_OPTIMUM@{exc.n_boundary!r}"
+    (fe_np,), scaling_np = _regime_outcomes(
+        template, Regime.NO_PEERING, [_free_entry_steps], scaling_n_values)
+    fe_np = _reported(fe_np)
+    (fe_pc, club), scaling_pc = _regime_outcomes(
+        template, Regime.PEERING_PERFECT_COMPETITION, [_free_entry_steps, _club_steps],
+        scaling_n_values)
+    fe_pc = _reported(fe_pc)
+    club = _reported(club)
+    profile = _leapfrog_profile(template, club)
 
-    fe_np = attempt(lambda: free_entry_density(template, Regime.NO_PEERING))
-    # one competitive-pricing scan serves both of its solvers
-    pc = Regime.PEERING_PERFECT_COMPETITION
-    scanned = _scan(template, pc)
-    fe_pc = attempt(lambda: free_entry_density(template, pc, _scanned=scanned))
-    club = attempt(lambda: club_optimal_density(template, _scanned=scanned))
-
-    def scaling(regime):
-        try:
-            return congestion_scaling_exponent(
-                template, regime, [x / template.d_max for x in _SCALING_N_VALUES]
-            )
-        except ParamError as exc:
-            return f"UNDEFINED ({exc})"
-
-    profile = ()
-    if isinstance(club, EquilibriumResult):
-        p_club = template.with_n(club.n_star)
-        if intermediate_count(p_club, p_club.d_max) >= 1:
-            # n * (3/n) can round below 3: start at the first density whose
-            # I(d) is at least 1, so all 12 rows carry a relay
-            lo = min(3 / p_club.n, p_club.d_max)
-            while intermediate_count(p_club, lo) < 1:
-                lo = math.nextafter(lo, p_club.d_max)
-            # rows are (d, leapfrog_threshold, competitive_price) from one D(d) batch
-            ds = np.linspace(lo, p_club.d_max, 12)
-            profile = tuple(
-                (d, p_club.cost(2 * hop), p_club.cost(hop))
-                for d, hop in zip(ds.tolist(), hop_distance_array(p_club.n, ds).tolist())
-            )
+    def scaling(outcome):
+        if isinstance(outcome, ParamError):
+            return f"UNDEFINED ({outcome})"
+        return _reported(outcome)
 
     return RegimeComparison(
         params=template,
         free_entry_no_peering=fe_np,
         free_entry_perfcomp=fe_pc,
         club=club,
-        scaling_no_peering=scaling(Regime.NO_PEERING),
-        scaling_perfcomp=scaling(Regime.PEERING_PERFECT_COMPETITION),
+        scaling_no_peering=scaling(scaling_np),
+        scaling_perfcomp=scaling(scaling_pc),
         leapfrog_profile=profile,
     )

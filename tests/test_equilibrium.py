@@ -13,6 +13,7 @@ from meshecon import (
     NumericsError,
     ParamError,
     Regime,
+    RegimeComparison,
     club_optimal_density,
     compare_regimes,
     competitive_price,
@@ -22,7 +23,9 @@ from meshecon import (
     leapfrog_threshold,
     regime_utilities,
     total_eu,
+    validate,
 )
+import meshecon.cli
 import meshecon.equilibrium
 import meshecon.regimes
 from meshecon.cli import main
@@ -34,6 +37,7 @@ from meshecon.equilibrium import (
     REFINE_POINTS,
     RESIDUAL_TOL,
     _SCALING_N_VALUES,
+    _leapfrog_profile,
     _scan,
 )
 from meshecon.regimes import utility_arrays
@@ -131,8 +135,8 @@ def _largest_downcrossing(grid, values):
 def test_free_entry_refinement_contract(defaults, regime):
     templates = [defaults] + [p for p, _ in random_draws(20, seed=31)]
     for t in templates:
-        grid, values = _scan(t, regime)
-        cell = _largest_downcrossing(grid, values)
+        grid, roles = _scan(t, regime)
+        cell = _largest_downcrossing(grid, sum(roles))
         if cell is None:
             with pytest.raises(NoCrossing):
                 free_entry_density(t, regime)
@@ -148,11 +152,13 @@ def test_free_entry_ignores_an_exact_zero_no_positive_total_precedes(defaults):
     # the default NO_PEERING scan ends below zero; an exact 0.0 planted at
     # its last point follows a negative total, so it is no downcrossing
     regime = Regime.NO_PEERING
-    grid, values = _scan(defaults, regime)
+    grid, roles = _scan(defaults, regime)
+    values = sum(roles)
     assert values[-2] < 0 and values[-1] < 0
-    planted = values.copy()
-    planted[-1] = 0.0
-    plain = free_entry_density(defaults, regime, _scanned=(grid, values))
+    planted = tuple(r.copy() for r in roles)
+    for r in planted:
+        r[-1] = 0.0
+    plain = free_entry_density(defaults, regime, _scanned=(grid, roles))
     got = free_entry_density(defaults, regime, _scanned=(grid, planted))
     assert got.n_star == plain.n_star < grid[-1]
 
@@ -204,7 +210,8 @@ def test_batched_evaluation_bit_identical_to_single(defaults, regime):
         while total_eu(t, n_hi, regime) >= 0 and n_hi < BRACKET_CAP:
             n_hi = min(2 * n_hi, BRACKET_CAP)
         assert default_bracket(t, regime)[1] == n_hi
-        grid, totals = _scan(t, regime)
+        grid, scanned = _scan(t, regime)
+        totals = sum(scanned)
         doublings = [4 / t.d_max]
         while doublings[-1] < BRACKET_CAP:
             doublings.append(min(2 * doublings[-1], BRACKET_CAP))
@@ -400,14 +407,137 @@ def test_compare_regimes_shares_one_competitive_scan(defaults, utility_calls):
     doublings = [2 * n_lo]
     while doublings[-1] < BRACKET_CAP:
         doublings.append(min(2 * doublings[-1], BRACKET_CAP))
+    scaling = [x / defaults.d_max for x in _SCALING_N_VALUES]
     grid = np.linspace(*default_bracket(defaults, PERFCOMP), GRID_POINTS)
     utility_calls.clear()
-    compare_regimes(defaults)
+    report = compare_regimes(defaults)
     pc = [d for r, d in utility_calls if r is PERFCOMP]
-    assert sum(np.array_equal(d, doublings) for d in pc) == 1
+    # the scaling densities ride in each regime's one doubling call
+    for regime in (Regime.NO_PEERING, PERFCOMP):
+        assert sum(np.array_equal(d, doublings + scaling)
+                   for r, d in utility_calls if r is regime) == 1
     assert sum(np.array_equal(d, grid) for d in pc) == 1
-    # one-density calls: only the final regime_utilities of free entry and club
-    assert sum(len(d) == 1 for d in pc) == 2
+    # free entry takes its result from the round that found n*: the one
+    # one-density call is the club's midpoint, after free entry has finished
+    assert [float(d[0]) for _, d in utility_calls if len(d) == 1] == [report.club.n_star]
+    assert len(utility_calls) <= 20  # 31 when the solvers ran one after another
+
+
+def test_equilibrium_command_validates_twice(monkeypatch, capsys):
+    calls = []
+
+    def spy(params):
+        calls.append(params)
+        return validate(params)
+
+    monkeypatch.setattr(meshecon.cli, "validate", spy)
+    monkeypatch.setattr(meshecon.equilibrium, "validate", spy)
+    assert main(["equilibrium"]) == 0
+    # cmd_equilibrium and compare_regimes; not once more per solver
+    assert len(calls) == 2
+
+
+def _sequential_compare(template):
+    """compare_regimes composed from the public solvers, run one after
+    another, each with its own utility_arrays calls."""
+    validate(template)
+
+    def attempt(solve):
+        try:
+            return solve()
+        except NoCrossing:
+            return "NO_CROSSING"
+        except BoundaryOptimum as exc:
+            return f"BOUNDARY_OPTIMUM@{exc.n_boundary!r}"
+
+    fe_np = attempt(lambda: free_entry_density(template, Regime.NO_PEERING))
+    fe_pc = attempt(lambda: free_entry_density(template, PERFCOMP))
+    club = attempt(lambda: club_optimal_density(template))
+    profile = _leapfrog_profile(template, club)
+
+    def scaling(regime):
+        try:
+            return congestion_scaling_exponent(
+                template, regime, [x / template.d_max for x in _SCALING_N_VALUES])
+        except ParamError as exc:
+            return f"UNDEFINED ({exc})"
+
+    return RegimeComparison(template, fe_np, fe_pc, club, scaling(Regime.NO_PEERING),
+                            scaling(PERFCOMP), profile)
+
+
+def _comparison_bytes(compare, template):
+    try:
+        report = compare(template)
+    except (NumericsError, ParamError) as exc:
+        return type(exc), str(exc)
+    return report.to_json(), report.csv_rows()
+
+
+def test_compare_regimes_matches_sequential_solvers(defaults):
+    # the exit-3 template: 2/d_max overflows, so the bracket starts at inf
+    overflow = dataclasses.replace(defaults, n=1.79e308, d_max=6e-309,
+                                   cost=dataclasses.replace(defaults.cost, beta=1.01))
+    templates = [defaults, dataclasses.replace(defaults, w=0.0), overflow]
+    templates += [p for p, _ in random_draws(40, seed=7)]
+    templates += [p for p, _ in random_draws(150, seed=7, require_relay=False)]
+    kinds = {"solved": 0, "findings": 0, "errors": 0}
+    for t in templates:
+        got = _comparison_bytes(compare_regimes, t)
+        assert got == _comparison_bytes(_sequential_compare, t)
+        if isinstance(got[0], type):
+            kinds["errors"] += 1
+        else:
+            kinds["findings" if "NO_CROSSING" in got[0] or "BOUNDARY" in got[0] else "solved"] += 1
+    assert kinds["solved"] >= 100 and kinds["findings"] >= 2 and kinds["errors"] == 1
+
+
+@pytest.mark.parametrize("fe_pc_fails", [False, True])
+def test_compare_regimes_raises_errors_in_sequential_order(defaults, monkeypatch, capsys,
+                                                           fe_pc_fails):
+    # the club's first refinement round and, in the second case, free entry's
+    # third: in lockstep the club's failure comes first, in a run one solver
+    # after another free entry's does
+    grid, roles = _scan(defaults, PERFCOMP)
+    k = int(np.argmax(sum(roles)))
+    # the round's middle density is the grid's argmax, which the scan evaluates
+    club_round = [x for x in np.linspace(grid[k - 1], grid[k + 1], REFINE_POINTS + 2)[1:-1]
+                  .tolist() if x not in grid]
+    planted = set(club_round)
+    fe_rounds = []
+
+    def record(template, regime, densities):
+        fe_rounds.append(np.asarray(densities, dtype=float).reshape(-1))
+        return utility_arrays(template, regime, densities)
+
+    monkeypatch.setattr(meshecon.equilibrium, "utility_arrays", record)
+    free_entry_density(defaults, PERFCOMP)
+    fe_rounds = [d for d in fe_rounds if len(d) == REFINE_POINTS]
+    assert len(fe_rounds) >= 3 and not planted & set(np.concatenate(fe_rounds).tolist())
+    first_failure = club_round[0]
+    if fe_pc_fails:
+        planted |= set(fe_rounds[2].tolist())
+        first_failure = fe_rounds[2][0]
+
+    def planted_nan(template, regime, densities):
+        # what utility_arrays' finiteness check raises for a non-finite role
+        n = np.asarray(densities, dtype=float).reshape(-1)
+        hit = [x for x in n.tolist() if regime is PERFCOMP and x in planted]
+        if hit:
+            raise NumericsError(f"{regime.value} utility is not finite at n={hit[0]}")
+        return utility_arrays(template, regime, densities)
+
+    monkeypatch.setattr(meshecon.equilibrium, "utility_arrays", planted_nan)
+    expected = _comparison_bytes(_sequential_compare, defaults)
+    assert expected[0] is NumericsError
+    assert expected[1] == f"{PERFCOMP.value} utility is not finite at n={first_failure}"
+    assert _comparison_bytes(compare_regimes, defaults) == expected
+
+    monkeypatch.setattr(meshecon.cli, "compare_regimes", _sequential_compare)
+    sequential = main(["equilibrium"]), capsys.readouterr()
+    monkeypatch.setattr(meshecon.cli, "compare_regimes", compare_regimes)
+    assert (main(["equilibrium"]), capsys.readouterr()) == sequential
+    assert sequential[0] == 3
 
 
 def test_compare_regimes_json_round_trip(defaults):
