@@ -182,8 +182,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_equilibrium(args) -> int:
-    params = validate(_load_params(args))
-    report = compare_regimes(params)
+    report = compare_regimes(_load_params(args))  # which validates
     if args.format == "json":
         text = report.to_json()
     else:

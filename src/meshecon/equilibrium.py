@@ -28,18 +28,19 @@ A result holds the RegimeUtilities at its density and the SolverDiagnostics
 
 Each solver is a step routine: a generator that yields the densities it
 needs next (bracket doublings, the scan grid, a refinement round, the
-scaling densities, the club's midpoint) and is sent their role arrays. A
-driver groups the steps into utility_arrays calls, whose values are
-bit-identical to one-density calls whatever else the batch holds, so the
-grouping moves no output. A public solver drives its steps alone, one call
-per step. compare_regimes validates once and makes one call per round for
-all pending densities of a regime: the scaling densities ride in the
-bracket's doubling call, free entry under competitive pricing and the club
-refine in lockstep on one shared scan, and the club's midpoint rides in a
-free-entry round when one is left. Free entry takes its result's roles from
-the round that found n*. Errors surface as in a sequential run: a merged
-call that fails is redone one solver at a time, and a solver's error waits
-until the solvers before it have finished.
+scaling densities, the club's midpoint) and is sent their (3, m) role array,
+as utility_arrays returns it. A driver groups the steps into evaluations,
+whose values are bit-identical to one-density calls whatever else the batch
+holds, so the grouping moves no output. A public solver drives its steps
+alone, one evaluation per step. compare_regimes validates once and makes
+one evaluation per round for all pending densities of a regime: the
+scaling densities ride in the bracket's doubling call, free entry under
+competitive pricing and the club refine in lockstep on one shared scan, and
+the club's midpoint rides in a free-entry round when one is left. The
+refinements carry the roles of their densities, so each result takes its
+roles from the round that evaluated its density. Errors surface as in a
+sequential run: each solver checks its own slice of a round, and a solver's
+error waits until the solvers before it have finished.
 """
 
 import json
@@ -52,8 +53,8 @@ import numpy as np
 from .errors import BoundaryOptimum, NoCrossing, NumericsError, ParamError
 from .model import (ModelParams, connect_probability_array, hop_distance_array,
                     intermediate_count, nodes_within_array, params_to_dict, validate)
-from .regimes import (Regime, RegimeUtilities, UTILITIES_CSV_HEADER, regime_utilities,
-                      utility_arrays)
+from .regimes import (Regime, RegimeUtilities, UTILITIES_CSV_HEADER, _not_finite, _roles,
+                      regime_utilities)
 
 __all__ = [
     "EquilibriumKind",
@@ -148,13 +149,14 @@ def _lockstep(template, regime, lanes):
     """Run step routines side by side and return each one's outcome: its
     return value, or the finding or error it raised.
 
-    A step routine is a generator that yields the densities it needs next and
-    is sent their (originator, intermediate, outsider) role arrays. Each round
-    evaluates the pending densities of every lane in one utility_arrays call.
+    Each round evaluates the pending densities of every lane at once, unchecked,
+    and sends each lane the columns of its own densities. A lane whose columns
+    hold a non-finite role is thrown the NumericsError utility_arrays raises
+    for them instead.
     """
     outcomes = [None] * len(lanes)
     sends = [(i, None, None) for i in range(len(lanes))]  # (lane, roles, error)
-    while sends:
+    while True:
         batch = []
         for i, roles, error in sends:
             try:
@@ -164,31 +166,21 @@ def _lockstep(template, regime, lanes):
             except _STEP_OUTCOMES as exc:
                 # kept without this frame, whose outcomes would hold exc in a cycle
                 outcomes[i] = exc.with_traceback(exc.__traceback__.tb_next)
-        sends = _evaluated(template, regime, batch) if batch else []
-    return outcomes
-
-
-def _evaluated(template, regime, batch):
-    """(lane, roles, error) for each (lane, densities) of batch, from one
-    utility_arrays call. A merged call that raises NumericsError is redone
-    one lane at a time, in lane order, so every lane meets the error its own
-    call raises."""
-    try:
-        roles = utility_arrays(template, regime, np.concatenate([d for _, d in batch]))
-    except NumericsError as exc:
-        if len(batch) == 1:
-            return [(batch[0][0], None, exc)]
-        return [sent for lane in batch for sent in _evaluated(template, regime, [lane])]
-    sends, lo = [], 0
-    for i, densities in batch:
-        hi = lo + len(densities)
-        sends.append((i, [r[lo:hi] for r in roles], None))
-        lo = hi
-    return sends
+        if not batch:
+            return outcomes
+        n = np.concatenate([d for _, d in batch])
+        roles = _roles(template, regime, n)
+        finite = np.isfinite(roles).all(axis=0)
+        sends, lo = [], 0
+        for i, densities in batch:
+            hi = lo + len(densities)
+            sends.append((i, roles[:, lo:hi], _not_finite(regime, n[lo:hi], finite[lo:hi])))
+            lo = hi
 
 
 def _drive(template, regime, steps):
-    """Run one step routine alone: one utility_arrays call per step."""
+    """Run one step routine alone: one evaluation per step, and its outcome
+    returned or raised."""
     (outcome,) = _lockstep(template, regime, [steps])
     if isinstance(outcome, _STEP_OUTCOMES):
         raise outcome
@@ -225,23 +217,23 @@ def _scan_steps(template):
 
 
 def _scan(template, regime):
-    """The default bracket's grid and roles: what _scanned passes in."""
+    """The default bracket's grid and its role array."""
     return _drive(template, regime, _scan_steps(template))
 
 
-def _refine_steps(xs, fs):
-    """Evaluate REFINE_POINTS evenly spaced densities inside [xs[0], xs[-1]]
-    in one step; return all REFINE_POINTS + 2 densities and totals, and the
-    roles of the interior ones."""
+def _refine_steps(xs, rs):
+    """Evaluate REFINE_POINTS evenly spaced densities inside [xs[0], xs[-1]],
+    whose role columns are rs, in one step; return all REFINE_POINTS + 2
+    densities and their roles."""
     xs = np.linspace(xs[0], xs[-1], REFINE_POINTS + 2)
     inner = yield xs[1:-1]
-    return xs, np.concatenate(([fs[0]], sum(inner), [fs[-1]])), inner
+    return xs, np.concatenate((rs[:, :1], inner, rs[:, -1:]), axis=1)
 
 
-def _solved(kind, template, regime, n_star, roles, grid, iterations, residual, notes=()):
-    """The result at n_star, whose roles were evaluated there, found in
+def _solved(kind, template, regime, n_star, column, grid, iterations, residual, notes=()):
+    """The result at n_star, whose role column was evaluated there, found in
     iterations rounds on the scan grid."""
-    orig, inter, out = (float(r) for r in roles)
+    orig, inter, out = column.tolist()
     return EquilibriumResult(
         kind=kind,
         utilities=RegimeUtilities(regime, orig, inter, out, orig + inter + out,
@@ -252,9 +244,7 @@ def _solved(kind, template, regime, n_star, roles, grid, iterations, residual, n
     )
 
 
-def free_entry_density(
-    template: ModelParams, regime: Regime, *, _scanned=None
-) -> EquilibriumResult:
+def free_entry_density(template: ModelParams, regime: Regime) -> EquilibriumResult:
     """Solve total utility = 0 for density under free entry.
 
     Scans the default bracket for cells whose total falls from positive to
@@ -265,8 +255,7 @@ def free_entry_density(
     MAX_ROUNDS rounds cannot meet it.
     """
     validate(template)
-    scanned = _scanned or _scan(template, regime)
-    return _drive(template, regime, _free_entry_steps(template, regime, scanned))
+    return _drive(template, regime, _free_entry_steps(template, regime, _scan(template, regime)))
 
 
 def _free_entry_steps(template, regime, scanned):
@@ -279,8 +268,7 @@ def _free_entry_steps(template, regime, scanned):
 
     # invariant: fs[0] > 0 >= fs[-1]
     i = cells[-1]
-    xs, fs = grid[i : i + 2], values[i : i + 2]
-    ends = [(roles, i), (roles, i + 1)]  # where the roles of xs were evaluated
+    xs, rs, fs = grid[i : i + 2], roles[:, i : i + 2], values[i : i + 2]
     iterations = 0
     while not np.min(np.abs(fs)) <= RESIDUAL_TOL:
         if iterations == MAX_ROUNDS:
@@ -288,19 +276,17 @@ def _free_entry_steps(template, regime, scanned):
                 f"k-section stalled on [{float(xs[0])!r}, {float(xs[-1])!r}] with "
                 f"residuals {float(fs[0])!r}, {float(fs[-1])!r} above {RESIDUAL_TOL!r}"
             )
-        xs, fs, inner = yield from _refine_steps(xs, fs)
+        xs, rs = yield from _refine_steps(xs, rs)
+        fs = sum(rs)
         j = np.flatnonzero((fs[:-1] > 0) & (fs[1:] <= 0))[-1]
-        xs, fs = xs[j : j + 2], fs[j : j + 2]
-        ends = [ends[0] if j == 0 else (inner, j - 1),
-                ends[1] if j == REFINE_POINTS else (inner, j)]
+        xs, rs, fs = xs[j : j + 2], rs[:, j : j + 2], fs[j : j + 2]
         iterations += 1
     k = int(np.argmin(np.abs(fs)))
-    at, m = ends[k]
     return _solved(EquilibriumKind.FREE_ENTRY, template, regime, float(xs[k]),
-                   [r[m] for r in at], grid, iterations, float(fs[k]))
+                   rs[:, k], grid, iterations, float(fs[k]))
 
 
-def club_optimal_density(template: ModelParams, *, _scanned=None) -> EquilibriumResult:
+def club_optimal_density(template: ModelParams) -> EquilibriumResult:
     """Maximize per-node total utility under competitive peering over density.
 
     Grid scan of the default bracket locates the hump; batched grid rounds
@@ -310,8 +296,7 @@ def club_optimal_density(template: ModelParams, *, _scanned=None) -> Equilibrium
     """
     regime = Regime.PEERING_PERFECT_COMPETITION
     validate(template)
-    scanned = _scanned or _scan(template, regime)
-    return _drive(template, regime, _club_steps(template, regime, scanned))
+    return _drive(template, regime, _club_steps(template, regime, _scan(template, regime)))
 
 
 def _club_steps(template, regime, scanned):
@@ -331,20 +316,19 @@ def _club_steps(template, regime, scanned):
     if len(rising) or len(falling):
         notes.append("multimodal grid profile")
 
-    xs, fs = grid[[k - 1, k + 1]], values[[k - 1, k + 1]]
+    xs, rs = grid[[k - 1, k + 1]], roles[:, [k - 1, k + 1]]
     iterations = 0
     while xs[-1] - xs[0] > DENSITY_TOL and iterations < MAX_ROUNDS:
-        xs, fs, _ = yield from _refine_steps(xs, fs)
-        j = int(np.argmax(fs))
+        xs, rs = yield from _refine_steps(xs, rs)
+        j = int(np.argmax(sum(rs)))
         keep = [max(j - 1, 0), min(j + 1, REFINE_POINTS + 1)]
-        xs, fs = xs[keep], fs[keep]
+        xs, rs = xs[keep], rs[:, keep]
         iterations += 1
     a, b = float(xs[0]), float(xs[-1])
 
     n_star = 0.5 * (a + b)
-    roles = yield [n_star]
     res = _solved(EquilibriumKind.CLUB_OPTIMUM, template, regime, n_star,
-                  [r[0] for r in roles], grid, iterations, b - a, notes)
+                  (yield [n_star])[:, 0], grid, iterations, b - a, notes)
     if not (res.total_eu_at_n_star >= 0):
         raise NumericsError(
             f"club optimum at n={res.n_star!r} has negative member utility "

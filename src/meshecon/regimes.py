@@ -32,16 +32,16 @@ kept, not reconciled; the receiving-peer count is floored at zero so the
 outsider utility can never turn positive where the continuum approximation
 of N breaks down.
 
-utility_arrays() evaluates a regime over an array of densities at once, and
-regime_utilities() is its one-density call. In lattice units y = n x,
-every integrand depends on n only through Y = n d_max and c's scale, and
-every role is an elementary closed form, clamps included, but for the
-peering cost integrals int g c(D) 2y dy (g = 1, I or I + 1) over the
-relayed annulus 2 < y <= Y. Those take one fixed rule in s = log(y - 1),
-48 Gauss-Legendre nodes per density (ANNULUS_NODES; Golub & Welsch 1969),
-which a 96-node rule matches to 1e-13 relative.
-Non-finite utilities, huge densities whose terms overflow included, raise
-NumericsError.
+utility_arrays() evaluates a regime over an array of densities at once, as
+one (3, m) array of the roles, and regime_utilities() is its one-density
+call. In lattice units y = n x, every integrand depends on n only through
+Y = n d_max and c's scale, and every role is an elementary closed form,
+clamps included, but for the peering cost integrals int g c(D) 2y dy
+(g = 1, I or I + 1) over the relayed annulus 2 < y <= Y. Those take one
+fixed rule in s = log(y - 1), 48 Gauss-Legendre nodes per density
+(ANNULUS_NODES; Golub & Welsch 1969), which a 96-node rule matches to 1e-13
+relative. Non-finite utilities, huge densities whose terms overflow
+included, raise NumericsError.
 
 All operations are pure functions; nothing here holds mutable state.
 """
@@ -229,16 +229,34 @@ def integrate(f, lo: float, hi: float, tol: float = DEFAULT_TOL) -> float:
 ANNULUS_NODES = 48
 
 
-# A density so large that the role terms overflow or turn NaN is reported by
-# the finiteness check as NumericsError, without numpy's RuntimeWarnings; an
-# overflow whose result stays finite (N log z reaching -inf, so P = 1) is a
-# correct value and is kept, as before.
-@np.errstate(over="ignore", invalid="ignore")
 def utility_arrays(template: ModelParams, regime: Regime, densities):
-    """Per-role utilities (originator, intermediate, outsider) at each density,
-    other parameters from template; no entry depends on the rest of the batch."""
-    p, d = template, template.d_max
+    """Per-role utilities at each density, other parameters from template: a
+    (3, m) array whose rows are the originator, intermediate and outsider
+    roles. No entry depends on the rest of the batch. Raises NumericsError
+    at the first density whose roles are not all finite."""
     n = np.asarray(densities, dtype=float).reshape(-1)
+    roles = _roles(template, regime, n)
+    error = _not_finite(regime, n, np.isfinite(roles).all(axis=0))
+    if error:
+        raise error
+    return roles
+
+
+def _not_finite(regime, n, finite):
+    """The NumericsError for the first of the densities n whose finite mask
+    entry is False, or None when there is none."""
+    if not finite.all():
+        return NumericsError(f"{regime.value} utility is not finite at n={n[~finite][0]}")
+
+
+# A density so large that the role terms overflow or turn NaN comes back
+# non-finite, without numpy's RuntimeWarnings, for the caller's finiteness
+# check to report; an overflow whose result stays finite (N log z reaching
+# -inf, so P = 1) is a correct value.
+@np.errstate(over="ignore", invalid="ignore")
+def _roles(template, regime, n):
+    """utility_arrays at the float densities n, without the finiteness check."""
+    p, d = template, template.d_max
     prob = connect_probability_array(nodes_within_array(n, d), p.z)
     if regime is Regime.NO_PEERING:
         x0 = np.minimum(1 / (n * math.sqrt(math.pi)), d)
@@ -277,15 +295,12 @@ def utility_arrays(template: ModelParams, regime: Regime, densities):
             inter = -p.w * prob * relays / y2
     else:
         raise ParamError(f"unknown regime {regime!r}")
-    finite = np.isfinite([orig, inter, out]).all(axis=0)
-    if not finite.all():
-        raise NumericsError(f"{regime.value} utility is not finite at n={n[~finite][0]}")
-    return orig, inter, out
+    return np.array((orig, inter, out))
 
 
 def regime_utilities(params: ModelParams, regime: Regime) -> RegimeUtilities:
     """The regime's expected utilities at params.n."""
-    orig, inter, out = (a.item() for a in utility_arrays(params, regime, [params.n]))
+    orig, inter, out = utility_arrays(params, regime, [params.n])[:, 0].tolist()
     return RegimeUtilities(regime, orig, inter, out, orig + inter + out, params)
 
 

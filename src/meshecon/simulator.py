@@ -181,14 +181,6 @@ class Lattice:
         self.n_offsets = len(self.offset_r2)
         self.connect_prob = connect_probability(params, self.n_offsets)
 
-    def distance(self, a: int, b: int) -> float:
-        """Torus distance between node ids a and b."""
-        (ai, aj), (bi, bj) = divmod(a, self.side), divmod(b, self.side)
-        half = self.side // 2
-        di = (bi - ai + half) % self.side - half
-        dj = (bj - aj + half) % self.side - half
-        return math.hypot(di, dj) * self.spacing
-
     def circle_count(self, r2: int) -> int:
         """Other nodes within squared lattice radius r2 of any node."""
         return int(np.searchsorted(self.offset_r2, r2, side="right"))

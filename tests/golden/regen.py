@@ -1,0 +1,167 @@
+"""Rewrite manifest.json: the CLI's bytes on a fixed set of requests.
+
+Each request is one in-process `meshecon.cli.main` call. The manifest keeps
+its argv, exit code, stderr text and the sha256 of its stdout and of its
+--output file (null when none was written). tests/test_golden.py replays
+every request and compares. The digests depend on numpy's build (its log
+and power differ from math's in the last bit on some inputs), so the
+manifest records the numpy and Python versions it was made with.
+
+Regenerate only when a change means to move bytes, and list in CHANGES.md
+which requests moved and why:
+
+    python tests/golden/regen.py
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import platform
+import sys
+import tempfile
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+MANIFEST = HERE / "manifest.json"
+OUTPUT = "golden-output.txt"  # --output target, relative to the working directory
+ENVIRONMENT = {"COLUMNS": "80"}  # argparse wraps its usage lines to this width
+UNSET = ("MESHECON_CONFIG",)
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def record(argv) -> dict:
+    """One request's entry: run cli.main(argv) in the working directory,
+    which must hold no OUTPUT file, with ENVIRONMENT set and UNSET unset."""
+    from meshecon.cli import main
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    written = None
+    if os.path.exists(OUTPUT):
+        written = _sha256(Path(OUTPUT).read_bytes())
+        os.unlink(OUTPUT)
+    return {
+        "argv": list(argv),
+        "exit": code,
+        "stdout_sha256": _sha256(out.getvalue().encode()),
+        "output_sha256": written,
+        "stderr": err.getvalue(),
+    }
+
+
+def _sets(template):
+    """--set arguments giving every parameter of template."""
+    values = {"n": template.n, "d_max": template.d_max, "v": template.v, "u": template.u,
+              "w": template.w, "z": template.z, "cost_a": template.cost.a,
+              "cost_beta": template.cost.beta}
+    return [a for key, value in values.items() for a in ("--set", f"{key}={value!r}")]
+
+
+def requests() -> list:
+    """The argv of every request, in manifest order."""
+    from conftest import random_draws
+    from meshecon import compare_regimes
+
+    overflow = ["--set", "n=1.79e308", "--set", "d_max=6e-309", "--set", "cost_beta=1.01"]
+    templates = [[], ["--set", "w=0"], overflow, ["--set", "n=1e308"]]
+    templates += [_sets(p) for p, _ in random_draws(6, seed=7)]
+    # templates whose comparison ends in a finding, and some that solve
+    findings = solved = 0
+    for p, _ in random_draws(150, seed=7, require_relay=False):
+        report = compare_regimes(p)
+        if report.has_findings() and findings < 4:
+            findings += 1
+            templates.append(_sets(p))
+        elif not report.has_findings() and solved < 2:
+            solved += 1
+            templates.append(_sets(p))
+
+    argvs = []
+    for sets in templates:
+        for command in ("eval", "equilibrium"):
+            for fmt in ("json", "csv"):
+                argvs.append([command, *sets, "--format", fmt])
+        argvs.append(["validate", *sets])
+
+    sweeps = {"n": ("2.5", "40", "9"), "w": ("0", "0.05", "7"),
+              "cost_beta": ("1.2", "3", "7")}
+    for sets in templates[:2] + templates[4:7]:
+        for axis, (lo, hi, steps) in sweeps.items():
+            for fmt in ("json", "csv"):
+                argvs.append(["sweep", *sets, "--axis", axis, "--lo", lo, "--hi", hi,
+                              "--steps", steps, "--format", fmt])
+
+    # every kind of output, once through --output
+    with_output = [["eval"], ["eval", "--format", "csv"], ["equilibrium"],
+                   ["equilibrium", "--set", "w=0", "--format", "csv"],
+                   ["sweep", "--axis", "z", "--lo", "0.5", "--hi", "0.99", "--steps", "5"],
+                   ["validate"], ["radio", "--snr", "3", "--dist", "2"]]
+    argvs += [argv + ["--output", OUTPUT] for argv in with_output]
+    argvs += [["radio"], ["radio", "--snr", "10", "--alpha", "0.5", "--exp", "3.5",
+                          "--dist", "0.25"]]
+
+    argvs += [
+        # usage errors
+        [], ["frobnicate"], ["eval", "--format", "xml"], ["sweep", "--lo", "1", "--hi", "2"],
+        ["sweep", "--axis", "n", "--lo", "1", "--hi", "2", "--steps", "x"],
+        ["validate", "--format", "csv"], ["eval", "--bogus"],
+        # validation errors
+        ["validate", "--set", "z=2"], ["eval", "--set", "n=0.5"],
+        ["equilibrium", "--set", "d_max=-1"], ["eval", "--set", "foo=1"],
+        ["eval", "--set", "n"], ["eval", "--set", "n=abc"], ["eval", "--set", "w=nan"],
+        ["equilibrium", "--set", "cost_beta=0.5"], ["validate", "--config", "missing.cfg"],
+        ["sweep", "--axis", "n", "--lo", "1", "--hi", "2", "--steps", "1"],
+        ["sweep", "--axis", "foo", "--lo", "1", "--hi", "2", "--steps", "3"],
+        ["sweep", "--axis", "n", "--lo", "3", "--hi", "2", "--steps", "3"],
+        ["sweep", "--axis", "n", "--lo", "3", "--hi", "inf", "--steps", "3"],
+        ["sweep", "--axis", "z", "--lo", "0.5", "--hi", "1.5", "--steps", "3"],
+        ["sweep", "--axis", "n", "--lo", "1e308", "--hi", "1e308", "--steps", "2"],
+    ]
+    return argvs
+
+
+@contextlib.contextmanager
+def environment():
+    """A fresh working directory, with ENVIRONMENT set and UNSET unset."""
+    saved = {key: os.environ.get(key) for key in (*ENVIRONMENT, *UNSET)}
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        os.environ.update(ENVIRONMENT)
+        for key in UNSET:
+            os.environ.pop(key, None)
+        try:
+            yield
+        finally:
+            os.chdir(cwd)
+            for key, value in saved.items():
+                if value is None:
+                    os.environ.pop(key, None)
+                else:
+                    os.environ[key] = value
+
+
+def main() -> None:
+    import numpy as np
+
+    with environment():
+        entries = [record(argv) for argv in requests()]
+    manifest = {"numpy": np.__version__, "python": platform.python_version(),
+                "requests": entries}
+    MANIFEST.write_text(json.dumps(manifest, indent=1) + "\n", encoding="utf-8")
+    codes = sorted({e["exit"] for e in entries})
+    print(f"{len(entries)} requests, exit codes {codes}, written to {MANIFEST}")
+
+
+if __name__ == "__main__":
+    sys.path[:0] = [str(HERE.parent.parent / "src"), str(HERE.parent)]
+    main()

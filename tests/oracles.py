@@ -279,6 +279,11 @@ def wrap_delta(side: int, origin: int, destination: int) -> tuple[int, int]:
     return (di - oi + half) % side - half, (dj - oj + half) % side - half
 
 
+def torus_distance(side: int, spacing: float, origin: int, destination: int) -> float:
+    """Euclidean length of wrap_delta's offset, at the given lattice spacing."""
+    return math.hypot(*wrap_delta(side, origin, destination)) * spacing
+
+
 def route_greedy(side: int, origin: int, destination: int) -> list[int]:
     """Greedy 8-neighbor path: hop to the adjacent node that minimizes the
     remaining torus distance, ties to the lowest node id. The walks the

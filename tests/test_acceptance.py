@@ -316,7 +316,7 @@ def test_c08_incentive_logic():
     nearest_direct = True
     saw_nearest = 0
     for ev in out_pc.events:
-        d = lat.distance(ev.origin, ev.destination)
+        d = oracles.torus_distance(lat.side, lat.spacing, ev.origin, ev.destination)
         if intermediate_count(DEFAULTS, d) >= 1 and ev.choice.mode is not Choice.PEER:
             peer_when_relayable = False
         if ev.choice.mode is Choice.PEER:

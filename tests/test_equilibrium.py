@@ -37,10 +37,12 @@ from meshecon.equilibrium import (
     REFINE_POINTS,
     RESIDUAL_TOL,
     _SCALING_N_VALUES,
+    _drive,
+    _free_entry_steps,
     _leapfrog_profile,
     _scan,
 )
-from meshecon.regimes import utility_arrays
+from meshecon.regimes import _roles, utility_arrays
 from conftest import random_draws
 import oracles
 
@@ -49,16 +51,16 @@ PERFCOMP = Regime.PEERING_PERFECT_COMPETITION
 
 @pytest.fixture
 def utility_calls(monkeypatch):
-    """Record (regime, densities) for every utility_arrays call, under both
-    names the solvers and regime_utilities look it up by."""
+    """Record (regime, densities) for every evaluation of the roles, under
+    both names the solvers and utility_arrays look it up by."""
     calls = []
 
-    def spy(template, regime, densities):
-        calls.append((regime, np.array(densities, dtype=float).reshape(-1)))
-        return utility_arrays(template, regime, densities)
+    def spy(template, regime, n):
+        calls.append((regime, n.copy()))
+        return _roles(template, regime, n)
 
-    monkeypatch.setattr(meshecon.equilibrium, "utility_arrays", spy)
-    monkeypatch.setattr(meshecon.regimes, "utility_arrays", spy)
+    monkeypatch.setattr(meshecon.equilibrium, "_roles", spy)
+    monkeypatch.setattr(meshecon.regimes, "_roles", spy)
     return calls
 
 
@@ -155,11 +157,10 @@ def test_free_entry_ignores_an_exact_zero_no_positive_total_precedes(defaults):
     grid, roles = _scan(defaults, regime)
     values = sum(roles)
     assert values[-2] < 0 and values[-1] < 0
-    planted = tuple(r.copy() for r in roles)
-    for r in planted:
-        r[-1] = 0.0
-    plain = free_entry_density(defaults, regime, _scanned=(grid, roles))
-    got = free_entry_density(defaults, regime, _scanned=(grid, planted))
+    planted = roles.copy()
+    planted[:, -1] = 0.0
+    plain = _drive(defaults, regime, _free_entry_steps(defaults, regime, (grid, roles)))
+    got = _drive(defaults, regime, _free_entry_steps(defaults, regime, (grid, planted)))
     assert got.n_star == plain.n_star < grid[-1]
 
 
@@ -223,6 +224,7 @@ def test_batched_evaluation_bit_identical_to_single(defaults, regime):
         assert all(len(r) == 0 for r in utility_arrays(t, regime, []))
         for densities in (grid, doublings, scaling, relay_edge):
             roles = utility_arrays(t, regime, densities)
+            assert roles.shape == (3, len(densities))
             for k, n in enumerate(densities):
                 one = regime_utilities(t.with_n(float(n)), regime)
                 got = tuple(float(r[k]) for r in roles)
@@ -423,7 +425,7 @@ def test_compare_regimes_shares_one_competitive_scan(defaults, utility_calls):
     assert len(utility_calls) <= 20  # 31 when the solvers ran one after another
 
 
-def test_equilibrium_command_validates_twice(monkeypatch, capsys):
+def test_equilibrium_command_validates_once(monkeypatch, capsys):
     calls = []
 
     def spy(params):
@@ -433,13 +435,13 @@ def test_equilibrium_command_validates_twice(monkeypatch, capsys):
     monkeypatch.setattr(meshecon.cli, "validate", spy)
     monkeypatch.setattr(meshecon.equilibrium, "validate", spy)
     assert main(["equilibrium"]) == 0
-    # cmd_equilibrium and compare_regimes; not once more per solver
-    assert len(calls) == 2
+    # compare_regimes; not once more in cmd_equilibrium or per solver
+    assert len(calls) == 1
 
 
 def _sequential_compare(template):
     """compare_regimes composed from the public solvers, run one after
-    another, each with its own utility_arrays calls."""
+    another, each with its own evaluations."""
     validate(template)
 
     def attempt(solve):
@@ -506,11 +508,11 @@ def test_compare_regimes_raises_errors_in_sequential_order(defaults, monkeypatch
     planted = set(club_round)
     fe_rounds = []
 
-    def record(template, regime, densities):
-        fe_rounds.append(np.asarray(densities, dtype=float).reshape(-1))
-        return utility_arrays(template, regime, densities)
+    def record(template, regime, n):
+        fe_rounds.append(n.copy())
+        return _roles(template, regime, n)
 
-    monkeypatch.setattr(meshecon.equilibrium, "utility_arrays", record)
+    monkeypatch.setattr(meshecon.equilibrium, "_roles", record)
     free_entry_density(defaults, PERFCOMP)
     fe_rounds = [d for d in fe_rounds if len(d) == REFINE_POINTS]
     assert len(fe_rounds) >= 3 and not planted & set(np.concatenate(fe_rounds).tolist())
@@ -519,15 +521,14 @@ def test_compare_regimes_raises_errors_in_sequential_order(defaults, monkeypatch
         planted |= set(fe_rounds[2].tolist())
         first_failure = fe_rounds[2][0]
 
-    def planted_nan(template, regime, densities):
-        # what utility_arrays' finiteness check raises for a non-finite role
-        n = np.asarray(densities, dtype=float).reshape(-1)
-        hit = [x for x in n.tolist() if regime is PERFCOMP and x in planted]
-        if hit:
-            raise NumericsError(f"{regime.value} utility is not finite at n={hit[0]}")
-        return utility_arrays(template, regime, densities)
+    def planted_nan(template, regime, n):
+        # a non-finite intermediate role at each planted density
+        roles = _roles(template, regime, n)
+        if regime is PERFCOMP:
+            roles[1, [x in planted for x in n.tolist()]] = np.nan
+        return roles
 
-    monkeypatch.setattr(meshecon.equilibrium, "utility_arrays", planted_nan)
+    monkeypatch.setattr(meshecon.equilibrium, "_roles", planted_nan)
     expected = _comparison_bytes(_sequential_compare, defaults)
     assert expected[0] is NumericsError
     assert expected[1] == f"{PERFCOMP.value} utility is not finite at n={first_failure}"
@@ -538,6 +539,35 @@ def test_compare_regimes_raises_errors_in_sequential_order(defaults, monkeypatch
     monkeypatch.setattr(meshecon.cli, "compare_regimes", compare_regimes)
     assert (main(["equilibrium"]), capsys.readouterr()) == sequential
     assert sequential[0] == 3
+
+
+def test_a_failing_merged_round_is_not_evaluated_again(defaults, monkeypatch):
+    # a NaN at one density of the club's first refinement round, which is
+    # evaluated together with free entry's first round: the club meets the
+    # error its own evaluation raises, and no density of that round is
+    # evaluated again (the round's middle density repeats the scan's argmax)
+    grid, roles = _scan(defaults, PERFCOMP)
+    k = int(np.argmax(sum(roles)))
+    planted = np.linspace(grid[k - 1], grid[k + 1], REFINE_POINTS + 2)[1].item()
+    assert planted not in grid
+    calls = []
+
+    def planted_nan(template, regime, n):
+        calls.append((regime, n.tolist()))
+        roles = _roles(template, regime, n)
+        if regime is PERFCOMP:
+            roles[1, n == planted] = np.nan
+        return roles
+
+    monkeypatch.setattr(meshecon.equilibrium, "_roles", planted_nan)
+    expected = _comparison_bytes(_sequential_compare, defaults)
+    assert expected == (NumericsError, f"{PERFCOMP.value} utility is not finite at n={planted}")
+    calls.clear()
+    assert _comparison_bytes(compare_regimes, defaults) == expected
+    (at,) = [i for i, (r, n) in enumerate(calls) if r is PERFCOMP and planted in n]
+    failing = calls[at][1]
+    assert len(failing) == 2 * REFINE_POINTS  # free entry's round and the club's
+    assert not set(failing) & {x for r, n in calls[at + 1:] if r is PERFCOMP for x in n}
 
 
 def test_compare_regimes_json_round_trip(defaults):

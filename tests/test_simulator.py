@@ -79,9 +79,10 @@ def test_lattice_basic_geometry():
     lat = build_lattice(cfg)
     assert lat.n_nodes == 100
     a = 0  # node (0, 0); node (i, j) is i * 10 + j
-    assert lat.distance(a, 1) == pytest.approx(0.1)
-    assert lat.distance(a, 9) == pytest.approx(0.1)  # wrap
-    assert lat.distance(a, 55) == pytest.approx(0.5 * math.sqrt(2))
+    distance = lambda b: oracles.torus_distance(lat.side, lat.spacing, a, b)
+    assert distance(1) == pytest.approx(0.1)
+    assert distance(9) == pytest.approx(0.1)  # wrap
+    assert distance(55) == pytest.approx(0.5 * math.sqrt(2))
 
 
 def test_lattice_translation_invariant_neighborhoods():
@@ -92,7 +93,8 @@ def test_lattice_translation_invariant_neighborhoods():
     for node in range(lat.n_nodes):
         counts.add(sum(
             1 for other in range(lat.n_nodes)
-            if other != node and lat.distance(node, other) <= cfg.params.d_max
+            if other != node
+            and oracles.torus_distance(lat.side, lat.spacing, node, other) <= cfg.params.d_max
         ))
     assert len(counts) == 1
     assert counts.pop() == lat.n_offsets
@@ -446,7 +448,7 @@ def test_path_tables_walk_matches_greedy_router(side, n):
             r2 = [sum(x * x for x in oracles.wrap_delta(side, a, b))
                   for a, b in zip(path, path[1:])]
             assert paths.fields[k][0] == tuple(  # the hop lengths
-                lat.distance(a, b) for a, b in zip(path, path[1:])
+                oracles.torus_distance(lat.side, lat.spacing, a, b) for a, b in zip(path, path[1:])
             )
             assert paths.charged[k].tolist() == (
                 [lat.circle_count(x) for x in r2] + [0] * (paths.charged.shape[1] - hops)
@@ -476,7 +478,8 @@ def _diagnostics_reference(cfg):
             )
             peer = bool(tables.peer[k])
             path = oracles.route_greedy(side, node, dest) if peer else [node, dest]
-            hop_lengths = tuple(lattice.distance(a, b) for a, b in zip(path, path[1:]))
+            hop_lengths = tuple(oracles.torus_distance(side, lattice.spacing, a, b)
+                                for a, b in zip(path, path[1:]))
             events.append(ConnectionEvent(
                 trial=trial,
                 origin=node,
@@ -570,7 +573,7 @@ def test_event_invariants_and_table_congruence():
         assert ev.path[0] == ev.origin
         assert ev.path[-1] == ev.destination
         assert len(set(ev.path)) == len(ev.path)
-        d = lat.distance(ev.origin, ev.destination)
+        d = oracles.torus_distance(lat.side, lat.spacing, ev.origin, ev.destination)
         assert sum(ev.hop_lengths) >= d - 1e-12
         assert len(ev.path) - 1 <= 2 * cfg.params.n * d + 1e-9
         if ev.choice.mode is Choice.PEER:
@@ -596,7 +599,7 @@ def test_straight_and_diagonal_paths_have_tight_lengths():
         if di == 0 or dj == 0 or abs(di) == abs(dj):
             seen += 1
             assert sum(ev.hop_lengths) == pytest.approx(
-                lat.distance(ev.origin, ev.destination), rel=1e-12
+                oracles.torus_distance(lat.side, lat.spacing, ev.origin, ev.destination), rel=1e-12
             )
     assert seen > 0
 
@@ -617,7 +620,7 @@ def test_event_level_peering_beats_direct_socially():
             peer_cost += p.cost(h) + p.w * lat.circle_count(di * di + dj * dj)
         di, dj = oracles.wrap_delta(lat.side, ev.origin, ev.destination)
         direct_cost = (
-            p.cost(lat.distance(ev.origin, ev.destination))
+            p.cost(oracles.torus_distance(lat.side, lat.spacing, ev.origin, ev.destination))
             + p.w * lat.circle_count(di * di + dj * dj)
         )
         assert peer_cost < direct_cost
