@@ -8,17 +8,19 @@ utility (originator + intermediate + outsider) is positive, so the
 equilibrium density is the largest downcrossing of total utility through
 zero — entry accumulates until utility hits zero from above, and any
 smaller root is unstable under that dynamic. The scan's crossing is refined
-by batched k-section: each round evaluates REFINE_POINTS evenly spaced
-interior densities of the current cell and keeps the cell of their largest
-downcrossing, until an endpoint's residual |total utility| is within
-tolerance.
+in rounds: each evaluates REFINE_POINTS densities placed around the
+regula-falsi root of the current cell's ends (the root itself, and toward
+each end a ladder of densities, halfway there first and then geometrically
+closer to the root) and keeps the cell of their largest downcrossing, until
+an endpoint's residual |total utility| is within tolerance.
 
 Club: an entry-controlling club admits members up to the density that
 maximizes the same per-node total under competitive relay pricing (not
 aggregate welfare n^2 x per-node utility — the per-node sum is the club
-member's objective). Grid scan plus a batched grid argmax: each round
-evaluates REFINE_POINTS interior densities of [a, b] and keeps the two grid
-cells around their argmax, until b - a is within tolerance. A maximum
+member's objective). The scan's argmax is refined in rounds that place
+REFINE_POINTS densities the same way around the vertex of the parabola
+through the cell's ends and its argmax, and keep the two cells around the
+round's argmax, until b - a is within tolerance. A maximum
 pinned to a bracket edge is surfaced as BoundaryOptimum rather than
 reported as an interior solution, since its economics are ambiguous.
 
@@ -74,8 +76,14 @@ DENSITY_TOL = 1e-6           # interval width around the club optimum
 BRACKET_CAP = 1e5            # hard ceiling for automatic bracket growth
 SCALING_MIN_P = 0.99         # demand saturation required for a clean exponent fit
 GRID_POINTS = 200            # densities per bracket scan
-REFINE_POINTS = 15           # interior densities per batched refinement round
-MAX_ROUNDS = 50              # refinement round limit: 16^50 = 2^200, 200 halvings
+REFINE_POINTS = 15           # densities per refinement round
+MAX_ROUNDS = 50              # refinement round limit; a round at least halves a cell
+# a round evaluates an estimate and, toward each end of the cell, densities
+# at these fractions of the way there: halfway, then geometrically closer
+_FREE_ENTRY_RUNGS = 0.5 * 16.0 ** -np.arange(REFINE_POINTS // 2)
+_CLUB_RUNGS = 0.5 * 4.0 ** -np.arange(REFINE_POINTS // 2)
+# and at least these many ulps of the cell's upper end away from the estimate
+_ULPS = 2.0 * np.arange(REFINE_POINTS // 2, 0, -1)
 
 
 class EquilibriumKind(Enum):
@@ -196,24 +204,28 @@ def default_bracket(template: ModelParams, regime: Regime) -> tuple:
     still positive the bracket ends at the cap; downstream scans then report
     the absence of a crossing rather than inventing one.
     """
-    return _drive(template, regime, _bracket_steps(template))
+    return _drive(template, regime, _bracket_steps(template))[:2]
 
 
 def _bracket_steps(template):
-    """default_bracket's steps: one call on every doubling."""
+    """default_bracket's steps: one call on every doubling. Returns the
+    bracket and the role column at its upper end."""
     n_lo = 2 / template.d_max
     doublings = [2 * n_lo]
     while doublings[-1] < BRACKET_CAP:
         doublings.append(min(2 * doublings[-1], BRACKET_CAP))
-    totals = sum((yield doublings))
-    n_hi = next((x for x, t in zip(doublings, totals) if not t >= 0), doublings[-1])
-    return n_lo, n_hi
+    roles = yield doublings
+    totals = sum(roles).tolist()
+    i = next((i for i, t in enumerate(totals) if not t >= 0), len(totals) - 1)
+    return n_lo, doublings[i], roles[:, i : i + 1]
 
 
 def _scan_steps(template):
-    """The default bracket's grid and its role arrays."""
-    grid = np.linspace(*(yield from _bracket_steps(template)), GRID_POINTS)
-    return grid, (yield grid)
+    """The default bracket's grid and its role arrays; the doubling call has
+    evaluated the grid's last density, its upper end."""
+    n_lo, n_hi, top = yield from _bracket_steps(template)
+    grid = np.linspace(n_lo, n_hi, GRID_POINTS)
+    return grid, np.concatenate(((yield grid[:-1]), top), axis=1)
 
 
 def _scan(template, regime):
@@ -221,13 +233,25 @@ def _scan(template, regime):
     return _drive(template, regime, _scan_steps(template))
 
 
-def _refine_steps(xs, rs):
-    """Evaluate REFINE_POINTS evenly spaced densities inside [xs[0], xs[-1]],
-    whose role columns are rs, in one step; return all REFINE_POINTS + 2
-    densities and their roles."""
-    xs = np.linspace(xs[0], xs[-1], REFINE_POINTS + 2)
-    inner = yield xs[1:-1]
-    return xs, np.concatenate((rs[:, :1], inner, rs[:, -1:]), axis=1)
+def _refine_steps(xs, rs, estimate, rungs):
+    """One refinement round in the cell [xs[0], xs[-1]], whose sorted
+    densities xs have role columns rs. The round evaluates the estimate and,
+    toward each end of the cell, the densities at the fractions rungs of the
+    way there, kept at least two ulps apart; where those do not fall apart
+    and in order inside the cell, REFINE_POINTS evenly spaced densities
+    instead. It evaluates no density of xs again. Returns the round's
+    densities with xs, sorted, and their role columns."""
+    a, b = xs[0], xs[-1]
+    floor = math.ulp(b) * _ULPS
+    new = np.concatenate((estimate - np.maximum((estimate - a) * rungs, floor), [estimate],
+                          estimate + np.maximum((b - estimate) * rungs, floor)[::-1]))
+    if not (a < new[0] and new[-1] < b and (new[1:] > new[:-1]).all()):
+        new = np.linspace(a, b, REFINE_POINTS + 2)[1:-1]
+    for x in xs[1:-1]:
+        new = new[new != x]
+    xs = np.concatenate((xs, new))
+    order = np.argsort(xs, kind="stable")
+    return xs[order], np.concatenate((rs, (yield new)), axis=1)[:, order]
 
 
 def _solved(kind, template, regime, n_star, column, grid, iterations, residual, notes=()):
@@ -248,9 +272,9 @@ def free_entry_density(template: ModelParams, regime: Regime) -> EquilibriumResu
     """Solve total utility = 0 for density under free entry.
 
     Scans the default bracket for cells whose total falls from positive to
-    zero or below, and refines the largest such downcrossing by batched
-    k-section until an endpoint's residual |total utility| falls to
-    RESIDUAL_TOL. Raises NoCrossing when the curve never passes from
+    zero or below, and refines the largest such downcrossing around
+    regula-falsi estimates until an endpoint's residual |total utility|
+    falls to RESIDUAL_TOL. Raises NoCrossing when the curve never passes from
     positive to negative inside the bracket, and NumericsError when
     MAX_ROUNDS rounds cannot meet it.
     """
@@ -276,7 +300,10 @@ def _free_entry_steps(template, regime, scanned):
                 f"k-section stalled on [{float(xs[0])!r}, {float(xs[-1])!r}] with "
                 f"residuals {float(fs[0])!r}, {float(fs[-1])!r} above {RESIDUAL_TOL!r}"
             )
-        xs, rs = yield from _refine_steps(xs, rs)
+        # the regula-falsi root of the cell's ends
+        (a, b), (fa, fb) = xs.tolist(), fs.tolist()
+        estimate = a + fa / (fa - fb) * (b - a)
+        xs, rs = yield from _refine_steps(xs, rs, estimate, _FREE_ENTRY_RUNGS)
         fs = sum(rs)
         j = np.flatnonzero((fs[:-1] > 0) & (fs[1:] <= 0))[-1]
         xs, rs, fs = xs[j : j + 2], rs[:, j : j + 2], fs[j : j + 2]
@@ -289,10 +316,10 @@ def _free_entry_steps(template, regime, scanned):
 def club_optimal_density(template: ModelParams) -> EquilibriumResult:
     """Maximize per-node total utility under competitive peering over density.
 
-    Grid scan of the default bracket locates the hump; batched grid rounds
-    narrow [a, b] around the argmax to DENSITY_TOL (at most MAX_ROUNDS
-    rounds) and report its midpoint. A grid argmax on a bracket edge raises
-    BoundaryOptimum.
+    Grid scan of the default bracket locates the hump; rounds placed around
+    parabolic estimates narrow [a, b] around the argmax to DENSITY_TOL (at
+    most MAX_ROUNDS rounds) and report its midpoint. A grid argmax on a
+    bracket edge raises BoundaryOptimum.
     """
     regime = Regime.PEERING_PERFECT_COMPETITION
     validate(template)
@@ -316,25 +343,37 @@ def _club_steps(template, regime, scanned):
     if len(rising) or len(falling):
         notes.append("multimodal grid profile")
 
-    xs, rs = grid[[k - 1, k + 1]], roles[:, [k - 1, k + 1]]
+    # the cell and its argmax, which is never at a cell end: argmax takes the
+    # first of equal totals, and a cell end totals less than the argmax or
+    # follows it
+    xs, rs = grid[k - 1 : k + 2], roles[:, k - 1 : k + 2]
     iterations = 0
     while xs[-1] - xs[0] > DENSITY_TOL and iterations < MAX_ROUNDS:
-        xs, rs = yield from _refine_steps(xs, rs)
+        xs, rs = yield from _refine_steps(xs, rs, _vertex(xs, sum(rs)), _CLUB_RUNGS)
         j = int(np.argmax(sum(rs)))
-        keep = [max(j - 1, 0), min(j + 1, REFINE_POINTS + 1)]
-        xs, rs = xs[keep], rs[:, keep]
+        xs, rs = xs[j - 1 : j + 2], rs[:, j - 1 : j + 2]
         iterations += 1
-    a, b = float(xs[0]), float(xs[-1])
+    a, m, b = xs.tolist()
 
     n_star = 0.5 * (a + b)
+    column = rs[:, 1] if n_star == m else (yield [n_star])[:, 0]
     res = _solved(EquilibriumKind.CLUB_OPTIMUM, template, regime, n_star,
-                  (yield [n_star])[:, 0], grid, iterations, b - a, notes)
+                  column, grid, iterations, b - a, notes)
     if not (res.total_eu_at_n_star >= 0):
         raise NumericsError(
             f"club optimum at n={res.n_star!r} has negative member utility "
             f"{res.total_eu_at_n_star!r}; the objective should be nonnegative there"
         )
     return res
+
+
+def _vertex(xs, fs):
+    """The vertex of the parabola through the densities xs and totals fs,
+    whose middle total is the highest: the club's estimate. The middle
+    density when the parabola is flat."""
+    (a, m, b), (fa, fm, fb) = xs.tolist(), fs.tolist()
+    p, q = (m - a) * (fm - fb), (b - m) * (fm - fa)
+    return m - 0.5 * ((m - a) * p - (b - m) * q) / (p + q) if p + q > 0 else m
 
 
 def congestion_scaling_exponent(
@@ -373,8 +412,10 @@ def _scaling_steps(template, n_values):
             f"outsider utility is zero at n={n_values[zero.argmax()]!r} (w=0?); "
             f"log-log fit undefined"
         )
-    slope = np.polyfit(np.log(n_values), np.log(np.abs(outs)), 1)[0]
-    return float(slope)
+    # the least-squares slope, with both coordinates centred
+    x, y = np.log(n_values), np.log(np.abs(outs))
+    x -= x.mean()
+    return float(x @ (y - y.mean()) / (x @ x))
 
 
 # --------------------------------------------------------------------------

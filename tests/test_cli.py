@@ -489,6 +489,23 @@ def test_cli_import_leaves_scipy_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
+def test_equilibrium_leaves_numpy_ma_unloaded():
+    # np.unique imports numpy.ma on its first call, about 1 MiB of resident
+    # memory that the equilibrium command has no use for
+    import subprocess
+    import sys
+
+    code = ("import contextlib, io, sys\n"
+            "from meshecon.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = main(['equilibrium'])\n"
+            "print(code, 'numpy.ma' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=_package_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "False"]
+
+
 def test_reruns_are_byte_identical(capsys, tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     run(capsys, "simulate", "--side", "24", "--trials", "30", "--seed", "9",

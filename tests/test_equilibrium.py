@@ -36,10 +36,14 @@ from meshecon.equilibrium import (
     MAX_ROUNDS,
     REFINE_POINTS,
     RESIDUAL_TOL,
+    _CLUB_RUNGS,
+    _FREE_ENTRY_RUNGS,
     _SCALING_N_VALUES,
+    _club_steps,
     _drive,
     _free_entry_steps,
     _leapfrog_profile,
+    _refine_steps,
     _scan,
 )
 from meshecon.regimes import _roles, utility_arrays
@@ -183,6 +187,42 @@ def test_club_refinement_contract(defaults):
     assert solved >= 10
 
 
+def _round(xs, estimate, rungs):
+    """The densities a refinement round evaluates, and what it returns when
+    each density's roles are (n, 0, 0)."""
+    xs = np.array(xs)
+    steps = _refine_steps(xs, np.vstack([xs, 0 * xs, 0 * xs]), estimate, rungs)
+    new = next(steps)
+    with pytest.raises(StopIteration) as stop:
+        steps.send(np.vstack([new, 0 * new, 0 * new]))
+    return new, stop.value.value
+
+
+def test_refinement_round_places_a_ladder_around_the_estimate():
+    # the outermost densities halfway from the estimate to each end
+    new, (xs, rs) = _round([1.0, 3.0], 1.5, _FREE_ENTRY_RUNGS)
+    assert len(new) == REFINE_POINTS and new[REFINE_POINTS // 2] == 1.5
+    assert (new[0], new[-1]) == (1.25, 2.25)
+    assert np.all(np.diff(xs) > 0) and sorted(xs.tolist()) == sorted([1.0, 3.0, *new])
+    assert np.array_equal(rs[0], xs)
+    # the club's known argmax is not evaluated again, even as the estimate
+    new, (xs, rs) = _round([1.0, 1.5, 3.0], 1.5, _CLUB_RUNGS)
+    assert len(new) == REFINE_POINTS - 1 and 1.5 not in new
+    assert np.array_equal(rs[0], xs) and len(xs) == REFINE_POINTS + 2
+    # an estimate an ulp from an end leaves no room for the ladder on its side
+    new, _ = _round([1.0, 2.0], math.nextafter(2.0, 0), _FREE_ENTRY_RUNGS)
+    assert np.all(np.diff(new) > 0) and 1.0 < new[0] and new[-1] < 2.0
+
+
+def test_refinement_round_spaces_a_narrow_cell_evenly():
+    # eight ulps hold no ladder of distinct densities: REFINE_POINTS evenly
+    # spaced ones, repeats included, which the stall guard counts on
+    a = 10.0
+    cell = [a, a + 8 * math.ulp(a)]
+    new, _ = _round(cell, a + 4 * math.ulp(a), _FREE_ENTRY_RUNGS)
+    assert np.array_equal(new, np.linspace(*cell, REFINE_POINTS + 2)[1:-1])
+
+
 def test_free_entry_stall_guard_raises(defaults, utility_calls, monkeypatch):
     # no |total| is below a negative RESIDUAL_TOL, so the guard must end the
     # k-section (RESIDUAL_TOL=0 would be met by an exact 0.0 total, which the
@@ -301,6 +341,11 @@ def test_club_optimum_matches_argmax_oracle(defaults):
     assert res.diagnostics.notes == ()  # unimodal on the scan grid
 
 
+def test_club_optimum_within_half_the_tolerance_of_the_argmax_oracle(defaults):
+    n_star, _ = oracles.club_argmax_mp()
+    assert abs(club_optimal_density(defaults).n_star - n_star) <= DENSITY_TOL / 2
+
+
 def test_club_optimum_beats_grid_neighbors(defaults):
     res = club_optimal_density(defaults)
     br = res.diagnostics
@@ -340,6 +385,23 @@ def test_scaling_exponents_match_closed_form(defaults):
     assert got_np == pytest.approx(fit_np, abs=1e-6)
     assert 1.85 <= got_np <= 2.15
     assert 0.85 <= got_pc <= 1.15
+
+
+def test_scaling_slope_matches_numpy_polyfit(defaults):
+    # the closed-form least-squares slope against numpy's fit of the same points
+    fits = 0
+    for t in [defaults] + [p for p, _ in random_draws(40, seed=7)]:
+        ns = [x / t.d_max for x in _SCALING_N_VALUES]
+        for regime in (Regime.NO_PEERING, PERFCOMP):
+            try:
+                got = congestion_scaling_exponent(t, regime, ns)
+            except ParamError:
+                continue
+            outs = utility_arrays(t, regime, ns)[2]
+            fits += 1
+            want = np.polyfit(np.log(ns), np.log(np.abs(outs)), 1)[0]
+            assert got == pytest.approx(want, rel=1e-14, abs=0)
+    assert fits >= 60
 
 
 def test_scaling_linear_in_pollution_cost(defaults):
@@ -418,11 +480,43 @@ def test_compare_regimes_shares_one_competitive_scan(defaults, utility_calls):
     for regime in (Regime.NO_PEERING, PERFCOMP):
         assert sum(np.array_equal(d, doublings + scaling)
                    for r, d in utility_calls if r is regime) == 1
-    assert sum(np.array_equal(d, grid) for d in pc) == 1
+    # the doubling call has evaluated the grid's last density, the bracket's end
+    assert sum(np.array_equal(d, grid[:-1]) for d in pc) == 1
     # free entry takes its result from the round that found n*: the one
     # one-density call is the club's midpoint, after free entry has finished
     assert [float(d[0]) for _, d in utility_calls if len(d) == 1] == [report.club.n_star]
-    assert len(utility_calls) <= 20  # 31 when the solvers ran one after another
+    # 20 with evenly spaced rounds, 31 when the solvers ran one after another
+    assert len(utility_calls) <= 12
+
+
+def test_compare_regimes_evaluates_each_density_once_in_few_calls(defaults, utility_calls):
+    # the doubling call evaluates the scan grid's last density, and the club
+    # carries its argmax from round to round and takes its midpoint's roles
+    # from it when the two coincide
+    calls = []
+    for t in [defaults] + [p for p, _ in random_draws(20, seed=31)]:
+        utility_calls.clear()
+        compare_regimes(t)
+        calls.append(len(utility_calls))
+        for regime in (Regime.NO_PEERING, PERFCOMP):
+            densities = np.concatenate([d for r, d in utility_calls if r is regime]).tolist()
+            assert len(set(densities)) == len(densities)
+    assert np.mean(calls) <= 12
+
+
+def test_free_entry_takes_at_most_three_rounds(defaults):
+    # a regula-falsi estimate lands close enough to the root that a rung of
+    # the ladder around it meets RESIDUAL_TOL within three rounds
+    solved = 0
+    for t in [defaults] + [p for p, _ in random_draws(20, seed=31)]:
+        for regime in (Regime.NO_PEERING, PERFCOMP):
+            try:
+                res = free_entry_density(t, regime)
+            except NoCrossing:
+                continue
+            solved += 1
+            assert res.diagnostics.iterations <= 3
+    assert solved >= 30
 
 
 def test_equilibrium_command_validates_once(monkeypatch, capsys):
@@ -494,17 +588,20 @@ def test_compare_regimes_matches_sequential_solvers(defaults):
     assert kinds["solved"] >= 100 and kinds["findings"] >= 2 and kinds["errors"] == 1
 
 
+def _club_first_round(template):
+    """The densities of the club's first refinement round, from its steps."""
+    return next(_club_steps(template, PERFCOMP, _scan(template, PERFCOMP))).tolist()
+
+
 @pytest.mark.parametrize("fe_pc_fails", [False, True])
 def test_compare_regimes_raises_errors_in_sequential_order(defaults, monkeypatch, capsys,
                                                            fe_pc_fails):
     # the club's first refinement round and, in the second case, free entry's
-    # third: in lockstep the club's failure comes first, in a run one solver
+    # second: in lockstep the club's failure comes first, in a run one solver
     # after another free entry's does
-    grid, roles = _scan(defaults, PERFCOMP)
-    k = int(np.argmax(sum(roles)))
-    # the round's middle density is the grid's argmax, which the scan evaluates
-    club_round = [x for x in np.linspace(grid[k - 1], grid[k + 1], REFINE_POINTS + 2)[1:-1]
-                  .tolist() if x not in grid]
+    grid, _ = _scan(defaults, PERFCOMP)
+    club_round = _club_first_round(defaults)
+    assert not set(club_round) & set(grid.tolist())  # the scan evaluates none
     planted = set(club_round)
     fe_rounds = []
 
@@ -515,11 +612,11 @@ def test_compare_regimes_raises_errors_in_sequential_order(defaults, monkeypatch
     monkeypatch.setattr(meshecon.equilibrium, "_roles", record)
     free_entry_density(defaults, PERFCOMP)
     fe_rounds = [d for d in fe_rounds if len(d) == REFINE_POINTS]
-    assert len(fe_rounds) >= 3 and not planted & set(np.concatenate(fe_rounds).tolist())
+    assert len(fe_rounds) >= 2 and not planted & set(np.concatenate(fe_rounds).tolist())
     first_failure = club_round[0]
     if fe_pc_fails:
-        planted |= set(fe_rounds[2].tolist())
-        first_failure = fe_rounds[2][0]
+        planted |= set(fe_rounds[1].tolist())
+        first_failure = fe_rounds[1][0]
 
     def planted_nan(template, regime, n):
         # a non-finite intermediate role at each planted density
@@ -545,10 +642,9 @@ def test_a_failing_merged_round_is_not_evaluated_again(defaults, monkeypatch):
     # a NaN at one density of the club's first refinement round, which is
     # evaluated together with free entry's first round: the club meets the
     # error its own evaluation raises, and no density of that round is
-    # evaluated again (the round's middle density repeats the scan's argmax)
-    grid, roles = _scan(defaults, PERFCOMP)
-    k = int(np.argmax(sum(roles)))
-    planted = np.linspace(grid[k - 1], grid[k + 1], REFINE_POINTS + 2)[1].item()
+    # evaluated again
+    grid, _ = _scan(defaults, PERFCOMP)
+    planted = _club_first_round(defaults)[0]
     assert planted not in grid
     calls = []
 
