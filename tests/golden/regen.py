@@ -1,8 +1,8 @@
 """Rewrite manifest.json: the CLI's bytes on a fixed set of requests.
 
 Each request is one in-process `meshecon.cli.main` call. The manifest keeps
-its argv, exit code, stderr text and the sha256 of its stdout and of its
---output file (null when none was written). tests/test_golden.py replays
+its argv, exit code, stderr text and the sha256 of its stdout, of its
+--output file and of its --trace file (null when none was written). tests/test_golden.py replays
 every request and compares. The digests depend on numpy's build (its log
 and power differ from math's in the last bit on some inputs), so the
 manifest records the numpy and Python versions it was made with.
@@ -26,6 +26,7 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 MANIFEST = HERE / "manifest.json"
 OUTPUT = "golden-output.txt"  # --output target, relative to the working directory
+TRACE = "golden-trace.csv"  # simulate's --trace target, likewise
 ENVIRONMENT = {"COLUMNS": "80"}  # argparse wraps its usage lines to this width
 UNSET = ("MESHECON_CONFIG",)
 
@@ -34,9 +35,19 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _take(path):
+    """The sha256 of the file at path, which is then removed, or None."""
+    if not os.path.exists(path):
+        return None
+    digest = _sha256(Path(path).read_bytes())
+    os.unlink(path)
+    return digest
+
+
 def record(argv) -> dict:
     """One request's entry: run cli.main(argv) in the working directory,
-    which must hold no OUTPUT file, with ENVIRONMENT set and UNSET unset."""
+    which must hold no OUTPUT or TRACE file, with ENVIRONMENT set and UNSET
+    unset."""
     from meshecon.cli import main
 
     out, err = io.StringIO(), io.StringIO()
@@ -45,15 +56,12 @@ def record(argv) -> dict:
             code = main(list(argv))
         except SystemExit as exc:  # argparse's usage errors
             code = exc.code
-    written = None
-    if os.path.exists(OUTPUT):
-        written = _sha256(Path(OUTPUT).read_bytes())
-        os.unlink(OUTPUT)
     return {
         "argv": list(argv),
         "exit": code,
         "stdout_sha256": _sha256(out.getvalue().encode()),
-        "output_sha256": written,
+        "output_sha256": _take(OUTPUT),
+        "trace_sha256": _take(TRACE),
         "stderr": err.getvalue(),
     }
 
@@ -108,6 +116,14 @@ def requests() -> list:
     argvs += [argv + ["--output", OUTPUT] for argv in with_output]
     argvs += [["radio"], ["radio", "--snr", "10", "--alpha", "0.5", "--exp", "3.5",
                           "--dist", "0.25"]]
+
+    # simulate in every regime, at partial demand (the default z) and at full
+    # demand (P(K) == 1.0), with and without --trace; one side per regime
+    for regime, side in (("NO_PEERING", "41"), ("PEERING_NO_TRANSFERS", "30"),
+                         ("PEERING_PERFECT_COMPETITION", "21")):
+        for demand in ([], ["--set", "z=1e-12"]):
+            argv = ["simulate", "--regime", regime, "--side", side, "--trials", "30", *demand]
+            argvs += [argv, argv + ["--trace", TRACE]]
 
     argvs += [
         # usage errors

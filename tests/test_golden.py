@@ -18,7 +18,7 @@ def test_cli_bytes_match_the_golden_manifest():
                     f"Python {made_with[1]}; numpy's last bits and argparse's "
                     f"text vary between versions")
     requests = manifest["requests"]
-    assert len(requests) >= 100
+    assert len(requests) >= 150
     assert {r["exit"] for r in requests} >= {0, 2, 3, 4}
     with regen.environment():
         moved = [r["argv"] for r in requests if regen.record(r["argv"]) != r]
