@@ -54,11 +54,9 @@ Identical configs give bit-identical outcomes. The generator states of all
 trials are computed in one batch (SeedSequence's hashing as uint32 arrays,
 PCG64's seeding step in Python ints) and loaded in turn into one PCG64;
 they equal what SeedSequence([seed, t]) gives, so only the per-trial
-construction cost goes. A trial draws N demand uniforms, one 64-bit
-output each, then N destination indices. Where P(K) == 1.0 exactly every
-uniform passes, so the trial jumps the stream over them with the
-generator's advance(N) instead of drawing them: the stream position, the
-destinations and every output are the same as if they had been drawn.
+construction cost goes. A trial draws N destination indices, one per
+node, then the nodes that do not connect as geometric gaps between them:
+about N (1 - P(K)) draws, none where P(K) == 1.0 exactly.
 """
 
 import csv
@@ -220,50 +218,41 @@ class _RegimeTables:
         p = lattice.params
         n = p.n
         di, dj, r2 = lattice.offset_di, lattice.offset_dj, lattice.offset_r2
+        # The rows are filled in place and each temporary is dropped once its
+        # row is written, so that few K-length arrays are alive at once.
+        self.tallies = np.zeros((4, lattice.n_offsets), dtype=np.int64)
+        peer, refused, relays, polluted = self.tallies
+        polluted[:] = np.searchsorted(lattice.offset_r2, r2, side="right")  # receiver included
+
         d = np.sqrt(r2) / n
-        direct_cost = p.cost(d)
-
-        hops = np.maximum(np.abs(di), np.abs(dj))
-        diag = np.minimum(np.abs(di), np.abs(dj))
-        straight = hops - diag
-        path_cost = straight * p.cost(1.0 / n) + diag * p.cost(math.sqrt(2.0) / n)
-
+        self.conn_cost = p.cost(d)  # direct; peered entries are replaced below
         # Originator's DIRECT/PEER best response at the competitive price,
         # evaluated on the continuum quantities at the torus distance.
         # Product order ((I+1) a) D^beta: where n d rounds just above 2 the
         # two costs differ by about an ulp, and the order decides the choice.
-        # One expression, so its temporaries are freed before the tables
-        # are stacked (that moment sets the simulator's peak memory).
-        wants_peer = direct_cost > (  # ties go DIRECT
+        wants_peer = self.conn_cost > (  # ties go DIRECT
             (intermediate_count_array(n, d) + 1) * p.cost.a
             * hop_distance_array(n, d) ** p.cost.beta
         )
+        del d
 
-        count_in = np.searchsorted(lattice.offset_r2, r2, side="right")
-        c1 = lattice.circle_count(1)
-        c2 = lattice.circle_count(2)
-
-        if regime is Regime.PEERING_PERFECT_COMPETITION:
-            peer = wants_peer
-            refused = np.zeros_like(wants_peer)
+        if regime is Regime.PEERING_NO_TRANSFERS:
+            refused[:] = wants_peer
+        elif regime is Regime.PEERING_PERFECT_COMPETITION:
+            peer[:] = wants_peer
+            hops = np.maximum(np.abs(di), np.abs(dj))
+            diag = np.minimum(np.abs(di), np.abs(dj))
+            relays[:] = np.where(wants_peer, hops - 1, 0)
+            straight = hops - diag
+            del hops
+            self.conn_cost = np.where(
+                wants_peer,
+                straight * p.cost(1.0 / n) + diag * p.cost(math.sqrt(2.0) / n),
+                self.conn_cost,
+            )
             # Receiving endpoint of each hop is exempt from its circle.
-            polluted = np.where(
-                peer,
-                straight * (c1 - 1) + diag * (c2 - 1),
-                count_in - 1,
-            )
-        else:
-            peer = np.zeros_like(wants_peer)
-            refused = (
-                wants_peer if regime is Regime.PEERING_NO_TRANSFERS
-                else np.zeros_like(wants_peer)
-            )
-            polluted = count_in  # receiver included
-
-        self.tallies = np.stack(
-            [peer, refused, np.where(peer, hops - 1, 0), polluted], dtype=np.int64
-        )
-        self.conn_cost = np.where(peer, path_cost, direct_cost)
+            c1, c2 = lattice.circle_count(1), lattice.circle_count(2)
+            polluted[:] = np.where(wants_peer, straight * (c1 - 1) + diag * (c2 - 1), polluted - 1)
 
 
 class _PathTables:
@@ -521,6 +510,29 @@ def _pcg64_states(seed: int, trials: np.ndarray) -> list[dict]:
     return states
 
 
+def _failing_nodes(rng: np.random.Generator, q: float, n_nodes: int) -> np.ndarray:
+    """The ascending indices of the nodes, of n_nodes, that do not connect,
+    each independently with probability q > 0: the partial sums of
+    rng.geometric(q) gaps, minus one, that fall below n_nodes.
+
+    The gaps come in batches sized to reach n_nodes at the mean count plus
+    four standard deviations, with more batches while they fall short;
+    nothing is drawn after them, so the batch size moves no output. Each gap
+    is clipped at n_nodes + 1 before the sum, since numpy returns INT64_MAX
+    for a gap past that range at tiny q.
+    """
+    mean = n_nodes * q
+    batch = min(n_nodes, int(mean + 4.0 * math.sqrt(mean)) + 1)
+    batches, last = [], -1  # last: the latest position summed so far
+    while last < n_nodes - 1:
+        gaps = np.minimum(rng.geometric(q, batch), n_nodes + 1)
+        gaps[0] += last  # so that the partial sums are the positions
+        batches.append(np.cumsum(gaps, out=gaps))
+        last = int(gaps[-1])
+    positions = batches[0] if len(batches) == 1 else np.concatenate(batches)
+    return positions[:np.searchsorted(positions, n_nodes)]
+
+
 def run_instant(
     config: SimConfig,
     collect_per_node: bool = False,
@@ -541,15 +553,20 @@ def run_instant(
     2**53, the originator's cost sum as an elementwise product summed
     without BLAS; so no byte depends on the BLAS library or its thread
     count. The trials' generator states are computed in one batch before
-    the loop, and each trial loads its state into one reused PCG64. When
-    lattice.connect_prob == 1.0 every node connects; the demand uniforms
-    are then jumped over, not drawn, which leaves the stream and the
-    outcome unchanged.
+    the loop, and each trial loads its state into one reused PCG64.
+
+    A trial's stream gives every node its destination offset,
+    integers(0, K, N), and then, unless P(K) == 1.0, the nodes that do not
+    connect, as geometric(q) gaps between them with q = 1 - P(K)
+    (_failing_nodes): about N q draws instead of one uniform per node.
+    Each node still fails independently with probability q, so
+    lattice_exact_means stays the run's exact expectation. The diagnostics
+    take the connecting nodes as origins, in ascending order.
     """
     lattice, tables = _built or _build(config)
     n_nodes = lattice.n_nodes
     k_offsets = lattice.n_offsets
-    p_conn = lattice.connect_prob
+    q_fail = 1.0 - lattice.connect_prob  # exact where P(K) >= 1/2
 
     # per trial: connections, the four tallies and the originators' cost sum
     n_conn = np.empty(config.trials, dtype=np.int64)
@@ -559,7 +576,6 @@ def run_instant(
     events: list[ConnectionEvent] = []
     paths = _PathTables(lattice, tables) if collect_per_node or collect_events else None
     receiver_exempt = config.regime is Regime.PEERING_PERFECT_COMPETITION
-    full_demand = p_conn == 1.0
     # Each table entry is below N = side^2 (K < N, and a relayed path charges
     # at most 7 nodes per hop over at most side / 2 hops), so every
     # partial sum of tallies_f @ hist is an integer below N^2. That is below
@@ -568,25 +584,25 @@ def run_instant(
     # BLAS threads included, and equals the int64 one.
     tallies_f = tables.tallies.astype(np.float64)
     bit_gen = np.random.PCG64(0)  # each trial sets its own state
+    rng = np.random.Generator(bit_gen)
+    failing = np.empty(0, dtype=np.int64)  # at P(K) == 1.0 every node connects
 
     for trial, state in enumerate(_pcg64_states(config.seed, np.arange(config.trials))):
         bit_gen.state = state
-        rng = np.random.default_rng(bit_gen)
-        if full_demand:
-            # random(N) < 1.0 holds at every node: jump over its N outputs
-            rng.bit_generator.advance(n_nodes)
-            ks = rng.integers(0, k_offsets, n_nodes)
-        else:
-            connecting = rng.random(n_nodes) < p_conn
-            ks = rng.integers(0, k_offsets, n_nodes)[connecting]
-        hist = np.bincount(ks, minlength=k_offsets).astype(np.float64)
+        ks = rng.integers(0, k_offsets, n_nodes)
+        hist = np.bincount(ks, minlength=k_offsets)
+        if q_fail > 0.0:
+            failing = _failing_nodes(rng, q_fail, n_nodes)
+            hist -= np.bincount(ks[failing], minlength=k_offsets)
+        hist = hist.astype(np.float64)
 
-        n_conn[trial] = ks.size
+        n_conn[trial] = n_nodes - failing.size
         tallies[trial] = tallies_f @ hist
         cost[trial] = (tables.conn_cost * hist).sum()
 
         if paths is not None:
-            origins = np.arange(n_nodes) if full_demand else np.flatnonzero(connecting)
+            origins = np.delete(np.arange(n_nodes), failing)
+            ks = ks[origins]
             if collect_events:
                 events += paths.events(trial, origins, ks)
             if collect_per_node:

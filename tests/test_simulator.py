@@ -156,34 +156,100 @@ def test_row_paths_have_n_d_hops(defaults):
 
 
 # --------------------------------------------------------------------------
-# demand draws: run_instant's own random(N) and integers(0, K, N)
+# demand draws: run_instant's integers(0, K, N), then geometric(q) gaps
+# between the nodes that do not connect (simulator._failing_nodes)
 
 
 def test_demand_z_limits():
     rare = run_instant(config(z=0.999999, trials=1))  # P ~ 3e-4 over 1600 nodes
     assert rare.connections_attempted <= 5
 
-    # K = 316, so z^K = 2^-316 and P == 1.0 exactly: the uniforms are skipped
+    # K = 316, so z^K = 2^-316 and P == 1.0 exactly: no gap is drawn
     eager = config(z=0.5, trials=2)
     assert run_instant(eager).connections_attempted == eager.side ** 2 * eager.trials
 
 
-@pytest.mark.parametrize("n_nodes", [1, 529, 14_400, 40_001])
-def test_pcg64_advance_matches_drawn_uniforms(n_nodes):
-    # the numpy behaviour run_instant's P == 1.0 path relies on: random(N)
-    # takes one 64-bit output per double, so advance(N) leaves the stream,
-    # and the destination draws after it, exactly where random(N) would
-    for seed, trial in ((7, 0), (2**63 + 5, 199)):
-        drawn = np.random.default_rng(np.random.SeedSequence([seed, trial]))
-        jumped = np.random.default_rng(np.random.SeedSequence([seed, trial]))
-        drawn.random(n_nodes)
-        jumped.bit_generator.advance(n_nodes)
-        assert drawn.bit_generator.state == jumped.bit_generator.state
-        for k_offsets in (316, 5024):
-            np.testing.assert_array_equal(
-                drawn.integers(0, k_offsets, n_nodes),
-                jumped.integers(0, k_offsets, n_nodes),
-            )
+def _failing_reference(rng, q, n_nodes):
+    """The nodes that do not connect, the gaps between them drawn one at a
+    time and summed in Python ints."""
+    failing, position = [], -1
+    while True:
+        position += int(rng.geometric(q))
+        if position >= n_nodes:
+            return failing
+        failing.append(position)
+
+
+class _ShortBatches:
+    """A Generator whose batched geometric draws stop after `most` values."""
+
+    def __init__(self, rng, most):
+        self.rng, self.most = rng, most
+
+    def geometric(self, q, size):
+        return self.rng.geometric(q, min(size, self.most))
+
+
+# q = 2**-53 is the below_full case's; q >= 1/3 takes numpy's search method
+# instead of inversion
+GAP_QS = [2.0**-53, 1e-4, 0.042, 0.3, 1 / 3, 0.5, 0.9]
+
+
+@pytest.mark.parametrize("q", GAP_QS)
+def test_gap_batches_equal_gaps_drawn_one_at_a_time(q):
+    from meshecon.simulator import _failing_nodes
+
+    for seed in range(20):
+        batched = np.random.default_rng(np.random.SeedSequence([seed, 3]))
+        single = np.random.default_rng(np.random.SeedSequence([seed, 3]))
+        np.testing.assert_array_equal(
+            batched.geometric(q, 50), [single.geometric(q) for _ in range(50)]
+        )
+        for n_nodes in (1, 2, 529, 1600):
+            want = _failing_reference(np.random.default_rng([seed, n_nodes]), q, n_nodes)
+            got = _failing_nodes(np.random.default_rng([seed, n_nodes]), q, n_nodes)
+            assert got.dtype == np.int64 and got.tolist() == want
+            # many short batches instead of one: the same nodes
+            short = _ShortBatches(np.random.default_rng([seed, n_nodes]), 3)
+            assert _failing_nodes(short, q, n_nodes).tolist() == want
+
+
+@pytest.mark.parametrize("q", [2.0**-53, 1e-300, 5e-324])
+def test_failing_nodes_at_tiny_q_neither_hang_nor_overflow(q):
+    # numpy returns INT64_MAX for a gap past its range: clipped at N + 1, it
+    # marks no node (clipped at N, it would mark node N - 1 every time)
+    from meshecon.simulator import _failing_nodes
+
+    rng = np.random.default_rng(11)
+    for n_nodes in (1, 1600, 40_001):
+        for _ in range(200):
+            assert _failing_nodes(rng, q, n_nodes).size == 0
+
+
+@pytest.mark.parametrize("q", [0.01, 0.042, 1 / 3, 0.5, 0.9])
+def test_failure_count_and_positions_follow_the_binomial_law(q):
+    from scipy.stats import chisquare
+
+    from meshecon.simulator import _failing_nodes
+
+    n_nodes, trials, bins = 2000, 2000, 20
+    counts = np.empty(trials)
+    per_bin = np.zeros(bins)
+    for trial in range(trials):
+        rng = np.random.default_rng(np.random.SeedSequence([2024, trial]))
+        failing = _failing_nodes(rng, q, n_nodes)
+        assert np.all(np.diff(failing) > 0) and 0 <= failing.min(initial=0)
+        assert failing.max(initial=0) < n_nodes
+        counts[trial] = failing.size
+        per_bin += np.bincount(failing * bins // n_nodes, minlength=bins)
+    # the count is Binomial(N, q): its sample mean within 4 standard errors,
+    # its sample variance within 4 of its own (kurtosis term included)
+    mean, var = n_nodes * q, n_nodes * q * (1 - q)
+    assert abs(counts.mean() - mean) < 4 * math.sqrt(var / trials)
+    fourth = var * (1 + 3 * (n_nodes - 2) * q * (1 - q))  # binomial 4th central moment
+    assert abs(counts.var(ddof=1) - var) < 4 * math.sqrt((fourth - var**2 * (trials - 3) / (trials - 1)) / trials)
+    # positions spread uniformly over the node indices
+    assert chisquare(per_bin).pvalue > 1e-3
 
 
 def test_demand_distance_distribution_ks():
@@ -243,6 +309,18 @@ def test_perfcomp_outsider_gap_tends_to_the_square_lattice_limit():
     assert abs(2 * gaps[2] - gaps[1] - limit) < 1e-2, gaps
 
 
+def _trial_draws(cfg, lattice, trial):
+    """Trial t's destination offsets and connecting-node mask, from a fresh
+    default_rng(SeedSequence([seed, t])): integers(0, K, N), then, below
+    P(K) == 1.0, the failing nodes with their gaps drawn one at a time."""
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, trial]))
+    dest_k = rng.integers(0, lattice.n_offsets, lattice.n_nodes)
+    connecting = np.ones(lattice.n_nodes, dtype=bool)
+    if lattice.connect_prob < 1.0:
+        connecting[_failing_reference(rng, 1.0 - lattice.connect_prob, lattice.n_nodes)] = False
+    return dest_k, connecting
+
+
 def _gather_reference(cfg):
     """The per-connection tally loop the histogram replaced: gather every
     connection's table entries and sum them."""
@@ -254,10 +332,8 @@ def _gather_reference(cfg):
     counts = dict(attempted=0, peered=0, refused=0, pollution=0)
     orig, inter, out = [], [], []
     for trial in range(cfg.trials):
-        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, trial]))
-        wants = rng.random(n_nodes)
-        dest_k = rng.integers(0, lattice.n_offsets, n_nodes)
-        sel = dest_k[wants < lattice.connect_prob]
+        dest_k, connecting = _trial_draws(cfg, lattice, trial)
+        sel = dest_k[connecting]
         relay_count = int(tables.relays[sel].sum())
         polluted_count = int(tables.polluted[sel].sum())
         counts["attempted"] += int(sel.size)
@@ -271,8 +347,8 @@ def _gather_reference(cfg):
 
 
 # the default config, z=1e-12 (P == 1.0 exactly), side at its minimum, and
-# z^K = 2^-53 at K = 316, where P is the largest double below 1.0: the
-# uniforms are drawn and compared, not skipped
+# z^K = 2^-53 at K = 316, where P is the largest double below 1.0: gaps at
+# q = 2**-53 are drawn, and pass the last node
 CASES = {
     "default": dict(seed=41),
     "full_demand": dict(seed=42, z=1e-12),
@@ -312,26 +388,22 @@ def test_histogram_tallies_match_gather_reference(regime, case):
 
 
 @pytest.mark.parametrize("case", ["default", "below_full", "full_demand"])
-def test_demand_uniforms_skipped_only_at_full_demand(monkeypatch, case):
+def test_gaps_drawn_only_below_full_demand(monkeypatch, case):
+    import meshecon.simulator as sim
+
     calls = []
+    failing_nodes = sim._failing_nodes
 
-    class CountingGenerator:
-        def __init__(self, rng):
-            self._rng = rng
-
-        def random(self, *args, **kwargs):
-            calls.append(args)
-            return self._rng.random(*args, **kwargs)
-
-        def __getattr__(self, name):
-            return getattr(self._rng, name)
+    def counted(rng, q, n_nodes):
+        calls.append(q)
+        return failing_nodes(rng, q, n_nodes)
 
     cfg = config(trials=3, **CASES[case])
     plain = run_instant(cfg)
-    make_rng = np.random.default_rng
-    monkeypatch.setattr(np.random, "default_rng", lambda seq: CountingGenerator(make_rng(seq)))
+    monkeypatch.setattr(sim, "_failing_nodes", counted)
     assert run_instant(cfg) == plain
-    assert len(calls) == (0 if case == "full_demand" else cfg.trials)
+    q = 1.0 - build_lattice(cfg).connect_prob
+    assert calls == ([] if case == "full_demand" else [q] * cfg.trials)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 2**32 - 1, 2**32, 2**63 + 5, 2**64 - 1])
@@ -346,35 +418,30 @@ def test_batch_seeding_matches_seed_sequence(seed):
 
 
 def _trial_loop_reference(cfg, collect_per_node=False, collect_events=False):
-    """run_instant's trial loop before batch seeding and the float64 tally
-    product: a fresh default_rng(SeedSequence([seed, t])) per trial and an
-    int64 (4, K) @ hist; the package's _outcome builds the SimOutcome."""
+    """run_instant's trial loop without batch seeding, batched gaps and the
+    float64 tally product: a fresh default_rng(SeedSequence([seed, t])) per
+    trial, gaps drawn one at a time and an int64 (4, K) @ hist; the
+    package's _outcome builds the SimOutcome."""
     from meshecon.simulator import _PathTables, _RegimeTables, _outcome
 
     lattice = build_lattice(cfg)
     tables = _RegimeTables(lattice, cfg.regime)
-    n_nodes, k_offsets, p_conn = lattice.n_nodes, lattice.n_offsets, lattice.connect_prob
+    n_nodes, k_offsets = lattice.n_nodes, lattice.n_offsets
     n_conn = np.empty(cfg.trials, dtype=np.int64)
     tallies = np.empty((cfg.trials, 4), dtype=np.int64)
     cost = np.empty(cfg.trials)
     per_node = np.zeros(n_nodes, dtype=np.int64) if collect_per_node else None
     events = []
     paths = _PathTables(lattice, tables) if collect_per_node or collect_events else None
-    full_demand = p_conn == 1.0
     for trial in range(cfg.trials):
-        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, trial]))
-        if full_demand:
-            rng.bit_generator.advance(n_nodes)
-            ks = rng.integers(0, k_offsets, n_nodes)
-        else:
-            connecting = rng.random(n_nodes) < p_conn
-            ks = rng.integers(0, k_offsets, n_nodes)[connecting]
+        dest_k, connecting = _trial_draws(cfg, lattice, trial)
+        ks = dest_k[connecting]
         hist = np.bincount(ks, minlength=k_offsets)
         n_conn[trial] = ks.size
         tallies[trial] = tables.tallies @ hist
         cost[trial] = (tables.conn_cost * hist).sum()
         if paths is not None:
-            origins = np.arange(n_nodes) if full_demand else np.flatnonzero(connecting)
+            origins = np.flatnonzero(connecting)
             if collect_events:
                 events += paths.events(trial, origins, ks)
             if collect_per_node:
@@ -467,9 +534,7 @@ def _diagnostics_reference(cfg):
     per_node = np.zeros(lattice.n_nodes, dtype=np.int64)
     events = []
     for trial in range(cfg.trials):
-        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, trial]))
-        connecting = rng.random(lattice.n_nodes) < lattice.connect_prob
-        dest_k = rng.integers(0, lattice.n_offsets, lattice.n_nodes)
+        dest_k, connecting = _trial_draws(cfg, lattice, trial)
         for node in np.flatnonzero(connecting).tolist():
             k = int(dest_k[node])
             oi, oj = divmod(node, side)
