@@ -238,8 +238,8 @@ def test_failure_count_and_positions_follow_the_binomial_law(q):
     for trial in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence([2024, trial]))
         failing = _failing_nodes(rng, q, n_nodes)
-        assert np.all(np.diff(failing) > 0) and 0 <= failing.min(initial=0)
-        assert failing.max(initial=0) < n_nodes
+        assert np.all(np.diff(failing) > 0)  # ascending, no repeats
+        assert np.all((0 <= failing) & (failing < n_nodes))
         counts[trial] = failing.size
         per_bin += np.bincount(failing * bins // n_nodes, minlength=bins)
     # the count is Binomial(N, q): its sample mean within 4 standard errors,
@@ -247,7 +247,8 @@ def test_failure_count_and_positions_follow_the_binomial_law(q):
     mean, var = n_nodes * q, n_nodes * q * (1 - q)
     assert abs(counts.mean() - mean) < 4 * math.sqrt(var / trials)
     fourth = var * (1 + 3 * (n_nodes - 2) * q * (1 - q))  # binomial 4th central moment
-    assert abs(counts.var(ddof=1) - var) < 4 * math.sqrt((fourth - var**2 * (trials - 3) / (trials - 1)) / trials)
+    se_var = math.sqrt((fourth - var**2 * (trials - 3) / (trials - 1)) / trials)
+    assert abs(counts.var(ddof=1) - var) < 4 * se_var
     # positions spread uniformly over the node indices
     assert chisquare(per_bin).pvalue > 1e-3
 
