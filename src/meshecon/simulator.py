@@ -42,28 +42,31 @@ into a per-offset histogram; the trial's tallies are that histogram dotted
 with the tables, a reduction over the K offsets rather than over the
 connections. Event traces and per-node exposures shift each offset's
 tabulated path to the trial's origins; the tests hold those paths to a
-step-by-step greedy router kept in tests/oracles.py. Exact per-offset
-expectations are exposed via lattice_exact_means() for diagnostics.
-Pollution and relay tallies are integer counts scaled by w at the end, so
-accumulation order cannot perturb them.
+step-by-step greedy router kept in tests/oracles.py. A circle is a prefix
+of the sorted offsets, so per-node exposures count transmitters into one
+image per circle count and shift the images by the offsets once per run.
+Exact per-offset expectations are exposed via lattice_exact_means() for
+diagnostics. Pollution and relay tallies are integer counts scaled by w at
+the end, so accumulation order cannot perturb them.
 
 Randomness: the stream for trial t of a run is PCG64 seeded by
 SeedSequence([seed, t]) and consumed as fixed node-indexed arrays, so
 trials are independent and a parallel executor could not reorder draws.
 Identical configs give bit-identical outcomes. The generator states of all
 trials are computed in one batch (SeedSequence's hashing as uint32 arrays,
-PCG64's seeding step in Python ints) and loaded in turn into one PCG64;
-they equal what SeedSequence([seed, t]) gives, so only the per-trial
-construction cost goes. A trial draws N destination indices, one per
-node, then the nodes that do not connect as geometric gaps between them:
-about N (1 - P(K)) draws, none where P(K) == 1.0 exactly.
+PCG64's seeding step in Python ints, trial by trial) and loaded in turn
+into one PCG64; they equal what SeedSequence([seed, t]) gives, so only the
+per-trial construction cost goes. A trial draws N destination indices, one
+per node, then the nodes that do not connect as geometric gaps between
+them: about N (1 - P(K)) draws, none where P(K) == 1.0 exactly.
 """
 
 import csv
 import json
 import math
 import numbers
-from dataclasses import dataclass
+from collections.abc import Iterator
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -118,6 +121,9 @@ def _check_side(side: int, params: ModelParams) -> None:
             f"side must be >= ceil(2*d_max*n)+1 = {min_side} to avoid "
             f"torus aliasing of the d_max circle, got {side}"
         )
+    if side**4 >= 2**53:
+        raise ParamError(f"side must be <= 9741 so that side**4 < 2**53 keeps the "
+                         f"float64 tally product exact, got {side}")
 
 
 @dataclass(frozen=True)
@@ -125,8 +131,8 @@ class SimConfig:
     """One simulation run: lattice size, parameters, regime, trials, seed.
 
     side must be at least ceil(2 * d_max * n) + 1 so the d_max circle cannot
-    wrap onto itself; seed is a 64-bit unsigned integer. side, trials and
-    seed must be integers (bool is rejected).
+    wrap onto itself, and at most 9741 (see run_instant); seed is a 64-bit
+    unsigned integer. side, trials and seed must be integers (bool is rejected).
     """
 
     side: int
@@ -263,10 +269,10 @@ class _PathTables:
     a direct one jumps to (di, dj) in one step. pos_i, pos_j hold those
     (K, H + 1) positions, padded with the destination; hops counts each
     offset's transmissions, charged[k, t] the nodes in transmission t's
-    circle (0 past the last hop); fields[k] are a ConnectionEvent's last
-    three fields."""
-
-    CHARGE_BLOCK = 1 << 18  # elements per block in charge()
+    circle (0 past the last hop), levels the distinct values in charged and
+    slots[k, t] where the row of charged[k, t]'s level starts in a flat
+    (levels, N) image array; fields[k] are a ConnectionEvent's last three
+    fields."""
 
     def __init__(self, lattice: Lattice, tables: _RegimeTables):
         p = lattice.params
@@ -280,6 +286,8 @@ class _PathTables:
         self.pos_j = np.sign(dj)[:, None] * np.minimum(steps, np.abs(dj)[:, None])
         step_i, step_j = np.diff(self.pos_i), np.diff(self.pos_j)
         self.charged = np.searchsorted(lattice.offset_r2, step_i**2 + step_j**2, side="right")
+        self.levels, level_of = np.unique(self.charged, return_inverse=True)
+        self.slots = level_of.reshape(self.charged.shape) * lattice.n_nodes
         lengths = [
             tuple(math.hypot(a, b) * lattice.spacing for a, b in zip(si[:h], sj[:h]))
             for si, sj, h in zip(step_i.tolist(), step_j.tolist(), self.hops.tolist())
@@ -306,32 +314,30 @@ class _PathTables:
             for origin, k, row in zip(origins.tolist(), ks.tolist(), rows)
         ]
 
-    def charge(self, per_node, origins, ks, receiver_exempt: bool) -> None:
-        """Add 1 at every node inside each transmission's circle, the first
-        charged[k, t] lattice offsets around its transmitter; with
-        receiver_exempt, take each hop's receiving endpoint back out.
-
-        Transmissions go sorted by circle size, in blocks of about
-        CHARGE_BLOCK elements whose last count is their width: no temporary
-        grows with the number of connections times K.
-        """
-        lattice, side = self.lattice, self.lattice.side
+    def charge(self, images, per_node, origins, ks, receiver_exempt: bool) -> None:
+        """Count each transmission at its transmitter node in images, in the
+        row of its circle count; with receiver_exempt, take each hop's
+        receiving endpoint out of per_node. The padding past a path's end
+        counts in the row of count 0, which charges no node."""
         ti, tj = self.walk(origins, ks)
-        counts = self.charged[ks]
-        live = counts > 0
+        nodes = ti * self.lattice.side + tj
         if receiver_exempt:
-            receivers = (ti[:, 1:] * side + tj[:, 1:])[live]
-            per_node -= np.bincount(receivers, minlength=per_node.size)
-        order = np.argsort(counts[live])
-        ti, tj, counts = ti[:, :-1][live][order], tj[:, :-1][live][order], counts[live][order]
-        rows = max(1, self.CHARGE_BLOCK // int(counts.max(initial=1)))
-        for lo in range(0, counts.size, rows):
-            block = slice(lo, lo + rows)
-            width = int(counts[block][-1])
-            inside = np.arange(width) < counts[block, None]
-            i = (ti[block, None] + lattice.offset_di[:width]) % side
-            j = (tj[block, None] + lattice.offset_dj[:width]) % side
-            per_node += np.bincount((i * side + j)[inside], minlength=per_node.size)
+            per_node -= np.bincount(nodes[:, 1:][self.charged[ks] > 0], minlength=per_node.size)
+        np.add.at(images, self.slots[ks] + nodes[:, :-1], 1)
+
+    def spread(self, images, per_node) -> None:
+        """Add the circles of the transmissions counted in images to
+        per_node, consuming images. A circle of count c holds the first c
+        offsets around its transmitter, so offset j is charged by the
+        transmissions of count above j: after a reverse cumulative sum over
+        the levels, the row of the first level above j, shifted by offset j."""
+        side = self.lattice.side
+        grid, out = images.reshape(-1, side, side), per_node.reshape(side, side)
+        np.cumsum(grid[::-1], axis=0, out=grid[::-1])
+        above = np.searchsorted(self.levels, np.arange(self.levels[-1]), side="right")
+        shifts = zip(self.lattice.offset_di.tolist(), self.lattice.offset_dj.tolist())
+        for row, shift in zip(above.tolist(), shifts):
+            out += np.roll(grid[row], shift, axis=(0, 1))
 
 
 # --------------------------------------------------------------------------
@@ -459,8 +465,8 @@ def _hash(value: np.ndarray, h: int, mult: int) -> tuple[np.ndarray, int]:
     return value ^ (value >> 16), after
 
 
-def _pcg64_states(seed: int, trials: np.ndarray) -> list[dict]:
-    """PCG64(SeedSequence([seed, t])).state for every t in trials.
+def _pcg64_states(seed: int, trials: np.ndarray) -> Iterator[dict]:
+    """PCG64(SeedSequence([seed, t])).state for each t in trials, in turn.
 
     SeedSequence splits seed and t into 32-bit words, least significant
     first, one word for a value below 2**32 and two otherwise: at most four,
@@ -470,7 +476,8 @@ def _pcg64_states(seed: int, trials: np.ndarray) -> list[dict]:
     np.uint64) run once over all trials as uint32 arrays. PCG64 seeds its
     128-bit LCG from the four 64-bit words (initstate from the first two,
     the increment from the last two) by one step from state 0, adding
-    initstate, and one more step, in Python ints.
+    initstate, and one more step, in Python ints, one trial at a time, so
+    that only one state dict is alive.
     """
     trials = np.asarray(trials, dtype=np.uint64)
     seed_words = [seed & _MASK32] + ([seed >> 32] if seed >> 32 else [])
@@ -497,17 +504,15 @@ def _pcg64_states(seed: int, trials: np.ndarray) -> list[dict]:
     init_hi, init_lo, seq_hi, seq_lo = (
         (generated[2 * j + 1] << 32 | generated[2 * j]).tolist() for j in range(_POOL_WORDS)
     )
-    states = []
     for s_hi, s_lo, q_hi, q_lo in zip(init_hi, init_lo, seq_hi, seq_lo):
         inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
         state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
-        states.append({
+        yield {
             "bit_generator": "PCG64",
             "state": {"state": state, "inc": inc},
             "has_uint32": 0,
             "uinteger": 0,
-        })
-    return states
+        }
 
 
 def _failing_nodes(rng: np.random.Generator, q: float, n_nodes: int) -> np.ndarray:
@@ -546,14 +551,17 @@ def run_instant(
     trials); collect_events attaches the full ConnectionEvent list. Both
     are diagnostics, built from each offset's path in _PathTables, and
     cost time; the statistical outcome is identical with or without them.
+    The exposures are counted per trial at each transmitter node, in one
+    int64 image of side^2 nodes per distinct circle count, and spread once
+    per run, as K shifted adds of side^2 counts, over the circles' offsets.
 
     Each trial's tallies come from the histogram of its connecting
     destination offsets: the integer counts as one float64 product with the
     (4, K) tables, exact because every partial sum is an integer below
     2**53, the originator's cost sum as an elementwise product summed
     without BLAS; so no byte depends on the BLAS library or its thread
-    count. The trials' generator states are computed in one batch before
-    the loop, and each trial loads its state into one reused PCG64.
+    count. The trials' generator states are hashed in one batch and
+    yielded in turn, and each trial loads its state into one reused PCG64.
 
     A trial's stream gives every node its destination offset,
     integers(0, K, N), and then, unless P(K) == 1.0, the nodes that do not
@@ -575,13 +583,14 @@ def run_instant(
     per_node = np.zeros(n_nodes, dtype=np.int64) if collect_per_node else None
     events: list[ConnectionEvent] = []
     paths = _PathTables(lattice, tables) if collect_per_node or collect_events else None
+    # one side^2 image of transmitter counts per circle count, for spread
+    images = np.zeros(paths.levels.size * n_nodes, dtype=np.int64) if collect_per_node else None
     receiver_exempt = config.regime is Regime.PEERING_PERFECT_COMPETITION
     # Each table entry is below N = side^2 (K < N, and a relayed path charges
-    # at most 7 nodes per hop over at most side / 2 hops), so every
-    # partial sum of tallies_f @ hist is an integer below N^2. That is below
-    # 2**53 for side < 9742 (where one trial's N destination draws alone
-    # take 760 MB), so the float64 product is exact in any summation order,
-    # BLAS threads included, and equals the int64 one.
+    # at most 7 nodes per hop over at most side / 2 hops), so every partial
+    # sum of tallies_f @ hist is an integer below N^2 < 2**53 (_check_side):
+    # the float64 product is exact in any summation order, BLAS threads
+    # included, and equals the int64 one.
     tallies_f = tables.tallies.astype(np.float64)
     bit_gen = np.random.PCG64(0)  # each trial sets its own state
     rng = np.random.Generator(bit_gen)
@@ -606,8 +615,10 @@ def run_instant(
             if collect_events:
                 events += paths.events(trial, origins, ks)
             if collect_per_node:
-                paths.charge(per_node, origins, ks, receiver_exempt)
+                paths.charge(images, per_node, origins, ks, receiver_exempt)
 
+    if collect_per_node:
+        paths.spread(images, per_node)
     return _outcome(config, n_conn, tallies, cost, per_node,
                     tuple(events) if collect_events else None)
 
@@ -686,16 +697,7 @@ class RoleComparison:
     flagged: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "role": self.role,
-            "sim_mean": self.sim_mean,
-            "sim_se": self.sim_se,
-            "analytic": self.analytic,
-            "bias": self.bias,
-            "z": self.z,
-            "lattice_exact": self.lattice_exact,
-            "flagged": self.flagged,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -770,7 +772,6 @@ def estimate_vs_analytic(config: SimConfig, *, collect_events: bool = False) -> 
     exact["total"] = sum(exact.values())
 
     rows = []
-    flags = []
     for role in (*ROLES, "total"):
         sim_mean = outcome.mean(role)
         sim_se = outcome.se(role)
@@ -782,8 +783,6 @@ def estimate_vs_analytic(config: SimConfig, *, collect_events: bool = False) -> 
             zscore = 0.0 if bias == 0 else math.copysign(math.inf, bias)
         gap = sim_mean - exact[role]
         flagged = abs(gap) > Z_FLAG_THRESHOLD * sim_se if sim_se > 0 else gap != 0
-        if flagged:
-            flags.append(role)
         rows.append(RoleComparison(
             role=role,
             sim_mean=sim_mean,
@@ -798,7 +797,7 @@ def estimate_vs_analytic(config: SimConfig, *, collect_events: bool = False) -> 
         outcome=outcome,
         analytic_baseline=baseline_regime,
         roles=tuple(rows),
-        flags=tuple(flags),
+        flags=tuple(rc.role for rc in rows if rc.flagged),
     )
 
 

@@ -73,6 +73,31 @@ def test_side_check_shared_by_config_and_lattice():
     assert Lattice(21, make_params()).side == 21
 
 
+def test_side_bound_keeps_the_float_tally_product_exact():
+    import tracemalloc
+
+    from meshecon.simulator import Lattice
+
+    # every partial sum of run_instant's float64 tally product is an integer
+    # below side**4, exact while that stays below 2**53
+    assert 9741**4 < 2**53 <= 9742**4
+    text = ("side must be <= 9741 so that side**4 < 2**53 keeps the float64 "
+            "tally product exact, got 9742")
+    with pytest.raises(ParamError) as from_config:
+        config(side=9742).validated()
+    with pytest.raises(ParamError) as from_lattice:
+        Lattice(9742, make_params())
+    assert str(from_config.value) == str(from_lattice.value) == text
+    tracemalloc.start()
+    try:
+        assert config(side=9741).validated()
+        assert Lattice(9741, make_params()).n_nodes == 9741**2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # nothing of side^2 entries is allocated
+
+
 def test_lattice_basic_geometry():
     # 100 nodes on a 1x1 torus at spacing 0.1; d_max small enough to fit
     cfg = config(side=10, d_max=0.45)
@@ -293,6 +318,26 @@ def test_lattice_exact_means_match_oracle():
             assert got[role] == pytest.approx(oracle[role], rel=1e-12, abs=1e-15)
 
 
+@pytest.mark.parametrize("draw", range(16))
+def test_lattice_exact_means_match_oracle_on_random_templates(draw):
+    # NOTRANS plays every connection direct, so it meets the oracle's
+    # NO_PEERING branch; the side only has to pass validation
+    rng = np.random.default_rng([2026, draw])
+    n, d_max = rng.uniform(3.0, 30.0), rng.uniform(0.4, 1.6)
+    a, beta, u = rng.uniform(0.1, 5.0), rng.uniform(1.5, 3.0), 1.0
+    w, z = rng.uniform(0.0, 0.1), rng.uniform(0.5, 0.999)
+    v = u + a * d_max**beta * (1.0 + rng.uniform(0.1, 2.0))
+    params = make_params(n=n, d_max=d_max, v=v, u=u, w=w, z=z, a=a, beta=beta)
+    min_side = math.ceil(2 * d_max * n) + 1
+    side = int(rng.integers(min_side, 2 * min_side))
+    for regime, branch in ((Regime.NO_PEERING, "NO_PEERING"), (NOTRANS, "NO_PEERING"),
+                           (PERFCOMP, "PERFCOMP")):
+        got = lattice_exact_means(SimConfig(side, params, regime, trials=1, seed=0))
+        oracle = oracles.lattice_oracle(n, d_max, v, w, z, a, beta, branch)
+        for role in ("originator", "intermediate", "outsider"):
+            assert got[role] == pytest.approx(oracle[role], rel=1e-12, abs=1e-15), (regime, role)
+
+
 def test_perfcomp_outsider_gap_tends_to_the_square_lattice_limit():
     # c07b asks the PERFCOMP outsider's bias to shrink as n doubles; on the
     # square lattice its relative gap instead rises towards a constant, so
@@ -358,12 +403,24 @@ CASES = {
 }
 
 
+# cases at n = 25, where a NO_PEERING run sees over a hundred distinct
+# circle counts, and at partial demand, with P about 0.45
+DIAGNOSTIC_CASES = {
+    **CASES,
+    "n25": dict(seed=46, side=51, n=25.0),
+    "partial": dict(seed=47, z=0.998),
+    "n25_partial": dict(seed=48, side=51, n=25.0, z=0.9997),
+}
+
+
 def _check_case_demand(cfg, case):
     p_conn = build_lattice(cfg).connect_prob
     if case == "full_demand":
         assert p_conn == 1.0
     if case == "below_full":
         assert p_conn == math.nextafter(1.0, 0.0) < 1.0
+    if case.endswith("partial"):
+        assert 0.3 < p_conn < 0.6
 
 
 @pytest.mark.parametrize("regime", list(Regime))
@@ -413,7 +470,7 @@ def test_batch_seeding_matches_seed_sequence(seed):
 
     # trial indices of one and two 32-bit words, passed directly
     trials = [*range(1000), 65_535, 65_536, 2**32 - 1, 2**32]
-    assert _pcg64_states(seed, np.array(trials, dtype=np.uint64)) == [
+    assert list(_pcg64_states(seed, np.array(trials, dtype=np.uint64))) == [
         np.random.PCG64(np.random.SeedSequence([seed, t])).state for t in trials
     ]
 
@@ -434,6 +491,8 @@ def _trial_loop_reference(cfg, collect_per_node=False, collect_events=False):
     per_node = np.zeros(n_nodes, dtype=np.int64) if collect_per_node else None
     events = []
     paths = _PathTables(lattice, tables) if collect_per_node or collect_events else None
+    if collect_per_node:
+        images = np.zeros(paths.levels.size * n_nodes, dtype=np.int64)
     for trial in range(cfg.trials):
         dest_k, connecting = _trial_draws(cfg, lattice, trial)
         ks = dest_k[connecting]
@@ -446,7 +505,9 @@ def _trial_loop_reference(cfg, collect_per_node=False, collect_events=False):
             if collect_events:
                 events += paths.events(trial, origins, ks)
             if collect_per_node:
-                paths.charge(per_node, origins, ks, cfg.regime is PERFCOMP)
+                paths.charge(images, per_node, origins, ks, cfg.regime is PERFCOMP)
+    if collect_per_node:
+        paths.spread(images, per_node)
     return _outcome(cfg, n_conn, tallies, cost, per_node,
                     tuple(events) if collect_events else None)
 
@@ -571,10 +632,15 @@ def _diagnostics_reference(cfg):
 
 
 @pytest.mark.parametrize("regime", list(Regime))
-@pytest.mark.parametrize("case", list(CASES))
+@pytest.mark.parametrize("case", list(DIAGNOSTIC_CASES))
 def test_diagnostics_match_per_connection_reference(regime, case):
-    cfg = config(regime=regime, trials=2, **CASES[case])
+    from meshecon.simulator import _PathTables, _RegimeTables
+
+    cfg = config(regime=regime, trials=2, **DIAGNOSTIC_CASES[case])
     _check_case_demand(cfg, case)
+    if case.startswith("n25") and regime is not PERFCOMP:
+        lattice = build_lattice(cfg)
+        assert _PathTables(lattice, _RegimeTables(lattice, cfg.regime)).levels.size > 100
     per_node, events = _diagnostics_reference(cfg)
     got = run_instant(cfg, collect_per_node=True, collect_events=True)
     assert got.per_node_outsider_exposures == per_node
