@@ -11,6 +11,9 @@ Regenerate only when a change means to move bytes, and list in CHANGES.md
 which requests moved and why:
 
     python tests/golden/regen.py
+
+It prints every entry that differs from the one it replaces: the argv, the
+old and new exit codes, and which digests or stderr changed.
 """
 
 import contextlib
@@ -19,6 +22,7 @@ import io
 import json
 import os
 import platform
+import shlex
 import sys
 import tempfile
 from pathlib import Path
@@ -166,16 +170,37 @@ def environment():
                     os.environ[key] = value
 
 
+def moved(old, new) -> str | None:
+    """A line naming how entry new differs from old, the entry it replaces
+    (None for a new request), or None when they are equal."""
+    argv = shlex.join(["meshecon", *new["argv"]])
+    if old is None:
+        return f"{argv}: new request, exit {new['exit']}"
+    if old == new:
+        return None
+    changed = [key for key in ("stdout_sha256", "output_sha256", "trace_sha256", "stderr")
+               if old.get(key) != new[key]]
+    return f"{argv}: exit {old['exit']} -> {new['exit']}, changed {', '.join(changed) or 'none'}"
+
+
 def main() -> None:
     import numpy as np
 
     with environment():
         entries = [record(argv) for argv in requests()]
+    old = {}
+    if MANIFEST.exists():
+        old = {tuple(e["argv"]): e
+               for e in json.loads(MANIFEST.read_text(encoding="utf-8"))["requests"]}
+    lines = [moved(old.get(tuple(e["argv"])), e) for e in entries]
+    for line in filter(None, lines):
+        print(line)
     manifest = {"numpy": np.__version__, "python": platform.python_version(),
                 "requests": entries}
     MANIFEST.write_text(json.dumps(manifest, indent=1) + "\n", encoding="utf-8")
     codes = sorted({e["exit"] for e in entries})
-    print(f"{len(entries)} requests, exit codes {codes}, written to {MANIFEST}")
+    print(f"{len(entries)} requests, {sum(map(bool, lines))} moved or new, "
+          f"exit codes {codes}, written to {MANIFEST}")
 
 
 if __name__ == "__main__":
