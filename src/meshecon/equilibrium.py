@@ -1,7 +1,12 @@
 """Density equilibria: free entry, club optimum, and congestion scaling.
 
-Both solvers scan one bracket, default_bracket(template, regime), at
-GRID_POINTS evenly spaced densities whose first and last are its ends.
+The solvers work in Y = n d_max, the one density the roles depend on (see
+regimes), so the search is the same for every template: both scan one
+bracket, from Y = 2 to the first doubling from 4 whose total utility is
+negative (or BRACKET_CAP), at GRID_POINTS evenly spaced Y; their rounds
+place Y values, DENSITY_TOL bounds the club's last cell in Y, and the
+scaling fit's densities are fixed Y. n = Y / d_max is formed only for
+results, diagnostics, findings and error texts.
 
 Free entry: nodes keep joining while a marginal node's total expected
 utility (originator + intermediate + outsider) is positive, so the
@@ -28,7 +33,7 @@ Density is a continuous control throughout; "slots" map to choosing n.
 A result holds the RegimeUtilities at its density and the SolverDiagnostics
 (bracket, refinement rounds, residual).
 
-Each solver is a step routine: a generator that yields the densities it
+Each solver is a step routine: a generator that yields the Y values it
 needs next (bracket doublings, the scan grid, a refinement round, the
 scaling densities, the club's midpoint) and is sent their (3, m) role array,
 as utility_arrays returns it. A driver groups the steps into evaluations,
@@ -72,8 +77,8 @@ __all__ = [
 ]
 
 RESIDUAL_TOL = 1e-9          # |total utility| at a reported free-entry root
-DENSITY_TOL = 1e-6           # interval width around the club optimum
-BRACKET_CAP = 1e5            # hard ceiling for automatic bracket growth
+DENSITY_TOL = 1e-6           # width in Y of the club optimum's last cell
+BRACKET_CAP = 1e5            # ceiling on Y for automatic bracket growth
 SCALING_MIN_P = 0.99         # demand saturation required for a clean exponent fit
 GRID_POINTS = 200            # densities per bracket scan
 REFINE_POINTS = 15           # densities per refinement round
@@ -176,13 +181,14 @@ def _lockstep(template, regime, lanes):
                 outcomes[i] = exc.with_traceback(exc.__traceback__.tb_next)
         if not batch:
             return outcomes
-        n = np.concatenate([d for _, d in batch])
-        roles = _roles(template, regime, n)
+        y = np.concatenate([d for _, d in batch])
+        roles = _roles(template, regime, y)
         finite = np.isfinite(roles).all(axis=0)
         sends, lo = [], 0
         for i, densities in batch:
             hi = lo + len(densities)
-            sends.append((i, roles[:, lo:hi], _not_finite(regime, n[lo:hi], finite[lo:hi])))
+            sends.append((i, roles[:, lo:hi],
+                          _not_finite(regime, y[lo:hi], finite[lo:hi], template.d_max)))
             lo = hi
 
 
@@ -196,41 +202,46 @@ def _drive(template, regime, steps):
 
 
 def default_bracket(template: ModelParams, regime: Regime) -> tuple:
-    """Bracket (2/d_max, n_hi) with n_hi grown by doubling until total
-    utility turns negative (capped at BRACKET_CAP).
-
-    With the lower edge at 2/d_max the peering formulas are non-degenerate
-    over most of the distance range. If the cap is reached with utility
-    still positive the bracket ends at the cap; downstream scans then report
-    the absence of a crossing rather than inventing one.
-    """
-    return _drive(template, regime, _bracket_steps(template))[:2]
+    """The bracket both solvers scan, as densities (n_lo, n_hi) = (2, Y_hi) /
+    d_max, where relaying begins at Y = 2 and Y_hi is the first doubling from
+    Y = 4 whose total utility is negative, or BRACKET_CAP, where a scan then
+    reports no crossing rather than inventing one."""
+    return _bracket(template, _drive(template, regime, _bracket_steps())[:2])
 
 
-def _bracket_steps(template):
-    """default_bracket's steps: one call on every doubling. Returns the
+def _bracket(template, grid):
+    """The grid's ends in Y as densities (n_lo, n_hi), n = Y / d_max, which
+    is then finite between them; NumericsError names an end where it is not."""
+    for y in (float(grid[0]), float(grid[-1])):
+        if not math.isfinite(y / template.d_max):
+            raise NumericsError(f"the bracket end at Y={y!r} is not finite: n = Y/d_max = "
+                                f"{y / template.d_max!r} with d_max={template.d_max!r}")
+    return float(grid[0]) / template.d_max, float(grid[-1]) / template.d_max
+
+
+def _bracket_steps():
+    """default_bracket's steps in Y: one call on every doubling. Returns the
     bracket and the role column at its upper end."""
-    n_lo = 2 / template.d_max
-    doublings = [2 * n_lo]
+    doublings = [4.0]
     while doublings[-1] < BRACKET_CAP:
         doublings.append(min(2 * doublings[-1], BRACKET_CAP))
     roles = yield doublings
     totals = sum(roles).tolist()
     i = next((i for i, t in enumerate(totals) if not t >= 0), len(totals) - 1)
-    return n_lo, doublings[i], roles[:, i : i + 1]
+    return 2.0, doublings[i], roles[:, i : i + 1]
 
 
-def _scan_steps(template):
-    """The default bracket's grid and its role arrays; the doubling call has
-    evaluated the grid's last density, its upper end."""
-    n_lo, n_hi, top = yield from _bracket_steps(template)
-    grid = np.linspace(n_lo, n_hi, GRID_POINTS)
+def _scan_steps():
+    """The default bracket's grid in Y and its role arrays; the doubling call
+    has evaluated the grid's last point, its upper end."""
+    y_lo, y_hi, top = yield from _bracket_steps()
+    grid = np.linspace(y_lo, y_hi, GRID_POINTS)
     return grid, np.concatenate(((yield grid[:-1]), top), axis=1)
 
 
 def _scan(template, regime):
-    """The default bracket's grid and its role array."""
-    return _drive(template, regime, _scan_steps(template))
+    """The default bracket's grid in Y and its role array."""
+    return _drive(template, regime, _scan_steps())
 
 
 def _refine_steps(xs, rs, estimate, rungs):
@@ -254,17 +265,15 @@ def _refine_steps(xs, rs, estimate, rungs):
     return xs[order], np.concatenate((rs, (yield new)), axis=1)[:, order]
 
 
-def _solved(kind, template, regime, n_star, column, grid, iterations, residual, notes=()):
-    """The result at n_star, whose role column was evaluated there, found in
-    iterations rounds on the scan grid."""
+def _solved(kind, template, regime, y_star, column, bracket, iterations, residual, notes=()):
+    """The result at Y = y_star, whose role column was evaluated there,
+    found in iterations rounds on the scan of bracket."""
     orig, inter, out = column.tolist()
     return EquilibriumResult(
         kind=kind,
         utilities=RegimeUtilities(regime, orig, inter, out, orig + inter + out,
-                                  template.with_n(n_star)),
-        diagnostics=SolverDiagnostics(
-            iterations, float(grid[0]), float(grid[-1]), residual, tuple(notes)
-        ),
+                                  template.with_n(y_star / template.d_max)),
+        diagnostics=SolverDiagnostics(iterations, *bracket, residual, tuple(notes)),
     )
 
 
@@ -285,10 +294,11 @@ def free_entry_density(template: ModelParams, regime: Regime) -> EquilibriumResu
 def _free_entry_steps(template, regime, scanned):
     """free_entry_density's steps on a scan: its refinement rounds."""
     grid, roles = scanned
+    bracket = _bracket(template, grid)
     values = sum(roles)
     cells = np.flatnonzero((values[:-1] > 0) & (values[1:] <= 0))
     if not cells.size:
-        raise NoCrossing(regime, float(grid[0]), float(grid[-1]))
+        raise NoCrossing(regime, *bracket)
 
     # invariant: fs[0] > 0 >= fs[-1]
     i = cells[-1]
@@ -297,7 +307,7 @@ def _free_entry_steps(template, regime, scanned):
     while not np.min(np.abs(fs)) <= RESIDUAL_TOL:
         if iterations == MAX_ROUNDS:
             raise NumericsError(
-                f"k-section stalled on [{float(xs[0])!r}, {float(xs[-1])!r}] with "
+                f"k-section stalled on {[x / template.d_max for x in xs.tolist()]} with "
                 f"residuals {float(fs[0])!r}, {float(fs[-1])!r} above {RESIDUAL_TOL!r}"
             )
         # the regula-falsi root of the cell's ends
@@ -310,7 +320,7 @@ def _free_entry_steps(template, regime, scanned):
         iterations += 1
     k = int(np.argmin(np.abs(fs)))
     return _solved(EquilibriumKind.FREE_ENTRY, template, regime, float(xs[k]),
-                   rs[:, k], grid, iterations, float(fs[k]))
+                   rs[:, k], bracket, iterations, float(fs[k]))
 
 
 def club_optimal_density(template: ModelParams) -> EquilibriumResult:
@@ -330,12 +340,13 @@ def _club_steps(template, regime, scanned):
     """club_optimal_density's steps on a scan: its refinement rounds, then
     the midpoint."""
     grid, roles = scanned
+    bracket = _bracket(template, grid)
     values = sum(roles)
     k = int(np.argmax(values))
     if k == 0:
-        raise BoundaryOptimum(float(grid[0]), "low", float(values[0]))
+        raise BoundaryOptimum(bracket[0], "low", float(values[0]))
     if k == len(grid) - 1:
-        raise BoundaryOptimum(float(grid[-1]), "high", float(values[-1]))
+        raise BoundaryOptimum(bracket[1], "high", float(values[-1]))
 
     notes = []
     rising = np.flatnonzero(np.diff(values[: k + 1]) < 0)
@@ -355,10 +366,10 @@ def _club_steps(template, regime, scanned):
         iterations += 1
     a, m, b = xs.tolist()
 
-    n_star = 0.5 * (a + b)
-    column = rs[:, 1] if n_star == m else (yield [n_star])[:, 0]
-    res = _solved(EquilibriumKind.CLUB_OPTIMUM, template, regime, n_star,
-                  column, grid, iterations, b - a, notes)
+    y_star = 0.5 * (a + b)
+    column = rs[:, 1] if y_star == m else (yield [y_star])[:, 0]
+    res = _solved(EquilibriumKind.CLUB_OPTIMUM, template, regime, y_star,
+                  column, bracket, iterations, (b - a) / template.d_max, notes)
     if not (res.total_eu_at_n_star >= 0):
         raise NumericsError(
             f"club optimum at n={res.n_star!r} has negative member utility "
@@ -376,44 +387,41 @@ def _vertex(xs, fs):
     return m - 0.5 * ((m - a) * p - (b - m) * q) / (p + q) if p + q > 0 else m
 
 
-def congestion_scaling_exponent(
-    template: ModelParams,
-    regime: Regime,
-    n_values,
-) -> float:
+def congestion_scaling_exponent(template: ModelParams, regime: Regime, n_values) -> float:
     """Least-squares slope of log|outsider utility| against log density.
 
     Requires at least four densities, all with demand effectively saturated
     (P(N(d_max)) > 0.99) so the fit isolates the congestion term's growth.
     """
-    return _drive(template, regime, _scaling_steps(template, n_values))
+    y_values = [float(x) * template.d_max for x in n_values]
+    return _drive(template, regime, _scaling_steps(template, y_values))
 
 
-def _scaling_steps(template, n_values):
-    """congestion_scaling_exponent's one step, after its checks."""
-    n_values = [float(x) for x in n_values]
-    if len(n_values) < 4:
-        raise ParamError(f"need >= 4 densities for a fit, got {len(n_values)}")
+def _scaling_steps(template, y_values):
+    """congestion_scaling_exponent's one step at the floats Y = n d_max,
+    after its checks. The slope against log Y is the slope against log n."""
+    if len(y_values) < 4:
+        raise ParamError(f"need >= 4 densities for a fit, got {len(y_values)}")
     # compare_regimes runs this check before its bracket search: a density
     # whose N(d_max) is not finite fails it without numpy warnings, as
     # utility_arrays fails such a density
     with np.errstate(over="ignore", invalid="ignore"):
-        peers = nodes_within_array(np.asarray(n_values), template.d_max)
+        peers = nodes_within_array(np.asarray(y_values), 1.0)
         saturated = connect_probability_array(peers, template.z) > SCALING_MIN_P
     if not saturated.all():
         raise ParamError(
-            f"density n={n_values[saturated.argmin()]!r} leaves demand unsaturated "
-            f"(P <= {SCALING_MIN_P}); the congestion fit requires large P"
+            f"density n={y_values[saturated.argmin()] / template.d_max!r} leaves demand "
+            f"unsaturated (P <= {SCALING_MIN_P}); the congestion fit requires large P"
         )
-    outs = (yield n_values)[2]
+    outs = (yield y_values)[2]
     zero = outs == 0.0
     if zero.any():
         raise ParamError(
-            f"outsider utility is zero at n={n_values[zero.argmax()]!r} (w=0?); "
-            f"log-log fit undefined"
+            f"outsider utility is zero at n={y_values[zero.argmax()] / template.d_max!r} "
+            f"(w=0?); log-log fit undefined"
         )
     # the least-squares slope, with both coordinates centred
-    x, y = np.log(n_values), np.log(np.abs(outs))
+    x, y = np.log(y_values), np.log(np.abs(outs))
     x -= x.mean()
     return float(x @ (y - y.mean()) / (x @ x))
 
@@ -421,7 +429,7 @@ def _scaling_steps(template, n_values):
 # --------------------------------------------------------------------------
 # Regime comparison report
 
-_SCALING_N_VALUES = (50.0, 100.0, 200.0, 400.0)
+_SCALING_Y_VALUES = (50.0, 100.0, 200.0, 400.0)
 
 
 @dataclass(frozen=True)
@@ -479,12 +487,12 @@ class RegimeComparison:
         return rows
 
 
-def _regime_outcomes(template, regime, solvers, scaling_n_values):
+def _regime_outcomes(template, regime, solvers):
     """The outcomes of solvers, step routines sharing one scan of the regime's
     default bracket, and of its scaling fit, whose densities ride in the
     bracket's doubling call."""
     scanned, scaling = _lockstep(template, regime, [
-        _scan_steps(template), _scaling_steps(template, scaling_n_values)])
+        _scan_steps(), _scaling_steps(template, _SCALING_Y_VALUES)])
     if isinstance(scanned, _STEP_OUTCOMES):
         return [scanned] * len(solvers), scaling
     return _lockstep(template, regime, [s(template, regime, scanned) for s in solvers]), scaling
@@ -532,16 +540,11 @@ def compare_regimes(template: ModelParams) -> RegimeComparison:
     leapfrog profile, then the two scaling fits.
     """
     validate(template)
-    scaling_n_values = [x / template.d_max for x in _SCALING_N_VALUES]
-
-    (fe_np,), scaling_np = _regime_outcomes(
-        template, Regime.NO_PEERING, [_free_entry_steps], scaling_n_values)
+    (fe_np,), scaling_np = _regime_outcomes(template, Regime.NO_PEERING, [_free_entry_steps])
     fe_np = _reported(fe_np)
     (fe_pc, club), scaling_pc = _regime_outcomes(
-        template, Regime.PEERING_PERFECT_COMPETITION, [_free_entry_steps, _club_steps],
-        scaling_n_values)
-    fe_pc = _reported(fe_pc)
-    club = _reported(club)
+        template, Regime.PEERING_PERFECT_COMPETITION, [_free_entry_steps, _club_steps])
+    fe_pc, club = _reported(fe_pc), _reported(club)
     profile = _leapfrog_profile(template, club)
 
     def scaling(outcome):
@@ -549,12 +552,5 @@ def compare_regimes(template: ModelParams) -> RegimeComparison:
             return f"UNDEFINED ({outcome})"
         return _reported(outcome)
 
-    return RegimeComparison(
-        params=template,
-        free_entry_no_peering=fe_np,
-        free_entry_perfcomp=fe_pc,
-        club=club,
-        scaling_no_peering=scaling(scaling_np),
-        scaling_perfcomp=scaling(scaling_pc),
-        leapfrog_profile=profile,
-    )
+    return RegimeComparison(template, fe_np, fe_pc, club, scaling(scaling_np),
+                            scaling(scaling_pc), profile)

@@ -32,16 +32,17 @@ kept, not reconciled; the receiving-peer count is floored at zero so the
 outsider utility can never turn positive where the continuum approximation
 of N breaks down.
 
-utility_arrays() evaluates a regime over an array of densities at once, as
-one (3, m) array of the roles, and regime_utilities() is its one-density
-call. In lattice units y = n x, every integrand depends on n only through
-Y = n d_max and c's scale, and every role is an elementary closed form,
-clamps included, but for the peering cost integrals int g c(D) 2y dy
-(g = 1, I or I + 1) over the relayed annulus 2 < y <= Y. Those take one
-fixed rule in s = log(y - 1), 48 Gauss-Legendre nodes per density
-(ANNULUS_NODES; Golub & Welsch 1969), which a 96-node rule matches to 1e-13
-relative. Non-finite utilities, huge densities whose terms overflow
-included, raise NumericsError.
+Evaluation is dimensionless. In lattice units y = n x, n and d_max enter
+only through Y = n d_max, and the cost only through c(d_max), as
+c(u d_max) = c(d_max) u^beta: the roles are functions of Y, c(d_max), beta,
+v, w and z, and u enters only validate. utility_arrays() evaluates a regime
+at an array of densities n, as one (3, m) array of the roles at Y = n d_max,
+and regime_utilities() is its one-density call. Every role is an elementary
+closed form, clamps included, but for the peering cost integrals
+int g c(D) 2y dy (g = 1, I or I + 1) over the relayed annulus 2 < y <= Y.
+Those take one fixed rule in s = log(y - 1), 48 Gauss-Legendre nodes per
+density (ANNULUS_NODES; Golub & Welsch 1969), which a 96-node rule matches
+to 1e-13 relative. Non-finite utilities raise NumericsError, overflows too.
 
 All operations are pure functions; nothing here holds mutable state.
 """
@@ -235,48 +236,51 @@ def utility_arrays(template: ModelParams, regime: Regime, densities):
     roles. No entry depends on the rest of the batch. Raises NumericsError
     at the first density whose roles are not all finite."""
     n = np.asarray(densities, dtype=float).reshape(-1)
-    roles = _roles(template, regime, n)
+    with np.errstate(over="ignore"):
+        roles = _roles(template, regime, n * template.d_max)
     error = _not_finite(regime, n, np.isfinite(roles).all(axis=0))
     if error:
         raise error
     return roles
 
 
-def _not_finite(regime, n, finite):
-    """The NumericsError for the first of the densities n whose finite mask
-    entry is False, or None when there is none."""
+def _not_finite(regime, y, finite, d_max=1.0):
+    """The NumericsError for the first of the densities n = y / d_max whose
+    finite mask entry is False, or None when there is none."""
     if not finite.all():
-        return NumericsError(f"{regime.value} utility is not finite at n={n[~finite][0]}")
+        return NumericsError(
+            f"{regime.value} utility is not finite at n={float(y[~finite][0]) / d_max}")
 
 
-# A density so large that the role terms overflow or turn NaN comes back
+# A Y so large that the role terms overflow or turn NaN comes back
 # non-finite, without numpy's RuntimeWarnings, for the caller's finiteness
 # check to report; an overflow whose result stays finite (N log z reaching
 # -inf, so P = 1) is a correct value.
 @np.errstate(over="ignore", invalid="ignore")
-def _roles(template, regime, n):
-    """utility_arrays at the float densities n, without the finiteness check."""
-    p, d = template, template.d_max
-    prob = connect_probability_array(nodes_within_array(n, d), p.z)
+def _roles(template, regime, big_y):
+    """utility_arrays at the floats Y = n d_max, without the finiteness check.
+    Distances are in units u = x / d_max, so a cost is c(d_max) u^beta."""
+    p, beta, c_max = template, template.cost.beta, template.cost(template.d_max)
+    cost = lambda u: c_max * u**beta  # c(u d_max)
+    prob = connect_probability_array(nodes_within_array(big_y, 1.0), p.z)
     if regime is Regime.NO_PEERING:
-        x0 = np.minimum(1 / (n * math.sqrt(math.pi)), d)
-        area = lambda x: (math.pi * n * n * x * x / 2 - 1) * x * x  # int N(x) 2x dx
-        orig = prob * (p.v - 2 * p.cost(d) / (p.cost.beta + 2))
-        inter = np.zeros_like(n)
-        out = -p.w * prob * (area(d) - area(x0)) / (d * d)
+        u0 = np.minimum(1 / (big_y * math.sqrt(math.pi)), 1.0)
+        area = lambda u: (math.pi * big_y * big_y * u * u / 2 - 1) * u * u  # int N(u) 2u du
+        orig = prob * (p.v - 2 * c_max / (beta + 2))
+        inter = np.zeros_like(big_y)
+        out = -p.w * prob * (area(1.0) - area(u0))
     elif regime in REGIME_ORDER:
-        # In units y = n x, each role is an integral against 2y dy on [0, Y], over
+        # In units y = n x = Y u, each role is an integral against 2y dy on [0, Y], over
         # Y^2: D = x and I = 0 on the disc y <= 2; D = x / (y - 1) and I = y - 2 on
         # the annulus, whose terms are factored in rim so they vanish when Y <= 2.
-        big_y = n * d
         disc, rim, y2 = np.minimum(big_y, 2.0), np.maximum(big_y, 2.0) - 2, big_y * big_y
-        disc_cost = 2 * p.cost(disc / n) * disc * disc / (p.cost.beta + 2)
+        disc_cost = 2 * cost(disc / big_y) * disc * disc / (beta + 2)
         # The annulus's cost integrals take the Gauss-Legendre rule in s = log(y - 1),
         # with hops = I + 1 = y - 1 at the nodes and y / (y - 1) <= 2 bounding c(D)
         t, wt = _legendre(ANNULUS_NODES)
         s_half = np.log1p(rim)[:, None] / 2
         hops = np.exp(s_half * (1 + t))
-        weights = (s_half * wt * 2) * hops * (1 + hops) * p.cost((1 + 1 / hops) / n[:, None])
+        weights = (s_half * wt * 2) * hops * (1 + hops) * cost((1 + 1 / hops) / big_y[:, None])
         annulus_cost = lambda g: np.sum(g * weights, axis=1)  # int g c(D) 2y dy
         relays = 2 * rim * rim * (rim + 3) / 3  # int I 2y dy
         # outsiders: int (I + 1) max(0, pi (n D)^2 - k) 2y dy, where PERFCOMP's k = 2

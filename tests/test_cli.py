@@ -324,6 +324,28 @@ def test_overflowing_densities_are_one_numeric_failure_line(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (3, "")
     assert err.startswith("numeric failure: ") and err.count("\n") == 1
+    if argv[0] == "equilibrium":
+        assert "is not finite: n = Y/d_max = inf with d_max=6e-309" in err
+
+
+def test_overflow_template_evaluates_as_its_y_and_cost_scale(capsys):
+    # pi d_max^2 underflows and pi n^2 overflows, but Y = n d_max = 1.074 is
+    # an ordinary relay-free template: the roles equal those at n = Y and
+    # d_max = 1 with the same c(d_max); equilibrium still exits 3, as n* =
+    # Y*/d_max overflows (test_overflowing_densities_are_one_numeric_failure_line)
+    overflow = ["--set", "n=1.79e308", "--set", "d_max=6e-309", "--set", "cost_beta=1.01"]
+    code, out, err = run(capsys, "eval", *overflow)
+    assert (code, err) == (0, "")
+    same = ["--set", f"n={1.79e308 * 6e-309!r}", "--set", f"cost_a={6e-309 ** 1.01!r}",
+            "--set", "cost_beta=1.01"]
+    code, want, _ = run(capsys, "eval", *same)
+    assert code == 0
+    got, want = json.loads(out), json.loads(want)
+    for entry in (*got.values(), *want.values()):
+        del entry["params"]
+    assert got == want
+    assert got["NO_PEERING"]["total"] == 0.2600022461340635
+    assert got["PEERING_PERFECT_COMPETITION"]["eu_intermediate"] == 0.0
 
 
 def test_json_config_rejects_booleans(capsys, tmp_path):

@@ -38,12 +38,13 @@ from meshecon.equilibrium import (
     RESIDUAL_TOL,
     _CLUB_RUNGS,
     _FREE_ENTRY_RUNGS,
-    _SCALING_N_VALUES,
+    _SCALING_Y_VALUES,
     _club_steps,
     _drive,
     _free_entry_steps,
     _leapfrog_profile,
     _refine_steps,
+    _scaling_steps,
     _scan,
 )
 from meshecon.regimes import _roles, utility_arrays
@@ -55,13 +56,13 @@ PERFCOMP = Regime.PEERING_PERFECT_COMPETITION
 
 @pytest.fixture
 def utility_calls(monkeypatch):
-    """Record (regime, densities) for every evaluation of the roles, under
-    both names the solvers and utility_arrays look it up by."""
+    """Record (regime, Y = n d_max values) for every evaluation of the roles,
+    under both names the solvers and utility_arrays look it up by."""
     calls = []
 
-    def spy(template, regime, n):
-        calls.append((regime, n.copy()))
-        return _roles(template, regime, n)
+    def spy(template, regime, y):
+        calls.append((regime, y.copy()))
+        return _roles(template, regime, y)
 
     monkeypatch.setattr(meshecon.equilibrium, "_roles", spy)
     monkeypatch.setattr(meshecon.regimes, "_roles", spy)
@@ -141,8 +142,8 @@ def _largest_downcrossing(grid, values):
 def test_free_entry_refinement_contract(defaults, regime):
     templates = [defaults] + [p for p, _ in random_draws(20, seed=31)]
     for t in templates:
-        grid, roles = _scan(t, regime)
-        cell = _largest_downcrossing(grid, sum(roles))
+        grid, roles = _scan(t, regime)  # in Y = n d_max
+        cell = _largest_downcrossing(grid / t.d_max, sum(roles))
         if cell is None:
             with pytest.raises(NoCrossing):
                 free_entry_density(t, regime)
@@ -177,12 +178,14 @@ def test_club_refinement_contract(defaults):
         except BoundaryOptimum:
             continue
         solved += 1
-        assert 0 < res.diagnostics.residual <= DENSITY_TOL  # b - a
-        # at the top of the hump, totals DENSITY_TOL apart differ by less than
-        # their rounding: repeated evaluations within +-DENSITY_TOL of n_star
-        # scatter by up to 3e-15 relative, so allow 1e-14 of the total
+        # b - a, which DENSITY_TOL bounds in Y = n d_max
+        assert 0 < res.diagnostics.residual <= DENSITY_TOL / t.d_max
+        # at the top of the hump, totals DENSITY_TOL apart in Y differ by less
+        # than their rounding: repeated evaluations within that distance of
+        # n_star scatter by up to 3e-15 relative, so allow 1e-14 of the total
         slack = 1e-14 * abs(res.total_eu_at_n_star)
-        for neighbor in (res.n_star - DENSITY_TOL, res.n_star + DENSITY_TOL):
+        step = DENSITY_TOL / t.d_max
+        for neighbor in (res.n_star - step, res.n_star + step):
             assert res.total_eu_at_n_star >= total_eu(t, neighbor, PERFCOMP) - slack
     assert solved >= 10
 
@@ -242,36 +245,39 @@ def test_free_entry_stall_maps_to_cli_exit_3(monkeypatch, capsys):
 
 @pytest.mark.parametrize("regime", list(Regime))
 def test_batched_evaluation_bit_identical_to_single(defaults, regime):
-    # every density the solvers evaluate in a batch (scan grid, bracket
-    # doublings, scaling densities) must give exactly the roles and total of
-    # a one-density regime_utilities call, or signs could disagree between
-    # the scan and the refinement
+    # every Y = n d_max the solvers evaluate in a batch (scan grid, bracket
+    # doublings, scaling densities) must give exactly the roles of a
+    # one-density evaluation, or signs could disagree between the scan and
+    # the refinement; utility_arrays likewise at the densities n = Y / d_max
+    def single(t, y):
+        return _roles(t, regime, np.array([y]))[:, 0]
+
     for t in [defaults] + [p for p, _ in random_draws(3, seed=13)]:
-        n_hi = 4 / t.d_max  # scalar reference for the doubling rule
-        while total_eu(t, n_hi, regime) >= 0 and n_hi < BRACKET_CAP:
-            n_hi = min(2 * n_hi, BRACKET_CAP)
-        assert default_bracket(t, regime)[1] == n_hi
+        y_hi = 4.0  # scalar reference for the doubling rule
+        while sum(single(t, y_hi)) >= 0 and y_hi < BRACKET_CAP:
+            y_hi = min(2 * y_hi, BRACKET_CAP)
+        assert default_bracket(t, regime) == (2 / t.d_max, y_hi / t.d_max)
         grid, scanned = _scan(t, regime)
-        totals = sum(scanned)
-        doublings = [4 / t.d_max]
+        doublings = [4.0]
         while doublings[-1] < BRACKET_CAP:
             doublings.append(min(2 * doublings[-1], BRACKET_CAP))
-        scaling = [x / t.d_max for x in _SCALING_N_VALUES]
-        # the relayed annulus opens at n d_max = 2
-        edge = 2 / t.d_max
-        relay_edge = [edge, math.nextafter(edge, 0), math.nextafter(edge, math.inf),
-                      (2 - 1e-9) / t.d_max, (2 + 1e-9) / t.d_max]
+        # the relayed annulus opens at Y = 2
+        relay_edge = [2.0, math.nextafter(2.0, 0), math.nextafter(2.0, math.inf),
+                      2 - 1e-9, 2 + 1e-9]
         assert all(len(r) == 0 for r in utility_arrays(t, regime, []))
-        for densities in (grid, doublings, scaling, relay_edge):
+        for ys in (grid, doublings, _SCALING_Y_VALUES, relay_edge):
+            batch = _roles(t, regime, np.asarray(ys))
+            if ys is grid:
+                assert np.array_equal(batch, scanned)
+            densities = [y / t.d_max for y in ys]
             roles = utility_arrays(t, regime, densities)
-            assert roles.shape == (3, len(densities))
+            assert roles.shape == (3, len(ys))
             for k, n in enumerate(densities):
+                assert batch[:, k].tolist() == single(t, ys[k]).tolist()
                 one = regime_utilities(t.with_n(float(n)), regime)
                 got = tuple(float(r[k]) for r in roles)
                 assert got == (one.eu_originator, one.eu_intermediate, one.eu_outsider)
                 assert sum(got) == one.total
-                if densities is grid:
-                    assert totals[k] == one.total
 
 
 def test_results_report_the_default_bracket(defaults):
@@ -391,7 +397,7 @@ def test_scaling_slope_matches_numpy_polyfit(defaults):
     # the closed-form least-squares slope against numpy's fit of the same points
     fits = 0
     for t in [defaults] + [p for p, _ in random_draws(40, seed=7)]:
-        ns = [x / t.d_max for x in _SCALING_N_VALUES]
+        ns = [y / t.d_max for y in _SCALING_Y_VALUES]
         for regime in (Regime.NO_PEERING, PERFCOMP):
             try:
                 got = congestion_scaling_exponent(t, regime, ns)
@@ -467,11 +473,11 @@ def test_leapfrog_profile_length_depends_only_on_relay_reach(defaults):
 
 
 def test_compare_regimes_shares_one_competitive_scan(defaults, utility_calls):
-    n_lo = 2 / defaults.d_max
-    doublings = [2 * n_lo]
+    # the calls evaluate Y = n d_max; d_max is 1 on the default template
+    doublings = [4.0]
     while doublings[-1] < BRACKET_CAP:
         doublings.append(min(2 * doublings[-1], BRACKET_CAP))
-    scaling = [x / defaults.d_max for x in _SCALING_N_VALUES]
+    scaling = list(_SCALING_Y_VALUES)
     grid = np.linspace(*default_bracket(defaults, PERFCOMP), GRID_POINTS)
     utility_calls.clear()
     report = compare_regimes(defaults)
@@ -552,9 +558,10 @@ def _sequential_compare(template):
     profile = _leapfrog_profile(template, club)
 
     def scaling(regime):
+        # congestion_scaling_exponent at the densities whose Y are exactly the
+        # comparison's: Y / d_max * d_max can miss Y by an ulp
         try:
-            return congestion_scaling_exponent(
-                template, regime, [x / template.d_max for x in _SCALING_N_VALUES])
+            return _drive(template, regime, _scaling_steps(template, _SCALING_Y_VALUES))
         except ParamError as exc:
             return f"UNDEFINED ({exc})"
 
@@ -571,7 +578,7 @@ def _comparison_bytes(compare, template):
 
 
 def test_compare_regimes_matches_sequential_solvers(defaults):
-    # the exit-3 template: 2/d_max overflows, so the bracket starts at inf
+    # the exit-3 template: n = Y/d_max overflows at every Y the solvers reach
     overflow = dataclasses.replace(defaults, n=1.79e308, d_max=6e-309,
                                    cost=dataclasses.replace(defaults.cost, beta=1.01))
     templates = [defaults, dataclasses.replace(defaults, w=0.0), overflow]
@@ -586,6 +593,23 @@ def test_compare_regimes_matches_sequential_solvers(defaults):
         else:
             kinds["findings" if "NO_CROSSING" in got[0] or "BOUNDARY" in got[0] else "solved"] += 1
     assert kinds["solved"] >= 100 and kinds["findings"] >= 2 and kinds["errors"] == 1
+
+
+def test_densities_whose_n_overflows_raise_numerics_errors(defaults):
+    # Y = n d_max = 1.074 and every Y the solvers reach have finite roles, but
+    # n = Y/d_max overflows at the bracket's ends, so every solved density,
+    # finding and bracket raises the NumericsError that names the lower end
+    overflow = dataclasses.replace(defaults, n=1.79e308, d_max=6e-309,
+                                   cost=dataclasses.replace(defaults.cost, beta=1.01))
+    validate(overflow)
+    for regime in Regime:
+        assert np.isfinite(utility_arrays(overflow, regime, [overflow.n])).all()
+    message = r"^the bracket end at Y=2\.0 is not finite: n = Y/d_max = inf with d_max=6e-309$"
+    for t in (overflow, dataclasses.replace(overflow, w=0.0)):  # w = 0 has no crossing
+        for solve in (lambda: default_bracket(t, PERFCOMP), lambda: club_optimal_density(t),
+                      lambda: free_entry_density(t, Regime.NO_PEERING)):
+            with pytest.raises(NumericsError, match=message):
+                solve()
 
 
 def _club_first_round(template):

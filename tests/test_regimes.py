@@ -190,6 +190,23 @@ def test_peering_intermediate_exactly_zero_without_relays(regime):
     assert [x == 0.0 for x in inter] == [True] * len(densities)
 
 
+@pytest.mark.parametrize("regime", list(Regime))
+def test_roles_continuous_where_the_relayed_annulus_opens(regime):
+    # at Y = n d_max = 2 and an ulp to each side, on random templates moved
+    # to d_max = 1 with the same c(d_max), so that n is Y: each role's step
+    # there matches its slope over Y = 2 +- 1e-6 to within 4 ulps of the
+    # largest role (2.8 at worst over 300 templates; the steps themselves
+    # reach 6 ulps where P is steep)
+    edge = [math.nextafter(2.0, 0), 2.0, math.nextafter(2.0, 3)]
+    for p, _ in random_draws(100, seed=11, require_relay=False):
+        t = dataclasses.replace(p, n=p.n * p.d_max, d_max=1.0,
+                                cost=dataclasses.replace(p.cost, a=p.cost(p.d_max)))
+        roles = utility_arrays(t, regime, edge + [2 - 1e-6, 2 + 1e-6])
+        slope = (roles[:, 4] - roles[:, 3]) / 2e-6
+        steps = np.diff(roles[:, :3], axis=1) - np.outer(slope, np.diff(edge))
+        assert np.abs(steps).max() <= 4 * math.ulp(np.abs(roles[:, :3]).max())
+
+
 @pytest.mark.parametrize("beta", [1.0001, 12.0, 200.0])
 @pytest.mark.parametrize("regime", list(PEERING))
 def test_peering_roles_finite_and_accurate_at_extreme_beta(regime, beta):
