@@ -329,7 +329,7 @@ def club_optimal_density(template: ModelParams) -> EquilibriumResult:
     Grid scan of the default bracket locates the hump; rounds placed around
     parabolic estimates narrow [a, b] around the argmax to DENSITY_TOL (at
     most MAX_ROUNDS rounds) and report its midpoint. A grid argmax on a
-    bracket edge raises BoundaryOptimum.
+    bracket edge, or tied with the upper edge's total, raises BoundaryOptimum.
     """
     regime = Regime.PEERING_PERFECT_COMPETITION
     validate(template)
@@ -345,7 +345,7 @@ def _club_steps(template, regime, scanned):
     k = int(np.argmax(values))
     if k == 0:
         raise BoundaryOptimum(bracket[0], "low", float(values[0]))
-    if k == len(grid) - 1:
+    if values[k] == values[-1]:  # the top, or a plateau that reaches it
         raise BoundaryOptimum(bracket[1], "high", float(values[-1]))
 
     notes = []

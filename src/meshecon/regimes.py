@@ -261,7 +261,9 @@ def _roles(template, regime, big_y):
     """utility_arrays at the floats Y = n d_max, without the finiteness check.
     Distances are in units u = x / d_max, so a cost is c(d_max) u^beta."""
     p, beta, c_max = template, template.cost.beta, template.cost(template.d_max)
-    cost = lambda u: c_max * u**beta  # c(u d_max)
+    # costs from 2^512 up are summed in an exact power-of-2 unit so that the sums cannot overflow
+    unit = 2.0 ** max(math.frexp(c_max)[1] - 512, 0)
+    cost = lambda u: c_max / unit * u**beta  # c(u d_max) / unit
     prob = connect_probability_array(nodes_within_array(big_y, 1.0), p.z)
     if regime is Regime.NO_PEERING:
         u0 = np.minimum(1 / (big_y * math.sqrt(math.pi)), 1.0)
@@ -273,14 +275,16 @@ def _roles(template, regime, big_y):
         # In units y = n x = Y u, each role is an integral against 2y dy on [0, Y], over
         # Y^2: D = x and I = 0 on the disc y <= 2; D = x / (y - 1) and I = y - 2 on
         # the annulus, whose terms are factored in rim so they vanish when Y <= 2.
-        disc, rim, y2 = np.minimum(big_y, 2.0), np.maximum(big_y, 2.0) - 2, big_y * big_y
+        disc, top, y2 = np.minimum(big_y, 2.0), np.maximum(big_y, 2.0), big_y * big_y
+        rim = top - 2
         disc_cost = 2 * cost(disc / big_y) * disc * disc / (beta + 2)
         # The annulus's cost integrals take the Gauss-Legendre rule in s = log(y - 1),
-        # with hops = I + 1 = y - 1 at the nodes and y / (y - 1) <= 2 bounding c(D)
+        # with hops = I + 1 = y - 1 at the nodes and D / d_max = (1 + 1 / hops) / Y; where
+        # Y <= 2 the nodes sit at y = 2 with weight 0, and top = 2 keeps their c(D) finite
         t, wt = _legendre(ANNULUS_NODES)
         s_half = np.log1p(rim)[:, None] / 2
         hops = np.exp(s_half * (1 + t))
-        weights = (s_half * wt * 2) * hops * (1 + hops) * cost((1 + 1 / hops) / big_y[:, None])
+        weights = (s_half * wt * 2) * hops * (1 + hops) * cost((1 + 1 / hops) / top[:, None])
         annulus_cost = lambda g: np.sum(g * weights, axis=1)  # int g c(D) 2y dy
         relays = 2 * rim * rim * (rim + 3) / 3  # int I 2y dy
         # outsiders: int (I + 1) max(0, pi (n D)^2 - k) 2y dy, where PERFCOMP's k = 2
@@ -292,10 +296,10 @@ def _roles(template, regime, big_y):
                         ((2 * math.pi - 2 * k) * rim + 15 * math.pi - 9 * k) * rim + 42 * math.pi - 12 * k))
         out = -p.w * prob * polluted / y2
         if regime is Regime.PEERING_NO_TRANSFERS:
-            orig = prob * (p.v - (disc_cost + annulus_cost(1.0)) / y2)
-            inter = -prob * (p.w * relays + annulus_cost(hops - 1)) / y2
+            orig = prob * (p.v - (disc_cost + annulus_cost(1.0)) / y2 * unit)
+            inter = -prob * (p.w * relays / unit + annulus_cost(hops - 1)) / y2 * unit
         else:
-            orig = prob * (p.v - (disc_cost + annulus_cost(hops)) / y2)
+            orig = prob * (p.v - (disc_cost + annulus_cost(hops)) / y2 * unit)
             inter = -p.w * prob * relays / y2
     else:
         raise ParamError(f"unknown regime {regime!r}")

@@ -62,6 +62,7 @@ them: about N (1 - P(K)) draws, none where P(K) == 1.0 exactly.
 """
 
 import csv
+import functools
 import json
 import math
 import numbers
@@ -271,12 +272,10 @@ class _PathTables:
     offset's transmissions, charged[k, t] the nodes in transmission t's
     circle (0 past the last hop), levels the distinct values in charged and
     slots[k, t] where the row of charged[k, t]'s level starts in a flat
-    (levels, N) image array; fields[k] are a ConnectionEvent's last three
-    fields."""
+    (levels, N) image array."""
 
     def __init__(self, lattice: Lattice, tables: _RegimeTables):
-        p = lattice.params
-        self.lattice = lattice
+        self.lattice, self.tables = lattice, tables
         di, dj = lattice.offset_di, lattice.offset_dj
         peer = tables.peer.astype(bool)
         self.hops = np.where(peer, np.maximum(np.abs(di), np.abs(dj)), 1)
@@ -288,14 +287,20 @@ class _PathTables:
         self.charged = np.searchsorted(lattice.offset_r2, step_i**2 + step_j**2, side="right")
         self.levels, level_of = np.unique(self.charged, return_inverse=True)
         self.slots = level_of.reshape(self.charged.shape) * lattice.n_nodes
+
+    @functools.cached_property
+    def fields(self) -> list:
+        """fields[k] are a ConnectionEvent's last three fields for offset k,
+        built by the first events call: per-node runs never read them."""
+        p, tables, spacing = self.lattice.params, self.tables, self.lattice.spacing
         lengths = [
-            tuple(math.hypot(a, b) * lattice.spacing for a, b in zip(si[:h], sj[:h]))
-            for si, sj, h in zip(step_i.tolist(), step_j.tolist(), self.hops.tolist())
+            tuple(math.hypot(a, b) * spacing for a, b in zip(si[:h], sj[:h])) for si, sj, h in
+            zip(np.diff(self.pos_i).tolist(), np.diff(self.pos_j).tolist(), self.hops.tolist())
         ]
-        self.fields = [
+        return [
             (hl, ConnectionChoice(Choice.PEER if pk else Choice.DIRECT, p.v - cost),
              sum(p.cost(x) for x in hl[1:]) if pk else 0.0)
-            for hl, pk, cost in zip(lengths, peer.tolist(), tables.conn_cost.tolist())
+            for hl, pk, cost in zip(lengths, tables.peer.tolist(), tables.conn_cost.tolist())
         ]
 
     def walk(self, origins: np.ndarray, ks: np.ndarray):

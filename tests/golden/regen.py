@@ -120,6 +120,19 @@ def requests() -> list:
     argvs += [argv + ["--output", OUTPUT] for argv in with_output]
     argvs += [["radio"], ["radio", "--snr", "10", "--alpha", "0.5", "--exp", "3.5",
                           "--dist", "0.25"]]
+    # radio inputs that are not finite, or whose results are not
+    argvs += [["radio", "--bt", "inf"], ["radio", "--rb", "1e-320"],
+              ["radio", "--dist", "1e-200", "--exp", "4"],
+              ["radio", "--freq", "1e200", "--dist", "1"]]
+
+    # the cost law at its edges: beta far above 1 and just above it, and a
+    # cost(d_max) that underflows to 0
+    for beta in ("400", "1.000000000000001"):
+        argvs += [[command, "--set", f"cost_beta={beta}"] for command in ("validate", "eval")]
+    argvs.append(["validate", "--set", "n=2e162", "--set", "d_max=1e-162"])
+    # a club total that saturates at v from inside the bracket to its top
+    argvs.append(["equilibrium", "--set", "w=0", "--set", "cost_a=5e-312",
+                  "--set", "cost_beta=1.01"])
 
     # simulate in every regime, at partial demand (the default z) and at full
     # demand (P(K) == 1.0), with and without --trace; one side per regime

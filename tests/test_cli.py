@@ -284,6 +284,35 @@ def test_radio_rejects_invalid(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, code, message", [
+    (["--bt", "inf"], 2, "error: bandwidth_total must be finite, got inf\n"),
+    (["--dist", "nan"], 2, "error: d must be finite, got nan\n"),
+    (["--rb", "1e-320"], 3, "numeric failure: channels_per_cell is not a finite float at "),
+    (["--dist", "1e-200", "--exp", "4"], 3, "numeric failure: path_loss is not a finite float at "),
+    (["--freq", "1e200", "--dist", "1"], 3, "numeric failure: path_loss is not a finite float at "),
+])
+def test_radio_refuses_non_finite_inputs_and_results(capsys, argv, code, message):
+    # stdout stays empty: no Infinity, which is not JSON, and no traceback
+    got, out, err = run(capsys, "radio", *argv)
+    assert (got, out) == (code, "")
+    assert err.startswith(message)
+
+
+@pytest.mark.parametrize("beta", ["400", "1000", "1.000000000000001"])
+def test_cost_laws_whose_samples_round_evaluate_and_solve(capsys, beta):
+    code, out, _ = run(capsys, "eval", "--set", f"cost_beta={beta}")
+    assert code == 0
+    roles = [r[k] for r in json.loads(out).values()
+             for k in ("eu_originator", "eu_intermediate", "eu_outsider", "total")]
+    assert np.isfinite(roles).all()
+    assert run(capsys, "equilibrium", "--set", f"cost_beta={beta}")[0] == 0
+
+
+def test_validate_refuses_cost_d_max_underflowing_to_zero(capsys):
+    assert run(capsys, "validate", "--set", "n=2e162", "--set", "d_max=1e-162") == (
+        2, "", "error: cost(d_max) underflows to 0: 1.0 * 1e-162**2.0\n")
+
+
 def test_validate_command(capsys, tmp_path):
     cfg = tmp_path / "params.cfg"
     cfg.write_text(params_to_kv(default_params()))

@@ -48,7 +48,7 @@ from meshecon.equilibrium import (
     _scan,
 )
 from meshecon.regimes import _roles, utility_arrays
-from conftest import random_draws
+from conftest import make_params, random_draws
 import oracles
 
 PERFCOMP = Regime.PEERING_PERFECT_COMPETITION
@@ -373,6 +373,16 @@ def test_club_without_pollution_hits_boundary(defaults):
     with pytest.raises(BoundaryOptimum) as err:
         club_optimal_density(dataclasses.replace(defaults, w=0.0))
     assert err.value.side == "high"
+
+
+def test_club_total_saturating_before_the_bracket_top_is_a_boundary_optimum():
+    # w = 0 and a cost of about 5e-312: the total reaches v = 10 inside the
+    # bracket and stays there, so the grid's first maximum is no interior optimum
+    p = make_params(w=0.0, a=5e-312, beta=1.01)
+    assert [total_eu(p, n, PERFCOMP) for n in (40.0, 1e3, 1e4)] == [10.0] * 3
+    with pytest.raises(BoundaryOptimum) as err:
+        club_optimal_density(p)
+    assert (err.value.side, err.value.n_boundary, err.value.value) == ("high", BRACKET_CAP, 10.0)
 
 
 # --------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from meshecon import (
     CostFunction,
+    NumericsError,
     ParamError,
     RadioParams,
     channels_per_cell,
@@ -70,6 +71,8 @@ def test_validate_rejects_linear_cost():
     (dict(a=math.inf), "cost_a must be finite"),
     (dict(beta=math.inf), "cost_beta must be finite"),
     (dict(d_max=1e300), r"cost\(d_max\) overflows"),  # float pow raises
+    (dict(a=1e300, d_max=1e10, n=1.0), r"cost\(d_max\) overflows"),  # a * d^beta is inf
+    (dict(n=2e162, d_max=1e-162), r"cost\(d_max\) underflows to 0"),  # (1e-162)^2 is 0
 ])
 def test_validate_names_offending_field(kwargs, field):
     with pytest.raises(ParamError, match=field):
@@ -320,6 +323,32 @@ def test_radio_params_validation():
         _radio(user_bit_rate=0.0)
     with pytest.raises(ParamError):
         _radio(path_loss_exponent=1.5)
+
+
+@pytest.mark.parametrize("field", ["snr", "alpha", "bandwidth_total", "user_bit_rate",
+                                   "path_loss_constant", "carrier_frequency",
+                                   "path_loss_exponent"])
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_radio_params_refuse_non_finite_values(field, value):
+    with pytest.raises(ParamError, match=f"{field} must be finite, got {value!r}"):
+        _radio(**{field: value})
+
+
+@pytest.mark.parametrize("d", [math.inf, math.nan])
+def test_path_loss_refuses_non_finite_distance(d):
+    with pytest.raises(ParamError, match=f"d must be finite, got {d!r}"):
+        path_loss(_radio(), d)
+
+
+@pytest.mark.parametrize("helper, radio, args", [
+    (channels_per_cell, _radio(user_bit_rate=1e-320), ()),   # the ratio overflows to inf
+    (path_loss, _radio(path_loss_exponent=4.0), (1e-200,)),  # d^4 underflows: divides by 0
+    (path_loss, _radio(carrier_frequency=1e200), (1.0,)),    # f^2 raises OverflowError
+    (path_loss, _radio(path_loss_constant=1e300), (1e-10,)),  # K / 1e-20 overflows to inf
+])
+def test_radio_helpers_raise_numerics_error_without_a_finite_result(helper, radio, args):
+    with pytest.raises(NumericsError, match=f"{helper.__name__} is not a finite float at "):
+        helper(radio, *args)
 
 
 # --------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from meshecon import (
     Choice,
@@ -24,6 +25,7 @@ from meshecon import (
     regime_utilities,
     social_cost,
     utility_arrays,
+    validate,
     value_added,
 )
 import meshecon.regimes
@@ -219,6 +221,62 @@ def test_peering_roles_finite_and_accurate_at_extreme_beta(regime, beta):
     for n in (1.5 / d_max, 2.1 / d_max, 2.5 / d_max, 10 / d_max, BRACKET_CAP):
         want = oracles.eu_quad_mp(PEERING[regime], n, d_max, p.v, p.w, p.z, p.cost.a, beta)
         assert _roles(regime_utilities(p.with_n(n), regime)) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+@st.composite
+def valid_cost_laws(draw):
+    """Templates with finite fields, a > 0, beta in (1, 1000], a cost(d_max)
+    anywhere in the floats' range, 0 < cost(d_max) < inf, and v - u above it.
+    w is at most 1e3: the property is about the cost law, and a w near 1e300
+    overflows w times the relay count at Y = 1000."""
+    beta = draw(st.floats(1.0, 1000.0, exclude_min=True))
+    log_d_max, log_c_max = draw(st.floats(-300.0, 300.0)), draw(st.floats(-323.0, 307.0))
+    log_a = log_c_max - beta * log_d_max
+    assume(-323.0 < log_a < 308.0)
+    d_max, a = 10.0**log_d_max, 10.0**log_a
+    n = draw(st.floats(1.0, 1e6, exclude_min=True)) / d_max
+    assume(d_max > 1 / n)
+    try:
+        c_max = a * d_max**beta
+    except OverflowError:
+        c_max = math.inf
+    assume(0 < c_max < math.inf)
+    u = draw(st.floats(1e-3, 1e3))
+    v = u + c_max * draw(st.floats(1.01, 1e3))
+    assume(v < math.inf and v - u > c_max)
+    return make_params(n=n, d_max=d_max, v=v, u=u, w=draw(st.floats(0.0, 1e3)),
+                       z=draw(st.floats(1e-6, 1 - 1e-9)), a=a, beta=beta)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(valid_cost_laws())
+# float samples of the cost on (0, d_max] underflow to 0 at beta = 400 and 1000
+# and lose the convexity to rounding at beta = 1 + 1e-15
+@example(make_params(beta=400.0))
+@example(make_params(beta=1000.0))
+@example(make_params(beta=1 + 1e-15))
+# c(D) at the relay-free Y = 1.5 once overflowed where the annulus rule's weight is 0
+@example(make_params(n=2.0, v=2e307, u=1.0, w=0.0, z=0.5, a=1e307, beta=11.0))
+# the annulus cost sums once overflowed at Y = 1000 on a cost(d_max) of 1e304
+@example(make_params(n=2.0, v=2e304, u=1.0, w=0.0, z=0.5, a=1e304, beta=1.5))
+def test_valid_cost_laws_give_finite_roles(template):
+    assert validate(template) is template
+    for regime in Regime:
+        roles = utility_arrays(template, regime, [y / template.d_max for y in (1.5, 2, 10, 1000)])
+        assert np.isfinite(roles).all()
+
+
+@pytest.mark.parametrize("regime", list(Regime))
+def test_roles_scale_exactly_with_a_huge_cost(regime):
+    # the roles are homogeneous of degree 1 in (v, w, a): scaling all three by
+    # 2^900 puts cost(d_max) above 2^512, where the cost sums run in units of
+    # 2^e, and must scale every role by exactly 2^900
+    p = make_params(v=10.0, w=0.01, a=1.5, beta=2.6)
+    big = make_params(v=math.ldexp(10.0, 900), w=math.ldexp(0.01, 900), a=math.ldexp(1.5, 900),
+                      beta=2.6)
+    densities = np.geomspace(1.5, 1e4, 40)
+    want = np.ldexp(utility_arrays(p, regime, densities), 900)
+    assert utility_arrays(big, regime, densities).tolist() == want.tolist()
 
 
 @pytest.mark.parametrize("beta", [1.0001, 2.0, 12.0, 200.0])

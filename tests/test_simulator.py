@@ -647,6 +647,22 @@ def test_diagnostics_match_per_connection_reference(regime, case):
     assert got.events == events
 
 
+@pytest.mark.parametrize("regime", list(Regime))
+def test_path_tables_build_event_fields_only_for_events(regime, monkeypatch):
+    # a per-node run never reads the event fields; an events run builds each
+    # offset's fields, one ConnectionChoice apiece, once for all its trials
+    import meshecon.simulator as simulator
+
+    made = []
+    choice = simulator.ConnectionChoice
+    monkeypatch.setattr(simulator, "ConnectionChoice", lambda *a: made.append(a) or choice(*a))
+    cfg = config(regime=regime, trials=3)
+    run_instant(cfg, collect_per_node=True)
+    assert made == []
+    run_instant(cfg, collect_events=True)
+    assert len(made) == build_lattice(cfg).n_offsets
+
+
 def test_bit_identical_determinism():
     cfg = config(regime=PERFCOMP, trials=40, seed=123)
     assert run_instant(cfg) == run_instant(cfg)
