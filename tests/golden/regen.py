@@ -133,6 +133,21 @@ def requests() -> list:
     # a club total that saturates at v from inside the bracket to its top
     argvs.append(["equilibrium", "--set", "w=0", "--set", "cost_a=5e-312",
                   "--set", "cost_beta=1.01"])
+    # the solvers' longer paths, on templates not requested above: clubs
+    # refined in six rounds or more, and clubs on a grid profile with several humps
+    long_clubs, multimodal = [], []
+    for p, _ in random_draws(300, seed=7, require_relay=False):
+        club = compare_regimes(p).club
+        if isinstance(club, str) or _sets(p) in templates:
+            continue
+        if club.diagnostics.iterations >= 6 and len(long_clubs) < 2:
+            long_clubs.append(p)
+        if "multimodal grid profile" in club.diagnostics.notes and len(multimodal) < 2:
+            multimodal.append(p)
+    argvs += [["equilibrium", *_sets(p), "--format", fmt]
+              for p in long_clubs + multimodal for fmt in ("json", "csv")]
+    # a pollution cost whose product with the relay count overflows a float
+    argvs.append(["eval", "--set", "w=1e300", "--set", "n=1000"])
 
     # simulate in every regime, at partial demand (the default z) and at full
     # demand (P(K) == 1.0), with and without --trace; one side per regime
