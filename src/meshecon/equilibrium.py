@@ -43,9 +43,10 @@ alone, one evaluation per step. compare_regimes validates once and makes
 one evaluation per round for all pending densities of a regime: the
 scaling densities ride in the bracket's doubling call, free entry under
 competitive pricing and the club refine in lockstep on one shared scan, and
-the club's midpoint rides in a free-entry round when one is left. The
-refinements carry the roles of their densities, so each result takes its
-roles from the round that evaluated its density. Errors surface as in a
+the club's midpoint rides in a free-entry round when one is left. A
+refinement carries its densities' roles in a cell of plain floats, a list of
+(Y, (orig, inter, out)) points sorted by Y, so each result takes its roles
+from the round that evaluated its density. Errors surface as in a
 sequential run: each solver checks its own slice of a round, and a solver's
 error waits until the solvers before it have finished.
 """
@@ -54,6 +55,7 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 
 import numpy as np
 
@@ -85,10 +87,10 @@ REFINE_POINTS = 15           # densities per refinement round
 MAX_ROUNDS = 50              # refinement round limit; a round at least halves a cell
 # a round evaluates an estimate and, toward each end of the cell, densities
 # at these fractions of the way there: halfway, then geometrically closer
-_FREE_ENTRY_RUNGS = 0.5 * 16.0 ** -np.arange(REFINE_POINTS // 2)
-_CLUB_RUNGS = 0.5 * 4.0 ** -np.arange(REFINE_POINTS // 2)
+_FREE_ENTRY_RUNGS = tuple(0.5 * 16.0**-k for k in range(REFINE_POINTS // 2))
+_CLUB_RUNGS = tuple(0.5 * 4.0**-k for k in range(REFINE_POINTS // 2))
 # and at least these many ulps of the cell's upper end away from the estimate
-_ULPS = 2.0 * np.arange(REFINE_POINTS // 2, 0, -1)
+_ULPS = tuple(2.0 * k for k in range(REFINE_POINTS // 2, 0, -1))
 
 
 class EquilibriumKind(Enum):
@@ -181,13 +183,14 @@ def _lockstep(template, regime, lanes):
                 outcomes[i] = exc.with_traceback(exc.__traceback__.tb_next)
         if not batch:
             return outcomes
-        y = np.concatenate([d for _, d in batch])
+        y = np.concatenate([d for _, d in batch]) if len(batch) > 1 else np.asarray(batch[0][1])
         roles = _roles(template, regime, y)
         finite = np.isfinite(roles).all(axis=0)
+        all_finite = finite.all()
         sends, lo = [], 0
         for i, densities in batch:
             hi = lo + len(densities)
-            sends.append((i, roles[:, lo:hi],
+            sends.append((i, roles[:, lo:hi], None if all_finite else
                           _not_finite(regime, y[lo:hi], finite[lo:hi], template.d_max)))
             lo = hi
 
@@ -244,31 +247,37 @@ def _scan(template, regime):
     return _drive(template, regime, _scan_steps())
 
 
-def _refine_steps(xs, rs, estimate, rungs):
-    """One refinement round in the cell [xs[0], xs[-1]], whose sorted
-    densities xs have role columns rs. The round evaluates the estimate and,
-    toward each end of the cell, the densities at the fractions rungs of the
-    way there, kept at least two ulps apart; where those do not fall apart
-    and in order inside the cell, REFINE_POINTS evenly spaced densities
-    instead. It evaluates no density of xs again. Returns the round's
-    densities with xs, sorted, and their role columns."""
-    a, b = xs[0], xs[-1]
-    floor = math.ulp(b) * _ULPS
-    new = np.concatenate((estimate - np.maximum((estimate - a) * rungs, floor), [estimate],
-                          estimate + np.maximum((b - estimate) * rungs, floor)[::-1]))
-    if not (a < new[0] and new[-1] < b and (new[1:] > new[:-1]).all()):
-        new = np.linspace(a, b, REFINE_POINTS + 2)[1:-1]
-    for x in xs[1:-1]:
-        new = new[new != x]
-    xs = np.concatenate((xs, new))
-    order = np.argsort(xs, kind="stable")
-    return xs[order], np.concatenate((rs, (yield new)), axis=1)[:, order]
+def _points(ys, roles):
+    """The densities ys with their role columns roles as a cell: a list of
+    (Y, (orig, inter, out)) points of floats."""
+    return list(zip(ys.tolist(), zip(*roles.tolist())))
+
+
+def _refine_steps(cell, estimate, rungs):
+    """One refinement round in the cell, a list of points sorted by density,
+    from cell[0] to cell[-1]. The round evaluates the estimate and, toward
+    each end of the cell, the densities at the fractions rungs of the way
+    there, kept at least two ulps apart; where those do not fall apart and in
+    order inside the cell, REFINE_POINTS evenly spaced densities instead. It
+    evaluates no density of the cell again. Returns the round's points with
+    the cell's, sorted by density."""
+    a, b = cell[0][0], cell[-1][0]
+    ulp = math.ulp(b)
+    below = [estimate - max((estimate - a) * r, ulp * k) for r, k in zip(rungs, _ULPS)]
+    above = [estimate + max((b - estimate) * r, ulp * k) for r, k in zip(rungs, _ULPS)]
+    new = below + [estimate] + above[::-1]
+    if not (a < new[0] and new[-1] < b and all(x < y for x, y in zip(new, new[1:]))):
+        new = np.linspace(a, b, REFINE_POINTS + 2)[1:-1].tolist()
+    inner = [x for x, _ in cell[1:-1]]
+    new = [x for x in new if x not in inner]
+    roles = yield new
+    return sorted(cell + list(zip(new, zip(*roles.tolist()))), key=itemgetter(0))
 
 
 def _solved(kind, template, regime, y_star, column, bracket, iterations, residual, notes=()):
-    """The result at Y = y_star, whose role column was evaluated there,
-    found in iterations rounds on the scan of bracket."""
-    orig, inter, out = column.tolist()
+    """The result at Y = y_star, whose roles column (orig, inter, out) was
+    evaluated there, found in iterations rounds on the scan of bracket."""
+    orig, inter, out = column
     return EquilibriumResult(
         kind=kind,
         utilities=RegimeUtilities(regime, orig, inter, out, orig + inter + out,
@@ -302,25 +311,27 @@ def _free_entry_steps(template, regime, scanned):
 
     # invariant: fs[0] > 0 >= fs[-1]
     i = cells[-1]
-    xs, rs, fs = grid[i : i + 2], roles[:, i : i + 2], values[i : i + 2]
+    cell, fs = _points(grid[i : i + 2], roles[:, i : i + 2]), values[i : i + 2].tolist()
     iterations = 0
-    while not np.min(np.abs(fs)) <= RESIDUAL_TOL:
+    while not min(map(abs, fs)) <= RESIDUAL_TOL:
         if iterations == MAX_ROUNDS:
             raise NumericsError(
-                f"k-section stalled on {[x / template.d_max for x in xs.tolist()]} with "
-                f"residuals {float(fs[0])!r}, {float(fs[-1])!r} above {RESIDUAL_TOL!r}"
+                f"k-section stalled on {[x / template.d_max for x, _ in cell]} with "
+                f"residuals {fs[0]!r}, {fs[-1]!r} above {RESIDUAL_TOL!r}"
             )
         # the regula-falsi root of the cell's ends
-        (a, b), (fa, fb) = xs.tolist(), fs.tolist()
+        (a, _), (b, _) = cell
+        fa, fb = fs
         estimate = a + fa / (fa - fb) * (b - a)
-        xs, rs = yield from _refine_steps(xs, rs, estimate, _FREE_ENTRY_RUNGS)
-        fs = sum(rs)
-        j = np.flatnonzero((fs[:-1] > 0) & (fs[1:] <= 0))[-1]
-        xs, rs, fs = xs[j : j + 2], rs[:, j : j + 2], fs[j : j + 2]
+        cell = yield from _refine_steps(cell, estimate, _FREE_ENTRY_RUNGS)
+        fs = [sum(r) for _, r in cell]
+        j = max(j for j in range(len(fs) - 1) if fs[j] > 0 >= fs[j + 1])
+        cell, fs = cell[j : j + 2], fs[j : j + 2]
         iterations += 1
-    k = int(np.argmin(np.abs(fs)))
-    return _solved(EquilibriumKind.FREE_ENTRY, template, regime, float(xs[k]),
-                   rs[:, k], bracket, iterations, float(fs[k]))
+    k = min((0, 1), key=lambda k: abs(fs[k]))  # the first of equal residuals
+    (y_star, column), residual = cell[k], fs[k]
+    return _solved(EquilibriumKind.FREE_ENTRY, template, regime, y_star,
+                   column, bracket, iterations, residual)
 
 
 def club_optimal_density(template: ModelParams) -> EquilibriumResult:
@@ -357,17 +368,19 @@ def _club_steps(template, regime, scanned):
     # the cell and its argmax, which is never at a cell end: argmax takes the
     # first of equal totals, and a cell end totals less than the argmax or
     # follows it
-    xs, rs = grid[k - 1 : k + 2], roles[:, k - 1 : k + 2]
+    cell = _points(grid[k - 1 : k + 2], roles[:, k - 1 : k + 2])
     iterations = 0
-    while xs[-1] - xs[0] > DENSITY_TOL and iterations < MAX_ROUNDS:
-        xs, rs = yield from _refine_steps(xs, rs, _vertex(xs, sum(rs)), _CLUB_RUNGS)
-        j = int(np.argmax(sum(rs)))
-        xs, rs = xs[j - 1 : j + 2], rs[:, j - 1 : j + 2]
+    while cell[-1][0] - cell[0][0] > DENSITY_TOL and iterations < MAX_ROUNDS:
+        cell = yield from _refine_steps(cell, _vertex(cell), _CLUB_RUNGS)
+        totals = [sum(r) for _, r in cell]
+        j = totals.index(max(totals))  # the first of equal totals
+        cell = cell[j - 1 : j + 2]
         iterations += 1
-    a, m, b = xs.tolist()
+    (a, _), (m, column), (b, _) = cell
 
     y_star = 0.5 * (a + b)
-    column = rs[:, 1] if y_star == m else (yield [y_star])[:, 0]
+    if y_star != m:
+        column = tuple((yield [y_star])[:, 0].tolist())
     res = _solved(EquilibriumKind.CLUB_OPTIMUM, template, regime, y_star,
                   column, bracket, iterations, (b - a) / template.d_max, notes)
     if not (res.total_eu_at_n_star >= 0):
@@ -378,11 +391,12 @@ def _club_steps(template, regime, scanned):
     return res
 
 
-def _vertex(xs, fs):
-    """The vertex of the parabola through the densities xs and totals fs,
-    whose middle total is the highest: the club's estimate. The middle
-    density when the parabola is flat."""
-    (a, m, b), (fa, fm, fb) = xs.tolist(), fs.tolist()
+def _vertex(cell):
+    """The vertex of the parabola through the cell's three points, whose
+    middle total is the highest: the club's estimate. The middle density
+    when the parabola is flat."""
+    (a, ra), (m, rm), (b, rb) = cell
+    fa, fm, fb = sum(ra), sum(rm), sum(rb)
     p, q = (m - a) * (fm - fb), (b - m) * (fm - fa)
     return m - 0.5 * ((m - a) * p - (b - m) * q) / (p + q) if p + q > 0 else m
 

@@ -27,7 +27,7 @@ qualitatively but do not feed the economic model.
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -104,7 +104,7 @@ class ModelParams:
     cost: CostFunction
 
     def with_n(self, n: float) -> "ModelParams":
-        return replace(self, n=n)
+        return ModelParams(n, self.d_max, self.v, self.u, self.w, self.z, self.cost)
 
 
 def default_params() -> ModelParams:

@@ -230,6 +230,13 @@ def integrate(f, lo: float, hi: float, tol: float = DEFAULT_TOL) -> float:
 ANNULUS_NODES = 48
 
 
+@functools.lru_cache(maxsize=None)
+def _annulus_rule(m: int):
+    """1 + t and 2 wt for the nodes t and weights wt of the m-node rule."""
+    t, wt = _legendre(m)
+    return 1 + t, 2 * wt
+
+
 def utility_arrays(template: ModelParams, regime: Regime, densities):
     """Per-role utilities at each density, other parameters from template: a
     (3, m) array whose rows are the originator, intermediate and outsider
@@ -261,8 +268,10 @@ def _roles(template, regime, big_y):
     """utility_arrays at the floats Y = n d_max, without the finiteness check.
     Distances are in units u = x / d_max, so a cost is c(d_max) u^beta."""
     p, beta, c_max = template, template.cost.beta, template.cost(template.d_max)
-    # costs from 2^512 up are summed in an exact power-of-2 unit so that the sums cannot overflow
+    # costs and w from 2^512 up enter the sums in exact power-of-2 units, so
+    # that the sums cannot overflow
     unit = 2.0 ** max(math.frexp(c_max)[1] - 512, 0)
+    w_unit = 2.0 ** max(math.frexp(p.w)[1] - 512, 0)
     cost = lambda u: c_max / unit * u**beta  # c(u d_max) / unit
     prob = connect_probability_array(nodes_within_array(big_y, 1.0), p.z)
     if regime is Regime.NO_PEERING:
@@ -277,14 +286,15 @@ def _roles(template, regime, big_y):
         # the annulus, whose terms are factored in rim so they vanish when Y <= 2.
         disc, top, y2 = np.minimum(big_y, 2.0), np.maximum(big_y, 2.0), big_y * big_y
         rim = top - 2
+        log_hops = np.log1p(rim)  # log(Y - 1) on the annulus
         disc_cost = 2 * cost(disc / big_y) * disc * disc / (beta + 2)
         # The annulus's cost integrals take the Gauss-Legendre rule in s = log(y - 1),
         # with hops = I + 1 = y - 1 at the nodes and D / d_max = (1 + 1 / hops) / Y; where
         # Y <= 2 the nodes sit at y = 2 with weight 0, and top = 2 keeps their c(D) finite
-        t, wt = _legendre(ANNULUS_NODES)
-        s_half = np.log1p(rim)[:, None] / 2
-        hops = np.exp(s_half * (1 + t))
-        weights = (s_half * wt * 2) * hops * (1 + hops) * cost((1 + 1 / hops) / top[:, None])
+        one_plus_t, two_wt = _annulus_rule(ANNULUS_NODES)
+        s_half = log_hops[:, None] / 2
+        hops = np.exp(s_half * one_plus_t)
+        weights = (s_half * two_wt) * hops * (1 + hops) * cost((1 + 1 / hops) / top[:, None])
         annulus_cost = lambda g: np.sum(g * weights, axis=1)  # int g c(D) 2y dy
         relays = 2 * rim * rim * (rim + 3) / 3  # int I 2y dy
         # outsiders: int (I + 1) max(0, pi (n D)^2 - k) 2y dy, where PERFCOMP's k = 2
@@ -292,15 +302,17 @@ def _roles(template, regime, big_y):
         # and the integral of 2 pi y^3 / (y - 1) - 2k y (y - 1) on the annulus
         k = 1 if regime is Regime.PEERING_NO_TRANSFERS else 2
         polluted = (math.pi / 2 * np.maximum(disc * disc - k / math.pi, 0.0) ** 2
-                    + 2 * math.pi * np.log1p(rim) + rim / 3 * (
+                    + 2 * math.pi * log_hops + rim / 3 * (
                         ((2 * math.pi - 2 * k) * rim + 15 * math.pi - 9 * k) * rim + 42 * math.pi - 12 * k))
-        out = -p.w * prob * polluted / y2
+        out = -p.w / w_unit * prob * polluted / y2 * w_unit
         if regime is Regime.PEERING_NO_TRANSFERS:
+            # the relays' pollution and cost are summed in the larger unit
+            both = max(unit, w_unit)
             orig = prob * (p.v - (disc_cost + annulus_cost(1.0)) / y2 * unit)
-            inter = -prob * (p.w * relays / unit + annulus_cost(hops - 1)) / y2 * unit
+            inter = -prob * (p.w / both * relays + annulus_cost(hops - 1) * (unit / both)) / y2 * both
         else:
             orig = prob * (p.v - (disc_cost + annulus_cost(hops)) / y2 * unit)
-            inter = -p.w * prob * relays / y2
+            inter = -p.w / w_unit * prob * relays / y2 * w_unit
     else:
         raise ParamError(f"unknown regime {regime!r}")
     return np.array((orig, inter, out))

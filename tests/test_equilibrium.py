@@ -192,13 +192,14 @@ def test_club_refinement_contract(defaults):
 
 def _round(xs, estimate, rungs):
     """The densities a refinement round evaluates, and what it returns when
-    each density's roles are (n, 0, 0)."""
-    xs = np.array(xs)
-    steps = _refine_steps(xs, np.vstack([xs, 0 * xs, 0 * xs]), estimate, rungs)
-    new = next(steps)
+    each density's roles are (n, 0, 0), as arrays: the densities and their
+    (3, m) role columns."""
+    steps = _refine_steps([(x, (x, 0.0, 0.0)) for x in xs], estimate, rungs)
+    new = np.array(next(steps))
     with pytest.raises(StopIteration) as stop:
         steps.send(np.vstack([new, 0 * new, 0 * new]))
-    return new, stop.value.value
+    cell = stop.value.value
+    return new, (np.array([x for x, _ in cell]), np.array([r for _, r in cell]).T)
 
 
 def test_refinement_round_places_a_ladder_around_the_estimate():
@@ -624,7 +625,7 @@ def test_densities_whose_n_overflows_raise_numerics_errors(defaults):
 
 def _club_first_round(template):
     """The densities of the club's first refinement round, from its steps."""
-    return next(_club_steps(template, PERFCOMP, _scan(template, PERFCOMP))).tolist()
+    return next(_club_steps(template, PERFCOMP, _scan(template, PERFCOMP)))
 
 
 @pytest.mark.parametrize("fe_pc_fails", [False, True])

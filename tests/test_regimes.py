@@ -227,8 +227,9 @@ def test_peering_roles_finite_and_accurate_at_extreme_beta(regime, beta):
 def valid_cost_laws(draw):
     """Templates with finite fields, a > 0, beta in (1, 1000], a cost(d_max)
     anywhere in the floats' range, 0 < cost(d_max) < inf, and v - u above it.
-    w is at most 1e3: the property is about the cost law, and a w near 1e300
-    overflows w times the relay count at Y = 1000."""
+    w is 0 or from 1e-300 to 1e300, where the exact roles stay finite at the
+    sampled Y <= 1000 (the NO_PEERING outsider, about -w pi Y^2 / 2, overflows
+    from w = 1.1e302)."""
     beta = draw(st.floats(1.0, 1000.0, exclude_min=True))
     log_d_max, log_c_max = draw(st.floats(-300.0, 300.0)), draw(st.floats(-323.0, 307.0))
     log_a = log_c_max - beta * log_d_max
@@ -244,7 +245,8 @@ def valid_cost_laws(draw):
     u = draw(st.floats(1e-3, 1e3))
     v = u + c_max * draw(st.floats(1.01, 1e3))
     assume(v < math.inf and v - u > c_max)
-    return make_params(n=n, d_max=d_max, v=v, u=u, w=draw(st.floats(0.0, 1e3)),
+    w = draw(st.just(0.0) | st.floats(-300.0, 300.0).map(lambda e: 10.0**e))
+    return make_params(n=n, d_max=d_max, v=v, u=u, w=w,
                        z=draw(st.floats(1e-6, 1 - 1e-9)), a=a, beta=beta)
 
 
@@ -259,6 +261,8 @@ def valid_cost_laws(draw):
 @example(make_params(n=2.0, v=2e307, u=1.0, w=0.0, z=0.5, a=1e307, beta=11.0))
 # the annulus cost sums once overflowed at Y = 1000 on a cost(d_max) of 1e304
 @example(make_params(n=2.0, v=2e304, u=1.0, w=0.0, z=0.5, a=1e304, beta=1.5))
+# w times the relay count at Y = 1000 once overflowed
+@example(make_params(w=1e300))
 def test_valid_cost_laws_give_finite_roles(template):
     assert validate(template) is template
     for regime in Regime:
@@ -277,6 +281,22 @@ def test_roles_scale_exactly_with_a_huge_cost(regime):
     densities = np.geomspace(1.5, 1e4, 40)
     want = np.ldexp(utility_arrays(p, regime, densities), 900)
     assert utility_arrays(big, regime, densities).tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("regime", list(Regime))
+def test_pollution_roles_scale_exactly_with_a_huge_pollution_cost(regime):
+    # the outsider role, and the intermediate role but for no-transfers
+    # peering's, which adds the relay cost, are w times a role of w = 1:
+    # scaling w alone by 2^1000 puts it above 2^512, where the pollution sums
+    # run in units of 2^e (w times the relay count would overflow), and must
+    # scale them by exactly 2^1000
+    densities = np.geomspace(1.5, 1e4, 40)
+    small = utility_arrays(make_params(w=0.01), regime, densities)
+    big = utility_arrays(make_params(w=math.ldexp(0.01, 1000)), regime, densities)
+    assert big[0].tolist() == small[0].tolist()
+    assert big[2].tolist() == np.ldexp(small[2], 1000).tolist()
+    if regime is not Regime.PEERING_NO_TRANSFERS:
+        assert big[1].tolist() == np.ldexp(small[1], 1000).tolist()
 
 
 @pytest.mark.parametrize("beta", [1.0001, 2.0, 12.0, 200.0])
