@@ -328,7 +328,7 @@ def _free_entry_steps(template, regime, scanned):
         j = max(j for j in range(len(fs) - 1) if fs[j] > 0 >= fs[j + 1])
         cell, fs = cell[j : j + 2], fs[j : j + 2]
         iterations += 1
-    k = min((0, 1), key=lambda k: abs(fs[k]))  # the first of equal residuals
+    k = 0 if abs(fs[0]) <= abs(fs[1]) else 1  # the first of equal residuals
     (y_star, column), residual = cell[k], fs[k]
     return _solved(EquilibriumKind.FREE_ENTRY, template, regime, y_star,
                    column, bracket, iterations, residual)

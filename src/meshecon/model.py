@@ -104,7 +104,8 @@ class ModelParams:
     cost: CostFunction
 
     def with_n(self, n: float) -> "ModelParams":
-        return ModelParams(n, self.d_max, self.v, self.u, self.w, self.z, self.cost)
+        return ModelParams(n=n, d_max=self.d_max, v=self.v, u=self.u, w=self.w, z=self.z,
+                           cost=self.cost)
 
 
 def default_params() -> ModelParams:
