@@ -163,6 +163,21 @@ def free_entry_root_mp(regime: str) -> float:
     return float(mp.findroot(f, guess))
 
 
+def no_peering_root(template) -> float:
+    """The NO_PEERING free-entry density n* = Y*/d_max of any template, in
+    closed form. For Y >= 1/sqrt(pi) the total is P [v' - w (s/2 - 1 + 1/(2s))]
+    with s = pi Y^2 and v' = v - 2 a d_max^beta/(beta + 2), so it vanishes at
+    s = A + sqrt(A^2 - 1), A = 1 + v'/w: Y* = sqrt(s/pi). Float inputs are
+    taken at their binary values; inf when w = 0, where no root exists."""
+    if template.w == 0:
+        return math.inf
+    with mp.workdps(40):
+        v, w, d_max, a, beta = (mp.mpf(float(t)) for t in (
+            template.v, template.w, template.d_max, template.cost.a, template.cost.beta))
+        big_a = 1 + (v - 2 * a * d_max**beta / (beta + 2)) / w
+        return float(mp.sqrt((big_a + mp.sqrt(big_a**2 - 1)) / mp.pi) / d_max)
+
+
 def club_argmax_mp() -> tuple[float, float]:
     g = perfcomp_total_mp
     n_star = mp.findroot(lambda x: mp.diff(g, x), 14.7)

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from meshecon import (
     BoundaryOptimum,
@@ -49,6 +50,7 @@ from meshecon.equilibrium import (
 )
 from meshecon.regimes import _roles, utility_arrays
 from conftest import make_params, random_draws
+from test_regimes import valid_cost_laws
 import oracles
 
 PERFCOMP = Regime.PEERING_PERFECT_COMPETITION
@@ -106,6 +108,56 @@ def test_free_entry_no_peering_matches_root_oracle(defaults):
     assert abs(res.diagnostics.residual) <= 1e-9
     # fresh evaluation at the root stays within the reporting tolerance
     assert abs(total_eu(defaults, res.n_star, Regime.NO_PEERING)) <= 1e-8
+
+
+def _no_peering_root_check(template, close):
+    """1 when free entry without peering solves template, with close(n*, the
+    closed-form root); 0 on a finding, whose bracket then holds no root."""
+    root = oracles.no_peering_root(template)
+    try:
+        res = free_entry_density(template, Regime.NO_PEERING)
+    except NoCrossing as exc:
+        assert not exc.n_lo * (1 + 1e-9) < root < exc.n_hi * (1 - 1e-9)
+        return 0
+    assert close(res.n_star, root), (res.n_star, root)
+    return 1
+
+
+def _within_1e9(got, want):
+    return abs(got - want) <= 1e-9 * want
+
+
+def test_free_entry_no_peering_is_the_closed_form_root(defaults):
+    templates = [defaults] + [p for p, _ in random_draws(200, seed=7, require_relay=False)]
+    assert sum(_no_peering_root_check(t, _within_1e9) for t in templates) == len(templates)
+
+
+@st.composite
+def no_peering_roots(draw):
+    """Templates of valid_cost_laws whose w puts the NO_PEERING root at a Y
+    drawn from 1 to BRACKET_CAP, in the bracket or below it."""
+    template = draw(valid_cost_laws())
+    s = math.pi * (10.0 ** draw(st.floats(0.0, math.log10(BRACKET_CAP))))**2
+    net = template.v - 2 * template.cost(template.d_max) / (template.cost.beta + 2)
+    w = net / (s / 2 + 1 / (2 * s) - 1)
+    assume(1e-300 <= w <= 1e300)
+    return dataclasses.replace(template, w=w)
+
+
+@settings(max_examples=150, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(valid_cost_laws() | no_peering_roots())
+def test_free_entry_no_peering_is_the_closed_form_root_over_the_valid_region(template):
+    # the k-section stops on an absolute residual, which a total scaled by a
+    # tiny P meets away from the root, and stalls where |total| cannot fall
+    # to RESIDUAL_TOL; its doublings past the bracket's end can overflow
+    def close(got, want):
+        return _within_1e9(got, want) or abs(total_eu(template, got, Regime.NO_PEERING)) <= RESIDUAL_TOL
+
+    try:
+        _no_peering_root_check(template, close)
+    except NumericsError:
+        pass
 
 
 def test_free_entry_perfcomp_matches_root_oracle(defaults):
