@@ -86,9 +86,12 @@ def requests() -> list:
     overflow = ["--set", "n=1.79e308", "--set", "d_max=6e-309", "--set", "cost_beta=1.01"]
     templates = [[], ["--set", "w=0"], overflow, ["--set", "n=1e308"]]
     templates += [_sets(p) for p, _ in random_draws(6, seed=7)]
-    # templates whose comparison ends in a finding, and some that solve
+    # templates whose comparison ends in a finding, and some that solve, other
+    # than those above: the two draws share their seed's stream
     findings = solved = 0
     for p, _ in random_draws(150, seed=7, require_relay=False):
+        if _sets(p) in templates:
+            continue
         report = compare_regimes(p)
         if report.has_findings() and findings < 4:
             findings += 1
@@ -146,8 +149,13 @@ def requests() -> list:
             multimodal.append(p)
     argvs += [["equilibrium", *_sets(p), "--format", fmt]
               for p in long_clubs + multimodal for fmt in ("json", "csv")]
-    # a pollution cost whose product with the relay count overflows a float
+    # a pollution cost whose product with the relay count overflows a float,
+    # and whose NO_PEERING roles overflow at doublings past the bracket's end
     argvs.append(["eval", "--set", "w=1e300", "--set", "n=1000"])
+    argvs.append(["equilibrium", "--set", "w=1e300"])
+    # a cost(d_max) of 1e300 whose d_max**beta overflows
+    argvs.append(["validate", "--set", "cost_a=1e-10", "--set", "d_max=1e10",
+                  "--set", "cost_beta=31", "--set", "v=1e301"])
 
     # simulate in every regime, at partial demand (the default z) and at full
     # demand (P(K) == 1.0), with and without --trace; one side per regime
