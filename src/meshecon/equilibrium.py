@@ -17,7 +17,11 @@ in rounds: each evaluates REFINE_POINTS densities placed around the
 regula-falsi root of the current cell's ends (the root itself, and toward
 each end a ladder of densities, halfway there first and then geometrically
 closer to the root) and keeps the cell of their largest downcrossing, until
-an endpoint's residual |total utility| is within tolerance.
+an endpoint's residual |total utility| is within tolerance. Without peering
+the total falls for every Y > 1 and its root has a closed form, which free
+entry takes without a scan or rounds where the scan would find a
+downcrossing: where the total is positive at Y = 2 and not at the bracket's
+upper end.
 
 Club: an entry-controlling club admits members up to the density that
 maximizes the same per-node total under competitive relay pricing (not
@@ -41,9 +45,11 @@ whose values are bit-identical to one-density calls whatever else the batch
 holds, so the grouping moves no output. A public solver drives its steps
 alone, one evaluation per step. compare_regimes validates once and makes
 one evaluation per round for all pending densities of a regime: the
-scaling densities ride in the bracket's doubling call, free entry under
-competitive pricing and the club refine in lockstep on one shared scan, and
-the club's midpoint rides in a free-entry round when one is left. A
+scaling densities ride in the bracket's doubling call, which without
+peering also carries free entry's Y = 2 and closed-form root, free entry
+under competitive pricing and the club refine in lockstep on one shared
+scan, and the club's midpoint rides in a free-entry round when one is
+left; on the default template that is 9 evaluations, 1 without peering. A
 refinement carries its densities' roles in a cell of plain floats, a list of
 (Y, (orig, inter, out)) points sorted by Y, so each result takes its roles
 from the round that evaluated its density. Errors surface as in a
@@ -167,7 +173,7 @@ def _lockstep(template, regime, lanes):
     Each round evaluates the pending densities of every lane at once, unchecked,
     and sends each lane the columns of its own densities. A lane whose columns
     hold a non-finite role is thrown the NumericsError utility_arrays raises
-    for them instead.
+    for them instead, unless it yielded them as _Unchecked.
     """
     outcomes = [None] * len(lanes)
     sends = [(i, None, None) for i in range(len(lanes))]  # (lane, roles, error)
@@ -190,9 +196,23 @@ def _lockstep(template, regime, lanes):
         sends, lo = [], 0
         for i, densities in batch:
             hi = lo + len(densities)
-            sends.append((i, roles[:, lo:hi], None if all_finite else
-                          _not_finite(regime, y[lo:hi], finite[lo:hi], template.d_max)))
+            error = None
+            if not (all_finite or isinstance(densities, _Unchecked)):
+                error = _not_finite(regime, y[lo:hi], finite[lo:hi], template.d_max)
+            sends.append((i, roles[:, lo:hi], error))
             lo = hi
+
+
+class _Unchecked(list):
+    """Densities whose role columns their step routine checks itself."""
+
+
+def _check_finite(template, regime, ys, roles):
+    """Raise the NumericsError utility_arrays raises for the densities ys, in
+    Y, with their role columns roles, when one of them is not finite."""
+    error = _not_finite(regime, np.asarray(ys), np.isfinite(roles).all(axis=0), template.d_max)
+    if error:
+        raise error
 
 
 def _drive(template, regime, steps):
@@ -209,7 +229,7 @@ def default_bracket(template: ModelParams, regime: Regime) -> tuple:
     d_max, where relaying begins at Y = 2 and Y_hi is the first doubling from
     Y = 4 whose total utility is negative, or BRACKET_CAP, where a scan then
     reports no crossing rather than inventing one."""
-    return _bracket(template, _drive(template, regime, _bracket_steps())[:2])
+    return _bracket(template, _drive(template, regime, _bracket_steps(template, regime))[:2])
 
 
 def _bracket(template, grid):
@@ -222,29 +242,40 @@ def _bracket(template, grid):
     return float(grid[0]) / template.d_max, float(grid[-1]) / template.d_max
 
 
-def _bracket_steps():
-    """default_bracket's steps in Y: one call on every doubling. Returns the
-    bracket and the role column at its upper end."""
-    doublings = [4.0]
-    while doublings[-1] < BRACKET_CAP:
-        doublings.append(min(2 * doublings[-1], BRACKET_CAP))
-    roles = yield doublings
+_DOUBLINGS = [4.0]
+while _DOUBLINGS[-1] < BRACKET_CAP:
+    _DOUBLINGS.append(min(2 * _DOUBLINGS[-1], BRACKET_CAP))
+
+
+def _bracket_end(template, regime, roles):
+    """The index of the bracket's upper end among _DOUBLINGS, whose role
+    array is roles: the first doubling whose total is negative, or the last.
+    Only the columns up to it are checked, the doublings past it are unused."""
     totals = sum(roles).tolist()
     i = next((i for i, t in enumerate(totals) if not t >= 0), len(totals) - 1)
-    return 2.0, doublings[i], roles[:, i : i + 1]
+    _check_finite(template, regime, _DOUBLINGS[: i + 1], roles[:, : i + 1])
+    return i
 
 
-def _scan_steps():
+def _bracket_steps(template, regime):
+    """default_bracket's steps in Y: one call on every doubling. Returns the
+    bracket and the role column at its upper end."""
+    roles = yield _Unchecked(_DOUBLINGS)
+    i = _bracket_end(template, regime, roles)
+    return 2.0, _DOUBLINGS[i], roles[:, i : i + 1]
+
+
+def _scan_steps(template, regime):
     """The default bracket's grid in Y and its role arrays; the doubling call
     has evaluated the grid's last point, its upper end."""
-    y_lo, y_hi, top = yield from _bracket_steps()
+    y_lo, y_hi, top = yield from _bracket_steps(template, regime)
     grid = np.linspace(y_lo, y_hi, GRID_POINTS)
     return grid, np.concatenate(((yield grid[:-1]), top), axis=1)
 
 
 def _scan(template, regime):
     """The default bracket's grid in Y and its role array."""
-    return _drive(template, regime, _scan_steps())
+    return _drive(template, regime, _scan_steps(template, regime))
 
 
 def _points(ys, roles):
@@ -289,15 +320,55 @@ def _solved(kind, template, regime, y_star, column, bracket, iterations, residua
 def free_entry_density(template: ModelParams, regime: Regime) -> EquilibriumResult:
     """Solve total utility = 0 for density under free entry.
 
-    Scans the default bracket for cells whose total falls from positive to
-    zero or below, and refines the largest such downcrossing around
-    regula-falsi estimates until an endpoint's residual |total utility|
-    falls to RESIDUAL_TOL. Raises NoCrossing when the curve never passes from
-    positive to negative inside the bracket, and NumericsError when
-    MAX_ROUNDS rounds cannot meet it.
+    Without peering the root has a closed form (see _no_peering_root), taken
+    when the total falls from positive at the bracket's lower end to zero or
+    below at its upper end. Otherwise scans the default bracket for cells
+    whose total falls from positive to zero or below, and refines the largest
+    such downcrossing around regula-falsi estimates until an endpoint's
+    residual |total utility| falls to RESIDUAL_TOL. Raises NoCrossing when
+    the curve never passes from positive to negative inside the bracket, and
+    NumericsError when MAX_ROUNDS rounds cannot meet it.
     """
     validate(template)
+    if regime is Regime.NO_PEERING:
+        return _drive(template, regime, _no_peering_steps(template))
     return _drive(template, regime, _free_entry_steps(template, regime, _scan(template, regime)))
+
+
+def _no_peering_root(template):
+    """The NO_PEERING free-entry root in Y, or None when w = 0 or it is not
+    finite or lies above BRACKET_CAP. For Y >= 1/sqrt(pi) the total is
+    P [v' - w (s/2 - 1 + 1/(2s))], s = pi Y^2, v' = v - 2 c(d_max)/(beta + 2),
+    which falls to zero at s = 1 + r + sqrt(r (r + 2)), r = v'/w."""
+    if template.w == 0:
+        return None
+    c_max = template.cost(template.d_max)
+    r = (template.v - 2 * c_max / (template.cost.beta + 2)) / template.w
+    if not math.isfinite(r):
+        return None
+    y_star = math.sqrt((1 + r + math.sqrt(r * (r + 2))) / math.pi)
+    return y_star if y_star <= BRACKET_CAP else None
+
+
+def _no_peering_steps(template):
+    """free_entry_density's one step without peering: the doublings, Y = 2
+    and the closed-form root, in one call. The root is the result when the
+    total falls from positive at Y = 2 to zero or below at the bracket's
+    upper end, the scan's condition for a downcrossing of this falling
+    total; the doublings' columns are checked first, as the scan's are."""
+    regime = Regime.NO_PEERING
+    y_star = _no_peering_root(template)
+    m = len(_DOUBLINGS)
+    roles = yield _Unchecked(_DOUBLINGS + [2.0] + ([] if y_star is None else [y_star]))
+    i = _bracket_end(template, regime, roles[:, :m])
+    _check_finite(template, regime, [2.0], roles[:, m : m + 1])
+    bracket = _bracket(template, (2.0, _DOUBLINGS[i]))
+    totals = sum(roles).tolist()
+    if y_star is None or not totals[m] > 0 >= totals[i]:
+        raise NoCrossing(regime, *bracket)
+    _check_finite(template, regime, [y_star], roles[:, m + 1 :])
+    return _solved(EquilibriumKind.FREE_ENTRY, template, regime, y_star,
+                   roles[:, m + 1].tolist(), bracket, 0, totals[m + 1], ["closed-form root"])
 
 
 def _free_entry_steps(template, regime, scanned):
@@ -506,7 +577,7 @@ def _regime_outcomes(template, regime, solvers):
     default bracket, and of its scaling fit, whose densities ride in the
     bracket's doubling call."""
     scanned, scaling = _lockstep(template, regime, [
-        _scan_steps(), _scaling_steps(template, _SCALING_Y_VALUES)])
+        _scan_steps(template, regime), _scaling_steps(template, _SCALING_Y_VALUES)])
     if isinstance(scanned, _STEP_OUTCOMES):
         return [scanned] * len(solvers), scaling
     return _lockstep(template, regime, [s(template, regime, scanned) for s in solvers]), scaling
@@ -554,7 +625,9 @@ def compare_regimes(template: ModelParams) -> RegimeComparison:
     leapfrog profile, then the two scaling fits.
     """
     validate(template)
-    (fe_np,), scaling_np = _regime_outcomes(template, Regime.NO_PEERING, [_free_entry_steps])
+    # free entry without peering takes one step, in the scaling fit's call
+    fe_np, scaling_np = _lockstep(template, Regime.NO_PEERING, [
+        _no_peering_steps(template), _scaling_steps(template, _SCALING_Y_VALUES)])
     fe_np = _reported(fe_np)
     (fe_pc, club), scaling_pc = _regime_outcomes(
         template, Regime.PEERING_PERFECT_COMPETITION, [_free_entry_steps, _club_steps])

@@ -75,7 +75,16 @@ class CostFunction:
     beta: float
 
     def __call__(self, d: float) -> float:
-        return self.a * d**self.beta
+        """a * d**beta; where a float d**beta overflows or underflows to 0,
+        (a * h) * h with h = d**(beta / 2), so a finite a d^beta stays finite."""
+        try:
+            power = d**self.beta
+        except OverflowError:
+            power = math.inf
+        if isinstance(power, float) and not 0 < power < math.inf:
+            half = d ** (self.beta / 2)
+            return self.a * half * half
+        return self.a * power
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -394,6 +395,26 @@ def test_read_params_file_sniffs_format(tmp_path, defaults):
     js.write_text(params_to_json(defaults))
     assert read_params_file(kv) == defaults
     assert read_params_file(js) == defaults
+
+
+@pytest.mark.parametrize("a,beta,inside,outside", [
+    (1e-10, 31.0, 8e9, 1e10),     # d**beta overflows past about 8.8e9
+    (1e300, 40.0, 1e-8, 1e-9),    # d**beta underflows to 0 below about 4e-9
+])
+def test_cost_function_scales_a_power_that_leaves_the_floats(a, beta, inside, outside):
+    c = CostFunction(a=a, beta=beta)
+    # where d**beta is a nonzero float, exactly a * d**beta
+    assert c(inside) == a * inside**beta
+    # past it, a d^beta to a few ulps of the exact product
+    exact = float(Fraction(a) * Fraction(outside) ** int(beta))
+    assert 0 < exact < math.inf
+    assert abs(c(outside) - exact) <= 4 * math.ulp(exact)
+
+
+def test_validate_accepts_a_finite_cost_whose_power_overflows():
+    # 1e10**31 overflows, while cost(d_max) = 1e-10 * 1e10**31 = 1e300 < v - u
+    p = make_params(a=1e-10, d_max=1e10, beta=31.0, v=1e301)
+    assert validate(p) is p
 
 
 def test_cost_function_basics():
