@@ -75,16 +75,31 @@ class CostFunction:
     beta: float
 
     def __call__(self, d: float) -> float:
-        """a * d**beta; where a float d**beta overflows or underflows to 0,
-        (a * h) * h with h = d**(beta / 2), so a finite a d^beta stays finite."""
+        """a * d**beta. Where d**beta overflows or underflows to 0,
+        (a * h) * h with h = d**(beta / 2), so that a finite cost stays
+        finite. Arrays go through times."""
+        if isinstance(d, np.ndarray):
+            return self.times(1.0, d)
         try:
             power = d**self.beta
         except OverflowError:
             power = math.inf
-        if isinstance(power, float) and not 0 < power < math.inf:
+        if 0 < power < math.inf:
+            return self.a * power
+        half = d ** (self.beta / 2)
+        return self.a * half * half
+
+    def times(self, k, d):
+        """k * cost(d) over an array d, elementwise as (k * a) * d**beta, or
+        ((k * a) * h) * h where d**beta overflows or underflows to 0."""
+        ka = k * self.a
+        with np.errstate(over="ignore", under="ignore"):
+            power = d**self.beta
+            inside = (power > 0) & (power < math.inf)
+            if inside.all():
+                return ka * power
             half = d ** (self.beta / 2)
-            return self.a * half * half
-        return self.a * power
+            return np.where(inside, ka * power, ka * half * half)
 
 
 @dataclass(frozen=True)

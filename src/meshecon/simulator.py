@@ -237,10 +237,8 @@ class _RegimeTables:
         # evaluated on the continuum quantities at the torus distance.
         # Product order ((I+1) a) D^beta: where n d rounds just above 2 the
         # two costs differ by about an ulp, and the order decides the choice.
-        wants_peer = self.conn_cost > (  # ties go DIRECT
-            (intermediate_count_array(n, d) + 1) * p.cost.a
-            * hop_distance_array(n, d) ** p.cost.beta
-        )
+        wants_peer = self.conn_cost > p.cost.times(  # ties go DIRECT
+            intermediate_count_array(n, d) + 1, hop_distance_array(n, d))
         del d
 
         if regime is Regime.PEERING_NO_TRANSFERS:

@@ -409,6 +409,10 @@ def test_cost_function_scales_a_power_that_leaves_the_floats(a, beta, inside, ou
     exact = float(Fraction(a) * Fraction(outside) ** int(beta))
     assert 0 < exact < math.inf
     assert abs(c(outside) - exact) <= 4 * math.ulp(exact)
+    # elementwise on arrays, with numpy's power
+    inner, outer = c.times(1.0, np.array([inside, outside])).tolist()
+    assert inner == (a * np.array([inside]) ** beta).item()
+    assert abs(outer - exact) <= 4 * math.ulp(exact)
 
 
 def test_validate_accepts_a_finite_cost_whose_power_overflows():

@@ -367,6 +367,19 @@ def _trial_draws(cfg, lattice, trial):
     return dest_k, connecting
 
 
+@pytest.mark.parametrize("regime", list(Regime))
+def test_tables_hold_with_a_cost_whose_power_overflows(regime):
+    # (d_max, a, n) -> (1e10 d_max, 1e-310 a, 1e-10 n) keeps the lattice and
+    # a d^beta, while d**31 overflows from d = 8.8e9 on the rescaled lattice
+    from meshecon.simulator import _RegimeTables
+
+    small, big = (_RegimeTables(build_lattice(config(side=21, regime=regime, beta=31.0, v=1e301,
+                                                     **kw)), regime)
+                  for kw in (dict(n=10.0, d_max=1.0, a=1e300), dict(n=1e-9, d_max=1e10, a=1e-10)))
+    assert np.array_equal(small.tallies, big.tallies)
+    assert big.conn_cost == pytest.approx(small.conn_cost, rel=1e-14, abs=0)
+
+
 def _gather_reference(cfg):
     """The per-connection tally loop the histogram replaced: gather every
     connection's table entries and sum them."""
