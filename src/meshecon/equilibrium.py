@@ -68,8 +68,8 @@ import numpy as np
 from .errors import BoundaryOptimum, NoCrossing, NumericsError, ParamError
 from .model import (ModelParams, connect_probability_array, hop_distance_array,
                     intermediate_count, nodes_within_array, params_to_dict, validate)
-from .regimes import (Regime, RegimeUtilities, UTILITIES_CSV_HEADER, _not_finite, _roles,
-                      regime_utilities)
+from .regimes import (Regime, RegimeUtilities, UTILITIES_CSV_HEADER, _not_finite,
+                      _raise_not_finite, _roles, regime_utilities)
 
 __all__ = [
     "EquilibriumKind",
@@ -207,14 +207,6 @@ class _Unchecked(list):
     """Densities whose role columns their step routine checks itself."""
 
 
-def _check_finite(template, regime, ys, roles):
-    """Raise the NumericsError utility_arrays raises for the densities ys, in
-    Y, with their role columns roles, when one of them is not finite."""
-    error = _not_finite(regime, np.asarray(ys), np.isfinite(roles).all(axis=0), template.d_max)
-    if error:
-        raise error
-
-
 def _drive(template, regime, steps):
     """Run one step routine alone: one evaluation per step, and its outcome
     returned or raised."""
@@ -253,7 +245,7 @@ def _bracket_end(template, regime, roles):
     Only the columns up to it are checked, the doublings past it are unused."""
     totals = sum(roles).tolist()
     i = next((i for i, t in enumerate(totals) if not t >= 0), len(totals) - 1)
-    _check_finite(template, regime, _DOUBLINGS[: i + 1], roles[:, : i + 1])
+    _raise_not_finite(regime, _DOUBLINGS[: i + 1], roles[:, : i + 1], template.d_max)
     return i
 
 
@@ -361,12 +353,12 @@ def _no_peering_steps(template):
     m = len(_DOUBLINGS)
     roles = yield _Unchecked(_DOUBLINGS + [2.0] + ([] if y_star is None else [y_star]))
     i = _bracket_end(template, regime, roles[:, :m])
-    _check_finite(template, regime, [2.0], roles[:, m : m + 1])
+    _raise_not_finite(regime, [2.0], roles[:, m : m + 1], template.d_max)
     bracket = _bracket(template, (2.0, _DOUBLINGS[i]))
     totals = sum(roles).tolist()
     if y_star is None or not totals[m] > 0 >= totals[i]:
         raise NoCrossing(regime, *bracket)
-    _check_finite(template, regime, [y_star], roles[:, m + 1 :])
+    _raise_not_finite(regime, [y_star], roles[:, m + 1 :], template.d_max)
     return _solved(EquilibriumKind.FREE_ENTRY, template, regime, y_star,
                    roles[:, m + 1].tolist(), bracket, 0, totals[m + 1], ["closed-form root"])
 

@@ -245,9 +245,7 @@ def utility_arrays(template: ModelParams, regime: Regime, densities):
     n = np.asarray(densities, dtype=float).reshape(-1)
     with np.errstate(over="ignore"):
         roles = _roles(template, regime, n * template.d_max)
-    error = _not_finite(regime, n, np.isfinite(roles).all(axis=0))
-    if error:
-        raise error
+    _raise_not_finite(regime, n, roles)
     return roles
 
 
@@ -257,6 +255,14 @@ def _not_finite(regime, y, finite, d_max=1.0):
     if not finite.all():
         return NumericsError(
             f"{regime.value} utility is not finite at n={float(y[~finite][0]) / d_max}")
+
+
+def _raise_not_finite(regime, y, roles, d_max=1.0):
+    """Raise _not_finite's error for the densities n = y / d_max with their
+    role columns roles, if they are not all finite."""
+    error = _not_finite(regime, np.asarray(y), np.isfinite(roles).all(axis=0), d_max)
+    if error:
+        raise error
 
 
 # A Y so large that the role terms overflow or turn NaN comes back
