@@ -153,6 +153,12 @@ def requests() -> list:
     # and whose NO_PEERING roles overflow at doublings past the bracket's end
     argvs.append(["eval", "--set", "w=1e300", "--set", "n=1000"])
     argvs.append(["equilibrium", "--set", "w=1e300"])
+    # comparisons that end in a solver's own NumericsError: a NO_PEERING
+    # outsider that overflows at the bracket's first doubling, and free entry
+    # under competitive pricing whose rounds stall an ulp from the root
+    for sets in (["--set", "v=1e308", "--set", "u=1", "--set", "w=1.37e308"],
+                 ["--set", "v=1e9", "--set", "w=1e6", "--set", "cost_a=1e8"]):
+        argvs += [["equilibrium", *sets, "--format", fmt] for fmt in ("json", "csv")]
     # a cost(d_max) of 1e300 whose d_max**beta overflows
     argvs.append(["validate", "--set", "cost_a=1e-10", "--set", "d_max=1e10",
                   "--set", "cost_beta=31", "--set", "v=1e301"])
