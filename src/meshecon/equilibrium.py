@@ -52,9 +52,12 @@ scan, and the club's midpoint rides in a free-entry round when one is
 left; on the default template that is 9 evaluations, 1 without peering. A
 refinement carries its densities' roles in a cell of plain floats, a list of
 (Y, (orig, inter, out)) points sorted by Y, so each result takes its roles
-from the round that evaluated its density. Errors surface as in a
-sequential run: each solver checks its own slice of a round, and a solver's
-error waits until the solvers before it have finished.
+from the round that evaluated its density. The driver only batches: it
+evaluates a round unchecked and sends each solver its own columns, and each
+step checks the columns it reads (the bracket its doublings up to its upper
+end), raising the NumericsError utility_arrays would raise for them. So errors
+surface as in a sequential run: a solver's error waits until the solvers
+before it have finished.
 """
 
 import json
@@ -68,8 +71,8 @@ import numpy as np
 from .errors import BoundaryOptimum, NoCrossing, NumericsError, ParamError
 from .model import (ModelParams, connect_probability_array, hop_distance_array,
                     intermediate_count, nodes_within_array, params_to_dict, validate)
-from .regimes import (Regime, RegimeUtilities, UTILITIES_CSV_HEADER, _not_finite,
-                      _raise_not_finite, _roles, regime_utilities)
+from .regimes import (Regime, RegimeUtilities, UTILITIES_CSV_HEADER, _raise_not_finite,
+                      _roles, regime_utilities)
 
 __all__ = [
     "EquilibriumKind",
@@ -170,18 +173,17 @@ def _lockstep(template, regime, lanes):
     """Run step routines side by side and return each one's outcome: its
     return value, or the finding or error it raised.
 
-    Each round evaluates the pending densities of every lane at once, unchecked,
-    and sends each lane the columns of its own densities. A lane whose columns
-    hold a non-finite role is thrown the NumericsError utility_arrays raises
-    for them instead, unless it yielded them as _Unchecked.
+    Each round evaluates the pending densities of every lane in one _roles
+    call, unchecked, and sends each lane the columns of its own densities;
+    a lane checks the columns it reads (see _evaluate).
     """
     outcomes = [None] * len(lanes)
-    sends = [(i, None, None) for i in range(len(lanes))]  # (lane, roles, error)
+    sends = [(i, None) for i in range(len(lanes))]  # (lane, roles)
     while True:
         batch = []
-        for i, roles, error in sends:
+        for i, roles in sends:
             try:
-                batch.append((i, lanes[i].send(roles) if error is None else lanes[i].throw(error)))
+                batch.append((i, lanes[i].send(roles)))
             except StopIteration as stop:
                 outcomes[i] = stop.value
             except _STEP_OUTCOMES as exc:
@@ -191,20 +193,19 @@ def _lockstep(template, regime, lanes):
             return outcomes
         y = np.concatenate([d for _, d in batch]) if len(batch) > 1 else np.asarray(batch[0][1])
         roles = _roles(template, regime, y)
-        finite = np.isfinite(roles).all(axis=0)
-        all_finite = finite.all()
         sends, lo = [], 0
         for i, densities in batch:
-            hi = lo + len(densities)
-            error = None
-            if not (all_finite or isinstance(densities, _Unchecked)):
-                error = _not_finite(regime, y[lo:hi], finite[lo:hi], template.d_max)
-            sends.append((i, roles[:, lo:hi], error))
-            lo = hi
+            sends.append((i, roles[:, lo : lo + len(densities)]))
+            lo += len(densities)
 
 
-class _Unchecked(list):
-    """Densities whose role columns their step routine checks itself."""
+def _evaluate(template, regime, ys):
+    """A step that yields the densities ys and returns their role columns,
+    raising the NumericsError utility_arrays would at the first density
+    whose roles are not all finite."""
+    roles = yield ys
+    _raise_not_finite(regime, ys, roles, template.d_max)
+    return roles
 
 
 def _drive(template, regime, steps):
@@ -252,7 +253,7 @@ def _bracket_end(template, regime, roles):
 def _bracket_steps(template, regime):
     """default_bracket's steps in Y: one call on every doubling. Returns the
     bracket and the role column at its upper end."""
-    roles = yield _Unchecked(_DOUBLINGS)
+    roles = yield _DOUBLINGS
     i = _bracket_end(template, regime, roles)
     return 2.0, _DOUBLINGS[i], roles[:, i : i + 1]
 
@@ -262,7 +263,7 @@ def _scan_steps(template, regime):
     has evaluated the grid's last point, its upper end."""
     y_lo, y_hi, top = yield from _bracket_steps(template, regime)
     grid = np.linspace(y_lo, y_hi, GRID_POINTS)
-    return grid, np.concatenate(((yield grid[:-1]), top), axis=1)
+    return grid, np.concatenate(((yield from _evaluate(template, regime, grid[:-1])), top), axis=1)
 
 
 def _scan(template, regime):
@@ -276,7 +277,7 @@ def _points(ys, roles):
     return list(zip(ys.tolist(), zip(*roles.tolist())))
 
 
-def _refine_steps(cell, estimate, rungs):
+def _refine_steps(template, regime, cell, estimate, rungs):
     """One refinement round in the cell, a list of points sorted by density,
     from cell[0] to cell[-1]. The round evaluates the estimate and, toward
     each end of the cell, the densities at the fractions rungs of the way
@@ -293,7 +294,7 @@ def _refine_steps(cell, estimate, rungs):
         new = np.linspace(a, b, REFINE_POINTS + 2)[1:-1].tolist()
     inner = [x for x, _ in cell[1:-1]]
     new = [x for x in new if x not in inner]
-    roles = yield new
+    roles = yield from _evaluate(template, regime, new)
     return sorted(cell + list(zip(new, zip(*roles.tolist()))), key=itemgetter(0))
 
 
@@ -351,7 +352,7 @@ def _no_peering_steps(template):
     regime = Regime.NO_PEERING
     y_star = _no_peering_root(template)
     m = len(_DOUBLINGS)
-    roles = yield _Unchecked(_DOUBLINGS + [2.0] + ([] if y_star is None else [y_star]))
+    roles = yield _DOUBLINGS + [2.0] + ([] if y_star is None else [y_star])
     i = _bracket_end(template, regime, roles[:, :m])
     _raise_not_finite(regime, [2.0], roles[:, m : m + 1], template.d_max)
     bracket = _bracket(template, (2.0, _DOUBLINGS[i]))
@@ -386,7 +387,7 @@ def _free_entry_steps(template, regime, scanned):
         (a, _), (b, _) = cell
         fa, fb = fs
         estimate = a + fa / (fa - fb) * (b - a)
-        cell = yield from _refine_steps(cell, estimate, _FREE_ENTRY_RUNGS)
+        cell = yield from _refine_steps(template, regime, cell, estimate, _FREE_ENTRY_RUNGS)
         fs = [sum(r) for _, r in cell]
         j = max(j for j in range(len(fs) - 1) if fs[j] > 0 >= fs[j + 1])
         cell, fs = cell[j : j + 2], fs[j : j + 2]
@@ -434,7 +435,7 @@ def _club_steps(template, regime, scanned):
     cell = _points(grid[k - 1 : k + 2], roles[:, k - 1 : k + 2])
     iterations = 0
     while cell[-1][0] - cell[0][0] > DENSITY_TOL and iterations < MAX_ROUNDS:
-        cell = yield from _refine_steps(cell, _vertex(cell), _CLUB_RUNGS)
+        cell = yield from _refine_steps(template, regime, cell, _vertex(cell), _CLUB_RUNGS)
         totals = [sum(r) for _, r in cell]
         j = totals.index(max(totals))  # the first of equal totals
         cell = cell[j - 1 : j + 2]
@@ -443,7 +444,7 @@ def _club_steps(template, regime, scanned):
 
     y_star = 0.5 * (a + b)
     if y_star != m:
-        column = tuple((yield [y_star])[:, 0].tolist())
+        column = tuple((yield from _evaluate(template, regime, [y_star]))[:, 0].tolist())
     res = _solved(EquilibriumKind.CLUB_OPTIMUM, template, regime, y_star,
                   column, bracket, iterations, (b - a) / template.d_max, notes)
     if not (res.total_eu_at_n_star >= 0):
@@ -471,10 +472,10 @@ def congestion_scaling_exponent(template: ModelParams, regime: Regime, n_values)
     (P(N(d_max)) > 0.99) so the fit isolates the congestion term's growth.
     """
     y_values = [float(x) * template.d_max for x in n_values]
-    return _drive(template, regime, _scaling_steps(template, y_values))
+    return _drive(template, regime, _scaling_steps(template, regime, y_values))
 
 
-def _scaling_steps(template, y_values):
+def _scaling_steps(template, regime, y_values):
     """congestion_scaling_exponent's one step at the floats Y = n d_max,
     after its checks. The slope against log Y is the slope against log n."""
     if len(y_values) < 4:
@@ -490,7 +491,7 @@ def _scaling_steps(template, y_values):
             f"density n={y_values[saturated.argmin()] / template.d_max!r} leaves demand "
             f"unsaturated (P <= {SCALING_MIN_P}); the congestion fit requires large P"
         )
-    outs = (yield y_values)[2]
+    outs = (yield from _evaluate(template, regime, y_values))[2]
     zero = outs == 0.0
     if zero.any():
         raise ParamError(
@@ -564,17 +565,6 @@ class RegimeComparison:
         return rows
 
 
-def _regime_outcomes(template, regime, solvers):
-    """The outcomes of solvers, step routines sharing one scan of the regime's
-    default bracket, and of its scaling fit, whose densities ride in the
-    bracket's doubling call."""
-    scanned, scaling = _lockstep(template, regime, [
-        _scan_steps(template, regime), _scaling_steps(template, _SCALING_Y_VALUES)])
-    if isinstance(scanned, _STEP_OUTCOMES):
-        return [scanned] * len(solvers), scaling
-    return _lockstep(template, regime, [s(template, regime, scanned) for s in solvers]), scaling
-
-
 def _reported(outcome):
     """A solver outcome as the comparison reports it: its result, or a
     finding's marker. An error is raised."""
@@ -619,10 +609,18 @@ def compare_regimes(template: ModelParams) -> RegimeComparison:
     validate(template)
     # free entry without peering takes one step, in the scaling fit's call
     fe_np, scaling_np = _lockstep(template, Regime.NO_PEERING, [
-        _no_peering_steps(template), _scaling_steps(template, _SCALING_Y_VALUES)])
+        _no_peering_steps(template),
+        _scaling_steps(template, Regime.NO_PEERING, _SCALING_Y_VALUES)])
     fe_np = _reported(fe_np)
-    (fe_pc, club), scaling_pc = _regime_outcomes(
-        template, Regime.PEERING_PERFECT_COMPETITION, [_free_entry_steps, _club_steps])
+    # free entry and the club share one scan, whose doubling call carries the
+    # scaling densities
+    regime = Regime.PEERING_PERFECT_COMPETITION
+    scanned, scaling_pc = _lockstep(template, regime, [
+        _scan_steps(template, regime), _scaling_steps(template, regime, _SCALING_Y_VALUES)])
+    fe_pc = club = scanned
+    if not isinstance(scanned, _STEP_OUTCOMES):
+        fe_pc, club = _lockstep(template, regime, [_free_entry_steps(template, regime, scanned),
+                                                   _club_steps(template, regime, scanned)])
     fe_pc, club = _reported(fe_pc), _reported(club)
     profile = _leapfrog_profile(template, club)
 

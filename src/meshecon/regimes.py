@@ -249,20 +249,13 @@ def utility_arrays(template: ModelParams, regime: Regime, densities):
     return roles
 
 
-def _not_finite(regime, y, finite, d_max=1.0):
-    """The NumericsError for the first of the densities n = y / d_max whose
-    finite mask entry is False, or None when there is none."""
-    if not finite.all():
-        return NumericsError(
-            f"{regime.value} utility is not finite at n={float(y[~finite][0]) / d_max}")
-
-
 def _raise_not_finite(regime, y, roles, d_max=1.0):
-    """Raise _not_finite's error for the densities n = y / d_max with their
-    role columns roles, if they are not all finite."""
-    error = _not_finite(regime, np.asarray(y), np.isfinite(roles).all(axis=0), d_max)
-    if error:
-        raise error
+    """Raise NumericsError at the first of the densities n = y / d_max whose
+    role column in roles is not all finite, if there is one."""
+    if not np.isfinite(roles).all():
+        finite = np.isfinite(roles).all(axis=0)
+        raise NumericsError(
+            f"{regime.value} utility is not finite at n={float(np.asarray(y)[~finite][0]) / d_max}")
 
 
 # A Y so large that the role terms overflow or turn NaN comes back

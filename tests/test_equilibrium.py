@@ -240,7 +240,8 @@ def _round(xs, estimate, rungs):
     """The densities a refinement round evaluates, and what it returns when
     each density's roles are (n, 0, 0), as arrays: the densities and their
     (3, m) role columns."""
-    steps = _refine_steps([(x, (x, 0.0, 0.0)) for x in xs], estimate, rungs)
+    steps = _refine_steps(make_params(), PERFCOMP, [(x, (x, 0.0, 0.0)) for x in xs],
+                          estimate, rungs)
     new = np.array(next(steps))
     with pytest.raises(StopIteration) as stop:
         steps.send(np.vstack([new, 0 * new, 0 * new]))
@@ -634,7 +635,7 @@ def _sequential_compare(template):
         # congestion_scaling_exponent at the densities whose Y are exactly the
         # comparison's: Y / d_max * d_max can miss Y by an ulp
         try:
-            return _drive(template, regime, _scaling_steps(template, _SCALING_Y_VALUES))
+            return _drive(template, regime, _scaling_steps(template, regime, _SCALING_Y_VALUES))
         except ParamError as exc:
             return f"UNDEFINED ({exc})"
 
@@ -761,6 +762,43 @@ def test_a_failing_merged_round_is_not_evaluated_again(defaults, monkeypatch):
     failing = calls[at][1]
     assert len(failing) == 2 * REFINE_POINTS  # free entry's round and the club's
     assert not set(failing) & {x for r, n in calls[at + 1:] if r is PERFCOMP for x in n}
+
+
+# densities, as (regime, Y), at which a step routine checks the role columns
+# it reads, beyond the bracket's doublings and the club and free-entry rounds
+_CHECK_SITES = {
+    "perfcomp scan": lambda t: (PERFCOMP, float(_scan(t, PERFCOMP)[0][5])),
+    "club midpoint": lambda t: (PERFCOMP, compare_regimes(t).club.n_star * t.d_max),
+    "no-peering scaling": lambda t: (Regime.NO_PEERING, _SCALING_Y_VALUES[1]),
+    "perfcomp scaling": lambda t: (PERFCOMP, _SCALING_Y_VALUES[2]),
+    "no-peering root": lambda t: (Regime.NO_PEERING,
+                                  compare_regimes(t).free_entry_no_peering.n_star * t.d_max),
+}
+
+
+@pytest.mark.parametrize("site", list(_CHECK_SITES))
+def test_each_check_site_raises_as_in_a_sequential_run(defaults, monkeypatch, capsys, site):
+    # a NaN role at one density the comparison evaluates once: it raises the
+    # error of a run of the public solvers one after another, and the
+    # command exits 3 with it (d_max is 1, so n = Y)
+    regime, planted = _CHECK_SITES[site](defaults)
+    calls = []
+
+    def planted_nan(template, r, y):
+        calls.append((r, y.tolist()))
+        roles = _roles(template, r, y)
+        if r is regime:
+            roles[1, y == planted] = np.nan
+        return roles
+
+    monkeypatch.setattr(meshecon.equilibrium, "_roles", planted_nan)
+    expected = _comparison_bytes(_sequential_compare, defaults)
+    assert expected == (NumericsError, f"{regime.value} utility is not finite at n={planted}")
+    calls.clear()
+    assert _comparison_bytes(compare_regimes, defaults) == expected
+    assert sum(planted in y for r, y in calls if r is regime) == 1
+    assert main(["equilibrium"]) == 3
+    assert capsys.readouterr().err == f"numeric failure: {expected[1]}\n"
 
 
 def test_compare_regimes_json_round_trip(defaults):
