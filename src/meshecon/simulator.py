@@ -437,10 +437,16 @@ class SimOutcome:
 
 
 def _mean_se(series: np.ndarray) -> tuple[float, float]:
-    mean = float(series.mean())
+    # a series reaching 2^511 is taken in the power-of-2 unit of its largest
+    # magnitude, so that the sums of std's squares cannot overflow; the
+    # scaling is exact
+    exponent = math.frexp(float(np.abs(series).max()))[1]
+    unit = 2.0**exponent if exponent > 511 else 1.0
+    series = series / unit
+    mean = float(series.mean()) * unit
     if len(series) < 2:
         return mean, float("nan")
-    return mean, float(series.std(ddof=1) / math.sqrt(len(series)))
+    return mean, float(series.std(ddof=1) / math.sqrt(len(series))) * unit
 
 
 def _build(config: SimConfig) -> tuple[Lattice, _RegimeTables]:

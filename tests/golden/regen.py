@@ -170,6 +170,8 @@ def requests() -> list:
         for demand in ([], ["--set", "z=1e-12"]):
             argv = ["simulate", "--regime", regime, "--side", side, "--trials", "30", *demand]
             argvs += [argv, argv + ["--trace", TRACE]]
+    # per-trial utilities whose squares overflow a float
+    argvs.append(["simulate", "--set", "v=1e301", "--side", "21", "--trials", "30"])
 
     argvs += [
         # usage errors

@@ -689,6 +689,19 @@ def test_single_trial_has_no_stderr():
     assert math.isfinite(out.mean_originator)
 
 
+def test_stderr_stays_finite_where_the_squares_overflow():
+    # per-trial originator utilities of order v = 1e301, whose squares
+    # overflow: the standard error is that of the series in any power-of-2
+    # unit that keeps them finite, exactly
+    out = run_instant(config(side=21, trials=30, v=1e301))
+    unit = 2.0**1000
+    orig = np.array(out.per_trial_originator) / unit
+    expected = float(orig.std(ddof=1) / math.sqrt(30)) * unit
+    assert math.isfinite(expected) and out.se_originator == expected
+    assert out.mean_originator == float(orig.mean()) * unit
+    assert out.se_total == pytest.approx(expected, rel=1e-12)
+
+
 def test_perfcomp_intermediate_is_minus_w_per_exposure():
     cfg = config(regime=PERFCOMP, trials=30, seed=5)
     out = run_instant(cfg, collect_events=True)
