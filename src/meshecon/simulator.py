@@ -206,9 +206,10 @@ class _RegimeTables:
     conn_cost   what the originator gives up: c(d) direct, or the whole
                 path's transmission cost when peering (first hop paid in
                 kind, the rest as marginal-cost transfers to the relays)
-    tallies     the integer tables below as the rows of one (4, K) int64
+    tallies     the integer tables below as the rows of one (4, K) float64
                 array, so a trial's offset histogram gives all four counts
-                in one product; the named tables are views of its rows
+                in one product; every entry is an integer below N = side^2,
+                held exactly, and the named tables are views of its rows
     peer        1 if the originator chooses the relayed path, else 0
     refused     NOTRANS only: 1 if the originator wanted to peer but relays
                 refuse, else 0
@@ -227,7 +228,7 @@ class _RegimeTables:
         di, dj, r2 = lattice.offset_di, lattice.offset_dj, lattice.offset_r2
         # The rows are filled in place and each temporary is dropped once its
         # row is written, so that few K-length arrays are alive at once.
-        self.tallies = np.zeros((4, lattice.n_offsets), dtype=np.int64)
+        self.tallies = np.zeros((4, lattice.n_offsets))
         peer, refused, relays, polluted = self.tallies
         polluted[:] = np.searchsorted(lattice.offset_r2, r2, side="right")  # receiver included
 
@@ -597,10 +598,9 @@ def run_instant(
     receiver_exempt = config.regime is Regime.PEERING_PERFECT_COMPETITION
     # Each table entry is below N = side^2 (K < N, and a relayed path charges
     # at most 7 nodes per hop over at most side / 2 hops), so every partial
-    # sum of tallies_f @ hist is an integer below N^2 < 2**53 (_check_side):
-    # the float64 product is exact in any summation order, BLAS threads
-    # included, and equals the int64 one.
-    tallies_f = tables.tallies.astype(np.float64)
+    # sum of tables.tallies @ hist is an integer below N^2 < 2**53
+    # (_check_side): the float64 product is exact in any summation order,
+    # BLAS threads included, and equals the integer one.
     bit_gen = np.random.PCG64(0)  # each trial sets its own state
     rng = np.random.Generator(bit_gen)
     failing = np.empty(0, dtype=np.int64)  # at P(K) == 1.0 every node connects
@@ -615,7 +615,7 @@ def run_instant(
         hist = hist.astype(np.float64)
 
         n_conn[trial] = n_nodes - failing.size
-        tallies[trial] = tallies_f @ hist
+        tallies[trial] = tables.tallies @ hist
         cost[trial] = (tables.conn_cost * hist).sum()
 
         if paths is not None:
