@@ -37,27 +37,29 @@ Density is a continuous control throughout; "slots" map to choosing n.
 A result holds the RegimeUtilities at its density and the SolverDiagnostics
 (bracket, refinement rounds, residual).
 
-Each solver is a step routine: a generator that yields the Y values it
-needs next (bracket doublings, the scan grid, a refinement round, the
-scaling densities, the club's midpoint) and is sent their (3, m) role array,
-as utility_arrays returns it. A driver groups the steps into evaluations,
-whose values are bit-identical to one-density calls whatever else the batch
-holds, so the grouping moves no output. A public solver drives its steps
-alone, one evaluation per step. compare_regimes validates once and makes
-one evaluation per round for all pending densities of a regime: the
-scaling densities ride in the bracket's doubling call, which without
-peering also carries free entry's Y = 2 and closed-form root, free entry
-under competitive pricing and the club refine in lockstep on one shared
-scan, and the club's midpoint rides in a free-entry round when one is
-left; on the default template that is 9 evaluations, 1 without peering. A
-refinement carries its densities' roles in a cell of plain floats, a list of
-(Y, (orig, inter, out)) points sorted by Y, so each result takes its roles
-from the round that evaluated its density. The driver only batches: it
-evaluates a round unchecked and sends each solver its own columns, and each
-step checks the columns it reads (the bracket its doublings up to its upper
-end), raising the NumericsError utility_arrays would raise for them. So errors
-surface as in a sequential run: a solver's error waits until the solvers
-before it have finished.
+Each solver is a step routine: a generator that yields the Y values it needs
+next (bracket doublings, the scan grid, a refinement round, the scaling
+densities, the club's midpoint) and is sent their (3, m) role array, as
+utility_arrays returns it. The bracket is one step, _bracket_steps: one call
+on the doublings and any riders, which picks the upper end, and the scan
+returns the bracket with its grid. A driver groups the steps into
+evaluations, whose values are bit-identical to one-density calls whatever
+else the batch holds, so the grouping moves no output. A public solver
+drives its steps alone, one evaluation per step. compare_regimes validates
+once and makes one evaluation per round for all pending densities of a
+regime: the scaling densities ride in the bracket's doubling call, as
+without peering do free entry's Y = 2 and closed-form root, free entry under
+competitive pricing and the club refine in lockstep on one shared scan, and
+the club's midpoint rides in a free-entry round when one is left; on the
+default template that is 9 evaluations, 1 without peering. A refinement
+carries its densities' roles in a cell of plain floats, a list of (Y, (orig,
+inter, out)) points sorted by Y, so each result takes its roles from the
+round that evaluated its density. The driver only batches: it evaluates a
+round unchecked and sends each solver its own columns, and each step checks
+the columns it reads (the bracket its doublings up to its upper end, and
+n = Y / d_max at both ends), raising the NumericsError utility_arrays would
+raise for them. So errors surface as in a sequential run: a solver's error
+waits until the solvers before it have finished.
 """
 
 import json
@@ -222,17 +224,7 @@ def default_bracket(template: ModelParams, regime: Regime) -> tuple:
     d_max, where relaying begins at Y = 2 and Y_hi is the first doubling from
     Y = 4 whose total utility is negative, or BRACKET_CAP, where a scan then
     reports no crossing rather than inventing one."""
-    return _bracket(template, _drive(template, regime, _bracket_steps(template, regime))[:2])
-
-
-def _bracket(template, grid):
-    """The grid's ends in Y as densities (n_lo, n_hi), n = Y / d_max, which
-    is then finite between them; NumericsError names an end where it is not."""
-    for y in (float(grid[0]), float(grid[-1])):
-        if not math.isfinite(y / template.d_max):
-            raise NumericsError(f"the bracket end at Y={y!r} is not finite: n = Y/d_max = "
-                                f"{y / template.d_max!r} with d_max={template.d_max!r}")
-    return float(grid[0]) / template.d_max, float(grid[-1]) / template.d_max
+    return _drive(template, regime, _bracket_steps(template, regime))[0]
 
 
 _DOUBLINGS = [4.0]
@@ -240,34 +232,36 @@ while _DOUBLINGS[-1] < BRACKET_CAP:
     _DOUBLINGS.append(min(2 * _DOUBLINGS[-1], BRACKET_CAP))
 
 
-def _bracket_end(template, regime, roles):
-    """The index of the bracket's upper end among _DOUBLINGS, whose role
-    array is roles: the first doubling whose total is negative, or the last.
-    Only the columns up to it are checked, the doublings past it are unused."""
-    totals = sum(roles).tolist()
-    i = next((i for i, t in enumerate(totals) if not t >= 0), len(totals) - 1)
+def _bracket_steps(template, regime, riders=()):
+    """default_bracket's one step in Y: one call on every doubling, then the
+    riders. The upper end Y_hi is the first doubling whose total is not >= 0,
+    or the last; the doublings up to it are checked, then n = Y / d_max at
+    both ends. Returns the bracket (n_lo, n_hi), Y_hi, the role column there
+    and the riders' columns, unchecked."""
+    m = len(_DOUBLINGS)
+    roles = yield _DOUBLINGS + list(riders)
+    totals = sum(roles[:, :m]).tolist()
+    i = next((i for i, t in enumerate(totals) if not t >= 0), m - 1)
     _raise_not_finite(regime, _DOUBLINGS[: i + 1], roles[:, : i + 1], template.d_max)
-    return i
-
-
-def _bracket_steps(template, regime):
-    """default_bracket's steps in Y: one call on every doubling. Returns the
-    bracket and the role column at its upper end."""
-    roles = yield _DOUBLINGS
-    i = _bracket_end(template, regime, roles)
-    return 2.0, _DOUBLINGS[i], roles[:, i : i + 1]
+    for y in (2.0, _DOUBLINGS[i]):
+        if not math.isfinite(y / template.d_max):
+            raise NumericsError(f"the bracket end at Y={y!r} is not finite: n = Y/d_max = "
+                                f"{y / template.d_max!r} with d_max={template.d_max!r}")
+    bracket = (2.0 / template.d_max, _DOUBLINGS[i] / template.d_max)
+    return bracket, _DOUBLINGS[i], roles[:, i : i + 1], roles[:, m:]
 
 
 def _scan_steps(template, regime):
-    """The default bracket's grid in Y and its role arrays; the doubling call
-    has evaluated the grid's last point, its upper end."""
-    y_lo, y_hi, top = yield from _bracket_steps(template, regime)
-    grid = np.linspace(y_lo, y_hi, GRID_POINTS)
-    return grid, np.concatenate(((yield from _evaluate(template, regime, grid[:-1])), top), axis=1)
+    """The default bracket's grid in Y, its role arrays and the bracket; the
+    doubling call has evaluated the grid's last point, its upper end."""
+    bracket, y_hi, top, _ = yield from _bracket_steps(template, regime)
+    grid = np.linspace(2.0, y_hi, GRID_POINTS)
+    roles = np.concatenate(((yield from _evaluate(template, regime, grid[:-1])), top), axis=1)
+    return grid, roles, bracket
 
 
 def _scan(template, regime):
-    """The default bracket's grid in Y and its role array."""
+    """The default bracket's grid in Y, its role array and the bracket."""
     return _drive(template, regime, _scan_steps(template, regime))
 
 
@@ -344,30 +338,27 @@ def _no_peering_root(template):
 
 
 def _no_peering_steps(template):
-    """free_entry_density's one step without peering: the doublings, Y = 2
-    and the closed-form root, in one call. The root is the result when the
-    total falls from positive at Y = 2 to zero or below at the bracket's
-    upper end, the scan's condition for a downcrossing of this falling
-    total; the doublings' columns are checked first, as the scan's are."""
+    """free_entry_density's one step without peering: the bracket's call,
+    with Y = 2 and the closed-form root as riders. The root is the result
+    when the total falls from positive at Y = 2 to zero or below at the
+    bracket's upper end, the scan's condition for a downcrossing of this
+    falling total; the bracket is checked first, as the scan's is."""
     regime = Regime.NO_PEERING
     y_star = _no_peering_root(template)
-    m = len(_DOUBLINGS)
-    roles = yield _DOUBLINGS + [2.0] + ([] if y_star is None else [y_star])
-    i = _bracket_end(template, regime, roles[:, :m])
-    _raise_not_finite(regime, [2.0], roles[:, m : m + 1], template.d_max)
-    bracket = _bracket(template, (2.0, _DOUBLINGS[i]))
-    totals = sum(roles).tolist()
-    if y_star is None or not totals[m] > 0 >= totals[i]:
+    bracket, _, top, riders = yield from _bracket_steps(
+        template, regime, [2.0] + ([] if y_star is None else [y_star]))
+    _raise_not_finite(regime, [2.0], riders[:, :1], template.d_max)
+    totals = sum(riders).tolist()
+    if y_star is None or not totals[0] > 0 >= sum(top).item():
         raise NoCrossing(regime, *bracket)
-    _raise_not_finite(regime, [y_star], roles[:, m + 1 :], template.d_max)
+    _raise_not_finite(regime, [y_star], riders[:, 1:], template.d_max)
     return _solved(EquilibriumKind.FREE_ENTRY, template, regime, y_star,
-                   roles[:, m + 1].tolist(), bracket, 0, totals[m + 1], ["closed-form root"])
+                   riders[:, 1].tolist(), bracket, 0, totals[1], ["closed-form root"])
 
 
 def _free_entry_steps(template, regime, scanned):
     """free_entry_density's steps on a scan: its refinement rounds."""
-    grid, roles = scanned
-    bracket = _bracket(template, grid)
+    grid, roles, bracket = scanned
     values = sum(roles)
     cells = np.flatnonzero((values[:-1] > 0) & (values[1:] <= 0))
     if not cells.size:
@@ -414,8 +405,7 @@ def club_optimal_density(template: ModelParams) -> EquilibriumResult:
 def _club_steps(template, regime, scanned):
     """club_optimal_density's steps on a scan: its refinement rounds, then
     the midpoint."""
-    grid, roles = scanned
-    bracket = _bracket(template, grid)
+    grid, roles, bracket = scanned
     values = sum(roles)
     k = int(np.argmax(values))
     if k == 0:

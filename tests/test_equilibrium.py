@@ -188,7 +188,7 @@ def _largest_downcrossing(grid, values):
 def test_free_entry_refinement_contract(defaults, regime):
     templates = [defaults] + [p for p, _ in random_draws(20, seed=31)]
     for t in templates:
-        grid, roles = _scan(t, regime)  # in Y = n d_max
+        grid, roles, _ = _scan(t, regime)  # in Y = n d_max
         cell = _largest_downcrossing(grid / t.d_max, sum(roles))
         if cell is None:
             with pytest.raises(NoCrossing):
@@ -205,13 +205,13 @@ def test_free_entry_ignores_an_exact_zero_no_positive_total_precedes(defaults):
     # the default NO_PEERING scan ends below zero; an exact 0.0 planted at
     # its last point follows a negative total, so it is no downcrossing
     regime = Regime.NO_PEERING
-    grid, roles = _scan(defaults, regime)
+    grid, roles, bracket = _scan(defaults, regime)
     values = sum(roles)
     assert values[-2] < 0 and values[-1] < 0
     planted = roles.copy()
     planted[:, -1] = 0.0
-    plain = _drive(defaults, regime, _free_entry_steps(defaults, regime, (grid, roles)))
-    got = _drive(defaults, regime, _free_entry_steps(defaults, regime, (grid, planted)))
+    plain = _drive(defaults, regime, _free_entry_steps(defaults, regime, (grid, roles, bracket)))
+    got = _drive(defaults, regime, _free_entry_steps(defaults, regime, (grid, planted, bracket)))
     assert got.n_star == plain.n_star < grid[-1]
 
 
@@ -305,7 +305,7 @@ def test_batched_evaluation_bit_identical_to_single(defaults, regime):
         while sum(single(t, y_hi)) >= 0 and y_hi < BRACKET_CAP:
             y_hi = min(2 * y_hi, BRACKET_CAP)
         assert default_bracket(t, regime) == (2 / t.d_max, y_hi / t.d_max)
-        grid, scanned = _scan(t, regime)
+        grid, scanned, _ = _scan(t, regime)
         doublings = [4.0]
         while doublings[-1] < BRACKET_CAP:
             doublings.append(min(2 * doublings[-1], BRACKET_CAP))
@@ -697,7 +697,7 @@ def test_compare_regimes_raises_errors_in_sequential_order(defaults, monkeypatch
     # the club's first refinement round and, in the second case, free entry's
     # second: in lockstep the club's failure comes first, in a run one solver
     # after another free entry's does
-    grid, _ = _scan(defaults, PERFCOMP)
+    grid, _, _ = _scan(defaults, PERFCOMP)
     club_round = _club_first_round(defaults)
     assert not set(club_round) & set(grid.tolist())  # the scan evaluates none
     planted = set(club_round)
@@ -741,7 +741,7 @@ def test_a_failing_merged_round_is_not_evaluated_again(defaults, monkeypatch):
     # evaluated together with free entry's first round: the club meets the
     # error its own evaluation raises, and no density of that round is
     # evaluated again
-    grid, _ = _scan(defaults, PERFCOMP)
+    grid, _, _ = _scan(defaults, PERFCOMP)
     planted = _club_first_round(defaults)[0]
     assert planted not in grid
     calls = []
