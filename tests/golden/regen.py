@@ -25,6 +25,7 @@ import platform
 import shlex
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -51,7 +52,7 @@ def _take(path):
 def record(argv) -> dict:
     """One request's entry: run cli.main(argv) in the working directory,
     which must hold no OUTPUT or TRACE file, with ENVIRONMENT set and UNSET
-    unset."""
+    unset. A RuntimeWarning raised as an error names the request."""
     from meshecon.cli import main
 
     out, err = io.StringIO(), io.StringIO()
@@ -60,6 +61,9 @@ def record(argv) -> dict:
             code = main(list(argv))
         except SystemExit as exc:  # argparse's usage errors
             code = exc.code
+        except RuntimeWarning as exc:
+            exc.add_note(f"request: {shlex.join(['meshecon', *argv])}")
+            raise
     return {
         "argv": list(argv),
         "exit": code,
@@ -195,10 +199,13 @@ def requests() -> list:
 
 @contextlib.contextmanager
 def environment():
-    """A fresh working directory, with ENVIRONMENT set and UNSET unset."""
+    """A fresh working directory, with ENVIRONMENT set, UNSET unset and
+    RuntimeWarnings raised as errors, as tests/test_golden.py's replay under
+    pytest's filter raises them: a request that warns is never recorded."""
     saved = {key: os.environ.get(key) for key in (*ENVIRONMENT, *UNSET)}
     cwd = os.getcwd()
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         os.chdir(tmp)
         os.environ.update(ENVIRONMENT)
         for key in UNSET:
