@@ -193,6 +193,13 @@ def _check_finite(name: str, value: float) -> None:
         raise ParamError(f"{name} must be finite, got {value!r}")
 
 
+def _unit(x: float) -> float:
+    """The exact power-of-2 unit in which sums of terms up to |x| are taken,
+    so that they cannot overflow: 1 below 2^512, and from there up the unit
+    that brings |x| below 2^512."""
+    return 2.0 ** max(math.frexp(x)[1] - 512, 0)
+
+
 # --------------------------------------------------------------------------
 # Elementary functions of density and distance
 

@@ -57,6 +57,7 @@ import numpy as np
 from .errors import NumericsError, ParamError
 from .model import (
     ModelParams,
+    _unit,
     connect_probability_array,
     hop_distance,
     intermediate_count,
@@ -269,8 +270,7 @@ def _roles(template, regime, big_y):
     p, beta, c_max = template, template.cost.beta, template.cost(template.d_max)
     # costs and w from 2^512 up enter the sums in exact power-of-2 units, so
     # that the sums cannot overflow
-    unit = 2.0 ** max(math.frexp(c_max)[1] - 512, 0)
-    w_unit = 2.0 ** max(math.frexp(p.w)[1] - 512, 0)
+    unit, w_unit = _unit(c_max), _unit(p.w)
     cost = lambda u: c_max / unit * u**beta  # c(u d_max) / unit
     prob = connect_probability_array(nodes_within_array(big_y, 1.0), p.z)
     if regime is Regime.NO_PEERING:

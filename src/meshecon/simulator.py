@@ -74,6 +74,7 @@ import numpy as np
 from .errors import ParamError
 from .model import (
     ModelParams,
+    _unit,
     connect_probability,
     hop_distance_array,
     intermediate_count_array,
@@ -440,14 +441,14 @@ class SimOutcome:
 def _mean_se(series: np.ndarray) -> tuple[float, float]:
     # a series reaching 2^511 is taken in the power-of-2 unit of its largest
     # magnitude, so that the sums of std's squares cannot overflow; the
-    # scaling is exact
+    # scaling is exact, and ldexp reaches the units 2^1024 cannot name
     exponent = math.frexp(float(np.abs(series).max()))[1]
-    unit = 2.0**exponent if exponent > 511 else 1.0
-    series = series / unit
-    mean = float(series.mean()) * unit
+    exponent = exponent if exponent > 511 else 0
+    series = np.ldexp(series, -exponent)
+    mean = math.ldexp(float(series.mean()), exponent)
     if len(series) < 2:
         return mean, float("nan")
-    return mean, float(series.std(ddof=1) / math.sqrt(len(series))) * unit
+    return mean, math.ldexp(float(series.std(ddof=1) / math.sqrt(len(series))), exponent)
 
 
 def _build(config: SimConfig) -> tuple[Lattice, _RegimeTables]:
@@ -637,9 +638,12 @@ def _outcome(config, n_conn, tallies, cost, per_node, events) -> SimOutcome:
     int64 tallies and originator cost sums, plus the optional diagnostics."""
     p, n_nodes = config.params, config.side * config.side
     _, _, relays, polluted = tallies.T
-    per_trial_orig = (p.v * n_conn - cost) / n_nodes
-    per_trial_int = -p.w * relays / n_nodes
-    per_trial_out = -p.w * polluted / n_nodes
+    # v and w from 2^512 up enter in exact power-of-2 units, so that their
+    # products with the counts cannot overflow where the per-node values do not
+    v_unit, w_unit = _unit(p.v), _unit(p.w)
+    per_trial_orig = (p.v / v_unit * n_conn - cost / v_unit) / n_nodes * v_unit
+    per_trial_int = -(p.w / w_unit) * relays / n_nodes * w_unit
+    per_trial_out = -(p.w / w_unit) * polluted / n_nodes * w_unit
     attempted = int(n_conn.sum())
     peered, refused, _, pollution_total = tallies.sum(axis=0).tolist()
 
@@ -683,8 +687,9 @@ def lattice_exact_means(
     lattice, tables = _built or _build(config)
     p = lattice.params
     p_conn = lattice.connect_prob
+    unit = _unit(p.v)  # the K offsets' sum is taken in v's unit
     return {
-        "originator": p_conn * float(np.mean(p.v - tables.conn_cost)),
+        "originator": p_conn * float(np.mean((p.v - tables.conn_cost) / unit)) * unit,
         "intermediate": -p.w * p_conn * float(np.mean(tables.relays)),
         "outsider": -p.w * p_conn * float(np.mean(tables.polluted)),
     }

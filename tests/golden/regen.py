@@ -176,6 +176,11 @@ def requests() -> list:
             argvs += [argv, argv + ["--trace", TRACE]]
     # per-trial utilities whose squares overflow a float
     argvs.append(["simulate", "--set", "v=1e301", "--side", "21", "--trials", "30"])
+    # a v or w whose products with a run's counts overflow a float, though
+    # every per-node value is finite
+    for sets in (["--set", "w=1e306"], ["--set", "v=1e308", "--set", "u=1"],
+                 ["--regime", "PEERING_PERFECT_COMPETITION", "--set", "w=1e306"]):
+        argvs.append(["simulate", *sets, "--side", "21", "--trials", "30"])
 
     argvs += [
         # usage errors

@@ -702,6 +702,29 @@ def test_stderr_stays_finite_where_the_squares_overflow():
     assert out.se_total == pytest.approx(expected, rel=1e-12)
 
 
+@pytest.mark.parametrize("regime, big", [(Regime.NO_PEERING, {"v": 1e308, "u": 1.0}),
+                                         (Regime.NO_PEERING, {"w": 1e306}),
+                                         (PERFCOMP, {"w": 1e306})])
+def test_outcomes_stay_exact_where_v_or_w_times_a_count_overflows(regime, big):
+    # v or w near the float maximum, whose products with a run's counts
+    # overflow though every per-node value is finite: the run and the exact
+    # means are those of v, u, w and the cost scaled by 2^-300, scaled back
+    s = 2.0**-300
+    cfg = config(side=21, regime=regime, trials=30, **big)
+    p = cfg.params
+    small = dataclasses.replace(cfg, params=dataclasses.replace(
+        p, v=p.v * s, u=p.u * s, w=p.w * s, cost=dataclasses.replace(p.cost, a=p.cost.a * s)))
+    out, ref = run_instant(cfg), run_instant(small)
+    for role in ("originator", "intermediate", "outsider"):
+        per_trial = getattr(out, f"per_trial_{role}")
+        assert per_trial == tuple(x / s for x in getattr(ref, f"per_trial_{role}"))
+    for role in ("originator", "intermediate", "outsider", "total"):
+        for stat in ("mean", "se"):
+            got = getattr(out, f"{stat}_{role}")
+            assert math.isfinite(got) and got == getattr(ref, f"{stat}_{role}") / s
+    assert lattice_exact_means(cfg) == {k: x / s for k, x in lattice_exact_means(small).items()}
+
+
 def test_perfcomp_intermediate_is_minus_w_per_exposure():
     cfg = config(regime=PERFCOMP, trials=30, seed=5)
     out = run_instant(cfg, collect_events=True)
