@@ -681,7 +681,8 @@ def test_densities_whose_n_overflows_raise_numerics_errors(defaults):
     message = r"^the bracket end at Y=2\.0 is not finite: n = Y/d_max = inf with d_max=6e-309$"
     for t in (overflow, dataclasses.replace(overflow, w=0.0)):  # w = 0 has no crossing
         for solve in (lambda: default_bracket(t, PERFCOMP), lambda: club_optimal_density(t),
-                      lambda: free_entry_density(t, Regime.NO_PEERING)):
+                      lambda: free_entry_density(t, Regime.NO_PEERING),
+                      lambda: free_entry_density(t, PERFCOMP)):
             with pytest.raises(NumericsError, match=message):
                 solve()
 
