@@ -319,19 +319,14 @@ def main(argv=None) -> int:
     args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.fn(args)
-    except ParamError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:  # an unreadable --config, an unwritable --output or --trace
+    # OSError: an unreadable --config, an unwritable --output or --trace
+    except (ParamError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericsError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except NoCrossing as exc:
-        print(f"finding: {exc}", file=sys.stderr)
-        return EXIT_FINDING
-    except BoundaryOptimum as exc:
+    except (NoCrossing, BoundaryOptimum) as exc:
         print(f"finding: {exc}", file=sys.stderr)
         return EXIT_FINDING
 
