@@ -52,9 +52,9 @@ without peering do free entry's Y = 2 and closed-form root, free entry under
 competitive pricing and the club refine in lockstep on one shared scan, and
 the club's midpoint rides in a free-entry round when one is left; on the
 default template that is 9 evaluations, 1 without peering. A refinement
-carries its densities' roles in a cell of plain floats, a list of (Y, (orig,
-inter, out)) points sorted by Y, so each result takes its roles from the
-round that evaluated its density. The driver only batches: it evaluates a
+carries its densities' roles in a cell of plain floats, a list of
+(Y, (orig, inter, out)) points sorted by Y, so each result takes its roles
+from the round that evaluated its density. The driver only batches: it evaluates a
 round unchecked and sends each solver its own columns, and each step checks
 the columns it reads (the bracket its doublings up to its upper end, and
 n = Y / d_max at both ends), raising the NumericsError utility_arrays would
@@ -243,12 +243,12 @@ def _bracket_steps(template, regime, riders=()):
     totals = sum(roles[:, :m]).tolist()
     i = next((i for i, t in enumerate(totals) if not t >= 0), m - 1)
     _raise_not_finite(regime, _DOUBLINGS[: i + 1], roles[:, : i + 1], template.d_max)
-    for y in (2.0, _DOUBLINGS[i]):
+    y_hi = _DOUBLINGS[i]
+    for y in (2.0, y_hi):
         if not math.isfinite(y / template.d_max):
             raise NumericsError(f"the bracket end at Y={y!r} is not finite: n = Y/d_max = "
                                 f"{y / template.d_max!r} with d_max={template.d_max!r}")
-    bracket = (2.0 / template.d_max, _DOUBLINGS[i] / template.d_max)
-    return bracket, _DOUBLINGS[i], roles[:, i : i + 1], roles[:, m:]
+    return (2.0 / template.d_max, y_hi / template.d_max), y_hi, roles[:, i : i + 1], roles[:, m:]
 
 
 def _scan_steps(template, regime):

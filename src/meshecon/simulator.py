@@ -441,7 +441,7 @@ class SimOutcome:
 def _mean_se(series: np.ndarray) -> tuple[float, float]:
     # a series reaching 2^511 is taken in the power-of-2 unit of its largest
     # magnitude, so that the sums of std's squares cannot overflow; the
-    # scaling is exact, and ldexp reaches the units 2^1024 cannot name
+    # scaling is exact, and ldexp also scales by 2^1024, which no float holds
     exponent = math.frexp(float(np.abs(series).max()))[1]
     exponent = exponent if exponent > 511 else 0
     series = np.ldexp(series, -exponent)
