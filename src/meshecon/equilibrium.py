@@ -42,7 +42,7 @@ next (bracket doublings, the scan grid, a refinement round, the scaling
 densities, the club's midpoint) and is sent their (3, m) role array, as
 utility_arrays returns it. The bracket is one step, _bracket_steps: one call
 on the doublings and any riders, which picks the upper end, and the scan
-returns the bracket with its grid. A driver groups the steps into
+returns the bracket with its grid. _lockstep groups the steps into
 evaluations, whose values are bit-identical to one-density calls whatever
 else the batch holds, so the grouping moves no output. A public solver
 drives its steps alone, one evaluation per step. compare_regimes validates
@@ -54,9 +54,9 @@ the club's midpoint rides in a free-entry round when one is left; on the
 default template that is 9 evaluations, 1 without peering. A refinement
 carries its densities' roles in a cell of plain floats, a list of
 (Y, (orig, inter, out)) points sorted by Y, so each result takes its roles
-from the round that evaluated its density. The driver only batches: it evaluates a
-round unchecked and sends each solver its own columns, and each step checks
-the columns it reads (the bracket its doublings up to its upper end, and
+from the round that evaluated its density. _lockstep only batches: it
+evaluates a round unchecked and sends each solver its own columns, and each
+step checks the columns it reads (the bracket its doublings up to its upper end, and
 n = Y / d_max at both ends), raising the NumericsError utility_arrays would
 raise for them. So errors surface as in a sequential run: a solver's error
 waits until the solvers before it have finished.
