@@ -176,6 +176,9 @@ def requests() -> list:
             argvs += [argv, argv + ["--trace", TRACE]]
     # per-trial utilities whose squares overflow a float
     argvs.append(["simulate", "--set", "v=1e301", "--side", "21", "--trials", "30"])
+    # per-trial utilities whose squares underflow a float
+    argvs.append(["simulate", "--set", "v=1e-180", "--set", "u=1e-181", "--set", "w=1e-183",
+                  "--set", "cost_a=1e-181", "--side", "21", "--trials", "30"])
     # a v or w whose products with a run's counts overflow a float, though
     # every per-node value is finite
     for sets in (["--set", "w=1e306"], ["--set", "v=1e308", "--set", "u=1"],
