@@ -17,6 +17,12 @@ branch on them.
 Output files (--output and --trace) get the umask's mode. They are written
 to a temporary name and renamed into place, so a failed command never
 leaves a partial file; an existing FIFO or device is written in place.
+
+main builds each command's parser once per process and reuses it, so
+in-process callers pay for argparse's setup once; any other first word
+(a typo, --help, none) shares the one full parser. The handler,
+cmd_<command>, is looked up when the command runs, so one wrapped or
+replaced after the first call still runs.
 """
 
 import argparse
@@ -307,18 +313,31 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     )
     for name in [command] if lone else COMMANDS:
         help_line, add_args = COMMANDS[name]
-        sub = subs.add_parser(name, help=help_line)
-        add_args(sub)
-        sub.set_defaults(fn=globals()[f"cmd_{name}"])  # looked up now, so it can be wrapped
+        add_args(subs.add_parser(name, help=help_line))
     return parser
+
+
+# command name, or None for the full parser: (the COMMANDS items it was
+# built from, the parser); a changed COMMANDS entry rebuilds it
+_PARSERS: dict = {}
+
+
+def _parser(first: str | None) -> argparse.ArgumentParser:
+    """The parser main uses for an argv starting with first: the named
+    command's alone, since parsing cannot reach the others, or the full one."""
+    command = first if first in COMMANDS else None
+    built_from = tuple(COMMANDS.items())
+    cached = _PARSERS.get(command)
+    if cached is None or cached[0] != built_from:
+        cached = _PARSERS[command] = (built_from, build_parser(command))
+    return cached[1]
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # build only the named subcommand: parsing cannot reach the others
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    args = _parser(argv[0] if argv else None).parse_args(argv)
     try:
-        return args.fn(args)
+        return globals()[f"cmd_{args.command}"](args)
     # OSError: an unreadable --config, an unwritable --output or --trace
     except (ParamError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

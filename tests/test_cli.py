@@ -514,6 +514,94 @@ def test_main_builds_only_the_named_command(capsys, monkeypatch):
     assert added == ["radio", *COMMANDS]
 
 
+def _counting_commands(monkeypatch):
+    """Wrap every COMMANDS entry's add_args to count its runs per command;
+    the new entries make main build every parser afresh."""
+    from meshecon.cli import COMMANDS
+
+    runs = dict.fromkeys(COMMANDS, 0)
+    for name, (help_line, add_args) in list(COMMANDS.items()):
+        def counted(sub, name=name, add_args=add_args):
+            runs[name] += 1
+            add_args(sub)
+        monkeypatch.setitem(COMMANDS, name, (help_line, counted))
+    return runs
+
+
+def test_main_builds_each_parser_once(capsys, monkeypatch):
+    runs = _counting_commands(monkeypatch)
+    calls = [["eval"], ["sweep", "--axis", "w", "--lo", "0", "--hi", "1", "--steps", "2"],
+             ["equilibrium"], ["simulate", "--side", "21", "--trials", "30"],
+             ["radio"], ["validate"]]
+    for _ in range(3):
+        for argv in calls:
+            assert main(argv) == 0
+    assert runs == dict.fromkeys(runs, 1)
+    for argv in (["bogus"], ["--help"], [], ["bogus"], ["--help"]):
+        with pytest.raises(SystemExit):
+            main(argv)
+    # the full parser once more, whatever the first word outside COMMANDS
+    assert runs == dict.fromkeys(runs, 2)
+    capsys.readouterr()
+
+
+def test_a_reused_parser_keeps_no_state_from_the_last_call(capsys, tmp_path):
+    from meshecon.cli import build_parser, cmd_eval
+
+    out = tmp_path / "out.csv"
+    assert run(capsys, "eval", "--set", "n=20", "--set", "w=0.5", "--format", "csv",
+               "--output", str(out))[0] == 0
+    assert out.read_text().startswith(CSV_HEADER)
+    code, reused, _ = run(capsys, "eval")
+    assert code == cmd_eval(build_parser("eval").parse_args(["eval"])) == 0
+    assert reused == capsys.readouterr().out
+    assert json.loads(reused)["NO_PEERING"]["params"]["n"] == default_params().n
+
+
+def test_a_handler_replaced_after_the_first_call_runs(capsys, monkeypatch):
+    from meshecon import cli
+
+    assert run(capsys, "eval")[0] == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_eval", lambda args: seen.append(args.format) or 0)
+    assert run(capsys, "eval", "--format", "csv") == (0, "", "")
+    assert seen == ["csv"]
+
+
+@pytest.mark.parametrize("argv, code", [(["bogus"], 2), (["--help"], 0)])
+def test_words_outside_commands_share_the_full_parser(capsys, monkeypatch, argv, code):
+    from meshecon import cli
+
+    monkeypatch.setattr(cli, "_PARSERS", {})
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out, captured.err) == (
+            _parse_exit(capsys, cli.build_parser(), argv))
+        assert exc.value.code == code
+        assert list(cli._PARSERS) == [None]
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["simulate", "--help"]])
+def test_reused_parser_wraps_help_to_the_current_width(capsys, monkeypatch, argv):
+    from meshecon import cli
+
+    monkeypatch.setattr(cli, "_PARSERS", {})
+    monkeypatch.setenv("COLUMNS", "80")
+    wide = _parse_exit(capsys, cli.build_parser(argv[0]), argv)
+    with pytest.raises(SystemExit):
+        main(argv)  # builds the cached parser at width 80
+    assert capsys.readouterr().out == wide[1]
+    monkeypatch.setenv("COLUMNS", "40")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    narrow = _parse_exit(capsys, cli.build_parser(argv[0]), argv)
+    assert (exc.value.code, captured.out, captured.err) == narrow
+    assert narrow[1] != wide[1]
+
+
 def test_module_entry_point_subprocess():
     import subprocess
     import sys
