@@ -602,6 +602,10 @@ def run_instant(
     # sum of tables.tallies @ hist is an integer below N^2 < 2**53
     # (_check_side): the float64 product is exact in any summation order,
     # BLAS threads included, and equals the integer one.
+    # the originators' costs are summed in c(d_max)'s power-of-2 unit, so
+    # that a trial's sum cannot overflow where the per-node cost does not
+    cost_unit = _unit(config.params.cost(config.params.d_max))
+    conn_cost = tables.conn_cost / cost_unit
     bit_gen = np.random.PCG64(0)  # each trial sets its own state
     rng = np.random.Generator(bit_gen)
     failing = np.empty(0, dtype=np.int64)  # at P(K) == 1.0 every node connects
@@ -617,7 +621,7 @@ def run_instant(
 
         n_conn[trial] = n_nodes - failing.size
         tallies[trial] = tables.tallies @ hist
-        cost[trial] = (tables.conn_cost * hist).sum()
+        cost[trial] = (conn_cost * hist).sum()
 
         if paths is not None:
             origins = np.delete(np.arange(n_nodes), failing)
@@ -629,19 +633,22 @@ def run_instant(
 
     if collect_per_node:
         paths.spread(images, per_node)
-    return _outcome(config, n_conn, tallies, cost, per_node,
+    return _outcome(config, n_conn, tallies, cost, cost_unit, per_node,
                     tuple(events) if collect_events else None)
 
 
-def _outcome(config, n_conn, tallies, cost, per_node, events) -> SimOutcome:
+def _outcome(config, n_conn, tallies, cost, cost_unit, per_node, events) -> SimOutcome:
     """A run's SimOutcome from its per-trial connection counts, (trials, 4)
-    int64 tallies and originator cost sums, plus the optional diagnostics."""
+    int64 tallies and originator cost sums in cost_unit, plus the optional
+    diagnostics."""
     p, n_nodes = config.params, config.side * config.side
     _, _, relays, polluted = tallies.T
     # v and w from 2^512 up enter in exact power-of-2 units, so that their
-    # products with the counts cannot overflow where the per-node values do not
+    # products with the counts cannot overflow where the per-node values do
+    # not; the originator's value and costs are summed in the larger unit
     v_unit, w_unit = _unit(p.v), _unit(p.w)
-    per_trial_orig = (p.v / v_unit * n_conn - cost / v_unit) / n_nodes * v_unit
+    both = max(v_unit, cost_unit)
+    per_trial_orig = (p.v / both * n_conn - cost / (both / cost_unit)) / n_nodes * both
     per_trial_int = -(p.w / w_unit) * relays / n_nodes * w_unit
     per_trial_out = -(p.w / w_unit) * polluted / n_nodes * w_unit
     attempted = int(n_conn.sum())

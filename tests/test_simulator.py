@@ -491,8 +491,10 @@ def test_batch_seeding_matches_seed_sequence(seed):
 def _trial_loop_reference(cfg, collect_per_node=False, collect_events=False):
     """run_instant's trial loop without batch seeding, batched gaps and the
     float64 tally product: a fresh default_rng(SeedSequence([seed, t])) per
-    trial, gaps drawn one at a time and an int64 (4, K) @ hist; the
-    package's _outcome builds the SimOutcome."""
+    trial, gaps drawn one at a time and an int64 (4, K) @ hist; the costs
+    are summed in c(d_max)'s unit and the package's _outcome builds the
+    SimOutcome."""
+    from meshecon.model import _unit
     from meshecon.simulator import _PathTables, _RegimeTables, _outcome
 
     lattice = build_lattice(cfg)
@@ -501,6 +503,7 @@ def _trial_loop_reference(cfg, collect_per_node=False, collect_events=False):
     n_conn = np.empty(cfg.trials, dtype=np.int64)
     tallies = np.empty((cfg.trials, 4), dtype=np.int64)
     cost = np.empty(cfg.trials)
+    cost_unit = _unit(cfg.params.cost(cfg.params.d_max))
     per_node = np.zeros(n_nodes, dtype=np.int64) if collect_per_node else None
     events = []
     paths = _PathTables(lattice, tables) if collect_per_node or collect_events else None
@@ -512,7 +515,7 @@ def _trial_loop_reference(cfg, collect_per_node=False, collect_events=False):
         hist = np.bincount(ks, minlength=k_offsets)
         n_conn[trial] = ks.size
         tallies[trial] = tables.tallies @ hist
-        cost[trial] = (tables.conn_cost * hist).sum()
+        cost[trial] = (tables.conn_cost / cost_unit * hist).sum()
         if paths is not None:
             origins = np.flatnonzero(connecting)
             if collect_events:
@@ -521,7 +524,7 @@ def _trial_loop_reference(cfg, collect_per_node=False, collect_events=False):
                 paths.charge(images, per_node, origins, ks, cfg.regime is PERFCOMP)
     if collect_per_node:
         paths.spread(images, per_node)
-    return _outcome(cfg, n_conn, tallies, cost, per_node,
+    return _outcome(cfg, n_conn, tallies, cost, cost_unit, per_node,
                     tuple(events) if collect_events else None)
 
 
@@ -723,6 +726,20 @@ def test_outcomes_stay_exact_where_v_or_w_times_a_count_overflows(regime, big):
             got = getattr(out, f"{stat}_{role}")
             assert math.isfinite(got) and got == getattr(ref, f"{stat}_{role}") / s
     assert lattice_exact_means(cfg) == {k: x / s for k, x in lattice_exact_means(small).items()}
+
+
+@pytest.mark.parametrize("regime", list(Regime))
+def test_originator_costs_near_the_float_maximum_sum_in_a_unit(regime):
+    # c(d_max) = 1e307, so a trial's cost sum over 441 nodes overflows a
+    # float though the per-node cost does not: the means are finite and
+    # within 3 SE of the run's exact expectation
+    cfg = config(side=21, regime=regime, trials=30, v=1e308, u=1.0, a=1e307)
+    out, exact = run_instant(cfg), lattice_exact_means(cfg)
+    for role in ("originator", "intermediate", "outsider", "total"):
+        assert math.isfinite(out.mean(role)) and math.isfinite(out.se(role))
+    for role in ("originator", "intermediate", "outsider"):
+        assert abs(out.mean(role) - exact[role]) <= 3 * out.se(role)
+    assert out.mean_originator > 0
 
 
 def test_perfcomp_intermediate_is_minus_w_per_exposure():
