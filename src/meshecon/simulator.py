@@ -439,11 +439,12 @@ class SimOutcome:
 
 
 def _mean_se(series: np.ndarray) -> tuple[float, float]:
-    # a series reaching 2^511 is taken in the power-of-2 unit of its largest
-    # magnitude, so that the sums of std's squares cannot overflow; the
-    # scaling is exact, and ldexp also scales by 2^1024, which no float holds
+    # a series reaching 2^511, or whose largest magnitude is below 2^-511, is
+    # taken in the power-of-2 unit of that magnitude, so that the sums of
+    # std's squares can neither overflow nor underflow; the scaling is exact,
+    # and ldexp also scales by 2^1024, which no float holds
     exponent = math.frexp(float(np.abs(series).max()))[1]
-    exponent = exponent if exponent > 511 else 0
+    exponent = 0 if -511 < exponent <= 511 else exponent
     series = np.ldexp(series, -exponent)
     mean = math.ldexp(float(series.mean()), exponent)
     if len(series) < 2:

@@ -705,6 +705,22 @@ def test_stderr_stays_finite_where_the_squares_overflow():
     assert out.se_total == pytest.approx(expected, rel=1e-12)
 
 
+def test_stderr_of_a_tiny_series_is_that_of_the_series_scaled_up():
+    # per-trial utilities of order 1e-181, whose squares underflow to 0:
+    # the standard error is that of the series scaled by 2^600, scaled back
+    from meshecon.simulator import _mean_se
+
+    cfg = config(side=21, trials=30, v=1e-180, u=1e-181, w=1e-183, a=1e-181)
+    out = run_instant(cfg)
+    for role in ("originator", "outsider"):
+        series = np.array(getattr(out, f"per_trial_{role}"))
+        mean, se = _mean_se(np.ldexp(series, 600))
+        assert se > 0 and out.se(role) == math.ldexp(se, -600)
+        assert out.mean(role) == math.ldexp(mean, -600)
+    totals = np.array(out.per_trial_originator) + np.array(out.per_trial_outsider)
+    assert out.se_total == math.ldexp(_mean_se(np.ldexp(totals, 600))[1], -600) > 0
+
+
 @pytest.mark.parametrize("regime, big", [(Regime.NO_PEERING, {"v": 1e308, "u": 1.0}),
                                          (Regime.NO_PEERING, {"w": 1e306}),
                                          (PERFCOMP, {"w": 1e306})])
