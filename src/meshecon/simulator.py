@@ -592,6 +592,10 @@ def run_instant(
     n_conn = np.empty(config.trials, dtype=np.int64)
     tallies = np.empty((config.trials, 4), dtype=np.int64)
     cost = np.empty(config.trials)
+    # the cost sums are taken in c(d_max)'s power-of-2 unit, so that a
+    # trial's sum cannot overflow where the per-node cost does not
+    cost_unit = _unit(lattice.params.cost(lattice.params.d_max))
+    conn_cost = tables.conn_cost / cost_unit
     per_node = np.zeros(n_nodes, dtype=np.int64) if collect_per_node else None
     events: list[ConnectionEvent] = []
     paths = _PathTables(lattice, tables) if collect_per_node or collect_events else None
@@ -603,10 +607,6 @@ def run_instant(
     # sum of tables.tallies @ hist is an integer below N^2 < 2**53
     # (_check_side): the float64 product is exact in any summation order,
     # BLAS threads included, and equals the integer one.
-    # the originators' costs are summed in c(d_max)'s power-of-2 unit, so
-    # that a trial's sum cannot overflow where the per-node cost does not
-    cost_unit = _unit(config.params.cost(config.params.d_max))
-    conn_cost = tables.conn_cost / cost_unit
     bit_gen = np.random.PCG64(0)  # each trial sets its own state
     rng = np.random.Generator(bit_gen)
     failing = np.empty(0, dtype=np.int64)  # at P(K) == 1.0 every node connects
