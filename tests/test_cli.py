@@ -514,22 +514,16 @@ def test_main_builds_only_the_named_command(capsys, monkeypatch):
     assert added == ["radio", *COMMANDS]
 
 
-def _counting_commands(monkeypatch):
-    """Wrap every COMMANDS entry's add_args to count its runs per command;
-    the new entries make main build every parser afresh."""
+def test_main_builds_each_parser_once(capsys, monkeypatch):
     from meshecon.cli import COMMANDS
 
+    # the new entries make main build every parser afresh
     runs = dict.fromkeys(COMMANDS, 0)
     for name, (help_line, add_args) in list(COMMANDS.items()):
         def counted(sub, name=name, add_args=add_args):
             runs[name] += 1
             add_args(sub)
         monkeypatch.setitem(COMMANDS, name, (help_line, counted))
-    return runs
-
-
-def test_main_builds_each_parser_once(capsys, monkeypatch):
-    runs = _counting_commands(monkeypatch)
     calls = [["eval"], ["sweep", "--axis", "w", "--lo", "0", "--hi", "1", "--steps", "2"],
              ["equilibrium"], ["simulate", "--side", "21", "--trials", "30"],
              ["radio"], ["validate"]]
@@ -542,7 +536,6 @@ def test_main_builds_each_parser_once(capsys, monkeypatch):
             main(argv)
     # the full parser once more, whatever the first word outside COMMANDS
     assert runs == dict.fromkeys(runs, 2)
-    capsys.readouterr()
 
 
 def test_a_reused_parser_keeps_no_state_from_the_last_call(capsys, tmp_path):
