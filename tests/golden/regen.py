@@ -204,6 +204,7 @@ def requests() -> list:
         ["sweep", "--axis", "n", "--lo", "3", "--hi", "inf", "--steps", "3"],
         ["sweep", "--axis", "z", "--lo", "0.5", "--hi", "1.5", "--steps", "3"],
         ["sweep", "--axis", "n", "--lo", "1e308", "--hi", "1e308", "--steps", "2"],
+        ["simulate", "--trials", "29"],
     ]
     return argvs
 
