@@ -18,16 +18,21 @@ Output files (--output and --trace) get the umask's mode. They are written
 to a temporary name and renamed into place, so a failed command never
 leaves a partial file; an existing FIFO or device is written in place.
 
-main builds each command's parser once per process and reuses it, so
-in-process callers pay for argparse's setup once; any other first word
-(a typo, --help, none) shares the one full parser. The handler,
-cmd_<command>, is looked up when the command runs, so one wrapped or
-replaced after the first call still runs.
+This module alone turns results into output bytes: the records hand it
+data (to_json_dict, solved_points), and it writes the JSON text and the
+utilities CSV table that eval, sweep and equilibrium share.
+
+main builds each command's parser once per process, in a cache keyed by
+the command, and reuses it, so in-process callers pay for argparse's setup
+once; any other first word (a typo, --help, none) shares the one full
+parser. The handler, cmd_<command>, is looked up when the command runs, so
+one wrapped or replaced after the first call still runs.
 """
 
 import argparse
 import contextlib
 import csv
+import functools
 import io
 import json
 import math
@@ -49,7 +54,7 @@ from .model import (
     shannon_capacity,
     validate,
 )
-from .regimes import REGIME_ORDER, Regime, UTILITIES_CSV_HEADER, regime_utilities
+from .regimes import REGIME_ORDER, Regime, regime_utilities
 from .simulator import SimConfig, estimate_vs_analytic, write_event_trace
 
 ENV_CONFIG = "MESHECON_CONFIG"
@@ -58,6 +63,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_FINDING = 4
+
+UTILITIES_CSV_HEADER = ("regime", "n", "eu_orig", "eu_int", "eu_out", "total")
 
 
 def _add_param_args(sub):
@@ -136,6 +143,19 @@ def _csv_text(rows) -> str:
     return buf.getvalue()
 
 
+def _report_text(fmt: str, utilities, json_obj) -> str:
+    """A report in format fmt, building only that one: the JSON text of
+    json_obj(), or the CSV table of the RegimeUtilities in utilities, one
+    row each, under UTILITIES_CSV_HEADER."""
+    if fmt == "json":
+        return _json_text(json_obj())
+    return _csv_text([UTILITIES_CSV_HEADER] + [
+        [u.regime.value, *map(repr, (u.params.n, u.eu_originator, u.eu_intermediate,
+                                     u.eu_outsider, u.total))]
+        for u in utilities
+    ])
+
+
 # --------------------------------------------------------------------------
 # Commands
 
@@ -143,11 +163,9 @@ def _csv_text(rows) -> str:
 def cmd_eval(args) -> int:
     params = validate(_load_params(args))
     results = [regime_utilities(params, regime) for regime in REGIME_ORDER]
-    if args.format == "json":
-        text = _json_text({r.regime.value: r.to_json_dict() for r in results})
-    else:
-        text = _csv_text([list(UTILITIES_CSV_HEADER)] + [r.csv_row() for r in results])
-    _emit(text, args.output)
+    _emit(_report_text(args.format, results,
+                       lambda: {r.regime.value: r.to_json_dict() for r in results}),
+          args.output)
     return EXIT_OK
 
 
@@ -179,21 +197,15 @@ def cmd_sweep(args) -> int:
         for regime in REGIME_ORDER:
             results.append(regime_utilities(params, regime))
 
-    if args.format == "json":
-        text = _json_text([r.to_json_dict() for r in results])
-    else:
-        text = _csv_text([list(UTILITIES_CSV_HEADER)] + [r.csv_row() for r in results])
-    _emit(text, args.output)
+    _emit(_report_text(args.format, results, lambda: [r.to_json_dict() for r in results]),
+          args.output)
     return EXIT_OK
 
 
 def cmd_equilibrium(args) -> int:
     report = compare_regimes(_load_params(args))  # which validates
-    if args.format == "json":
-        text = report.to_json()
-    else:
-        text = _csv_text(report.csv_rows())
-    _emit(text, args.output)
+    solved = [res.utilities for res in report.solved_points()]
+    _emit(_report_text(args.format, solved, report.to_json_dict), args.output)
     return EXIT_FINDING if report.has_findings() else EXIT_OK
 
 
@@ -210,7 +222,7 @@ def cmd_simulate(args) -> int:
     if args.trace:
         with _atomic_file(args.trace) as fh:
             write_event_trace(record.outcome.events, fh)
-    _emit(record.to_json(), args.output)
+    _emit(_json_text(record.to_json_dict()), args.output)
     return EXIT_OK
 
 
@@ -317,25 +329,17 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
-# command name, or None for the full parser: (the COMMANDS items it was
-# built from, the parser); a changed COMMANDS entry rebuilds it
-_PARSERS: dict = {}
-
-
-def _parser(first: str | None) -> argparse.ArgumentParser:
-    """The parser main uses for an argv starting with first: the named
-    command's alone, since parsing cannot reach the others, or the full one."""
-    command = first if first in COMMANDS else None
-    built_from = tuple(COMMANDS.items())
-    cached = _PARSERS.get(command)
-    if cached is None or cached[0] != built_from:
-        cached = _PARSERS[command] = (built_from, build_parser(command))
-    return cached[1]
+@functools.cache
+def _parser(command: str | None) -> argparse.ArgumentParser:
+    """build_parser(command), built once per process: main asks for the
+    named command's alone, since parsing cannot reach the others, and for
+    the full one (None) on any other first word."""
+    return build_parser(command)
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = _parser(argv[0] if argv else None).parse_args(argv)
+    args = _parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
     try:
         return globals()[f"cmd_{args.command}"](args)
     # OSError: an unreadable --config, an unwritable --output or --trace

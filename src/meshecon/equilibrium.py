@@ -62,7 +62,6 @@ raise for them. So errors surface as in a sequential run: a solver's error
 waits until the solvers before it have finished.
 """
 
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -73,8 +72,7 @@ import numpy as np
 from .errors import BoundaryOptimum, NoCrossing, NumericsError, ParamError
 from .model import (ModelParams, connect_probability_array, hop_distance_array,
                     intermediate_count, nodes_within_array, params_to_dict, validate)
-from .regimes import (Regime, RegimeUtilities, UTILITIES_CSV_HEADER, _raise_not_finite,
-                      _roles, regime_utilities)
+from .regimes import Regime, RegimeUtilities, _raise_not_finite, _roles, regime_utilities
 
 __all__ = [
     "EquilibriumKind",
@@ -544,15 +542,6 @@ class RegimeComparison:
                 for d, thr, cp in self.leapfrog_profile
             ],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
-
-    def csv_rows(self) -> list:
-        rows = [list(UTILITIES_CSV_HEADER)]
-        for res in self.solved_points():
-            rows.append(res.utilities.csv_row())
-        return rows
 
 
 def _reported(outcome):

@@ -72,7 +72,6 @@ __all__ = [
     "Choice",
     "ConnectionChoice",
     "RegimeUtilities",
-    "UTILITIES_CSV_HEADER",
     "DEFAULT_TOL",
     "gauss_nodes",
     "integrate",
@@ -144,19 +143,6 @@ class RegimeUtilities:
             "total": self.total,
             "params": params_to_dict(self.params),
         }
-
-    def csv_row(self) -> list:
-        return [
-            self.regime.value,
-            repr(self.params.n),
-            repr(self.eu_originator),
-            repr(self.eu_intermediate),
-            repr(self.eu_outsider),
-            repr(self.total),
-        ]
-
-
-UTILITIES_CSV_HEADER = ("regime", "n", "eu_orig", "eu_int", "eu_out", "total")
 
 
 # --------------------------------------------------------------------------

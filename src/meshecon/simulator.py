@@ -63,7 +63,6 @@ them: about N (1 - P(K)) draws, none where P(K) == 1.0 exactly.
 
 import csv
 import functools
-import json
 import math
 import numbers
 from collections.abc import Iterator
@@ -71,7 +70,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ParamError
+from .errors import NumericsError, ParamError
 from .model import (
     ModelParams,
     _unit,
@@ -187,9 +186,10 @@ class Lattice:
         self.n_offsets = len(self.offset_r2)
         self.connect_prob = connect_probability(params, self.n_offsets)
 
-    def circle_count(self, r2: int) -> int:
-        """Other nodes within squared lattice radius r2 of any node."""
-        return int(np.searchsorted(self.offset_r2, r2, side="right"))
+    def circle_count(self, r2):
+        """Other nodes within squared lattice radius r2 of any node; an array
+        of radii gives the array of their counts."""
+        return np.searchsorted(self.offset_r2, r2, side="right")
 
 
 def build_lattice(config: SimConfig) -> Lattice:
@@ -231,7 +231,7 @@ class _RegimeTables:
         # row is written, so that few K-length arrays are alive at once.
         self.tallies = np.zeros((4, lattice.n_offsets))
         peer, refused, relays, polluted = self.tallies
-        polluted[:] = np.searchsorted(lattice.offset_r2, r2, side="right")  # receiver included
+        polluted[:] = lattice.circle_count(r2)  # receiver included
 
         d = np.sqrt(r2) / n
         self.conn_cost = p.cost(d)  # direct; peered entries are replaced below
@@ -278,13 +278,13 @@ class _PathTables:
         self.lattice, self.tables = lattice, tables
         di, dj = lattice.offset_di, lattice.offset_dj
         peer = tables.peer.astype(bool)
-        self.hops = np.where(peer, np.maximum(np.abs(di), np.abs(dj)), 1)
+        self.hops = tables.relays.astype(np.int64) + 1  # a direct path has no relays
         t = np.arange(self.hops.max() + 1)
         steps = np.where(peer[:, None], t, np.minimum(t, 1) * lattice.side)
         self.pos_i = np.sign(di)[:, None] * np.minimum(steps, np.abs(di)[:, None])
         self.pos_j = np.sign(dj)[:, None] * np.minimum(steps, np.abs(dj)[:, None])
         step_i, step_j = np.diff(self.pos_i), np.diff(self.pos_j)
-        self.charged = np.searchsorted(lattice.offset_r2, step_i**2 + step_j**2, side="right")
+        self.charged = lattice.circle_count(step_i**2 + step_j**2)
         self.levels, level_of = np.unique(self.charged, return_inverse=True)
         self.slots = level_of.reshape(self.charged.shape) * lattice.n_nodes
 
@@ -646,19 +646,27 @@ def _outcome(config, n_conn, tallies, cost, cost_unit, per_node, events) -> SimO
     _, _, relays, polluted = tallies.T
     # v and w from 2^512 up enter in exact power-of-2 units, so that their
     # products with the counts cannot overflow where the per-node values do
-    # not; the originator's value and costs are summed in the larger unit
+    # not; the originator's value and costs are summed in the larger unit.
+    # A per-node value past the float range is refused, without numpy's
+    # RuntimeWarnings.
     v_unit, w_unit = _unit(p.v), _unit(p.w)
     both = max(v_unit, cost_unit)
-    per_trial_orig = (p.v / both * n_conn - cost / (both / cost_unit)) / n_nodes * both
-    per_trial_int = -(p.w / w_unit) * relays / n_nodes * w_unit
-    per_trial_out = -(p.w / w_unit) * polluted / n_nodes * w_unit
+    with np.errstate(over="ignore", invalid="ignore"):
+        per_trial_orig = (p.v / both * n_conn - cost / (both / cost_unit)) / n_nodes * both
+        per_trial_int = -(p.w / w_unit) * relays / n_nodes * w_unit
+        per_trial_out = -(p.w / w_unit) * polluted / n_nodes * w_unit
+        totals = per_trial_orig + per_trial_int + per_trial_out
+    series = (per_trial_orig, per_trial_int, per_trial_out, totals)
+    for role, values in zip((*ROLES, "total"), series):
+        if not np.isfinite(values).all():
+            raise NumericsError(
+                f"{config.regime.value} per-trial {role} utility is not finite")
     attempted = int(n_conn.sum())
     peered, refused, _, pollution_total = tallies.sum(axis=0).tolist()
 
     mean_orig, se_orig = _mean_se(per_trial_orig)
     mean_int, se_int = _mean_se(per_trial_int)
     mean_out, se_out = _mean_se(per_trial_out)
-    totals = per_trial_orig + per_trial_int + per_trial_out
     mean_tot, se_tot = _mean_se(totals)
 
     return SimOutcome(
@@ -756,9 +764,6 @@ class ComparisonRecord:
             "flags": list(self.flags),
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
-
 
 def estimate_vs_analytic(config: SimConfig, *, collect_events: bool = False) -> ComparisonRecord:
     """Run the simulation and compare per-role means to the closed forms.
@@ -771,19 +776,21 @@ def estimate_vs_analytic(config: SimConfig, *, collect_events: bool = False) -> 
     very run the record compares. The lattice and its tables are built once
     for the run and the exact means; building them validates config, before
     the trials check, so a config that is invalid anyway reports that first.
+    The closed form is evaluated before the trials run, so that one which is
+    not finite is reported without running them.
     """
     built = _build(config)
     if config.trials < 30:
         raise ParamError(
-            f"estimate_vs_analytic needs trials >= 30, got {config.trials!r}"
+            f"trials must be >= 30 for a usable variance estimate, got {config.trials!r}"
         )
-    outcome = run_instant(config, collect_events=collect_events, _built=built)
-
     baseline_regime = (
         Regime.NO_PEERING if config.regime is Regime.PEERING_NO_TRANSFERS
         else config.regime
     )
     analytic = regime_utilities(config.params, baseline_regime)
+    outcome = run_instant(config, collect_events=collect_events, _built=built)
+
     analytic_by_role = {
         "originator": analytic.eu_originator,
         "intermediate": analytic.eu_intermediate,

@@ -184,6 +184,10 @@ def requests() -> list:
     for sets in (["--set", "w=1e306"], ["--set", "v=1e308", "--set", "u=1"],
                  ["--regime", "PEERING_PERFECT_COMPETITION", "--set", "w=1e306"]):
         argvs.append(["simulate", *sets, "--side", "21", "--trials", "30"])
+    # per-node utilities past the float range: the closed form's, and some
+    # trials' outsider values where the closed form is finite
+    for w in ("1e307", "1.15e306"):
+        argvs.append(["simulate", "--set", f"w={w}", "--side", "21", "--trials", "30"])
     # a c(d_max) whose sum over a trial's connections overflows a float
     argvs.append(["simulate", "--set", "v=1e308", "--set", "u=1", "--set", "cost_a=1e307",
                   "--side", "21", "--trials", "30"])

@@ -258,10 +258,31 @@ SIDE_ERROR = ("side must be >= ceil(2*d_max*n)+1 = 21 to avoid torus aliasing "
     (["--seed", "-1", "--trials", "0"], "trials must be >= 1, got 0"),
     (["--side", "21", "--trials", "29", "--seed", "-1"],
      "seed must be a 64-bit unsigned int, got -1"),
-    (["--trials", "29"], "estimate_vs_analytic needs trials >= 30, got 29"),
+    (["--trials", "29"], "trials must be >= 30 for a usable variance estimate, got 29"),
 ])
 def test_simulate_error_precedence(capsys, argv, message):
     assert run(capsys, "simulate", *argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("w, message", [
+    # the closed form is not finite: reported before any trial runs
+    ("1e307", "NO_PEERING utility is not finite at n=10.0"),
+    # the closed form is finite, some trials' outsider values are not
+    ("1.15e306", "NO_PEERING per-trial outsider utility is not finite"),
+])
+def test_simulate_refuses_non_finite_utilities(capsys, monkeypatch, w, message):
+    from meshecon import simulator as sim
+
+    real, runs = sim.run_instant, []
+
+    def counted(*args, **kwargs):
+        runs.append(args)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(sim, "run_instant", counted)
+    argv = ["--set", f"w={w}", "--side", "21", "--trials", "30"]
+    assert run(capsys, "simulate", *argv) == (3, "", f"numeric failure: {message}\n")
+    assert len(runs) == (w == "1.15e306")
 
 
 # --------------------------------------------------------------------------
@@ -479,6 +500,17 @@ def _package_env():
         filter(None, (src, os.environ.get("PYTHONPATH")))))
 
 
+@pytest.fixture
+def fresh_parsers():
+    """main's parser cache, empty at the start and emptied again at the end,
+    so that no parser built under a patch outlives it."""
+    from meshecon import cli
+
+    cli._parser.cache_clear()
+    yield cli._parser
+    cli._parser.cache_clear()
+
+
 def _parse_exit(capsys, parser, argv):
     with pytest.raises(SystemExit) as exc:
         parser.parse_args(argv)
@@ -498,7 +530,7 @@ def test_one_command_parser_prints_what_the_full_parser_prints(capsys, command, 
             == _parse_exit(capsys, build_parser(), argv))
 
 
-def test_main_builds_only_the_named_command(capsys, monkeypatch):
+def test_main_builds_only_the_named_command(capsys, monkeypatch, fresh_parsers):
     from meshecon.cli import COMMANDS
 
     added = []
@@ -514,10 +546,10 @@ def test_main_builds_only_the_named_command(capsys, monkeypatch):
     assert added == ["radio", *COMMANDS]
 
 
-def test_main_builds_each_parser_once(capsys, monkeypatch):
+def test_main_builds_each_parser_once(capsys, monkeypatch, fresh_parsers):
     from meshecon.cli import COMMANDS
 
-    # the new entries make main build every parser afresh
+    # the emptied cache makes main build every parser afresh
     runs = dict.fromkeys(COMMANDS, 0)
     for name, (help_line, add_args) in list(COMMANDS.items()):
         def counted(sub, name=name, add_args=add_args):
@@ -562,10 +594,9 @@ def test_a_handler_replaced_after_the_first_call_runs(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("argv, code", [(["bogus"], 2), (["--help"], 0)])
-def test_words_outside_commands_share_the_full_parser(capsys, monkeypatch, argv, code):
+def test_words_outside_commands_share_the_full_parser(capsys, fresh_parsers, argv, code):
     from meshecon import cli
 
-    monkeypatch.setattr(cli, "_PARSERS", {})
     for _ in range(2):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -573,14 +604,14 @@ def test_words_outside_commands_share_the_full_parser(capsys, monkeypatch, argv,
         assert (exc.value.code, captured.out, captured.err) == (
             _parse_exit(capsys, cli.build_parser(), argv))
         assert exc.value.code == code
-        assert list(cli._PARSERS) == [None]
+        assert fresh_parsers.cache_info().currsize == 1
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["simulate", "--help"]])
-def test_reused_parser_wraps_help_to_the_current_width(capsys, monkeypatch, argv):
+def test_reused_parser_wraps_help_to_the_current_width(capsys, monkeypatch, fresh_parsers,
+                                                       argv):
     from meshecon import cli
 
-    monkeypatch.setattr(cli, "_PARSERS", {})
     monkeypatch.setenv("COLUMNS", "80")
     wide = _parse_exit(capsys, cli.build_parser(argv[0]), argv)
     with pytest.raises(SystemExit):

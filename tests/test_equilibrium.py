@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import io
 import json
 import math
 
@@ -643,12 +645,19 @@ def _sequential_compare(template):
                             scaling(PERFCOMP), profile)
 
 
+def _report_texts(report):
+    """The equilibrium command's JSON and CSV text for report."""
+    solved = [res.utilities for res in report.solved_points()]
+    return tuple(meshecon.cli._report_text(fmt, solved, report.to_json_dict)
+                 for fmt in ("json", "csv"))
+
+
 def _comparison_bytes(compare, template):
     try:
         report = compare(template)
     except (NumericsError, ParamError) as exc:
         return type(exc), str(exc)
-    return report.to_json(), report.csv_rows()
+    return _report_texts(report)
 
 
 def test_compare_regimes_matches_sequential_solvers(defaults):
@@ -804,8 +813,9 @@ def test_each_check_site_raises_as_in_a_sequential_run(defaults, monkeypatch, ca
 
 def test_compare_regimes_json_round_trip(defaults):
     report = compare_regimes(defaults)
-    assert json.loads(report.to_json()) == report.to_json_dict()
-    rows = report.csv_rows()
+    json_text, csv_text = _report_texts(report)
+    assert json.loads(json_text) == report.to_json_dict()
+    rows = list(csv.reader(io.StringIO(csv_text)))
     assert rows[0] == ["regime", "n", "eu_orig", "eu_int", "eu_out", "total"]
     assert len(rows) == 4  # header + three solved points
 
@@ -817,5 +827,5 @@ def test_compare_regimes_markers_without_pollution(defaults):
     assert report.free_entry_perfcomp == "NO_CROSSING"
     assert report.club.startswith("BOUNDARY_OPTIMUM")
     assert report.scaling_no_peering.startswith("UNDEFINED")
-    blob = json.loads(report.to_json())
+    blob = json.loads(_report_texts(report)[0])
     assert blob["free_entry_no_peering"] == "NO_CROSSING"

@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import io
 import json
 import math
 
@@ -28,6 +30,7 @@ from meshecon import (
     validate,
     value_added,
 )
+import meshecon.cli
 import meshecon.regimes
 from meshecon.equilibrium import BRACKET_CAP
 from conftest import make_params, random_draws
@@ -353,11 +356,12 @@ def test_regime_utilities_non_finite_input_raises(defaults, regime):
 
 def test_regime_utilities_serialization(defaults):
     got = regime_utilities(defaults, Regime.NO_PEERING)
-    blob = json.loads(json.dumps(got.to_json_dict()))
+    blob = json.loads(meshecon.cli._report_text("json", [got], got.to_json_dict))
     assert blob["regime"] == "NO_PEERING"
     assert blob["total"] == got.total
     assert blob["params"]["n"] == 10.0
-    row = got.csv_row()
+    header, row = csv.reader(io.StringIO(meshecon.cli._report_text("csv", [got], None)))
+    assert header == ["regime", "n", "eu_orig", "eu_int", "eu_out", "total"]
     assert row[0] == "NO_PEERING"
     assert float(row[1]) == 10.0
     assert float(row[5]) == got.total

@@ -7,6 +7,7 @@ import pytest
 from meshecon import (
     Choice,
     ConnectionChoice,
+    NumericsError,
     ParamError,
     Regime,
     SimConfig,
@@ -575,7 +576,8 @@ def test_path_tables_walk_matches_greedy_router(side, n):
     lat = build_lattice(config(side=side, n=n))
     ks = np.arange(lat.n_offsets)
     every_offset_peers = SimpleNamespace(
-        peer=np.ones_like(ks), conn_cost=np.zeros(lat.n_offsets)
+        peer=np.ones_like(ks), conn_cost=np.zeros(lat.n_offsets),
+        relays=np.maximum(np.abs(lat.offset_di), np.abs(lat.offset_dj)) - 1,
     )
     paths = _PathTables(lat, every_offset_peers)
     # the second origin sits on the edges, so walks wrap both ways
@@ -742,6 +744,22 @@ def test_outcomes_stay_exact_where_v_or_w_times_a_count_overflows(regime, big):
             got = getattr(out, f"{stat}_{role}")
             assert math.isfinite(got) and got == getattr(ref, f"{stat}_{role}") / s
     assert lattice_exact_means(cfg) == {k: x / s for k, x in lattice_exact_means(small).items()}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("regime, w, role", [
+    # the closed-form outsider is finite, -1.718e308, but the lattice
+    # charges more: some trials' outsider values pass the float maximum
+    (Regime.NO_PEERING, 1.15e306, "outsider"),
+    # every role finite, their sum past the float maximum in every trial
+    (PERFCOMP, 6.2e306, "total"),
+])
+def test_per_trial_values_past_the_float_range_are_refused(regime, w, role):
+    cfg = config(side=21, regime=regime, trials=30, w=w)
+    assert math.isfinite(regime_utilities(cfg.params, regime).total)
+    with pytest.raises(NumericsError) as exc:
+        run_instant(cfg)
+    assert str(exc.value) == f"{regime.value} per-trial {role} utility is not finite"
 
 
 @pytest.mark.parametrize("regime", list(Regime))
