@@ -647,8 +647,8 @@ def _outcome(config, n_conn, tallies, cost, cost_unit, per_node, events) -> SimO
     # v and w from 2^512 up enter in exact power-of-2 units, so that their
     # products with the counts cannot overflow where the per-node values do
     # not; the originator's value and costs are summed in the larger unit.
-    # A per-node value past the float range is refused, without numpy's
-    # RuntimeWarnings.
+    # A series whose per-node values pass the float range all the same
+    # raises, without numpy's RuntimeWarnings.
     v_unit, w_unit = _unit(p.v), _unit(p.w)
     both = max(v_unit, cost_unit)
     with np.errstate(over="ignore", invalid="ignore"):
