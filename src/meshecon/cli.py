@@ -136,24 +136,19 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _csv_text(rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
 def _report_text(fmt: str, utilities, json_obj) -> str:
     """A report in format fmt, building only that one: the JSON text of
     json_obj(), or the CSV table of the RegimeUtilities in utilities, one
     row each, under UTILITIES_CSV_HEADER."""
     if fmt == "json":
         return _json_text(json_obj())
-    return _csv_text([UTILITIES_CSV_HEADER] + [
-        [u.regime.value, *map(repr, (u.params.n, u.eu_originator, u.eu_intermediate,
-                                     u.eu_outsider, u.total))]
-        for u in utilities
-    ])
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(UTILITIES_CSV_HEADER)
+    for u in utilities:
+        writer.writerow([u.regime.value, *map(repr, (u.params.n, u.eu_originator,
+                                                     u.eu_intermediate, u.eu_outsider, u.total))])
+    return buf.getvalue()
 
 
 # --------------------------------------------------------------------------
