@@ -29,7 +29,7 @@ from meshecon import (
     validate,
 )
 from meshecon.equilibrium import BRACKET_CAP
-from meshecon.model import (connect_probability_array, hop_distance_array,
+from meshecon.model import (_unit, connect_probability_array, hop_distance_array,
                             intermediate_count_array, nodes_within_array)
 from conftest import make_params
 import oracles
@@ -426,3 +426,11 @@ def test_cost_function_basics():
     assert c(0.0) == 0.0
     assert c(1.0) == 2.0
     assert c(4.0) == pytest.approx(16.0)
+
+
+def test_unit_is_one_below_two_to_the_512():
+    # the unit is 1 up to just below 2^512, and from there the power of 2
+    # that brings a value below 2^512
+    assert _unit(math.nextafter(2.0**512, 0)) == 1.0
+    assert _unit(2.0**512) == 2.0
+    assert _unit(2.0**513) == 4.0

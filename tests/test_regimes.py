@@ -273,17 +273,18 @@ def test_valid_cost_laws_give_finite_roles(template):
         assert np.isfinite(roles).all()
 
 
+@pytest.mark.parametrize("k", [-900, -300, 300, 900])
 @pytest.mark.parametrize("regime", list(Regime))
-def test_roles_scale_exactly_with_a_huge_cost(regime):
-    # the roles are homogeneous of degree 1 in (v, w, a): scaling all three by
-    # 2^900 puts cost(d_max) above 2^512, where the cost sums run in units of
-    # 2^e, and must scale every role by exactly 2^900
+def test_roles_scale_exactly_with_a_huge_cost(regime, k):
+    # the roles are homogeneous of degree 1 in (v, w, a): scaling all three
+    # (and u) by 2^k must scale every role by exactly 2^k; from k = 300 up,
+    # cost(d_max) passes 2^512, where the sums run in units of 2^e
     p = make_params(v=10.0, w=0.01, a=1.5, beta=2.6)
-    big = make_params(v=math.ldexp(10.0, 900), w=math.ldexp(0.01, 900), a=math.ldexp(1.5, 900),
-                      beta=2.6)
+    scaled = make_params(v=math.ldexp(10.0, k), u=math.ldexp(2.0, k), w=math.ldexp(0.01, k),
+                         a=math.ldexp(1.5, k), beta=2.6)
     densities = np.geomspace(1.5, 1e4, 40)
-    want = np.ldexp(utility_arrays(p, regime, densities), 900)
-    assert utility_arrays(big, regime, densities).tolist() == want.tolist()
+    want = np.ldexp(utility_arrays(p, regime, densities), k)
+    assert utility_arrays(scaled, regime, densities).tolist() == want.tolist()
 
 
 @pytest.mark.parametrize("regime", list(Regime))

@@ -723,19 +723,24 @@ def test_stderr_of_a_tiny_series_is_that_of_the_series_scaled_up():
     assert out.se_total == math.ldexp(_mean_se(np.ldexp(totals, 600))[1], -600) > 0
 
 
-@pytest.mark.parametrize("regime, big", [(Regime.NO_PEERING, {"v": 1e308, "u": 1.0}),
-                                         (Regime.NO_PEERING, {"w": 1e306}),
-                                         (PERFCOMP, {"w": 1e306})])
-def test_outcomes_stay_exact_where_v_or_w_times_a_count_overflows(regime, big):
+@pytest.mark.parametrize("regime, big, k", [
+    (Regime.NO_PEERING, {"v": 1e308, "u": 1.0}, -300),
+    (Regime.NO_PEERING, {"w": 1e306}, -300),
+    (PERFCOMP, {"w": 1e306}, -300),
+    # the default template, scaled by 2^k, in every regime
+    *((regime, {}, k) for regime in Regime for k in (-900, -300, 300, 900)),
+])
+def test_outcomes_stay_exact_where_v_or_w_times_a_count_overflows(regime, big, k):
     # v or w near the float maximum, whose products with a run's counts
     # overflow though every per-node value is finite: the run and the exact
-    # means are those of v, u, w and the cost scaled by 2^-300, scaled back
-    s = 2.0**-300
+    # means are those of v, u, w and the cost scaled by 2^k, scaled back;
+    # and every run's are, at any k that keeps its values normal floats
+    s = 2.0**k
     cfg = config(side=21, regime=regime, trials=30, **big)
     p = cfg.params
-    small = dataclasses.replace(cfg, params=dataclasses.replace(
+    scaled = dataclasses.replace(cfg, params=dataclasses.replace(
         p, v=p.v * s, u=p.u * s, w=p.w * s, cost=dataclasses.replace(p.cost, a=p.cost.a * s)))
-    out, ref = run_instant(cfg), run_instant(small)
+    out, ref = run_instant(cfg), run_instant(scaled)
     for role in ("originator", "intermediate", "outsider"):
         per_trial = getattr(out, f"per_trial_{role}")
         assert per_trial == tuple(x / s for x in getattr(ref, f"per_trial_{role}"))
@@ -743,7 +748,7 @@ def test_outcomes_stay_exact_where_v_or_w_times_a_count_overflows(regime, big):
         for stat in ("mean", "se"):
             got = getattr(out, f"{stat}_{role}")
             assert math.isfinite(got) and got == getattr(ref, f"{stat}_{role}") / s
-    assert lattice_exact_means(cfg) == {k: x / s for k, x in lattice_exact_means(small).items()}
+    assert lattice_exact_means(cfg) == {r: x / s for r, x in lattice_exact_means(scaled).items()}
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
