@@ -287,6 +287,15 @@ def test_free_entry_stall_guard_raises(defaults, utility_calls, monkeypatch):
     assert len(rounds) == MAX_ROUNDS
 
 
+def test_club_refines_past_thirty_rounds_on_a_flat_hump():
+    # a pollution cost of 3e-18 leaves the hump near Y = 9e4 so flat that the
+    # parabola's vertex narrows the cell little per round: it reaches
+    # DENSITY_TOL in 33 rounds, which the round limit must allow
+    club = club_optimal_density(make_params(v=200.0, u=1.0, w=3e-18, z=0.75, a=64.0, beta=3.9))
+    assert 30 < club.diagnostics.iterations < MAX_ROUNDS
+    assert club.diagnostics.residual <= DENSITY_TOL
+
+
 def test_free_entry_stall_maps_to_cli_exit_3(monkeypatch, capsys):
     monkeypatch.setattr(meshecon.equilibrium, "RESIDUAL_TOL", -1.0)
     assert main(["equilibrium"]) == 3
@@ -499,6 +508,14 @@ def test_scaling_preconditions(defaults):
             dataclasses.replace(defaults, w=0.0), Regime.NO_PEERING,
             [50, 100, 200, 400],
         )
+
+
+def test_scaling_refuses_demand_below_the_saturation_bound(defaults):
+    # z^N(Y = 10) = 0.05, so P = 0.95 at the lowest density: above 0.9, but
+    # not above SCALING_MIN_P = 0.99
+    t = dataclasses.replace(defaults, z=0.05 ** (1 / (100 * math.pi - 1)))
+    with pytest.raises(ParamError, match="unsaturated"):
+        congestion_scaling_exponent(t, Regime.NO_PEERING, [10, 20, 40, 80])
 
 
 # --------------------------------------------------------------------------

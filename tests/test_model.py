@@ -48,6 +48,12 @@ def test_validate_rejects_small_connection_premium():
         validate(make_params(v=2.5, u=2.0))
 
 
+def test_validate_rejects_a_premium_equal_to_the_cost():
+    # v - u = 1 = cost(d_max): the bound is strict
+    with pytest.raises(ParamError, match="v - u"):
+        validate(make_params(v=3.0, u=2.0, a=1.0, d_max=1.0, beta=2.0))
+
+
 def test_validate_rejects_linear_cost():
     with pytest.raises(ParamError, match="cost_beta"):
         validate(make_params(beta=1.0))

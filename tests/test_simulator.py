@@ -17,6 +17,7 @@ from meshecon import (
     regime_utilities,
     run_instant,
 )
+import meshecon.simulator
 from conftest import make_params
 import oracles
 
@@ -957,6 +958,20 @@ def test_estimate_record_structure(defaults):
     blob = rec.to_json_dict()
     assert blob["analytic_baseline"] == "NO_PEERING"
     assert len(blob["roles"]) == 4
+
+
+def test_estimate_flags_a_role_more_than_three_standard_errors_out(monkeypatch):
+    # exact means planted 3.2 SE from the run's originator mean and 2.9 SE
+    # from its outsider mean: the first is flagged, the second is not
+    cfg = config(side=21, regime=PERFCOMP, trials=30)
+    out = run_instant(cfg)
+    shift = {"originator": 3.2, "intermediate": 0.0, "outsider": 2.9}
+    monkeypatch.setattr(meshecon.simulator, "lattice_exact_means", lambda config, _built: {
+        role: out.mean(role) + k * out.se(role) for role, k in shift.items()})
+    rec = estimate_vs_analytic(cfg)
+    assert all(rec.role(role).sim_se > 0 for role in shift)
+    assert rec.role("originator").flagged
+    assert not rec.role("intermediate").flagged and not rec.role("outsider").flagged
 
 
 def test_estimate_notrans_compares_against_realized_play():
