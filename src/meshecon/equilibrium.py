@@ -70,9 +70,9 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import BoundaryOptimum, NoCrossing, NumericsError, ParamError
-from .model import (ModelParams, connect_probability_array, hop_distance_array,
+from .model import (ModelParams, _combine, connect_probability_array, hop_distance_array,
                     intermediate_count, nodes_within_array, params_to_dict, validate)
-from .regimes import Regime, RegimeUtilities, _raise_not_finite, _roles, regime_utilities
+from .regimes import Regime, RegimeUtilities, _basis, _raise_not_finite, _roles, regime_utilities
 
 __all__ = [
     "EquilibriumKind",
@@ -323,12 +323,13 @@ def free_entry_density(template: ModelParams, regime: Regime) -> EquilibriumResu
 def _no_peering_root(template):
     """The NO_PEERING free-entry root in Y, or None when w = 0 or it is not
     finite or lies above BRACKET_CAP. For Y >= 1/sqrt(pi) the total is
-    P [v' - w (s/2 - 1 + 1/(2s))], s = pi Y^2, v' = v - 2 c(d_max)/(beta + 2),
-    which falls to zero at s = 1 + r + sqrt(r (r + 2)), r = v'/w."""
+    P [v' - w (s/2 - 1 + 1/(2s))], s = pi Y^2, with v' = v - 2 c(d_max)/(beta + 2)
+    the originator's role at P = 1; it falls to zero at s = 1 + r + sqrt(r (r + 2)),
+    r = v'/w."""
     if template.w == 0:
         return None
-    c_max = template.cost(template.d_max)
-    r = (template.v - 2 * c_max / (template.cost.beta + 2)) / template.w
+    v_net = _combine(template, 1.0, *_basis(template, Regime.NO_PEERING, np.ones(1))[1:])[0, 0]
+    r = float(v_net) / template.w
     if not math.isfinite(r):
         return None
     y_star = math.sqrt((1 + r + math.sqrt(r * (r + 2))) / math.pi)

@@ -200,6 +200,23 @@ def _unit(x: float) -> float:
     return 2.0 ** max(math.frexp(x)[1] - 512, 0)
 
 
+def _combine(params: ModelParams, prob, a, b, q, cost_den=1.0, den=1.0):
+    """The roles (originator, intermediate, outsider) as one (3, m) array,
+    (P (v a - c b / cost_den) - w P q) / den with c = c(d_max), from a term
+    basis: P = prob and the (3, m) rows a, b and q, which hold no v, w or c.
+    Each role is taken in the power-of-2 unit of the largest of v, c and w
+    that its rows hold, so that its sums cannot overflow where it does not
+    and a small v is not scaled into underflow by a w it does not hold;
+    scaling (v, w, c) by a power of 2 scales every role by it exactly."""
+    c = params.cost(params.d_max)
+    units = [_unit(x) for x in (params.v, c, params.w)]
+    u = 1.0
+    if max(units) > 1.0:
+        held = np.array([np.any(row, axis=-1) for row in (a, b, q)])
+        u = np.where(held.T, units, 1.0).max(axis=1, keepdims=True)
+    return (prob * (params.v / u * a - c / u * b / cost_den) - params.w / u * prob * q) / den * u
+
+
 # --------------------------------------------------------------------------
 # Elementary functions of density and distance
 

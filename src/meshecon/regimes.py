@@ -34,8 +34,9 @@ of N breaks down.
 
 Evaluation is dimensionless. In lattice units y = n x, n and d_max enter
 only through Y = n d_max, and the cost only through c(d_max), as
-c(u d_max) = c(d_max) u^beta: the roles are functions of Y, c(d_max), beta,
-v, w and z, and u enters only validate. utility_arrays() evaluates a regime
+c(u d_max) = c(d_max) u^beta: at a fixed Y, beta and z each role is
+P (v a - c(d_max) b - w q) on a term basis (_basis) that model._combine
+combines, and u enters only validate. utility_arrays() evaluates a regime
 at an array of densities n, as one (3, m) array of the roles at Y = n d_max,
 and regime_utilities() is its one-density call. Every role is an elementary
 closed form, clamps included, but for the peering cost integrals
@@ -57,7 +58,7 @@ import numpy as np
 from .errors import NumericsError, ParamError
 from .model import (
     ModelParams,
-    _unit,
+    _combine,
     connect_probability_array,
     hop_distance,
     intermediate_count,
@@ -251,56 +252,58 @@ def _raise_not_finite(regime, y, roles, d_max=1.0):
 # -inf, so P = 1) is a correct value.
 @np.errstate(over="ignore", invalid="ignore")
 def _roles(template, regime, big_y):
-    """utility_arrays at the floats Y = n d_max, without the finiteness check.
-    Distances are in units u = x / d_max, so a cost is c(d_max) u^beta."""
-    p, beta, c_max = template, template.cost.beta, template.cost(template.d_max)
-    # costs and w from 2^512 up enter the sums in exact power-of-2 units, so
-    # that the sums cannot overflow
-    unit, w_unit = _unit(c_max), _unit(p.w)
-    cost = lambda u: c_max / unit * u**beta  # c(u d_max) / unit
-    prob = connect_probability_array(nodes_within_array(big_y, 1.0), p.z)
+    """utility_arrays at the floats Y = n d_max, without the finiteness check."""
+    return _combine(template, *_basis(template, regime, big_y))
+
+
+def _basis(template, regime, big_y):
+    """The term basis of _roles at the floats Y = n d_max, functions of Y,
+    beta and z alone: P, the rows a, b and q and their denominators, as
+    model._combine takes them. Distances are in units u = x / d_max, so a
+    cost is c(d_max) u^beta. Only the originator gains v; the roles that
+    only lose hold -0.0 in a, so that they are -0.0 where their terms
+    vanish, and NO_PEERING's intermediate, which holds no term, is 0.0."""
+    beta = template.cost.beta
+    prob = connect_probability_array(nodes_within_array(big_y, 1.0), template.z)
+    zero = np.zeros_like(big_y)
     if regime is Regime.NO_PEERING:
         u0 = np.minimum(1 / (big_y * math.sqrt(math.pi)), 1.0)
         area = lambda u: (math.pi * big_y * big_y * u * u / 2 - 1) * u * u  # int N(u) 2u du
-        orig = prob * (p.v - 2 * c_max / (beta + 2))
-        inter = np.zeros_like(big_y)
-        out = -p.w * prob * (area(1.0) - area(u0))
-    elif regime in REGIME_ORDER:
-        # In units y = n x = Y u, each role is an integral against 2y dy on [0, Y], over
-        # Y^2: D = x and I = 0 on the disc y <= 2; D = x / (y - 1) and I = y - 2 on
-        # the annulus, whose terms are factored in rim so they vanish when Y <= 2.
-        disc, top, y2 = np.minimum(big_y, 2.0), np.maximum(big_y, 2.0), big_y * big_y
-        rim = top - 2
-        log_hops = np.log1p(rim)  # log(Y - 1) on the annulus
-        disc_cost = 2 * cost(disc / big_y) * disc * disc / (beta + 2)
-        # The annulus's cost integrals take the Gauss-Legendre rule in s = log(y - 1),
-        # with hops = I + 1 = y - 1 at the nodes and D / d_max = (1 + 1 / hops) / Y; where
-        # Y <= 2 the nodes sit at y = 2 with weight 0, and top = 2 keeps their c(D) finite
-        one_plus_t, two_wt = _annulus_rule(ANNULUS_NODES)
-        s_half = log_hops[:, None] / 2
-        hops = np.exp(s_half * one_plus_t)
-        weights = (s_half * two_wt) * hops * (1 + hops) * cost((1 + 1 / hops) / top[:, None])
-        annulus_cost = lambda g: np.sum(g * weights, axis=1)  # int g c(D) 2y dy
-        relays = 2 * rim * rim * (rim + 3) / 3  # int I 2y dy
-        # outsiders: int (I + 1) max(0, pi (n D)^2 - k) 2y dy, where PERFCOMP's k = 2
-        # exempts each hop's receiver: (pi/2) (y^2 - k/pi)^2 on the disc past the clamp,
-        # and the integral of 2 pi y^3 / (y - 1) - 2k y (y - 1) on the annulus
-        k = 1 if regime is Regime.PEERING_NO_TRANSFERS else 2
-        polluted = (math.pi / 2 * np.maximum(disc * disc - k / math.pi, 0.0) ** 2
-                    + 2 * math.pi * log_hops + rim / 3 * (
-                        ((2 * math.pi - 2 * k) * rim + 15 * math.pi - 9 * k) * rim + 42 * math.pi - 12 * k))
-        out = -p.w / w_unit * prob * polluted / y2 * w_unit
-        if regime is Regime.PEERING_NO_TRANSFERS:
-            # the relays' pollution and cost are summed in the larger unit
-            both = max(unit, w_unit)
-            orig = prob * (p.v - (disc_cost + annulus_cost(1.0)) / y2 * unit)
-            inter = -prob * (p.w / both * relays + annulus_cost(hops - 1) * (unit / both)) / y2 * both
-        else:
-            orig = prob * (p.v - (disc_cost + annulus_cost(hops)) / y2 * unit)
-            inter = -p.w / w_unit * prob * relays / y2 * w_unit
-    else:
+        # the originator's cost is int u^beta 2u du = 2 / (beta + 2)
+        return (prob, np.array([[1.0], [0.0], [-0.0]]), np.array([[2.0], [0.0], [0.0]]),
+                np.array((zero, zero, area(1.0) - area(u0))), beta + 2, 1.0)
+    if regime not in REGIME_ORDER:
         raise ParamError(f"unknown regime {regime!r}")
-    return np.array((orig, inter, out))
+    # In units y = n x = Y u, each role is an integral against 2y dy on [0, Y], over
+    # Y^2: D = x and I = 0 on the disc y <= 2; D = x / (y - 1) and I = y - 2 on
+    # the annulus, whose terms are factored in rim so they vanish when Y <= 2.
+    disc, top, y2 = np.minimum(big_y, 2.0), np.maximum(big_y, 2.0), big_y * big_y
+    rim = top - 2
+    log_hops = np.log1p(rim)  # log(Y - 1) on the annulus
+    disc_cost = 2 * (disc / big_y) ** beta * disc * disc / (beta + 2)
+    # The annulus's cost integrals take the Gauss-Legendre rule in s = log(y - 1),
+    # with hops = I + 1 = y - 1 at the nodes and D / d_max = (1 + 1 / hops) / Y; where
+    # Y <= 2 the nodes sit at y = 2 with weight 0, and top = 2 keeps their c(D) finite
+    one_plus_t, two_wt = _annulus_rule(ANNULUS_NODES)
+    s_half = log_hops[:, None] / 2
+    hops = np.exp(s_half * one_plus_t)
+    weights = (s_half * two_wt) * hops * (1 + hops) * ((1 + 1 / hops) / top[:, None]) ** beta
+    annulus_cost = lambda g: np.sum(g * weights, axis=1)  # int g c(D) 2y dy / c(d_max)
+    relays = 2 * rim * rim * (rim + 3) / 3  # int I 2y dy
+    # outsiders: int (I + 1) max(0, pi (n D)^2 - k) 2y dy, where PERFCOMP's k = 2
+    # exempts each hop's receiver: (pi/2) (y^2 - k/pi)^2 on the disc past the clamp,
+    # and the integral of 2 pi y^3 / (y - 1) - 2k y (y - 1) on the annulus
+    k = 1 if regime is Regime.PEERING_NO_TRANSFERS else 2
+    polluted = (math.pi / 2 * np.maximum(disc * disc - k / math.pi, 0.0) ** 2
+                + 2 * math.pi * log_hops + rim / 3 * (
+                    ((2 * math.pi - 2 * k) * rim + 15 * math.pi - 9 * k) * rim + 42 * math.pi - 12 * k))
+    if regime is Regime.PEERING_NO_TRANSFERS:
+        # the relays pay their own cost
+        b = ((disc_cost + annulus_cost(1.0)) / y2, annulus_cost(hops - 1), zero)
+    else:
+        b = ((disc_cost + annulus_cost(hops)) / y2, zero, zero)
+    return (prob, np.array([[1.0], [-0.0], [-0.0]]), np.array(b),
+            np.array((zero, relays, polluted)), 1.0, np.array((np.ones_like(y2), y2, y2)))
 
 
 def regime_utilities(params: ModelParams, regime: Regime) -> RegimeUtilities:

@@ -73,7 +73,7 @@ import numpy as np
 from .errors import NumericsError, ParamError
 from .model import (
     ModelParams,
-    _unit,
+    _combine,
     connect_probability,
     hop_distance_array,
     intermediate_count_array,
@@ -589,13 +589,12 @@ def run_instant(
     q_fail = 1.0 - lattice.connect_prob  # exact where P(K) >= 1/2
 
     # per trial: connections, the four tallies and the originators' cost sum
+    # in units of c(d_max), which cannot overflow where the per-node cost
+    # does not
     n_conn = np.empty(config.trials, dtype=np.int64)
     tallies = np.empty((config.trials, 4), dtype=np.int64)
     cost = np.empty(config.trials)
-    # the cost sums are taken in c(d_max)'s power-of-2 unit, so that a
-    # trial's sum cannot overflow where the per-node cost does not
-    cost_unit = _unit(lattice.params.cost(lattice.params.d_max))
-    conn_cost = tables.conn_cost / cost_unit
+    conn_cost = tables.conn_cost / lattice.params.cost(lattice.params.d_max)
     per_node = np.zeros(n_nodes, dtype=np.int64) if collect_per_node else None
     events: list[ConnectionEvent] = []
     paths = _PathTables(lattice, tables) if collect_per_node or collect_events else None
@@ -634,62 +633,42 @@ def run_instant(
 
     if collect_per_node:
         paths.spread(images, per_node)
-    return _outcome(config, n_conn, tallies, cost, cost_unit, per_node,
+    return _outcome(config, n_conn, tallies, cost, per_node,
                     tuple(events) if collect_events else None)
 
 
-def _outcome(config, n_conn, tallies, cost, cost_unit, per_node, events) -> SimOutcome:
+def _outcome(config, n_conn, tallies, cost, per_node, events) -> SimOutcome:
     """A run's SimOutcome from its per-trial connection counts, (trials, 4)
-    int64 tallies and originator cost sums in cost_unit, plus the optional
-    diagnostics."""
-    p, n_nodes = config.params, config.side * config.side
+    int64 tallies and originator cost sums in units of c(d_max), the term
+    basis of its utilities, plus the optional diagnostics. A series whose
+    per-node values pass the float range raises, without RuntimeWarnings."""
+    n_nodes = config.side * config.side
     _, _, relays, polluted = tallies.T
-    # v and w from 2^512 up enter in exact power-of-2 units, so that their
-    # products with the counts cannot overflow where the per-node values do
-    # not; the originator's value and costs are summed in the larger unit.
-    # A series whose per-node values pass the float range all the same
-    # raises, without numpy's RuntimeWarnings.
-    v_unit, w_unit = _unit(p.v), _unit(p.w)
-    both = max(v_unit, cost_unit)
+    zero = np.zeros(config.trials)
     with np.errstate(over="ignore", invalid="ignore"):
-        per_trial_orig = (p.v / both * n_conn - cost / (both / cost_unit)) / n_nodes * both
-        per_trial_int = -(p.w / w_unit) * relays / n_nodes * w_unit
-        per_trial_out = -(p.w / w_unit) * polluted / n_nodes * w_unit
-        totals = per_trial_orig + per_trial_int + per_trial_out
-    series = (per_trial_orig, per_trial_int, per_trial_out, totals)
-    for role, values in zip((*ROLES, "total"), series):
+        roles = _combine(config.params, 1.0, np.array((n_conn, -zero, -zero)),
+                         np.array((cost, zero, zero)), np.array((zero, relays, polluted)),
+                         den=n_nodes)
+        series = dict(zip((*ROLES, "total"), (*roles, roles[0] + roles[1] + roles[2])))
+    for role, values in series.items():
         if not np.isfinite(values).all():
-            raise NumericsError(
-                f"{config.regime.value} per-trial {role} utility is not finite")
+            raise NumericsError(f"{config.regime.value} per-trial {role} utility is not finite")
     attempted = int(n_conn.sum())
     peered, refused, _, pollution_total = tallies.sum(axis=0).tolist()
-
-    mean_orig, se_orig = _mean_se(per_trial_orig)
-    mean_int, se_int = _mean_se(per_trial_int)
-    mean_out, se_out = _mean_se(per_trial_out)
-    mean_tot, se_tot = _mean_se(totals)
-
+    stats = {role: _mean_se(values) for role, values in series.items()}
     return SimOutcome(
         regime=config.regime,
         side=config.side,
         trials=config.trials,
         seed=config.seed,
-        mean_originator=mean_orig,
-        mean_intermediate=mean_int,
-        mean_outsider=mean_out,
-        mean_total=mean_tot,
-        se_originator=se_orig,
-        se_intermediate=se_int,
-        se_outsider=se_out,
-        se_total=se_tot,
+        **{f"mean_{role}": mean for role, (mean, _) in stats.items()},
+        **{f"se_{role}": se for role, (_, se) in stats.items()},
         connections_attempted=attempted,
         connections_direct=attempted - peered,
         connections_peered=peered,
         connections_refused=refused,
         pollution_events=pollution_total,
-        per_trial_originator=tuple(per_trial_orig.tolist()),
-        per_trial_intermediate=tuple(per_trial_int.tolist()),
-        per_trial_outsider=tuple(per_trial_out.tolist()),
+        **{f"per_trial_{role}": tuple(series[role].tolist()) for role in ROLES},
         per_node_outsider_exposures=None if per_node is None else tuple(per_node.tolist()),
         events=events,
     )
@@ -702,13 +681,11 @@ def lattice_exact_means(
     Carlo error): demand probability times the per-offset average."""
     lattice, tables = _built or _build(config)
     p = lattice.params
-    p_conn = lattice.connect_prob
-    unit = _unit(p.v)  # the K offsets' sum is taken in v's unit
-    return {
-        "originator": p_conn * float(np.mean((p.v - tables.conn_cost) / unit)) * unit,
-        "intermediate": -p.w * p_conn * float(np.mean(tables.relays)),
-        "outsider": -p.w * p_conn * float(np.mean(tables.polluted)),
-    }
+    cost, relays, polluted = (np.mean(row) for row in (
+        tables.conn_cost / p.cost(p.d_max), tables.relays, tables.polluted))
+    roles = _combine(p, lattice.connect_prob, np.array([[1.0], [-0.0], [-0.0]]),
+                     np.array([[cost], [0.0], [0.0]]), np.array([[0.0], [relays], [polluted]]))
+    return dict(zip(ROLES, roles[:, 0].tolist()))
 
 
 # --------------------------------------------------------------------------

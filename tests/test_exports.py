@@ -28,3 +28,31 @@ def test_oracles_import_nothing_from_the_package():
             imported.append("." * node.level + (node.module or ""))
     assert imported
     assert [m for m in imported if m.split(".")[0] in ("meshecon", "")] == []
+
+
+def test_only_the_combination_helper_takes_power_of_2_units():
+    # model._combine decides the units in which every role is summed; a
+    # second site that takes them would let the roles disagree on it
+    users = []
+
+    class Uses(ast.NodeVisitor):
+        def __init__(self, module):
+            self.module, self.scope = module, ["<module>"]
+
+        def visit_FunctionDef(self, node):
+            self.scope.append(node.name)
+            self.generic_visit(node)
+            self.scope.pop()
+
+        def visit_Name(self, node):
+            if node.id == "_unit":
+                users.append(f"{self.module}.{self.scope[-1]}")
+
+        def visit_Attribute(self, node):
+            if node.attr == "_unit":
+                users.append(f"{self.module}.{self.scope[-1]}")
+            self.generic_visit(node)
+
+    for path in sorted(Path(meshecon.__file__).parent.glob("*.py")):
+        Uses(path.stem).visit(ast.parse(path.read_text()))
+    assert users == ["model._combine"]

@@ -494,9 +494,8 @@ def _trial_loop_reference(cfg, collect_per_node=False, collect_events=False):
     """run_instant's trial loop without batch seeding, batched gaps and the
     float64 tally product: a fresh default_rng(SeedSequence([seed, t])) per
     trial, gaps drawn one at a time and an int64 (4, K) @ hist; the costs
-    are summed in c(d_max)'s unit and the package's _outcome builds the
+    are summed in units of c(d_max) and the package's _outcome builds the
     SimOutcome."""
-    from meshecon.model import _unit
     from meshecon.simulator import _PathTables, _RegimeTables, _outcome
 
     lattice = build_lattice(cfg)
@@ -505,7 +504,7 @@ def _trial_loop_reference(cfg, collect_per_node=False, collect_events=False):
     n_conn = np.empty(cfg.trials, dtype=np.int64)
     tallies = np.empty((cfg.trials, 4), dtype=np.int64)
     cost = np.empty(cfg.trials)
-    cost_unit = _unit(cfg.params.cost(cfg.params.d_max))
+    c_max = cfg.params.cost(cfg.params.d_max)
     per_node = np.zeros(n_nodes, dtype=np.int64) if collect_per_node else None
     events = []
     paths = _PathTables(lattice, tables) if collect_per_node or collect_events else None
@@ -517,7 +516,7 @@ def _trial_loop_reference(cfg, collect_per_node=False, collect_events=False):
         hist = np.bincount(ks, minlength=k_offsets)
         n_conn[trial] = ks.size
         tallies[trial] = tables.tallies @ hist
-        cost[trial] = (tables.conn_cost / cost_unit * hist).sum()
+        cost[trial] = (tables.conn_cost / c_max * hist).sum()
         if paths is not None:
             origins = np.flatnonzero(connecting)
             if collect_events:
@@ -526,7 +525,7 @@ def _trial_loop_reference(cfg, collect_per_node=False, collect_events=False):
                 paths.charge(images, per_node, origins, ks, cfg.regime is PERFCOMP)
     if collect_per_node:
         paths.spread(images, per_node)
-    return _outcome(cfg, n_conn, tallies, cost, cost_unit, per_node,
+    return _outcome(cfg, n_conn, tallies, cost, per_node,
                     tuple(events) if collect_events else None)
 
 
