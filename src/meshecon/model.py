@@ -207,7 +207,8 @@ def _combine(params: ModelParams, prob, a, b, q, cost_den=1.0, den=1.0):
     Each role is taken in the power-of-2 unit of the largest of v, c and w
     that its rows hold, so that its sums cannot overflow where it does not
     and a small v is not scaled into underflow by a w it does not hold;
-    scaling (v, w, c) by a power of 2 scales every role by it exactly."""
+    scaling (v, w, c) by a power of 2 scales every role by it exactly. A
+    role whose a is -0.0 is -0.0 where its terms vanish, as -w P q at w = 0."""
     c = params.cost(params.d_max)
     units = [_unit(x) for x in (params.v, c, params.w)]
     u = 1.0

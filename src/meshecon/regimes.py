@@ -34,16 +34,16 @@ of N breaks down.
 
 Evaluation is dimensionless. In lattice units y = n x, n and d_max enter
 only through Y = n d_max, and the cost only through c(d_max), as
-c(u d_max) = c(d_max) u^beta: at a fixed Y, beta and z each role is
-P (v a - c(d_max) b - w q) on a term basis (_basis) that model._combine
-combines, and u enters only validate. utility_arrays() evaluates a regime
-at an array of densities n, as one (3, m) array of the roles at Y = n d_max,
-and regime_utilities() is its one-density call. Every role is an elementary
-closed form, clamps included, but for the peering cost integrals
-int g c(D) 2y dy (g = 1, I or I + 1) over the relayed annulus 2 < y <= Y.
-Those take one fixed rule in s = log(y - 1), 48 Gauss-Legendre nodes per
-density (ANNULUS_NODES; Golub & Welsch 1969), which a 96-node rule matches
-to 1e-13 relative. Non-finite utilities raise NumericsError, overflows too.
+c(u d_max) = c(d_max) u^beta: each role is P (v a - c(d_max) b - w q) on a
+term basis of Y, beta and z alone (_basis); u enters only validate.
+utility_arrays() evaluates a regime at an array of densities n, as one
+(3, m) array of the roles at Y = n d_max, and regime_utilities() is its
+one-density call. Every role is an elementary closed form, clamps included,
+but for the peering cost integrals int g c(D) 2y dy (g = 1, I or I + 1)
+over the relayed annulus 2 < y <= Y. Those take one fixed rule in
+s = log(y - 1), 48 Gauss-Legendre nodes per density (ANNULUS_NODES; Golub &
+Welsch 1969), which a 96-node rule matches to 1e-13 relative. Non-finite
+utilities raise NumericsError, overflows too.
 
 All operations are pure functions; nothing here holds mutable state.
 """
@@ -256,22 +256,23 @@ def _roles(template, regime, big_y):
     return _combine(template, *_basis(template, regime, big_y))
 
 
+# a: only the originator gains v; NO_PEERING's intermediate holds no term (see _combine)
+_VALUE, _NO_PEERING_VALUE = np.array([[[1.0], [-0.0], [-0.0]], [[1.0], [0.0], [-0.0]]])
+
+
 def _basis(template, regime, big_y):
     """The term basis of _roles at the floats Y = n d_max, functions of Y,
     beta and z alone: P, the rows a, b and q and their denominators, as
     model._combine takes them. Distances are in units u = x / d_max, so a
-    cost is c(d_max) u^beta. Only the originator gains v; the roles that
-    only lose hold -0.0 in a, so that they are -0.0 where their terms
-    vanish, and NO_PEERING's intermediate, which holds no term, is 0.0."""
+    cost is c(d_max) u^beta."""
     beta = template.cost.beta
     prob = connect_probability_array(nodes_within_array(big_y, 1.0), template.z)
-    zero = np.zeros_like(big_y)
+    b, q, den = np.zeros((3, 3) + big_y.shape)
     if regime is Regime.NO_PEERING:
         u0 = np.minimum(1 / (big_y * math.sqrt(math.pi)), 1.0)
         area = lambda u: (math.pi * big_y * big_y * u * u / 2 - 1) * u * u  # int N(u) 2u du
-        # the originator's cost is int u^beta 2u du = 2 / (beta + 2)
-        return (prob, np.array([[1.0], [0.0], [-0.0]]), np.array([[2.0], [0.0], [0.0]]),
-                np.array((zero, zero, area(1.0) - area(u0))), beta + 2, 1.0)
+        b[0], q[2] = 2.0, area(1.0) - area(u0)  # int u^beta 2u du = 2 / (beta + 2)
+        return prob, _NO_PEERING_VALUE, b, q, beta + 2, 1.0
     if regime not in REGIME_ORDER:
         raise ParamError(f"unknown regime {regime!r}")
     # In units y = n x = Y u, each role is an integral against 2y dy on [0, Y], over
@@ -298,12 +299,13 @@ def _basis(template, regime, big_y):
                 + 2 * math.pi * log_hops + rim / 3 * (
                     ((2 * math.pi - 2 * k) * rim + 15 * math.pi - 9 * k) * rim + 42 * math.pi - 12 * k))
     if regime is Regime.PEERING_NO_TRANSFERS:
-        # the relays pay their own cost
-        b = ((disc_cost + annulus_cost(1.0)) / y2, annulus_cost(hops - 1), zero)
+        # the relays pay their own cost, the originator its first hop's
+        b[0], b[1] = (disc_cost + annulus_cost(1.0)) / y2, annulus_cost(hops - 1)
     else:
-        b = ((disc_cost + annulus_cost(hops)) / y2, zero, zero)
-    return (prob, np.array([[1.0], [-0.0], [-0.0]]), np.array(b),
-            np.array((zero, relays, polluted)), 1.0, np.array((np.ones_like(y2), y2, y2)))
+        b[0] = (disc_cost + annulus_cost(hops)) / y2
+    q[1], q[2] = relays, polluted
+    den[0], den[1:] = 1.0, y2
+    return prob, _VALUE, b, q, 1.0, den
 
 
 def regime_utilities(params: ModelParams, regime: Regime) -> RegimeUtilities:

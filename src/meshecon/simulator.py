@@ -588,9 +588,8 @@ def run_instant(
     k_offsets = lattice.n_offsets
     q_fail = 1.0 - lattice.connect_prob  # exact where P(K) >= 1/2
 
-    # per trial: connections, the four tallies and the originators' cost sum
-    # in units of c(d_max), which cannot overflow where the per-node cost
-    # does not
+    # per trial: connections, the four tallies and the originators' cost sum in
+    # units of c(d_max), which cannot overflow where the per-node cost does not
     n_conn = np.empty(config.trials, dtype=np.int64)
     tallies = np.empty((config.trials, 4), dtype=np.int64)
     cost = np.empty(config.trials)
@@ -639,9 +638,8 @@ def run_instant(
 
 def _outcome(config, n_conn, tallies, cost, per_node, events) -> SimOutcome:
     """A run's SimOutcome from its per-trial connection counts, (trials, 4)
-    int64 tallies and originator cost sums in units of c(d_max), the term
-    basis of its utilities, plus the optional diagnostics. A series whose
-    per-node values pass the float range raises, without RuntimeWarnings."""
+    int64 tallies and originator cost sums in units of c(d_max), plus the
+    diagnostics; a per-node value past the float range raises NumericsError."""
     n_nodes = config.side * config.side
     _, _, relays, polluted = tallies.T
     zero = np.zeros(config.trials)
