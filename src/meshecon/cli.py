@@ -41,7 +41,7 @@ import sys
 import tempfile
 
 from .equilibrium import compare_regimes
-from .errors import BoundaryOptimum, NoCrossing, NumericsError, ParamError
+from .errors import NumericsError, ParamError
 from .model import (
     PARAM_KEYS,
     RadioParams,
@@ -344,9 +344,6 @@ def main(argv=None) -> int:
     except NumericsError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (NoCrossing, BoundaryOptimum) as exc:
-        print(f"finding: {exc}", file=sys.stderr)
-        return EXIT_FINDING
 
 
 if __name__ == "__main__":

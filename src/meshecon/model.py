@@ -75,9 +75,8 @@ class CostFunction:
     beta: float
 
     def __call__(self, d: float) -> float:
-        """a * d**beta. Where d**beta overflows or underflows to 0,
-        (a * h) * h with h = d**(beta / 2), so that a finite cost stays
-        finite. Arrays go through times."""
+        """a * d**beta. Where d**beta overflows or underflows to 0, the
+        value times gives. Arrays go through times."""
         if isinstance(d, np.ndarray):
             return self.times(1.0, d)
         try:
@@ -86,20 +85,22 @@ class CostFunction:
             power = math.inf
         if 0 < power < math.inf:
             return self.a * power
-        half = d ** (self.beta / 2)
-        return self.a * half * half
+        return float(self.times(1.0, np.float64(d)))
 
     def times(self, k, d):
-        """k * cost(d) over an array d, elementwise as (k * a) * d**beta, or
-        ((k * a) * h) * h where d**beta overflows or underflows to 0."""
+        """k * cost(d) over an array d, elementwise as (k * a) * d**beta.
+        Where d**beta overflows or underflows to 0, as (k * a) times four
+        factors q = d**(beta / 4), left to right: each partial product lies
+        between k * a and the result, so the product is finite wherever
+        k * a * d^beta is a finite float, and inf, not an error, where not."""
         ka = k * self.a
         with np.errstate(over="ignore", under="ignore"):
             power = d**self.beta
             inside = (power > 0) & (power < math.inf)
             if inside.all():
                 return ka * power
-            half = d ** (self.beta / 2)
-            return np.where(inside, ka * power, ka * half * half)
+            q = d ** (self.beta / 4)
+            return np.where(inside, ka * power, ka * q * q * q * q)
 
 
 @dataclass(frozen=True)
@@ -173,10 +174,7 @@ def validate(params: ModelParams) -> ModelParams:
         raise ParamError(
             f"cost_beta must be > 1 for strict convexity, got {p.cost.beta!r}"
         )
-    try:
-        cost_d_max = p.cost(p.d_max)
-    except OverflowError:
-        cost_d_max = math.inf
+    cost_d_max = p.cost(p.d_max)
     if not (0 < cost_d_max < math.inf):
         raise ParamError(f"cost(d_max) {'overflows' if cost_d_max else 'underflows to 0'}: "
                          f"{p.cost.a!r} * {p.d_max!r}**{p.cost.beta!r}")

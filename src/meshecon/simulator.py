@@ -370,8 +370,10 @@ EVENT_CSV_HEADER = (
 
 @dataclass(frozen=True)
 class SimOutcome:
-    """Monte Carlo tallies: per-node per-role means with standard errors
-    from per-trial variation, event counts, and the per-trial series.
+    """Monte Carlo tallies: per-node per-role means (mean) with standard
+    errors from per-trial variation (stderr), each keyed originator,
+    intermediate, outsider and total; event counts; and each role's
+    per-trial series (per_trial, a tuple per role).
 
     Standard errors are NaN for a single trial (no variance estimate).
     """
@@ -380,30 +382,19 @@ class SimOutcome:
     side: int
     trials: int
     seed: int
-    mean_originator: float
-    mean_intermediate: float
-    mean_outsider: float
-    mean_total: float
-    se_originator: float
-    se_intermediate: float
-    se_outsider: float
-    se_total: float
+    mean: dict
+    stderr: dict
     connections_attempted: int
-    connections_direct: int
     connections_peered: int
     connections_refused: int
     pollution_events: int
-    per_trial_originator: tuple
-    per_trial_intermediate: tuple
-    per_trial_outsider: tuple
+    per_trial: dict
     per_node_outsider_exposures: tuple | None = None
     events: tuple | None = None
 
-    def mean(self, role: str) -> float:
-        return getattr(self, f"mean_{role}")
-
-    def se(self, role: str) -> float:
-        return getattr(self, f"se_{role}")
+    @property
+    def connections_direct(self) -> int:
+        return self.connections_attempted - self.connections_peered
 
     def to_json_dict(self) -> dict:
         return {
@@ -411,18 +402,8 @@ class SimOutcome:
             "side": self.side,
             "trials": self.trials,
             "seed": self.seed,
-            "mean": {
-                "originator": self.mean_originator,
-                "intermediate": self.mean_intermediate,
-                "outsider": self.mean_outsider,
-                "total": self.mean_total,
-            },
-            "stderr": {
-                "originator": self.se_originator,
-                "intermediate": self.se_intermediate,
-                "outsider": self.se_outsider,
-                "total": self.se_total,
-            },
+            "mean": dict(self.mean),
+            "stderr": dict(self.stderr),
             "counts": {
                 "attempted": self.connections_attempted,
                 "direct": self.connections_direct,
@@ -430,11 +411,7 @@ class SimOutcome:
                 "refused": self.connections_refused,
             },
             "pollution_events": self.pollution_events,
-            "per_trial": {
-                "originator": list(self.per_trial_originator),
-                "intermediate": list(self.per_trial_intermediate),
-                "outsider": list(self.per_trial_outsider),
-            },
+            "per_trial": {role: list(values) for role, values in self.per_trial.items()},
         }
 
 
@@ -651,22 +628,20 @@ def _outcome(config, n_conn, tallies, cost, per_node, events) -> SimOutcome:
     for role, values in series.items():
         if not np.isfinite(values).all():
             raise NumericsError(f"{config.regime.value} per-trial {role} utility is not finite")
-    attempted = int(n_conn.sum())
     peered, refused, _, pollution_total = tallies.sum(axis=0).tolist()
-    stats = {role: _mean_se(values) for role, values in series.items()}
+    means, errors = zip(*map(_mean_se, series.values()))
     return SimOutcome(
         regime=config.regime,
         side=config.side,
         trials=config.trials,
         seed=config.seed,
-        **{f"mean_{role}": mean for role, (mean, _) in stats.items()},
-        **{f"se_{role}": se for role, (_, se) in stats.items()},
-        connections_attempted=attempted,
-        connections_direct=attempted - peered,
+        mean=dict(zip(series, means)),
+        stderr=dict(zip(series, errors)),
+        connections_attempted=int(n_conn.sum()),
         connections_peered=peered,
         connections_refused=refused,
         pollution_events=pollution_total,
-        **{f"per_trial_{role}": tuple(series[role].tolist()) for role in ROLES},
+        per_trial={role: tuple(series[role].tolist()) for role in ROLES},
         per_node_outsider_exposures=None if per_node is None else tuple(per_node.tolist()),
         events=events,
     )
@@ -723,7 +698,10 @@ class ComparisonRecord:
     outcome: SimOutcome
     analytic_baseline: Regime
     roles: tuple
-    flags: tuple
+
+    @property
+    def flags(self) -> tuple:
+        return tuple(rc.role for rc in self.roles if rc.flagged)
 
     def role(self, name: str) -> RoleComparison:
         for rc in self.roles:
@@ -777,8 +755,8 @@ def estimate_vs_analytic(config: SimConfig, *, collect_events: bool = False) -> 
 
     rows = []
     for role in (*ROLES, "total"):
-        sim_mean = outcome.mean(role)
-        sim_se = outcome.se(role)
+        sim_mean = outcome.mean[role]
+        sim_se = outcome.stderr[role]
         ref = analytic_by_role[role]
         bias = sim_mean - ref
         if sim_se > 0:
@@ -801,7 +779,6 @@ def estimate_vs_analytic(config: SimConfig, *, collect_events: bool = False) -> 
         outcome=outcome,
         analytic_baseline=baseline_regime,
         roles=tuple(rows),
-        flags=tuple(rc.role for rc in rows if rc.flagged),
     )
 
 

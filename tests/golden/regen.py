@@ -166,6 +166,10 @@ def requests() -> list:
     # a cost(d_max) of 1e300 whose d_max**beta overflows
     argvs.append(["validate", "--set", "cost_a=1e-10", "--set", "d_max=1e10",
                   "--set", "cost_beta=31", "--set", "v=1e301"])
+    # and a cost(d_max) of 3.8e296 whose d_max**(beta / 2) overflows too
+    argvs.append(["validate", "--set", "d_max=1.4e154", "--set", "n=1e-153",
+                  "--set", "cost_a=1e-320", "--set", "cost_beta=4", "--set", "v=1e297",
+                  "--set", "u=1"])
 
     # simulate in every regime, at partial demand (the default z) and at full
     # demand (P(K) == 1.0), with and without --trace; one side per regime
@@ -191,6 +195,11 @@ def requests() -> list:
     # a c(d_max) whose sum over a trial's connections overflows a float
     argvs.append(["simulate", "--set", "v=1e308", "--set", "u=1", "--set", "cost_a=1e307",
                   "--side", "21", "--trials", "30"])
+    # a diagonal lattice hop longer than d_max, whose cost's d**(beta / 2) overflows
+    argvs.append(["simulate", "--regime", "PEERING_PERFECT_COMPETITION", "--side", "5",
+                  "--trials", "30", "--set", "d_max=1e154", "--set", "n=1.01e-154",
+                  "--set", "cost_a=1e-320", "--set", "cost_beta=4", "--set", "v=1e297",
+                  "--set", "u=1"])
 
     argvs += [
         # usage errors

@@ -265,6 +265,12 @@ def test_refinement_round_places_a_ladder_around_the_estimate():
     # an estimate an ulp from an end leaves no room for the ladder on its side
     new, _ = _round([1.0, 2.0], math.nextafter(2.0, 0), _FREE_ENTRY_RUNGS)
     assert np.all(np.diff(new) > 0) and 1.0 < new[0] and new[-1] < 2.0
+    # in a cell of 2^20 ulps the three innermost rungs fall below the floor of
+    # 6, 4 and 2 ulps of the upper end; the outer ones are exact powers of 2
+    ulp = math.ulp(1.0)
+    new, _ = _round([1.0, 1.0 + 2**20 * ulp], 1.0 + 2**19 * ulp, _FREE_ENTRY_RUNGS)
+    ladder = [2**18, 2**14, 2**10, 2**6, 6, 4, 2]
+    assert ((new - (1.0 + 2**19 * ulp)) / ulp).tolist() == [-k for k in ladder] + [0] + ladder[::-1]
 
 
 def test_refinement_round_spaces_a_narrow_cell_evenly():

@@ -369,6 +369,10 @@ def test_params_kv_round_trip(defaults):
 
 def test_params_json_round_trip(defaults):
     assert params_from_json(params_to_json(defaults)) == defaults
+    with pytest.raises(ParamError, match="invalid JSON"):
+        params_from_json("{")
+    with pytest.raises(ParamError, match="must contain an object"):
+        params_from_json("[]")
 
 
 def test_params_dict_unknown_and_missing_keys(defaults):
@@ -377,6 +381,8 @@ def test_params_dict_unknown_and_missing_keys(defaults):
     with pytest.raises(ParamError, match="unknown"):
         params_from_dict(d)
     del d["extra"]
+    with pytest.raises(ParamError, match="non-numeric"):
+        params_from_dict({**d, "cost_a": "abc"})
     del d["cost_a"]
     with pytest.raises(ParamError, match="missing"):
         params_from_dict(d)
@@ -419,6 +425,23 @@ def test_cost_function_scales_a_power_that_leaves_the_floats(a, beta, inside, ou
     inner, outer = c.times(1.0, np.array([inside, outside])).tolist()
     assert inner == (a * np.array([inside]) ** beta).item()
     assert abs(outer - exact) <= 4 * math.ulp(exact)
+
+
+@pytest.mark.parametrize("a,beta,d", [
+    (1e-320, 4.0, 1.4e154),                     # d**beta and d**(beta/2) overflow
+    (1e-320, 4.0, math.sqrt(2.0) / 1.01e-154),  # a diagonal lattice hop past d_max
+    (1e-320, 2.5, 1e248),
+    (1.7e308, 4.0, 1e-155),                     # d**beta underflows, the cost is subnormal
+    (1.0, 4.0, 1e200),                          # the cost itself overflows: inf
+    (1.0, 4.0, 1e-200),                         # and underflows: 0
+])
+def test_cost_function_is_the_float_of_a_d_to_the_beta(a, beta, d):
+    # wherever a d^beta is a finite float, to a few ulps; inf past it, not an error
+    c = CostFunction(a=a, beta=beta)
+    with mp.workdps(50):
+        exact = float(mp.mpf(a) * mp.mpf(d) ** beta)
+    for got in (c(d), c.times(1.0, np.array([d])).item()):
+        assert got == exact if exact in (0.0, math.inf) else abs(got - exact) <= 4 * math.ulp(exact)
 
 
 def test_validate_accepts_a_finite_cost_whose_power_overflows():

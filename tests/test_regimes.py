@@ -303,6 +303,19 @@ def test_pollution_roles_scale_exactly_with_a_huge_pollution_cost(regime):
         assert big[1].tolist() == np.ldexp(small[1], 1000).tolist()
 
 
+@pytest.mark.parametrize("beta", [1.01, 1.2, 1.5, 2.0, 3.0, 6.0, 20.0])
+@pytest.mark.parametrize("regime", list(Regime))
+def test_term_basis_pieces_are_monotone_in_y(regime, beta):
+    # per node, the cost piece B = sum_r b_r / (cost_den den_r) does not rise
+    # with Y (to 1e-15 relative; its worst rise is 1.9e-16), and the
+    # pollution piece Q = sum_r q_r / den_r and P do not fall
+    big_y = np.geomspace(1.0, 1e5, 10_001)[1:]
+    prob, _, b, q, cost_den, den = meshecon.regimes._basis(make_params(beta=beta), regime, big_y)
+    cost, polluted = (b / (cost_den * den)).sum(axis=0), (q / den).sum(axis=0)
+    assert np.all(cost[1:] <= cost[:-1] * (1 + 1e-15))
+    assert np.all(np.diff(polluted) >= 0) and np.all(np.diff(prob) >= 0)
+
+
 @pytest.mark.parametrize("beta", [1.0001, 2.0, 12.0, 200.0])
 @pytest.mark.parametrize("regime", list(PEERING))
 def test_annulus_rule_converged(monkeypatch, regime, beta):
@@ -353,6 +366,11 @@ def test_perfcomp_total_matches_antiderivative_oracle(defaults, n):
 def test_regime_utilities_non_finite_input_raises(defaults, regime):
     with pytest.raises(NumericsError, match="not finite"):
         regime_utilities(dataclasses.replace(defaults, v=math.nan), regime)
+
+
+def test_utility_arrays_rejects_an_unknown_regime(defaults):
+    with pytest.raises(ParamError, match="unknown regime"):
+        utility_arrays(defaults, "bogus", [defaults.n])
 
 
 def test_regime_utilities_serialization(defaults):

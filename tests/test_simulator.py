@@ -304,12 +304,12 @@ def test_simulation_matches_exact_enumeration(regime):
     oracle = oracles.lattice_oracle(10, 1.0, 10.0, 0.01, 0.99, 1.0, 2.0,
                                     "PERFCOMP" if regime is PERFCOMP else "NO_PEERING")
     for role in ("originator", "intermediate", "outsider"):
-        se = out.se(role)
+        se = out.stderr[role]
         if se == 0.0:
-            assert out.mean(role) == oracle[role]
+            assert out.mean[role] == oracle[role]
         else:
             # pure Monte Carlo noise against the exact expectation
-            assert abs(out.mean(role) - oracle[role]) < 5 * se
+            assert abs(out.mean[role] - oracle[role]) < 5 * se
 
 
 def test_lattice_exact_means_match_oracle():
@@ -452,11 +452,11 @@ def test_histogram_tallies_match_gather_reference(regime, case):
     assert got.connections_direct == counts["attempted"] - counts["peered"]
     assert got.connections_refused == counts["refused"]
     assert got.pollution_events == counts["pollution"]
-    assert got.per_trial_intermediate == inter
-    assert got.per_trial_outsider == out
+    assert got.per_trial["intermediate"] == inter
+    assert got.per_trial["outsider"] == out
     # only the originator's float sum changes order (K terms, not one per
     # connection); float64 rounding of either order stays far inside 1e-14
-    got_orig = np.array(got.per_trial_originator)
+    got_orig = np.array(got.per_trial["originator"])
     assert np.all(np.abs(got_orig - orig) <= 1e-14 * np.abs(orig))
 
 
@@ -690,8 +690,8 @@ def test_bit_identical_determinism():
 
 def test_single_trial_has_no_stderr():
     out = run_instant(config(trials=1))
-    assert math.isnan(out.se_originator)
-    assert math.isfinite(out.mean_originator)
+    assert math.isnan(out.stderr["originator"])
+    assert math.isfinite(out.mean["originator"])
 
 
 def test_stderr_stays_finite_where_the_squares_overflow():
@@ -700,11 +700,11 @@ def test_stderr_stays_finite_where_the_squares_overflow():
     # unit that keeps them finite, exactly
     out = run_instant(config(side=21, trials=30, v=1e301))
     unit = 2.0**1000
-    orig = np.array(out.per_trial_originator) / unit
+    orig = np.array(out.per_trial["originator"]) / unit
     expected = float(orig.std(ddof=1) / math.sqrt(30)) * unit
-    assert math.isfinite(expected) and out.se_originator == expected
-    assert out.mean_originator == float(orig.mean()) * unit
-    assert out.se_total == pytest.approx(expected, rel=1e-12)
+    assert math.isfinite(expected) and out.stderr["originator"] == expected
+    assert out.mean["originator"] == float(orig.mean()) * unit
+    assert out.stderr["total"] == pytest.approx(expected, rel=1e-12)
 
 
 def test_stderr_of_a_tiny_series_is_that_of_the_series_scaled_up():
@@ -715,12 +715,12 @@ def test_stderr_of_a_tiny_series_is_that_of_the_series_scaled_up():
     cfg = config(side=21, trials=30, v=1e-180, u=1e-181, w=1e-183, a=1e-181)
     out = run_instant(cfg)
     for role in ("originator", "outsider"):
-        series = np.array(getattr(out, f"per_trial_{role}"))
+        series = np.array(out.per_trial[role])
         mean, se = _mean_se(np.ldexp(series, 600))
-        assert se > 0 and out.se(role) == math.ldexp(se, -600)
-        assert out.mean(role) == math.ldexp(mean, -600)
-    totals = np.array(out.per_trial_originator) + np.array(out.per_trial_outsider)
-    assert out.se_total == math.ldexp(_mean_se(np.ldexp(totals, 600))[1], -600) > 0
+        assert se > 0 and out.stderr[role] == math.ldexp(se, -600)
+        assert out.mean[role] == math.ldexp(mean, -600)
+    totals = np.array(out.per_trial["originator"]) + np.array(out.per_trial["outsider"])
+    assert out.stderr["total"] == math.ldexp(_mean_se(np.ldexp(totals, 600))[1], -600) > 0
 
 
 @pytest.mark.parametrize("regime, big, k", [
@@ -742,12 +742,11 @@ def test_outcomes_stay_exact_where_v_or_w_times_a_count_overflows(regime, big, k
         p, v=p.v * s, u=p.u * s, w=p.w * s, cost=dataclasses.replace(p.cost, a=p.cost.a * s)))
     out, ref = run_instant(cfg), run_instant(scaled)
     for role in ("originator", "intermediate", "outsider"):
-        per_trial = getattr(out, f"per_trial_{role}")
-        assert per_trial == tuple(x / s for x in getattr(ref, f"per_trial_{role}"))
+        assert out.per_trial[role] == tuple(x / s for x in ref.per_trial[role])
     for role in ("originator", "intermediate", "outsider", "total"):
-        for stat in ("mean", "se"):
-            got = getattr(out, f"{stat}_{role}")
-            assert math.isfinite(got) and got == getattr(ref, f"{stat}_{role}") / s
+        for stat in ("mean", "stderr"):
+            got = getattr(out, stat)[role]
+            assert math.isfinite(got) and got == getattr(ref, stat)[role] / s
     assert lattice_exact_means(cfg) == {r: x / s for r, x in lattice_exact_means(scaled).items()}
 
 
@@ -775,10 +774,10 @@ def test_originator_costs_near_the_float_maximum_sum_in_a_unit(regime):
     cfg = config(side=21, regime=regime, trials=30, v=1e308, u=1.0, a=1e307)
     out, exact = run_instant(cfg), lattice_exact_means(cfg)
     for role in ("originator", "intermediate", "outsider", "total"):
-        assert math.isfinite(out.mean(role)) and math.isfinite(out.se(role))
+        assert math.isfinite(out.mean[role]) and math.isfinite(out.stderr[role])
     for role in ("originator", "intermediate", "outsider"):
-        assert abs(out.mean(role) - exact[role]) <= 3 * out.se(role)
-    assert out.mean_originator > 0
+        assert abs(out.mean[role] - exact[role]) <= 3 * out.stderr[role]
+    assert out.mean["originator"] > 0
 
 
 def test_perfcomp_intermediate_is_minus_w_per_exposure():
@@ -787,7 +786,7 @@ def test_perfcomp_intermediate_is_minus_w_per_exposure():
     relay_exposures = sum(len(ev.path) - 2 for ev in out.events
                           if ev.choice.mode is Choice.PEER)
     nodes = cfg.side * cfg.side
-    assert sum(out.per_trial_intermediate) * nodes == pytest.approx(
+    assert sum(out.per_trial["intermediate"]) * nodes == pytest.approx(
         -cfg.params.w * relay_exposures, rel=1e-12
     )
 
@@ -796,11 +795,11 @@ def test_no_transfers_records_zero_peering():
     out = run_instant(config(regime=NOTRANS, trials=40, seed=11))
     assert out.connections_peered == 0
     assert out.connections_refused > 0
-    assert out.mean_intermediate == 0.0
+    assert out.mean["intermediate"] == 0.0
     # forced-direct play also means the no-peering tallies coincide exactly
     direct = run_instant(config(regime=Regime.NO_PEERING, trials=40, seed=11))
-    assert out.per_trial_originator == direct.per_trial_originator
-    assert out.per_trial_outsider == direct.per_trial_outsider
+    assert out.per_trial["originator"] == direct.per_trial["originator"]
+    assert out.per_trial["outsider"] == direct.per_trial["outsider"]
 
 
 def test_money_conservation_per_trial():
@@ -902,7 +901,7 @@ def test_per_node_tally_matches_fast_totals(regime):
     with_nodes = run_instant(cfg, collect_per_node=True)
     assert sum(with_nodes.per_node_outsider_exposures) == with_nodes.pollution_events
     plain = run_instant(cfg)
-    assert plain.per_trial_outsider == with_nodes.per_trial_outsider
+    assert plain.per_trial["outsider"] == with_nodes.per_trial["outsider"]
 
 
 # --------------------------------------------------------------------------
@@ -951,6 +950,8 @@ def test_estimate_record_structure(defaults):
     analytic = regime_utilities(make_params(), Regime.NO_PEERING)
     assert rec.role("originator").analytic == pytest.approx(analytic.eu_originator)
     assert rec.role("intermediate").z == 0.0
+    with pytest.raises(KeyError):
+        rec.role("bogus")
     for r in rec.roles:
         assert r.bias == r.sim_mean - r.analytic
         assert math.isfinite(r.lattice_exact)
@@ -966,11 +967,12 @@ def test_estimate_flags_a_role_more_than_three_standard_errors_out(monkeypatch):
     out = run_instant(cfg)
     shift = {"originator": 3.2, "intermediate": 0.0, "outsider": 2.9}
     monkeypatch.setattr(meshecon.simulator, "lattice_exact_means", lambda config, _built: {
-        role: out.mean(role) + k * out.se(role) for role, k in shift.items()})
+        role: out.mean[role] + k * out.stderr[role] for role, k in shift.items()})
     rec = estimate_vs_analytic(cfg)
     assert all(rec.role(role).sim_se > 0 for role in shift)
     assert rec.role("originator").flagged
     assert not rec.role("intermediate").flagged and not rec.role("outsider").flagged
+    assert rec.flags == ("originator", "total") == tuple(rec.to_json_dict()["flags"])
 
 
 def test_estimate_notrans_compares_against_realized_play():
