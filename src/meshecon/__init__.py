@@ -6,6 +6,8 @@ solvers; and a torus-lattice Monte Carlo simulator that realizes the same
 model discretely for cross-validation.
 """
 
+import types
+
 from .errors import (
     BoundaryOptimum,
     NoCrossing,
@@ -65,16 +67,36 @@ from .equilibrium import (
     free_entry_density,
     total_eu,
 )
-from .simulator import (
-    ComparisonRecord,
-    ConnectionEvent,
-    Lattice,
-    SimConfig,
-    SimOutcome,
-    build_lattice,
-    estimate_vs_analytic,
-    lattice_exact_means,
-    run_instant,
+# The simulator, and numpy.random with it, loads on first use (PEP 562), so
+# that commands which never simulate do not pay for importing it.
+_SIMULATOR_NAMES = (
+    "ComparisonRecord",
+    "ConnectionEvent",
+    "Lattice",
+    "SimConfig",
+    "SimOutcome",
+    "build_lattice",
+    "estimate_vs_analytic",
+    "lattice_exact_means",
+    "run_instant",
 )
 
+
+def __getattr__(name):
+    if name in _SIMULATOR_NAMES:
+        from . import simulator
+
+        return getattr(simulator, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_SIMULATOR_NAMES})
+
+
 __version__ = "0.1.0"
+
+# every name imported above, and the simulator's
+__all__ = [*(name for name, value in globals().items()
+             if not name.startswith("_") and not isinstance(value, types.ModuleType)),
+           *_SIMULATOR_NAMES]

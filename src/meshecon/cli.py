@@ -27,6 +27,11 @@ the command, and reuses it, so in-process callers pay for argparse's setup
 once; any other first word (a typo, --help, none) shares the one full
 parser. The handler, cmd_<command>, is looked up when the command runs, so
 one wrapped or replaced after the first call still runs.
+
+simulate loads the simulator, and numpy.random with it, on first use: the
+other commands never import it, and their start-up does not pay for it.
+simulate looks its names up in the simulator module each time it runs, so
+a wrapped or replaced simulator function is the one it calls.
 """
 
 import argparse
@@ -55,7 +60,6 @@ from .model import (
     validate,
 )
 from .regimes import REGIME_ORDER, Regime, regime_utilities
-from .simulator import SimConfig, estimate_vs_analytic, write_event_trace
 
 ENV_CONFIG = "MESHECON_CONFIG"
 
@@ -205,6 +209,8 @@ def cmd_equilibrium(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .simulator import SimConfig, estimate_vs_analytic, write_event_trace
+
     # estimate_vs_analytic validates the whole config once, params first
     config = SimConfig(
         side=args.side,

@@ -80,6 +80,8 @@ from .model import (
     validate,
 )
 from .regimes import (
+    _NO_PEERING_VALUE,
+    _VALUE,
     Choice,
     ConnectionChoice,
     Regime,
@@ -424,9 +426,18 @@ def _mean_se(series: np.ndarray) -> tuple[float, float]:
     exponent = 0 if -511 < exponent <= 511 else exponent
     series = np.ldexp(series, -exponent)
     mean = math.ldexp(float(series.mean()), exponent)
+    if not mean and np.signbit(series).all():
+        mean = -0.0  # a sum of -0.0s is -0.0; numpy's mean sums from +0.0
     if len(series) < 2:
         return mean, float("nan")
     return mean, math.ldexp(float(series.std(ddof=1) / math.sqrt(len(series))), exponent)
+
+
+def _value_row(regime: Regime) -> np.ndarray:
+    """The value row a of the closed form the regime is compared with, whose
+    zero signs the lattice's roles take: the no-peering one where no
+    connection is relayed (NOTRANS is compared with NO_PEERING)."""
+    return _VALUE if regime is Regime.PEERING_PERFECT_COMPETITION else _NO_PEERING_VALUE
 
 
 def _build(config: SimConfig) -> tuple[Lattice, _RegimeTables]:
@@ -621,7 +632,8 @@ def _outcome(config, n_conn, tallies, cost, per_node, events) -> SimOutcome:
     _, _, relays, polluted = tallies.T
     zero = np.zeros(config.trials)
     with np.errstate(over="ignore", invalid="ignore"):
-        roles = _combine(config.params, 1.0, np.array((n_conn, -zero, -zero)),
+        roles = _combine(config.params, 1.0,
+                         np.copysign((n_conn, zero, zero), _value_row(config.regime)),
                          np.array((cost, zero, zero)), np.array((zero, relays, polluted)),
                          den=n_nodes)
         series = dict(zip((*ROLES, "total"), (*roles, roles[0] + roles[1] + roles[2])))
@@ -656,7 +668,7 @@ def lattice_exact_means(
     p = lattice.params
     cost, relays, polluted = (np.mean(row) for row in (
         tables.conn_cost / p.cost(p.d_max), tables.relays, tables.polluted))
-    roles = _combine(p, lattice.connect_prob, np.array([[1.0], [-0.0], [-0.0]]),
+    roles = _combine(p, lattice.connect_prob, _value_row(config.regime),
                      np.array([[cost], [0.0], [0.0]]), np.array([[0.0], [relays], [polluted]]))
     return dict(zip(ROLES, roles[:, 0].tolist()))
 

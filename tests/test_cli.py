@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import json
+import math
 import os
 import stat
 
@@ -202,16 +203,16 @@ def test_simulate_trace_reuses_the_compared_run(capsys, tmp_path, monkeypatch, r
 
 
 def test_failed_trace_leaves_old_trace(capsys, tmp_path, monkeypatch):
-    import meshecon.cli as cli
+    import meshecon.simulator as sim
 
-    real = cli.write_event_trace
+    real = sim.write_event_trace
 
     def failing(events, fh):
         assert len(events) > 50
         real(events[:50], fh)
         fh.flush()
         raise OSError("disk full")
-    monkeypatch.setattr(cli, "write_event_trace", failing)
+    monkeypatch.setattr(sim, "write_event_trace", failing)
     trace = tmp_path / "events.csv"
     trace.write_bytes(b"old trace\n")
     code, out, err = run(capsys, "simulate", "--side", "11", "--trials", "30",
@@ -219,6 +220,31 @@ def test_failed_trace_leaves_old_trace(capsys, tmp_path, monkeypatch):
     assert (code, out, err) == (2, "", "error: disk full\n")
     assert trace.read_bytes() == b"old trace\n"
     assert os.listdir(tmp_path) == ["events.csv"]  # no .meshecon-* temp file
+
+
+@pytest.mark.parametrize("argv", [
+    ["--regime", "NO_PEERING"],
+    ["--regime", "PEERING_NO_TRANSFERS"],
+    ["--regime", "PEERING_PERFECT_COMPETITION", "--set", "w=0"],
+])
+def test_simulate_gives_a_zero_role_one_sign(capsys, argv):
+    # a role that is zero is the same zero in every number printed for it:
+    # its per-trial values, their mean, the exact lattice mean and the
+    # closed form, which decides the sign
+    code, out, _ = run(capsys, "simulate", *argv, "--side", "21", "--trials", "30")
+    assert code == 0
+    record = json.loads(out)
+    outcome, zero_roles = record["outcome"], []
+    for row in record["roles"]:
+        if row["analytic"] != 0:
+            continue
+        role = row["role"]
+        values = [*outcome["per_trial"][role], outcome["mean"][role], row["sim_mean"],
+                  row["lattice_exact"], row["analytic"]]
+        assert {(v, math.copysign(1.0, v)) for v in values} == {
+            (0.0, math.copysign(1.0, row["analytic"]))}, role
+        zero_roles.append(role)
+    assert zero_roles == (["intermediate", "outsider"] if "w=0" in argv else ["intermediate"])
 
 
 def test_simulate_rejects_bad_config(capsys):
@@ -652,6 +678,39 @@ def test_cli_import_leaves_scipy_unloaded():
                           text=True, env=_package_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_commands_other_than_simulate_leave_the_simulator_unloaded():
+    # simulate imports the simulator, and numpy.random with it, when it runs;
+    # the other commands' start-up and work never load either
+    import subprocess
+    import sys
+
+    code = ("import contextlib, io, sys\n"
+            "from meshecon.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [main(argv) for argv in (['eval'], ['equilibrium'], ['validate'],\n"
+            "             ['sweep', '--axis', 'n', '--lo', '10', '--hi', '20', '--steps', '3'],\n"
+            "             ['radio', '--snr', '3'])]\n"
+            "print(codes, [m for m in ('numpy.random', 'meshecon.simulator') if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=_package_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[0, 0, 0, 0, 0] []"
+
+
+def test_simulate_in_a_fresh_interpreter_matches_in_process(capsys):
+    # this process has loaded the simulator already; only a fresh interpreter
+    # runs simulate's own import of it
+    import subprocess
+    import sys
+
+    argv = ["simulate", "--side", "21", "--trials", "30"]
+    proc = subprocess.run([sys.executable, "-m", "meshecon", *argv], capture_output=True,
+                          env=_package_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    code, out, _ = run(capsys, *argv)
+    assert (code, proc.stdout) == (0, out.encode())
 
 
 def test_equilibrium_leaves_numpy_ma_unloaded():

@@ -10,11 +10,30 @@ import meshecon
 MODULES = sorted(m.name for m in pkgutil.iter_modules(meshecon.__path__))
 
 
-@pytest.mark.parametrize("module", MODULES)
+SIMULATOR_NAMES = (
+    "ComparisonRecord", "ConnectionEvent", "Lattice", "SimConfig", "SimOutcome",
+    "build_lattice", "estimate_vs_analytic", "lattice_exact_means", "run_instant",
+)
+
+
+@pytest.mark.parametrize("module", [None, *MODULES])
 def test_every_exported_name_resolves(module):
-    mod = importlib.import_module(f"meshecon.{module}")
+    mod = importlib.import_module("meshecon" if module is None else f"meshecon.{module}")
     missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
     assert missing == []
+
+
+def test_the_package_gives_the_simulator_names_it_loads_on_first_use():
+    from meshecon import simulator
+
+    assert meshecon.SimConfig is simulator.SimConfig
+    namespace = {}
+    exec("from meshecon import *", namespace)
+    for name in SIMULATOR_NAMES:
+        assert namespace[name] is getattr(simulator, name)
+    assert set(SIMULATOR_NAMES) <= set(dir(meshecon))
+    with pytest.raises(AttributeError, match="has no attribute 'simulate'"):
+        meshecon.simulate
 
 
 def test_oracles_import_nothing_from_the_package():
