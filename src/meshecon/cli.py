@@ -16,11 +16,17 @@ branch on them.
 
 Output files (--output and --trace) get the umask's mode. They are written
 to a temporary name and renamed into place, so a failed command never
-leaves a partial file; an existing FIFO or device is written in place.
+leaves a partial file; an existing FIFO or device is written in place. A
+path that ends in a symbolic link, or holds "..", is resolved first
+(os.path.realpath): the temporary file goes beside the file the kernel
+would open and replaces that file, so a link stays a link.
 
 This module alone turns results into output bytes: the records hand it
 data (to_json_dict, solved_points), and it writes the JSON text and the
-utilities CSV table that eval, sweep and equilibrium share.
+utilities CSV table that eval, sweep and equilibrium share. The JSON text
+comes from model._json_text, the one writer that params_to_json uses too:
+the bytes of json.dumps(obj, indent=2, sort_keys=True) plus a newline,
+built without the stdlib's pure-Python indent encoder.
 
 main builds each command's parser once per process, in a cache keyed by
 the command, and reuses it, so in-process callers pay for argparse's setup
@@ -39,7 +45,6 @@ import contextlib
 import csv
 import functools
 import io
-import json
 import math
 import os
 import sys
@@ -50,6 +55,7 @@ from .errors import NumericsError, ParamError
 from .model import (
     PARAM_KEYS,
     RadioParams,
+    _json_text,
     channels_per_cell,
     default_params,
     params_from_dict,
@@ -108,20 +114,26 @@ def _load_params(args):
 def _atomic_file(path: str):
     """A text stream on a temporary file beside path, renamed onto path when
     the block completes and removed when it raises. A special file at path
-    is written in place: renaming over it would replace it."""
+    is written in place: renaming over it would replace it. A symbolic link
+    is followed: the file it names is replaced, and the link is kept."""
     if os.path.exists(path) and not os.path.isfile(path):
         with open(path, "w", encoding="utf-8") as fh:
             yield fh
         return
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".meshecon-")
+    # realpath reads every component, about 2 % of a solve request on
+    # perfbench's output paths; the text of path names the file the kernel
+    # opens unless its last component is a link or a ".." may climb out of
+    # a linked folder
+    target = os.path.realpath(path) if ".." in path or os.path.islink(path) else path
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(target)),
+                               prefix=".meshecon-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             umask = os.umask(0o777)  # reading the umask means setting it
             os.umask(umask)
             os.fchmod(fd, 0o666 & ~umask)  # mkstemp creates 0600
             yield fh
-        os.replace(tmp, path)
+        os.replace(tmp, target)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
@@ -134,10 +146,6 @@ def _emit(text: str, output: str | None) -> None:
         return
     with _atomic_file(output) as fh:
         fh.write(text)
-
-
-def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def _report_text(fmt: str, utilities, json_obj) -> str:

@@ -418,13 +418,80 @@ def params_from_kv(text: str) -> ModelParams:
     return params_from_dict(data)
 
 
+# looked up once: the writer calls them for every value
+_json_string = json.encoder.encode_basestring_ascii  # raises TypeError on a non-str
+_float_repr = float.__repr__
+_int_repr = int.__repr__
+_isfinite = math.isfinite
+
+
+def _json_value(obj, indent: str) -> str:
+    """obj's JSON text as json.dumps(obj, indent=2, sort_keys=True) writes
+    it, nested items starting on indent (a newline and two spaces per level
+    above obj's). The stdlib's encoder runs in pure Python, one token at a
+    time, whenever indent is set; this builds each container in one join.
+
+    The stdlib tests str, None, True, False, int, float, list or tuple, dict
+    in that order. No class derives from two of str, int, float, list or
+    tuple, and dict, so the common types may come first here; only bool,
+    an int subclass, must be caught before int."""
+    if isinstance(obj, float):
+        if _isfinite(obj):
+            return _float_repr(obj)
+        return "NaN" if obj != obj else "Infinity" if obj > 0 else "-Infinity"
+    if isinstance(obj, str):
+        return _json_string(obj)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = indent + "  "
+        items = [f"{_json_string(key)}: {_json_value(value, inner)}"
+                 for key, value in sorted(obj.items())]
+        return f"{{{inner}{(',' + inner).join(items)}{indent}}}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = indent + "  "
+        items = [_json_value(item, inner) for item in obj]
+        return f"[{inner}{(',' + inner).join(items)}{indent}]"
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return _int_repr(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _json_text(obj) -> str:
+    """The JSON text every command writes, and params_to_json: the bytes of
+    json.dumps(obj, indent=2, sort_keys=True) + "\\n" for str-keyed dicts,
+    lists, tuples, str, int, float, bool and None, where a float subclass
+    prints as a float and an int subclass as an int. Any other value, or a
+    key that is not a str, raises TypeError."""
+    return _json_value(obj, "\n") + "\n"
+
+
 def params_to_json(params: ModelParams) -> str:
-    return json.dumps(params_to_dict(params), indent=2, sort_keys=True) + "\n"
+    return _json_text(params_to_dict(params))
+
+
+def _unique_keys(pairs) -> dict:
+    """A JSON object's pairs as a dict; a key given twice is refused, as
+    params_from_kv refuses it, not silently overwritten."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ParamError(f"duplicate key {key!r} in JSON parameter file")
+        data[key] = value
+    return data
 
 
 def params_from_json(text: str) -> ModelParams:
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ParamError(f"invalid JSON parameter file: {exc}") from exc
     if not isinstance(data, dict):

@@ -34,6 +34,12 @@ OUTPUT = "golden-output.txt"  # --output target, relative to the working directo
 TRACE = "golden-trace.csv"  # simulate's --trace target, likewise
 ENVIRONMENT = {"COLUMNS": "80"}  # argparse wraps its usage lines to this width
 UNSET = ("MESHECON_CONFIG",)
+# --config files in the working directory: name and text
+CONFIGS = {
+    # the default parameters with n given twice, once as 10 and once as 12
+    "duplicate-key.json": '{"n": 10.0, "n": 12.0, "d_max": 1.0, "v": 10.0, "u": 2.0, '
+                          '"w": 0.01, "z": 0.99, "cost_a": 1.0, "cost_beta": 2.0}\n',
+}
 
 
 def _sha256(data: bytes) -> str:
@@ -211,6 +217,7 @@ def requests() -> list:
         ["equilibrium", "--set", "d_max=-1"], ["eval", "--set", "foo=1"],
         ["eval", "--set", "n"], ["eval", "--set", "n=abc"], ["eval", "--set", "w=nan"],
         ["equilibrium", "--set", "cost_beta=0.5"], ["validate", "--config", "missing.cfg"],
+        ["validate", "--config", "duplicate-key.json"],
         ["sweep", "--axis", "n", "--lo", "1", "--hi", "2", "--steps", "1"],
         ["sweep", "--axis", "foo", "--lo", "1", "--hi", "2", "--steps", "3"],
         ["sweep", "--axis", "n", "--lo", "3", "--hi", "2", "--steps", "3"],
@@ -224,14 +231,17 @@ def requests() -> list:
 
 @contextlib.contextmanager
 def environment():
-    """A fresh working directory, with ENVIRONMENT set, UNSET unset and
-    RuntimeWarnings raised as errors, as tests/test_golden.py's replay under
-    pytest's filter raises them: a request that warns is never recorded."""
+    """A fresh working directory holding CONFIGS, with ENVIRONMENT set,
+    UNSET unset and RuntimeWarnings raised as errors, as tests/test_golden.py's
+    replay under pytest's filter raises them: a request that warns is never
+    recorded."""
     saved = {key: os.environ.get(key) for key in (*ENVIRONMENT, *UNSET)}
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         os.chdir(tmp)
+        for name, text in CONFIGS.items():
+            Path(name).write_text(text, encoding="utf-8")
         os.environ.update(ENVIRONMENT)
         for key in UNSET:
             os.environ.pop(key, None)

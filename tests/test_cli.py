@@ -4,6 +4,7 @@ import json
 import math
 import os
 import stat
+import tempfile
 
 import numpy as np
 import pytest
@@ -496,6 +497,63 @@ def test_output_to_a_fifo_is_written_in_place(capsys, tmp_path):
     assert stat.S_ISFIFO(os.stat(fifo).st_mode)
     assert os.listdir(tmp_path) == ["pipe"]
     assert received.decode() == run(capsys, "eval")[1]
+
+
+@pytest.mark.parametrize("flag, argv", [
+    ("--output", ["validate"]),
+    ("--trace", ["simulate", "--side", "11", "--trials", "30", "--set", "n=5"]),
+])
+@pytest.mark.parametrize("elsewhere", [False, True])
+def test_output_through_a_symlink_replaces_the_file_it_names(capsys, tmp_path, monkeypatch,
+                                                             flag, argv, elsewhere):
+    # a link beside its file (relative), and one to a file in another folder
+    # (absolute); the temporary file is made beside the file it replaces, as
+    # a rename onto another file system would fail
+    plain = tmp_path / "plain"
+    assert run(capsys, *argv, flag, str(plain))[0] == 0
+    folder = tmp_path / "elsewhere" if elsewhere else tmp_path
+    folder.mkdir(exist_ok=True)
+    target = folder / "target"
+    target.write_bytes(b"old bytes\n")
+    link = tmp_path / "link"
+    link.symlink_to(target if elsewhere else "target")
+    folders = []
+    real_mkstemp = tempfile.mkstemp
+
+    def mkstemp(**kwargs):
+        folders.append(kwargs["dir"])
+        return real_mkstemp(**kwargs)
+    monkeypatch.setattr(tempfile, "mkstemp", mkstemp)
+    code, _, _ = run(capsys, *argv, flag, str(link))
+    assert code == 0
+    assert folders == [os.path.realpath(folder)]
+    assert link.is_symlink() and link.resolve() == target.resolve()
+    assert target.read_bytes() == plain.read_bytes()
+    leftovers = [p for p in (*tmp_path.iterdir(), *folder.iterdir())
+                 if p.name.startswith(".meshecon-")]
+    assert leftovers == []
+
+
+def test_output_after_a_linked_folder_and_dotdot_goes_where_the_kernel_puts_it(
+        capsys, tmp_path, monkeypatch):
+    # link/.. is the parent of the folder the link names, not tmp_path as the
+    # text reads; the temporary file is made there too, so a rename between
+    # file systems is never asked for
+    real = tmp_path / "real"
+    (real / "folder").mkdir(parents=True)
+    (tmp_path / "link").symlink_to(real / "folder")
+    folders = []
+    real_mkstemp = tempfile.mkstemp
+
+    def mkstemp(**kwargs):
+        folders.append(kwargs["dir"])
+        return real_mkstemp(**kwargs)
+    monkeypatch.setattr(tempfile, "mkstemp", mkstemp)
+    code, out, _ = run(capsys, "validate", "--output", os.path.join(tmp_path, "link", "..", "out"))
+    assert (code, out) == (0, "")
+    assert folders == [os.path.realpath(real)]
+    assert (real / "out").read_text() == run(capsys, "validate")[1]
+    assert not (tmp_path / "out").exists()
 
 
 def test_no_partial_output_on_error(capsys, tmp_path):

@@ -49,12 +49,12 @@ def test_oracles_import_nothing_from_the_package():
     assert [m for m in imported if m.split(".")[0] in ("meshecon", "")] == []
 
 
-def test_only_the_combination_helper_takes_power_of_2_units():
-    # model._combine decides the units in which every role is summed; a
-    # second site that takes them would let the roles disagree on it
-    users = []
+def _package_sites(match) -> list:
+    """Where in the package's modules a node match(node) accepts appears, as
+    "module.function" ("module.<module>" at top level), in source order."""
+    sites = []
 
-    class Uses(ast.NodeVisitor):
+    class Sites(ast.NodeVisitor):
         def __init__(self, module):
             self.module, self.scope = module, ["<module>"]
 
@@ -63,15 +63,35 @@ def test_only_the_combination_helper_takes_power_of_2_units():
             self.generic_visit(node)
             self.scope.pop()
 
-        def visit_Name(self, node):
-            if node.id == "_unit":
-                users.append(f"{self.module}.{self.scope[-1]}")
-
-        def visit_Attribute(self, node):
-            if node.attr == "_unit":
-                users.append(f"{self.module}.{self.scope[-1]}")
-            self.generic_visit(node)
+        def generic_visit(self, node):
+            if match(node):
+                sites.append(f"{self.module}.{self.scope[-1]}")
+            super().generic_visit(node)
 
     for path in sorted(Path(meshecon.__file__).parent.glob("*.py")):
-        Uses(path.stem).visit(ast.parse(path.read_text()))
+        Sites(path.stem).visit(ast.parse(path.read_text()))
+    return sites
+
+
+def test_only_the_combination_helper_takes_power_of_2_units():
+    # model._combine decides the units in which every role is summed; a
+    # second site that takes them would let the roles disagree on it
+    users = _package_sites(lambda node: isinstance(node, ast.Name) and node.id == "_unit"
+                           or isinstance(node, ast.Attribute) and node.attr == "_unit")
     assert users == ["model._combine"]
+
+
+def test_one_json_writer_in_the_package():
+    # model._json_text writes every JSON text the package prints, with the
+    # bytes of json.dumps(obj, indent=2, sort_keys=True); an indented
+    # json.dump(s) beside it would be a second writer, and a slower one
+    def called(node):
+        func = getattr(node, "func", None)
+        return getattr(func, "attr", None) or getattr(func, "id", None)
+
+    def indented_dump(node):
+        return (isinstance(node, ast.Call) and called(node) in ("dump", "dumps")
+                and any(keyword.arg == "indent" for keyword in node.keywords))
+
+    assert "model.params_from_json" in _package_sites(lambda node: called(node) == "loads")
+    assert _package_sites(indented_dump) == []

@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -29,7 +30,7 @@ from meshecon import (
     validate,
 )
 from meshecon.equilibrium import BRACKET_CAP
-from meshecon.model import (_unit, connect_probability_array, hop_distance_array,
+from meshecon.model import (_json_text, _unit, connect_probability_array, hop_distance_array,
                             intermediate_count_array, nodes_within_array)
 from conftest import make_params
 import oracles
@@ -375,6 +376,55 @@ def test_params_json_round_trip(defaults):
         params_from_json("[]")
 
 
+def _stdlib_json_text(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+_json_floats = st.one_of(
+    st.floats(),
+    st.floats(max_value=2.2250738585072014e-308, min_value=-2.2250738585072014e-308),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e-05, 1e16]),
+)
+_json_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(min_value=2**64, max_value=2**200),
+    _json_floats, st.text(st.characters(exclude_categories=())),
+)
+_json_values = st.recursive(_json_scalars, lambda children: st.one_of(
+    st.lists(children, max_size=4), st.lists(children, max_size=4).map(tuple),
+    st.dictionaries(st.text(st.characters(exclude_categories=()), max_size=4), children,
+                    max_size=4),
+), max_leaves=20)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_json_values)
+@example([])
+@example({})
+@example(())
+@example({"b": [1.0, -0.0, 5e-324], "a": {}, "": [[], {"x": ()}]})
+@example([math.nan, math.inf, -math.inf, 1e-05, 1e16, 2**64 + 1, -(2**70), True, False, None])
+@example(['"quoted" \\ back\\slash', "\x00\x1f\x7f", "é ü 日本 🚀", "\ud800 lone", "\udfff"])
+def test_json_text_is_the_stdlib_indent_text(value):
+    assert _json_text(value) == _stdlib_json_text(value)
+
+
+def test_json_text_refuses_what_the_stdlib_refuses():
+    for value in (np.int64(1), {1.5}, object(), [1, {"k": np.int64(2)}], {"k": (object(),)}):
+        with pytest.raises(TypeError):
+            _stdlib_json_text(value)
+        with pytest.raises(TypeError):
+            _json_text(value)
+    with pytest.raises(TypeError):  # the stdlib would write it as "1"
+        _json_text({1: 0.5})
+
+
+@pytest.mark.parametrize("x", [0.1, 1e16, -0.0, 5e-324, math.nan, math.inf, -math.inf])
+def test_json_text_prints_numpy_floats_as_the_stdlib_does(x):
+    value = {"x": np.float64(x), "xs": [np.float64(x)]}
+    assert _json_text(value) == _stdlib_json_text(value)
+    assert _json_text(np.float64(x)) == _stdlib_json_text(np.float64(x))
+
+
 def test_params_dict_unknown_and_missing_keys(defaults):
     d = params_to_dict(defaults)
     d["extra"] = 1.0
@@ -393,6 +443,14 @@ def test_params_kv_rejects_garbage_and_duplicates():
         params_from_kv("n 10\n")
     with pytest.raises(ParamError, match="duplicate"):
         params_from_kv("n=10\nn=11\n")
+
+
+def test_params_json_rejects_duplicates(defaults):
+    # json.loads alone keeps the last of two keys: this would load n = 12
+    text = params_to_json(defaults).replace('"n": 10.0', '"n": 10.0, "n": 12.0')
+    assert json.loads(text)["n"] == 12.0
+    with pytest.raises(ParamError, match="^duplicate key 'n' in JSON parameter file$"):
+        params_from_json(text)
 
 
 def test_params_kv_allows_comments_and_blank_lines(defaults):
