@@ -16,10 +16,14 @@ branch on them.
 
 Output files (--output and --trace) get the umask's mode. They are written
 to a temporary name and renamed into place, so a failed command never
-leaves a partial file; an existing FIFO or device is written in place. A
-path that ends in a symbolic link, or holds "..", is resolved first
-(os.path.realpath): the temporary file goes beside the file the kernel
-would open and replaces that file, so a link stays a link.
+leaves a partial file; an existing FIFO or device is written in place. The
+temporary file is created beside its target with os.open, under a random
+".meshecon-" name that no file holds, with mode 0o666, which the kernel
+cuts by the umask. A report goes to it as bytes, in os.write calls, and a
+trace through a UTF-8 text stream on the same descriptor. A path that ends
+in a symbolic link, or holds "..", is resolved first (os.path.realpath):
+the temporary file goes beside the file the kernel would open and replaces
+that file, so a link stays a link.
 
 This module alone turns results into output bytes: the records hand it
 data (to_json_dict, solved_points), and it writes the JSON text and the
@@ -48,7 +52,6 @@ import io
 import math
 import os
 import sys
-import tempfile
 
 from .equilibrium import compare_regimes
 from .errors import NumericsError, ParamError
@@ -110,29 +113,42 @@ def _load_params(args):
     return params_from_dict(base)
 
 
+_WRITE = os.O_WRONLY | os.O_CREAT | os.O_CLOEXEC  # an output file's flags
+
+
 @contextlib.contextmanager
 def _atomic_file(path: str):
-    """A text stream on a temporary file beside path, renamed onto path when
-    the block completes and removed when it raises. A special file at path
+    """A descriptor open for writing on a new temporary file beside path,
+    renamed onto path when the block completes and removed when it raises.
+    The file is created with mode 0o666, which the kernel cuts by the umask,
+    under a random name that no file holds (O_EXCL). A special file at path
     is written in place: renaming over it would replace it. A symbolic link
     is followed: the file it names is replaced, and the link is kept."""
     if os.path.exists(path) and not os.path.isfile(path):
-        with open(path, "w", encoding="utf-8") as fh:
-            yield fh
+        fd = os.open(path, _WRITE | os.O_TRUNC, 0o666)
+        try:
+            yield fd
+        finally:
+            os.close(fd)
         return
     # realpath reads every component, about 2 % of a solve request on
     # perfbench's output paths; the text of path names the file the kernel
     # opens unless its last component is a link or a ".." may climb out of
     # a linked folder
     target = os.path.realpath(path) if ".." in path or os.path.islink(path) else path
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(target)),
-                               prefix=".meshecon-")
+    folder = os.path.dirname(os.path.abspath(target))
+    while True:
+        tmp = os.path.join(folder, ".meshecon-" + os.urandom(6).hex())
+        try:
+            fd = os.open(tmp, _WRITE | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:  # a file holds that name: draw another
+            pass
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            umask = os.umask(0o777)  # reading the umask means setting it
-            os.umask(umask)
-            os.fchmod(fd, 0o666 & ~umask)  # mkstemp creates 0600
-            yield fh
+        try:
+            yield fd
+        finally:
+            os.close(fd)
         os.replace(tmp, target)
     except BaseException:
         if os.path.exists(tmp):
@@ -144,8 +160,10 @@ def _emit(text: str, output: str | None) -> None:
     if output is None:
         sys.stdout.write(text)
         return
-    with _atomic_file(output) as fh:
-        fh.write(text)
+    data = memoryview(text.encode("utf-8"))
+    with _atomic_file(output) as fd:
+        while data:  # os.write may write only part of what it is given
+            data = data[os.write(fd, data):]
 
 
 def _report_text(fmt: str, utilities, json_obj) -> str:
@@ -229,7 +247,8 @@ def cmd_simulate(args) -> int:
     )
     record = estimate_vs_analytic(config, collect_events=bool(args.trace))
     if args.trace:
-        with _atomic_file(args.trace) as fh:
+        with (_atomic_file(args.trace) as fd,
+              open(fd, "w", encoding="utf-8", closefd=False) as fh):
             write_event_trace(record.outcome.events, fh)
     _emit(_json_text(record.to_json_dict()), args.output)
     return EXIT_OK

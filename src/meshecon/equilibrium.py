@@ -29,7 +29,10 @@ aggregate welfare n^2 x per-node utility — the per-node sum is the club
 member's objective). The scan's argmax is refined in rounds that place
 REFINE_POINTS densities the same way around the vertex of the parabola
 through the cell's ends and its argmax, and keep the two cells around the
-round's argmax, until b - a is within tolerance. A maximum
+round's argmax, until b - a is within tolerance. The result is the midpoint
+of the last cell, whose roles come from the last round: a round whose kept
+cell could end the refinement evaluates the midpoint of each such cell too.
+A maximum
 pinned to a bracket edge is surfaced as BoundaryOptimum rather than
 reported as an interior solution, since its economics are ambiguous.
 
@@ -39,7 +42,7 @@ A result holds the RegimeUtilities at its density and the SolverDiagnostics
 
 Each solver is a step routine: a generator that yields the Y values it needs
 next (bracket doublings, the scan grid, a refinement round, the scaling
-densities, the club's midpoint) and is sent their (3, m) role array, as
+densities) and is sent their (3, m) role array, as
 utility_arrays returns it. The bracket is one step, _bracket_steps: one call
 on the doublings and any riders, which picks the upper end, and the scan
 returns the bracket with its grid. _lockstep groups the steps into
@@ -50,14 +53,14 @@ once and makes one evaluation per round for all pending densities of a
 regime: the scaling densities ride in the bracket's doubling call, as
 without peering do free entry's Y = 2 and closed-form root, free entry under
 competitive pricing and the club refine in lockstep on one shared scan, and
-the club's midpoint rides in a free-entry round when one is left; on the
-default template that is 9 evaluations, 1 without peering. A refinement
+the club's midpoint rides in its last round; on the default template that
+is 8 evaluations, 1 without peering. A refinement
 carries its densities' roles in a cell of plain floats, a list of
 (Y, (orig, inter, out)) points sorted by Y, so each result takes its roles
 from the round that evaluated its density. _lockstep only batches: it
 evaluates a round unchecked and sends each solver its own columns, and each
 step checks the columns it reads (the bracket its doublings up to its upper end, and
-n = Y / d_max at both ends), raising the NumericsError utility_arrays would
+n = Y / d_max at both ends; the club the one midpoint it reports), raising the NumericsError utility_arrays would
 raise for them. So errors surface as in a sequential run: a solver's error
 waits until the solvers before it have finished.
 """
@@ -269,14 +272,17 @@ def _points(ys, roles):
     return list(zip(ys.tolist(), zip(*roles.tolist())))
 
 
-def _refine_steps(template, regime, cell, estimate, rungs):
+def _refine_steps(template, regime, cell, estimate, rungs, span=-math.inf):
     """One refinement round in the cell, a list of points sorted by density,
     from cell[0] to cell[-1]. The round evaluates the estimate and, toward
     each end of the cell, the densities at the fractions rungs of the way
     there, kept at least two ulps apart; where those do not fall apart and in
     order inside the cell, REFINE_POINTS evenly spaced densities instead. It
-    evaluates no density of the cell again. Returns the round's points with
-    the cell's, sorted by density."""
+    evaluates no density of the cell again. In the same call it evaluates,
+    unchecked, the midpoint of each triple of consecutive densities of the
+    result that spans at most span in Y, unless that midpoint is a density
+    of the result. Returns the round's points with the cell's, sorted by
+    density, and the midpoints' points."""
     a, b = cell[0][0], cell[-1][0]
     ulp = math.ulp(b)
     below = [estimate - max((estimate - a) * r, ulp * k) for r, k in zip(rungs, _ULPS)]
@@ -286,8 +292,13 @@ def _refine_steps(template, regime, cell, estimate, rungs):
         new = np.linspace(a, b, REFINE_POINTS + 2)[1:-1].tolist()
     inner = [x for x, _ in cell[1:-1]]
     new = [x for x in new if x not in inner]
-    roles = yield from _evaluate(template, regime, new)
-    return sorted(cell + list(zip(new, zip(*roles.tolist()))), key=itemgetter(0))
+    xs = sorted([x for x, _ in cell] + new)
+    mids = sorted({0.5 * (lo + hi) for lo, hi in zip(xs, xs[2:]) if hi - lo <= span} - set(xs))
+    roles = yield new + mids
+    checked = roles[:, : len(new)]
+    _raise_not_finite(regime, new, checked, template.d_max)
+    riders = list(zip(mids, zip(*roles[:, len(new) :].tolist())))
+    return sorted(cell + list(zip(new, zip(*checked.tolist()))), key=itemgetter(0)), riders
 
 
 def _solved(kind, template, regime, y_star, column, bracket, iterations, residual, notes=()):
@@ -377,7 +388,7 @@ def _free_entry_steps(template, regime, scanned):
         (a, _), (b, _) = cell
         fa, fb = fs
         estimate = a + fa / (fa - fb) * (b - a)
-        cell = yield from _refine_steps(template, regime, cell, estimate, _FREE_ENTRY_RUNGS)
+        cell, _ = yield from _refine_steps(template, regime, cell, estimate, _FREE_ENTRY_RUNGS)
         fs = [sum(r) for _, r in cell]
         j = max(j for j in range(len(fs) - 1) if fs[j] > 0 >= fs[j + 1])
         cell, fs = cell[j : j + 2], fs[j : j + 2]
@@ -402,8 +413,8 @@ def club_optimal_density(template: ModelParams) -> EquilibriumResult:
 
 
 def _club_steps(template, regime, scanned):
-    """club_optimal_density's steps on a scan: its refinement rounds, then
-    the midpoint."""
+    """club_optimal_density's steps on a scan: its refinement rounds, the
+    last of which evaluates the midpoint it reports."""
     grid, roles, bracket = scanned
     values = sum(roles)
     k = int(np.argmax(values))
@@ -424,16 +435,22 @@ def _club_steps(template, regime, scanned):
     cell = _points(grid[k - 1 : k + 2], roles[:, k - 1 : k + 2])
     iterations = 0
     while cell[-1][0] - cell[0][0] > DENSITY_TOL and iterations < MAX_ROUNDS:
-        cell = yield from _refine_steps(template, regime, cell, _vertex(cell), _CLUB_RUNGS)
+        iterations += 1
+        # every triple that could end the loop brings its midpoint's roles
+        span = math.inf if iterations == MAX_ROUNDS else DENSITY_TOL
+        cell, riders = yield from _refine_steps(template, regime, cell, _vertex(cell),
+                                                _CLUB_RUNGS, span)
         totals = [sum(r) for _, r in cell]
         j = totals.index(max(totals))  # the first of equal totals
         cell = cell[j - 1 : j + 2]
-        iterations += 1
     (a, _), (m, column), (b, _) = cell
 
+    # the scan's cell spans two grid steps, so a round has run; y_star lies
+    # strictly between a and b, the neighbours of m, so it is m or a rider
     y_star = 0.5 * (a + b)
     if y_star != m:
-        column = tuple((yield from _evaluate(template, regime, [y_star]))[:, 0].tolist())
+        column = dict(riders)[y_star]
+        _raise_not_finite(regime, [y_star], np.reshape(column, (3, 1)), template.d_max)
     res = _solved(EquilibriumKind.CLUB_OPTIMUM, template, regime, y_star,
                   column, bracket, iterations, (b - a) / template.d_max, notes)
     if not (res.total_eu_at_n_star >= 0):

@@ -284,12 +284,26 @@ def _basis(template, regime, big_y):
     disc_cost = 2 * (disc / big_y) ** beta * disc * disc / (beta + 2)
     # The annulus's cost integrals take the Gauss-Legendre rule in s = log(y - 1),
     # with hops = I + 1 = y - 1 at the nodes and D / d_max = (1 + 1 / hops) / Y; where
-    # Y <= 2 the nodes sit at y = 2 with weight 0, and top = 2 keeps their c(D) finite
+    # Y <= 2 the nodes sit at y = 2 with weight 0, and top = 2 keeps their c(D) finite.
+    # The (m, nodes) arrays are three buffers, worked in place:
+    # weights = (s/2 wt) hops (1 + hops) ((1 + 1 / hops) / top)^beta, in that order
     one_plus_t, two_wt = _annulus_rule(ANNULUS_NODES)
     s_half = log_hops[:, None] / 2
-    hops = np.exp(s_half * one_plus_t)
-    weights = (s_half * two_wt) * hops * (1 + hops) * ((1 + 1 / hops) / top[:, None]) ** beta
-    annulus_cost = lambda g: np.sum(g * weights, axis=1)  # int g c(D) 2y dy / c(d_max)
+    hops = np.multiply(s_half, one_plus_t)
+    np.exp(hops, out=hops)
+    weights = np.multiply(s_half, two_wt)
+    weights *= hops
+    scratch = np.add(1, hops)
+    weights *= scratch
+    np.divide(1, hops, out=scratch)
+    scratch += 1
+    scratch /= top[:, None]
+    scratch **= beta
+    weights *= scratch
+
+    def annulus_cost(g):  # int g c(D) 2y dy / c(d_max)
+        return np.sum(np.multiply(g, weights, out=scratch), axis=1)
+
     relays = 2 * rim * rim * (rim + 3) / 3  # int I 2y dy
     # outsiders: int (I + 1) max(0, pi (n D)^2 - k) 2y dy, where PERFCOMP's k = 2
     # exempts each hop's receiver: (pi/2) (y^2 - k/pi)^2 on the disc past the clamp,

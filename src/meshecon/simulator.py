@@ -520,15 +520,21 @@ def _failing_nodes(rng: np.random.Generator, q: float, n_nodes: int) -> np.ndarr
     each independently with probability q > 0: the partial sums of
     rng.geometric(q) gaps, minus one, that fall below n_nodes.
 
-    The gaps come in batches sized to reach n_nodes at the mean count plus
-    four standard deviations, with more batches while they fall short;
-    nothing is drawn after them, so the batch size moves no output. Each gap
-    is clipped at n_nodes + 1 before the sum, since numpy returns INT64_MAX
-    for a gap past that range at tiny q.
+    The first gap is drawn alone: at small q it mostly lands past the last
+    node, and no node fails. The rest come in batches sized to reach
+    n_nodes at the mean count plus four standard deviations, with more
+    batches while they fall short; nothing is drawn after them, so the
+    batch sizes move no output. numpy returns INT64_MAX for a gap past that
+    range at tiny q, so each batched gap is clipped at n_nodes + 1 before
+    the sum; the first is compared with n_nodes before any sum.
     """
+    first = rng.geometric(q, 1) - 1  # the first position
+    last = int(first[0])  # the latest position summed so far
+    if last >= n_nodes:
+        return first[:0]
     mean = n_nodes * q
     batch = min(n_nodes, int(mean + 4.0 * math.sqrt(mean)) + 1)
-    batches, last = [], -1  # last: the latest position summed so far
+    batches = [first]
     while last < n_nodes - 1:
         gaps = np.minimum(rng.geometric(q, batch), n_nodes + 1)
         gaps[0] += last  # so that the partial sums are the positions
@@ -603,7 +609,8 @@ def run_instant(
         hist = np.bincount(ks, minlength=k_offsets)
         if q_fail > 0.0:
             failing = _failing_nodes(rng, q_fail, n_nodes)
-            hist -= np.bincount(ks[failing], minlength=k_offsets)
+            if failing.size:
+                hist -= np.bincount(ks[failing], minlength=k_offsets)
         hist = hist.astype(np.float64)
 
         n_conn[trial] = n_nodes - failing.size

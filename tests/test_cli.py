@@ -4,7 +4,6 @@ import json
 import math
 import os
 import stat
-import tempfile
 
 import numpy as np
 import pytest
@@ -499,6 +498,61 @@ def test_output_to_a_fifo_is_written_in_place(capsys, tmp_path):
     assert received.decode() == run(capsys, "eval")[1]
 
 
+def _replaced_sources(monkeypatch) -> list:
+    """The paths os.replace renames from, the temporary files, recorded
+    until the test ends."""
+    sources = []
+    real_replace = os.replace
+
+    def replace(src, dst):
+        sources.append(src)
+        return real_replace(src, dst)
+    monkeypatch.setattr(os, "replace", replace)
+    return sources
+
+
+def test_output_is_complete_when_each_write_takes_part_of_it(capsys, tmp_path, monkeypatch):
+    # os.write may write fewer bytes than it is given; each call goes on
+    # from where the last one stopped
+    real_write = os.write
+    sizes = []
+
+    def write(fd, data):
+        sizes.append(len(data))
+        return real_write(fd, data[:7])
+    monkeypatch.setattr(os, "write", write)
+    target = tmp_path / "out.json"
+    assert run(capsys, "equilibrium", "--output", str(target))[:2] == (0, "")
+    monkeypatch.undo()
+    expected = run(capsys, "equilibrium")[1].encode()
+    assert target.read_bytes() == expected
+    assert sizes == list(range(len(expected), 0, -7))
+
+
+def test_a_file_on_a_temporary_name_is_skipped_and_left_alone(capsys, tmp_path, monkeypatch):
+    # the temporary file's name is drawn at random; here the second run's
+    # first draw repeats the first run's, finds the file left under that
+    # name, and the writer draws again
+    real_urandom = os.urandom
+    repeat = iter([True, True])
+    monkeypatch.setattr(os, "urandom",
+                        lambda size: bytes(size) if next(repeat, False) else real_urandom(size))
+    sources = _replaced_sources(monkeypatch)
+    target = tmp_path / "out.json"
+    assert run(capsys, "validate", "--output", str(target))[:2] == (0, "")
+    squatter = sources[0]
+    with open(squatter, "wb") as fh:
+        fh.write(b"squatter\n")
+    os.chmod(squatter, 0o400)
+    assert run(capsys, "validate", "--output", str(target))[:2] == (0, "")
+    assert len(sources) == 2 and sources[1] != squatter
+    assert target.read_text() == run(capsys, "validate")[1]
+    with open(squatter, "rb") as fh:
+        assert fh.read() == b"squatter\n"
+    assert stat.S_IMODE(os.stat(squatter).st_mode) == 0o400
+    assert sorted(os.listdir(tmp_path)) == sorted(["out.json", os.path.basename(squatter)])
+
+
 @pytest.mark.parametrize("flag, argv", [
     ("--output", ["validate"]),
     ("--trace", ["simulate", "--side", "11", "--trials", "30", "--set", "n=5"]),
@@ -517,16 +571,10 @@ def test_output_through_a_symlink_replaces_the_file_it_names(capsys, tmp_path, m
     target.write_bytes(b"old bytes\n")
     link = tmp_path / "link"
     link.symlink_to(target if elsewhere else "target")
-    folders = []
-    real_mkstemp = tempfile.mkstemp
-
-    def mkstemp(**kwargs):
-        folders.append(kwargs["dir"])
-        return real_mkstemp(**kwargs)
-    monkeypatch.setattr(tempfile, "mkstemp", mkstemp)
+    sources = _replaced_sources(monkeypatch)
     code, _, _ = run(capsys, *argv, flag, str(link))
     assert code == 0
-    assert folders == [os.path.realpath(folder)]
+    assert [os.path.dirname(src) for src in sources] == [os.path.realpath(folder)]
     assert link.is_symlink() and link.resolve() == target.resolve()
     assert target.read_bytes() == plain.read_bytes()
     leftovers = [p for p in (*tmp_path.iterdir(), *folder.iterdir())
@@ -542,16 +590,10 @@ def test_output_after_a_linked_folder_and_dotdot_goes_where_the_kernel_puts_it(
     real = tmp_path / "real"
     (real / "folder").mkdir(parents=True)
     (tmp_path / "link").symlink_to(real / "folder")
-    folders = []
-    real_mkstemp = tempfile.mkstemp
-
-    def mkstemp(**kwargs):
-        folders.append(kwargs["dir"])
-        return real_mkstemp(**kwargs)
-    monkeypatch.setattr(tempfile, "mkstemp", mkstemp)
+    sources = _replaced_sources(monkeypatch)
     code, out, _ = run(capsys, "validate", "--output", os.path.join(tmp_path, "link", "..", "out"))
     assert (code, out) == (0, "")
-    assert folders == [os.path.realpath(real)]
+    assert [os.path.dirname(src) for src in sources] == [os.path.realpath(real)]
     assert (real / "out").read_text() == run(capsys, "validate")[1]
     assert not (tmp_path / "out").exists()
 

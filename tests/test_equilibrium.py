@@ -247,7 +247,7 @@ def _round(xs, estimate, rungs):
     new = np.array(next(steps))
     with pytest.raises(StopIteration) as stop:
         steps.send(np.vstack([new, 0 * new, 0 * new]))
-    cell = stop.value.value
+    cell, _ = stop.value.value
     return new, (np.array([x for x, _ in cell]), np.array([r for _, r in cell]).T)
 
 
@@ -586,18 +586,21 @@ def test_compare_regimes_shares_one_competitive_scan(defaults, utility_calls):
     assert [r for r, _ in utility_calls].count(Regime.NO_PEERING) == 1
     # the doubling call has evaluated the grid's last density, the bracket's end
     assert sum(np.array_equal(d, grid[:-1]) for d in pc) == 1
-    # free entry takes its result from the round that found n*: the one
-    # one-density call is the club's midpoint, after free entry has finished
-    assert [float(d[0]) for _, d in utility_calls if len(d) == 1] == [report.club.n_star]
-    # 12 with free entry's scan and rounds without peering, 20 with evenly
-    # spaced rounds, 31 when the solvers ran one after another
-    assert len(utility_calls) == 9
+    # free entry takes its result from the round that found n*, and the club
+    # its midpoint's from its last round: no call evaluates one density
+    assert not [d for _, d in utility_calls if len(d) == 1]
+    assert sum(report.club.n_star in d.tolist() for d in pc) == 1
+    # 9 with a call of its own for the club's midpoint, 12 with free entry's
+    # scan and rounds without peering, 20 with evenly spaced rounds, 31 when
+    # the solvers ran one after another
+    assert len(utility_calls) == 8
 
 
 def test_compare_regimes_evaluates_each_density_once_in_few_calls(defaults, utility_calls):
     # the doubling call evaluates the scan grid's last density, and the club
-    # carries its argmax from round to round and takes its midpoint's roles
-    # from it when the two coincide
+    # carries its argmax from round to round, takes its midpoint's roles from
+    # it when the two coincide, and evaluates no midpoint that is a density of
+    # its last round
     calls = []
     for t in [defaults] + [p for p, _ in random_draws(20, seed=31)]:
         utility_calls.clear()
@@ -606,7 +609,29 @@ def test_compare_regimes_evaluates_each_density_once_in_few_calls(defaults, util
         for regime in (Regime.NO_PEERING, PERFCOMP):
             densities = np.concatenate([d for r, d in utility_calls if r is regime]).tolist()
             assert len(set(densities)) == len(densities)
-    assert np.mean(calls) <= 7.2
+    assert np.mean(calls) <= 6.4
+
+
+def test_club_roles_equal_a_one_density_call_at_its_density(defaults, utility_calls):
+    # the club's midpoint rides in its last round, and a batch moves no bit:
+    # its roles are those of a call on its density Y* alone, which
+    # utility_arrays makes at n* wherever n* d_max rounds back to Y*
+    solved = round_trips = 0
+    for t in [defaults] + [p for p, _ in random_draws(20, seed=31)]:
+        utility_calls.clear()
+        club = compare_regimes(t).club
+        if not isinstance(club, EquilibriumResult):
+            continue
+        solved += 1
+        (y_star,) = {y for r, d in utility_calls if r is PERFCOMP for y in d.tolist()
+                     if y / t.d_max == club.n_star}
+        alone = _roles(t, PERFCOMP, np.array([y_star]))[:, 0].tolist()
+        u = club.utilities
+        assert [u.eu_originator, u.eu_intermediate, u.eu_outsider] == alone
+        if club.n_star * t.d_max == y_star:
+            round_trips += 1
+            assert utility_arrays(t, PERFCOMP, [club.n_star])[:, 0].tolist() == alone
+    assert solved >= 15 and round_trips >= solved - 2
 
 
 def test_free_entry_takes_at_most_three_rounds(defaults):

@@ -95,3 +95,17 @@ def test_one_json_writer_in_the_package():
 
     assert "model.params_from_json" in _package_sites(lambda node: called(node) == "loads")
     assert _package_sites(indented_dump) == []
+
+
+def test_output_files_get_their_mode_from_the_kernel():
+    # cli creates each temporary output file itself with mode 0o666, which
+    # the kernel cuts by the umask; mkstemp would create it 0600, and reading
+    # the umask to correct that means setting it
+    names = {"mkstemp", "umask", "fchmod"}
+
+    def named(node):
+        return (isinstance(node, ast.Attribute) and node.attr in names
+                or isinstance(node, ast.Name) and node.id in names
+                or isinstance(node, ast.alias) and node.name in names)
+
+    assert _package_sites(named) == []

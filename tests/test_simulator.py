@@ -415,6 +415,9 @@ CASES = {
     "full_demand": dict(seed=42, z=1e-12),
     "min_side": dict(seed=43, side=21),
     "below_full": dict(seed=44, z=2.0 ** (-53 / 316)),
+    # q = z^316 = 9.3e-7: most trials' first gap lands past the lattice, and
+    # at this seed trial 1 has one failing node
+    "rare_failure": dict(seed=296, z=0.957),
 }
 
 
@@ -434,6 +437,9 @@ def _check_case_demand(cfg, case):
         assert p_conn == 1.0
     if case == "below_full":
         assert p_conn == math.nextafter(1.0, 0.0) < 1.0
+    if case == "rare_failure":
+        assert 0.0 < 1.0 - p_conn < 1e-6
+        assert [(~_trial_draws(cfg, build_lattice(cfg), t)[1]).sum() for t in range(2)] == [0, 1]
     if case.endswith("partial"):
         assert 0.3 < p_conn < 0.6
 
