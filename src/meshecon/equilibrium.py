@@ -68,7 +68,7 @@ waits until the solvers before it have finished.
 import math
 from dataclasses import dataclass
 from enum import Enum
-from operator import itemgetter
+from operator import itemgetter, mul
 
 import numpy as np
 
@@ -504,10 +504,12 @@ def _scaling_steps(template, regime, y_values):
             f"outsider utility is zero at n={y_values[zero.argmax()] / template.d_max!r} "
             f"(w=0?); log-log fit undefined"
         )
-    # the least-squares slope, with both coordinates centred
+    # the least-squares slope, with both coordinates centred; its sums are
+    # fsum's correctly rounded ones, not BLAS ddot's, whose summation order
+    # follows the CPU kernel it picks at run time
     x, y = np.log(y_values), np.log(np.abs(outs))
-    x -= x.mean()
-    return float(x @ (y - y.mean()) / (x @ x))
+    x, y = (x - x.mean()).tolist(), (y - y.mean()).tolist()
+    return math.fsum(map(mul, x, y)) / math.fsum(map(mul, x, x))
 
 
 # --------------------------------------------------------------------------

@@ -5,7 +5,12 @@ its argv, exit code, stderr text and the sha256 of its stdout, of its
 --output file and of its --trace file (null when none was written). tests/test_golden.py replays
 every request and compares. The digests depend on numpy's build (its log
 and power differ from math's in the last bit on some inputs), so the
-manifest records the numpy and Python versions it was made with.
+manifest records the numpy and Python versions it was made with. They
+also depend on the SIMD kernels numpy picks for the CPU: with its AVX-512
+kernels off (NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"), 17
+requests of numpy 2.4.6's manifest move. They do not depend on the BLAS
+kernel OpenBLAS picks at run time (OPENBLAS_CORETYPE): no reported number
+goes through BLAS.
 
 Regenerate only when a change means to move bytes, and list in CHANGES.md
 which requests moved and why:

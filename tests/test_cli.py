@@ -813,6 +813,33 @@ def test_simulate_in_a_fresh_interpreter_matches_in_process(capsys):
     assert (code, proc.stdout) == (0, out.encode())
 
 
+def _cpu_flags():
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as info:
+            return set(info.read().split())
+    except OSError:
+        return set()
+
+
+# the kernels' CPU flags as Linux lists them (pni is SSE3)
+@pytest.mark.parametrize("coretype, flag", [("Haswell", "avx2"), ("Prescott", "pni")])
+def test_equilibrium_bytes_do_not_depend_on_the_blas_kernel(capsys, coretype, flag):
+    # OpenBLAS picks its CPU kernel at run time, and ddot's summation order
+    # follows the kernel: the scaling slope's sums once went through it and
+    # moved the default report's last digits under an AVX2-only kernel
+    import platform
+    import subprocess
+    import sys
+
+    if platform.machine().lower() not in ("x86_64", "amd64") or flag not in _cpu_flags():
+        pytest.skip(f"OpenBLAS's {coretype} kernel needs an x86-64 CPU with {flag}")
+    proc = subprocess.run([sys.executable, "-m", "meshecon", "equilibrium"], capture_output=True,
+                          env=dict(_package_env(), OPENBLAS_CORETYPE=coretype), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    code, out, _ = run(capsys, "equilibrium")
+    assert (code, proc.stdout) == (0, out.encode())
+
+
 def test_equilibrium_leaves_numpy_ma_unloaded():
     # np.unique imports numpy.ma on its first call, about 1 MiB of resident
     # memory that the equilibrium command has no use for
