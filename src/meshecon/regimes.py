@@ -42,8 +42,11 @@ one-density call. Every role is an elementary closed form, clamps included,
 but for the peering cost integrals int g c(D) 2y dy (g = 1, I or I + 1)
 over the relayed annulus 2 < y <= Y. Those take one fixed rule in
 s = log(y - 1), 48 Gauss-Legendre nodes per density (ANNULUS_NODES; Golub &
-Welsch 1969), which a 96-node rule matches to 1e-13 relative. Non-finite
-utilities raise NumericsError, overflows too.
+Welsch 1969), which a 96-node rule matches to 1e-13 relative. The rule is a
+table of float constants, the bits of numpy's leggauss(48), so evaluating a
+regime never imports numpy.polynomial; only integrate(), which nothing in
+the package calls, does. Non-finite utilities raise NumericsError,
+overflows too.
 
 All operations are pure functions; nothing here holds mutable state.
 """
@@ -213,16 +216,49 @@ def integrate(f, lo: float, hi: float, tol: float = DEFAULT_TOL) -> float:
 # Expected utilities per regime
 
 
-# Nodes of utility_arrays' annulus rule; 32 would already move the printed
-# utilities by ulps.
-ANNULUS_NODES = 48
+# The 48-node Gauss-Legendre rule on [-1, 1] (Golub & Welsch 1969) as numpy's
+# leggauss(48) gives it, which is antisymmetric in its nodes t and symmetric in
+# its weights wt, bit for bit: (t, wt) at its 24 positive nodes, ascending.
+# 32 nodes would already move the printed utilities by ulps.
+_LEGENDRE_48_HALF = (
+    (0.03238017096286937, 0.06473769681268365),
+    (0.0970046992094627, 0.06446616443594982),
+    (0.1612223560688917, 0.06392423858464787),
+    (0.22476379039468905, 0.06311419228625373),
+    (0.28736248735545555, 0.06203942315989242),
+    (0.3487558862921607, 0.0607044391658936),
+    (0.4086864819907167, 0.059114839698395344),
+    (0.4669029047509584, 0.057277292100402916),
+    (0.523160974722233, 0.05519950369998403),
+    (0.5772247260839727, 0.05289018948519344),
+    (0.6288673967765136, 0.0503590355538542),
+    (0.6778723796326639, 0.04761665849249024),
+    (0.7240341309238146, 0.04467456085669423),
+    (0.7671590325157404, 0.04154508294346455),
+    (0.8070662040294426, 0.0382413510658305),
+    (0.8435882616243935, 0.034777222564770394),
+    (0.8765720202742479, 0.031167227832798097),
+    (0.9058791367155696, 0.027426509708357034),
+    (0.9313866907065543, 0.023570760839324047),
+    (0.9529877031604308, 0.019616160457356056),
+    (0.9705915925462473, 0.015579315722943226),
+    (0.9841245837228269, 0.011477234579234614),
+    (0.9935301722663508, 0.007327553901276135),
+    (0.9987710072524261, 0.0031533460523098414),
+)
 
 
-@functools.lru_cache(maxsize=None)
-def _annulus_rule(m: int):
-    """1 + t and 2 wt for the nodes t and weights wt of the m-node rule."""
-    t, wt = _legendre(m)
-    return 1 + t, 2 * wt
+def _mirrored(half):
+    """The nodes t and weights wt, ascending in t, of the rule on [-1, 1]
+    whose (t, wt) pairs at its positive nodes are half."""
+    t, wt = np.array(half).T
+    return np.concatenate([-t[::-1], t]), np.concatenate([wt[::-1], wt])
+
+
+_LEGENDRE_48 = _mirrored(_LEGENDRE_48_HALF)
+# utility_arrays' annulus rule: 1 + t and 2 wt
+_ANNULUS_RULE = 1 + _LEGENDRE_48[0], 2 * _LEGENDRE_48[1]
+ANNULUS_NODES = len(_ANNULUS_RULE[0])
 
 
 def utility_arrays(template: ModelParams, regime: Regime, densities):
@@ -287,7 +323,7 @@ def _basis(template, regime, big_y):
     # Y <= 2 the nodes sit at y = 2 with weight 0, and top = 2 keeps their c(D) finite.
     # The (m, nodes) arrays are three buffers, worked in place:
     # weights = (s/2 wt) hops (1 + hops) ((1 + 1 / hops) / top)^beta, in that order
-    one_plus_t, two_wt = _annulus_rule(ANNULUS_NODES)
+    one_plus_t, two_wt = _ANNULUS_RULE
     s_half = log_hops[:, None] / 2
     hops = np.multiply(s_half, one_plus_t)
     np.exp(hops, out=hops)

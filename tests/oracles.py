@@ -184,6 +184,33 @@ def club_argmax_mp() -> tuple[float, float]:
     return float(n_star), float(g(n_star))
 
 
+def gauss_legendre_mp(m: int) -> list:
+    """The m-node Gauss-Legendre rule on [-1, 1] at the working precision,
+    as (node, weight) mpf pairs in ascending node order: the nodes are the
+    roots of P_m, by Newton's method from cos(pi (k - 1/4) / (m + 1/2)), and
+    a node x has weight 2 / ((1 - x^2) P_m'(x)^2). P_m and P_m' come from
+    the three-term recurrence."""
+    def legendre(x):
+        p0, p1 = mp.mpf(1), x
+        for k in range(2, m + 1):
+            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        return p1, m * (x * p1 - p0) / (x * x - 1)
+
+    rule = []
+    for k in range(1, m + 1):
+        x = mp.cos(mp.pi * (k - mp.mpf(0.25)) / (m + mp.mpf(0.5)))
+        for _ in range(50):
+            p, dp = legendre(x)
+            x -= p / dp
+            if abs(p / dp) <= mp.eps:
+                break
+        else:
+            raise ArithmeticError(f"Newton's method missed root {k} of P_{m}")
+        dp = legendre(x)[1]
+        rule.append((x, 2 / ((1 - x * x) * dp * dp)))
+    return sorted(rule)
+
+
 # Frozen high-precision pins for the default parameter set (values above,
 # evaluated once at 30 digits and rounded to float).
 P_DEFAULT = 0.9570344132778368

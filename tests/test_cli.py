@@ -766,8 +766,8 @@ def test_module_entry_point_subprocess():
 
 def test_cli_import_leaves_scipy_unloaded():
     # scipy is a test-only dependency; importing it made up most of the
-    # CLI's start-up time. numpy.polynomial, which gives the annulus rule's
-    # nodes, is loaded on the first peering evaluation, not on import
+    # CLI's start-up time. numpy.polynomial serves only integrate(), which
+    # no command calls
     import subprocess
     import sys
 
@@ -782,7 +782,8 @@ def test_cli_import_leaves_scipy_unloaded():
 
 def test_commands_other_than_simulate_leave_the_simulator_unloaded():
     # simulate imports the simulator, and numpy.random with it, when it runs;
-    # the other commands' start-up and work never load either
+    # the other commands' start-up and work never load either, nor
+    # numpy.polynomial, whose leggauss(48) the annulus rule's table holds
     import subprocess
     import sys
 
@@ -792,7 +793,8 @@ def test_commands_other_than_simulate_leave_the_simulator_unloaded():
             "    codes = [main(argv) for argv in (['eval'], ['equilibrium'], ['validate'],\n"
             "             ['sweep', '--axis', 'n', '--lo', '10', '--hi', '20', '--steps', '3'],\n"
             "             ['radio', '--snr', '3'])]\n"
-            "print(codes, [m for m in ('numpy.random', 'meshecon.simulator') if m in sys.modules])")
+            "print(codes, [m for m in ('numpy.random', 'meshecon.simulator', 'numpy.polynomial')\n"
+            "              if m in sys.modules])")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=_package_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -811,6 +813,23 @@ def test_simulate_in_a_fresh_interpreter_matches_in_process(capsys):
     assert proc.returncode == 0, proc.stderr
     code, out, _ = run(capsys, *argv)
     assert (code, proc.stdout) == (0, out.encode())
+
+
+def test_peering_simulate_leaves_numpy_polynomial_unloaded():
+    # the closed form it compares against evaluates the annulus rule
+    import subprocess
+    import sys
+
+    code = ("import contextlib, io, sys\n"
+            "from meshecon.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = main(['simulate', '--regime', 'PEERING_PERFECT_COMPETITION',\n"
+            "                 '--side', '21', '--trials', '30'])\n"
+            "print(code, 'numpy.polynomial' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=_package_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "False"]
 
 
 def _cpu_flags():

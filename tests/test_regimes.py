@@ -4,6 +4,7 @@ import io
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -325,9 +326,45 @@ def test_annulus_rule_converged(monkeypatch, regime, beta):
     p = make_params(d_max=d_max, w=0.03, z=0.95, a=d_max**-beta, beta=beta)
     densities = np.geomspace(1.5 / d_max, BRACKET_CAP, 60)
     rule = np.ravel(utility_arrays(p, regime, densities))
-    monkeypatch.setattr(meshecon.regimes, "ANNULUS_NODES", 96)
+    t, wt = np.polynomial.legendre.leggauss(96)
+    monkeypatch.setattr(meshecon.regimes, "_ANNULUS_RULE", (1 + t, 2 * wt))
     doubled = np.ravel(utility_arrays(p, regime, densities))
     assert doubled.tolist() == pytest.approx(rule.tolist(), rel=1e-13, abs=0.0)
+
+
+def test_annulus_rule_is_numpys_leggauss_48():
+    # the table is leggauss(48) bit for bit on the numpy build the golden
+    # manifest was made with, and within 1 ulp of it on any other
+    from golden import regen
+
+    made_with = json.loads(regen.MANIFEST.read_text(encoding="utf-8"))["numpy"]
+    t, wt = meshecon.regimes._LEGENDRE_48
+    assert (len(t), len(wt)) == (meshecon.regimes.ANNULUS_NODES, 48)
+    for got, want in zip((t, wt), np.polynomial.legendre.leggauss(48)):
+        if np.__version__ == made_with:
+            assert got.tobytes() == want.tobytes()
+        assert np.all(np.abs(got - want) <= np.spacing(np.abs(want)))
+    one_plus_t, two_wt = meshecon.regimes._ANNULUS_RULE
+    assert one_plus_t.tolist() == (1 + t).tolist() and two_wt.tolist() == (2 * wt).tolist()
+
+
+def test_annulus_rule_is_exactly_symmetric():
+    # mirroring the positive half reproduces leggauss(48) only because its
+    # nodes are exactly antisymmetric and its weights exactly symmetric
+    for t, wt in (meshecon.regimes._LEGENDRE_48, np.polynomial.legendre.leggauss(48)):
+        assert (-t[::-1]).tolist() == t.tolist() and wt[::-1].tolist() == wt.tolist()
+        assert np.all(np.diff(t) > 0) and -1 < t[0] and np.all(wt > 0)
+
+
+def test_annulus_rule_matches_mpmath_roots_of_p48():
+    # every node is within 1 ulp of a root of P_48. leggauss's weights are
+    # not so close to 2 / ((1 - x^2) P_48'(x)^2): they are off by up to
+    # 1.27e-12 relative (9 230 ulps, at the outermost nodes), and the table
+    # keeps them, so the utilities keep their bits
+    for t, wt, (node, weight) in zip(*meshecon.regimes._LEGENDRE_48,
+                                    oracles.gauss_legendre_mp(48)):
+        assert abs(mpmath.mpf(float(t)) - node) <= math.ulp(t)
+        assert abs(mpmath.mpf(float(wt)) - weight) <= 1.3e-12 * weight
 
 
 def test_peering_roles_match_mpmath_quadrature_oracle(defaults):
