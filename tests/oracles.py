@@ -201,8 +201,9 @@ def gauss_legendre_mp(m: int) -> list:
         x = mp.cos(mp.pi * (k - mp.mpf(0.25)) / (m + mp.mpf(0.5)))
         for _ in range(50):
             p, dp = legendre(x)
-            x -= p / dp
-            if abs(p / dp) <= mp.eps:
+            step = p / dp
+            x -= step
+            if abs(step) <= mp.eps:
                 break
         else:
             raise ArithmeticError(f"Newton's method missed root {k} of P_{m}")
