@@ -272,17 +272,14 @@ def _points(ys, roles):
     return list(zip(ys.tolist(), zip(*roles.tolist())))
 
 
-def _refine_steps(template, regime, cell, estimate, rungs, span=-math.inf):
+def _refine_steps(template, regime, cell, estimate, rungs):
     """One refinement round in the cell, a list of points sorted by density,
     from cell[0] to cell[-1]. The round evaluates the estimate and, toward
     each end of the cell, the densities at the fractions rungs of the way
     there, kept at least two ulps apart; where those do not fall apart and in
     order inside the cell, REFINE_POINTS evenly spaced densities instead. It
-    evaluates no density of the cell again. In the same call it evaluates,
-    unchecked, the midpoint of each triple of consecutive densities of the
-    result that spans at most span in Y, unless that midpoint is a density
-    of the result. Returns the round's points with the cell's, sorted by
-    density, and the midpoints' points."""
+    evaluates no density of the cell again. Returns the round's points with
+    the cell's, sorted by density."""
     a, b = cell[0][0], cell[-1][0]
     ulp = math.ulp(b)
     below = [estimate - max((estimate - a) * r, ulp * k) for r, k in zip(rungs, _ULPS)]
@@ -292,13 +289,9 @@ def _refine_steps(template, regime, cell, estimate, rungs, span=-math.inf):
         new = np.linspace(a, b, REFINE_POINTS + 2)[1:-1].tolist()
     inner = [x for x, _ in cell[1:-1]]
     new = [x for x in new if x not in inner]
-    xs = sorted([x for x, _ in cell] + new)
-    mids = sorted({0.5 * (lo + hi) for lo, hi in zip(xs, xs[2:]) if hi - lo <= span} - set(xs))
-    roles = yield new + mids
-    checked = roles[:, : len(new)]
-    _raise_not_finite(regime, new, checked, template.d_max)
-    riders = list(zip(mids, zip(*roles[:, len(new) :].tolist())))
-    return sorted(cell + list(zip(new, zip(*checked.tolist()))), key=itemgetter(0)), riders
+    roles = yield new
+    _raise_not_finite(regime, new, roles, template.d_max)
+    return sorted(cell + list(zip(new, zip(*roles.tolist()))), key=itemgetter(0))
 
 
 def _solved(kind, template, regime, y_star, column, bracket, iterations, residual, notes=()):
@@ -388,7 +381,7 @@ def _free_entry_steps(template, regime, scanned):
         (a, _), (b, _) = cell
         fa, fb = fs
         estimate = a + fa / (fa - fb) * (b - a)
-        cell, _ = yield from _refine_steps(template, regime, cell, estimate, _FREE_ENTRY_RUNGS)
+        cell = yield from _refine_steps(template, regime, cell, estimate, _FREE_ENTRY_RUNGS)
         fs = [sum(r) for _, r in cell]
         j = max(j for j in range(len(fs) - 1) if fs[j] > 0 >= fs[j + 1])
         cell, fs = cell[j : j + 2], fs[j : j + 2]
@@ -436,21 +429,12 @@ def _club_steps(template, regime, scanned):
     iterations = 0
     while cell[-1][0] - cell[0][0] > DENSITY_TOL and iterations < MAX_ROUNDS:
         iterations += 1
-        # every triple that could end the loop brings its midpoint's roles
-        span = math.inf if iterations == MAX_ROUNDS else DENSITY_TOL
-        cell, riders = yield from _refine_steps(template, regime, cell, _vertex(cell),
-                                                _CLUB_RUNGS, span)
+        cell = yield from _refine_steps(template, regime, cell, _vertex(cell), _CLUB_RUNGS)
         totals = [sum(r) for _, r in cell]
         j = totals.index(max(totals))  # the first of equal totals
         cell = cell[j - 1 : j + 2]
-    (a, _), (m, column), (b, _) = cell
-
-    # the scan's cell spans two grid steps, so a round has run; y_star lies
-    # strictly between a and b, the neighbours of m, so it is m or a rider
-    y_star = 0.5 * (a + b)
-    if y_star != m:
-        column = dict(riders)[y_star]
-        _raise_not_finite(regime, [y_star], np.reshape(column, (3, 1)), template.d_max)
+    # the best total evaluated, at a density the scan or a round has checked
+    (a, _), (y_star, column), (b, _) = cell
     res = _solved(EquilibriumKind.CLUB_OPTIMUM, template, regime, y_star,
                   column, bracket, iterations, (b - a) / template.d_max, notes)
     if not (res.total_eu_at_n_star >= 0):

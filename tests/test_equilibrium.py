@@ -247,7 +247,7 @@ def _round(xs, estimate, rungs):
     new = np.array(next(steps))
     with pytest.raises(StopIteration) as stop:
         steps.send(np.vstack([new, 0 * new, 0 * new]))
-    cell, _ = stop.value.value
+    cell = stop.value.value
     return new, (np.array([x for x, _ in cell]), np.array([r for _, r in cell]).T)
 
 
@@ -826,7 +826,7 @@ def test_a_failing_merged_round_is_not_evaluated_again(defaults, monkeypatch):
 # it reads, beyond the bracket's doublings and the club and free-entry rounds
 _CHECK_SITES = {
     "perfcomp scan": lambda t: (PERFCOMP, float(_scan(t, PERFCOMP)[0][5])),
-    "club midpoint": lambda t: (PERFCOMP, compare_regimes(t).club.n_star * t.d_max),
+    "club density": lambda t: (PERFCOMP, compare_regimes(t).club.n_star * t.d_max),
     "no-peering scaling": lambda t: (Regime.NO_PEERING, _SCALING_Y_VALUES[1]),
     "perfcomp scaling": lambda t: (PERFCOMP, _SCALING_Y_VALUES[2]),
     "no-peering root": lambda t: (Regime.NO_PEERING,
