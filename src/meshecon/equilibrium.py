@@ -253,10 +253,12 @@ def _bracket_steps(template, regime, riders=()):
 
 
 def _scan_steps(template, regime):
-    """The default bracket's grid in Y, its role arrays and the bracket; the
-    doubling call has evaluated the grid's last point, its upper end."""
+    """The default bracket's grid in Y, its role arrays and the bracket. The
+    grid's inner points are _replayed; its ends are the bracket's, and the
+    doubling call has evaluated the last, its upper end."""
     bracket, y_hi, top, _ = yield from _bracket_steps(template, regime)
     grid = np.linspace(2.0, y_hi, GRID_POINTS)
+    grid[1:-1] = _replayed(grid[1:-1].tolist(), template.d_max)
     roles = np.concatenate(((yield from _evaluate(template, regime, grid[:-1])), top), axis=1)
     return grid, roles, bracket
 
@@ -264,6 +266,13 @@ def _scan_steps(template, regime):
 def _scan(template, regime):
     """The default bracket's grid in Y, its role array and the bracket."""
     return _drive(template, regime, _scan_steps(template, regime))
+
+
+def _replayed(ys, d_max):
+    """The densities ys, each moved to fl(fl(Y/d_max) d_max), the Y that the
+    reported n = Y/d_max gives back; a Y whose quotient is not finite or is 0
+    is kept, as the bracket's check of n refuses such an n."""
+    return [y / d_max * d_max if 0 < y / d_max < math.inf else y for y in ys]
 
 
 def _points(ys, roles):
@@ -276,17 +285,17 @@ def _refine_steps(template, regime, cell, estimate, rungs):
     """One refinement round in the cell, a list of points sorted by density,
     from cell[0] to cell[-1]. The round evaluates the estimate and, toward
     each end of the cell, the densities at the fractions rungs of the way
-    there, kept at least two ulps apart; where those do not fall apart and in
-    order inside the cell, REFINE_POINTS evenly spaced densities instead. It
-    evaluates no density of the cell again. Returns the round's points with
-    the cell's, sorted by density."""
+    there, kept at least two ulps apart; where those, _replayed, do not fall
+    apart and in order inside the cell, REFINE_POINTS evenly spaced densities,
+    _replayed, instead. It evaluates no density of the cell again. Returns the
+    round's points with the cell's, sorted by density."""
     a, b = cell[0][0], cell[-1][0]
     ulp = math.ulp(b)
     below = [estimate - max((estimate - a) * r, ulp * k) for r, k in zip(rungs, _ULPS)]
     above = [estimate + max((b - estimate) * r, ulp * k) for r, k in zip(rungs, _ULPS)]
-    new = below + [estimate] + above[::-1]
+    new = _replayed(below + [estimate] + above[::-1], template.d_max)
     if not (a < new[0] and new[-1] < b and all(x < y for x, y in zip(new, new[1:]))):
-        new = np.linspace(a, b, REFINE_POINTS + 2)[1:-1].tolist()
+        new = _replayed(np.linspace(a, b, REFINE_POINTS + 2)[1:-1].tolist(), template.d_max)
     inner = [x for x, _ in cell[1:-1]]
     new = [x for x in new if x not in inner]
     roles = yield new
@@ -325,8 +334,8 @@ def free_entry_density(template: ModelParams, regime: Regime) -> EquilibriumResu
 
 
 def _no_peering_root(template):
-    """The NO_PEERING free-entry root in Y, or None when w = 0 or it is not
-    finite or lies above BRACKET_CAP. For Y >= 1/sqrt(pi) the total is
+    """The NO_PEERING free-entry root in Y, _replayed, or None when w = 0 or it
+    is not finite or lies above BRACKET_CAP. For Y >= 1/sqrt(pi) the total is
     P [v' - w (s/2 - 1 + 1/(2s))], s = pi Y^2, with v' = v - 2 c(d_max)/(beta + 2)
     the originator's role at P = 1; it falls to zero at s = 1 + r + sqrt(r (r + 2)),
     r = v'/w."""
@@ -336,7 +345,7 @@ def _no_peering_root(template):
     r = float(v_net) / template.w
     if not math.isfinite(r):
         return None
-    y_star = math.sqrt((1 + r + math.sqrt(r * (r + 2))) / math.pi)
+    (y_star,) = _replayed([math.sqrt((1 + r + math.sqrt(r * (r + 2))) / math.pi)], template.d_max)
     return y_star if y_star <= BRACKET_CAP else None
 
 

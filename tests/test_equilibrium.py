@@ -40,6 +40,7 @@ from meshecon.equilibrium import (
     REFINE_POINTS,
     RESIDUAL_TOL,
     _CLUB_RUNGS,
+    _DOUBLINGS,
     _FREE_ENTRY_RUNGS,
     _SCALING_Y_VALUES,
     _club_steps,
@@ -238,12 +239,12 @@ def test_club_refinement_contract(defaults):
     assert solved >= 10
 
 
-def _round(xs, estimate, rungs):
+def _round(xs, estimate, rungs, template=None):
     """The densities a refinement round evaluates, and what it returns when
     each density's roles are (n, 0, 0), as arrays: the densities and their
     (3, m) role columns."""
-    steps = _refine_steps(make_params(), PERFCOMP, [(x, (x, 0.0, 0.0)) for x in xs],
-                          estimate, rungs)
+    steps = _refine_steps(template or make_params(), PERFCOMP,
+                          [(x, (x, 0.0, 0.0)) for x in xs], estimate, rungs)
     new = np.array(next(steps))
     with pytest.raises(StopIteration) as stop:
         steps.send(np.vstack([new, 0 * new, 0 * new]))
@@ -280,6 +281,17 @@ def test_refinement_round_spaces_a_narrow_cell_evenly():
     cell = [a, a + 8 * math.ulp(a)]
     new, _ = _round(cell, a + 4 * math.ulp(a), _FREE_ENTRY_RUNGS)
     assert np.array_equal(new, np.linspace(*cell, REFINE_POINTS + 2)[1:-1])
+
+
+def test_refinement_round_places_densities_that_replay():
+    # at a d_max whose quotients do not all round back, a ladder's densities
+    # and the evenly spaced ones of an 8-ulp cell are each the Y that its
+    # n = Y/d_max gives back
+    t = make_params(d_max=1.0442042321164045)
+    ulp = math.ulp(7.0)
+    for cell, estimate in (([10.0, 11.0], 10.3), ([7.0, 7.0 + 8 * ulp], 7.0 + 4 * ulp)):
+        new, _ = _round(cell, estimate, _FREE_ENTRY_RUNGS, t)
+        assert [y for y in new.tolist() if y / t.d_max * t.d_max != y] == []
 
 
 def test_free_entry_stall_guard_raises(defaults, utility_calls, monkeypatch):
@@ -587,35 +599,36 @@ def test_compare_regimes_shares_one_competitive_scan(defaults, utility_calls):
     # the doubling call has evaluated the grid's last density, the bracket's end
     assert sum(np.array_equal(d, grid[:-1]) for d in pc) == 1
     # free entry takes its result from the round that found n*, and the club
-    # its midpoint's from its last round: no call evaluates one density
+    # reports the best density a round evaluated: no call evaluates one density
     assert not [d for _, d in utility_calls if len(d) == 1]
     assert sum(report.club.n_star in d.tolist() for d in pc) == 1
-    # 9 with a call of its own for the club's midpoint, 12 with free entry's
-    # scan and rounds without peering, 20 with evenly spaced rounds, 31 when
-    # the solvers ran one after another
+    # 9 when the club reported its last cell's midpoint from a call of its
+    # own, 12 with free entry's scan and rounds without peering, 20 with
+    # evenly spaced rounds, 31 when the solvers ran one after another
     assert len(utility_calls) == 8
 
 
 def test_compare_regimes_evaluates_each_density_once_in_few_calls(defaults, utility_calls):
     # the doubling call evaluates the scan grid's last density, and the club
-    # carries its argmax from round to round, takes its midpoint's roles from
-    # it when the two coincide, and evaluates no midpoint that is a density of
-    # its last round
-    calls = []
+    # carries its argmax from round to round and reports the last one
+    calls, evaluated = [], []
     for t in [defaults] + [p for p, _ in random_draws(20, seed=31)]:
         utility_calls.clear()
         compare_regimes(t)
         calls.append(len(utility_calls))
+        evaluated.append(sum(len(d) for _, d in utility_calls))
         for regime in (Regime.NO_PEERING, PERFCOMP):
             densities = np.concatenate([d for r, d in utility_calls if r is regime]).tolist()
             assert len(set(densities)) == len(densities)
-    assert np.mean(calls) <= 6.4
+    # 322.8 densities when each round that could end the club's refinement
+    # also evaluated its cells' midpoints
+    assert np.mean(calls) <= 6.4 and np.mean(evaluated) <= 315
 
 
 def test_club_roles_equal_a_one_density_call_at_its_density(defaults, utility_calls):
-    # the club's midpoint rides in its last round, and a batch moves no bit:
-    # its roles are those of a call on its density Y* alone, which
-    # utility_arrays makes at n* wherever n* d_max rounds back to Y*
+    # the club's density was evaluated in a batch, which moves no bit: its
+    # roles are those of a call on its density Y* alone, which utility_arrays
+    # makes at n*, since n* d_max rounds back to Y*
     solved = round_trips = 0
     for t in [defaults] + [p for p, _ in random_draws(20, seed=31)]:
         utility_calls.clear()
@@ -631,7 +644,56 @@ def test_club_roles_equal_a_one_density_call_at_its_density(defaults, utility_ca
         if club.n_star * t.d_max == y_star:
             round_trips += 1
             assert utility_arrays(t, PERFCOMP, [club.n_star])[:, 0].tolist() == alone
-    assert solved >= 15 and round_trips >= solved - 2
+    assert solved >= 15 and round_trips == solved
+
+
+def test_steps_place_only_densities_that_replay(defaults, utility_calls):
+    # besides the bracket's doublings, its lower end Y = 2 and the scaling
+    # fit's fixed Y, every density a comparison evaluates is the Y that its
+    # n = Y/d_max gives back
+    fixed = {*_DOUBLINGS, 2.0, *_SCALING_Y_VALUES}
+    for t in [defaults] + [p for p, _ in random_draws(20, seed=31)]:
+        utility_calls.clear()
+        compare_regimes(t)
+        ys = {y for _, d in utility_calls for y in d.tolist()} - fixed
+        assert [y for y in ys if y / t.d_max * t.d_max != y] == []
+
+
+@pytest.mark.parametrize("seed", [31, 7, 11])
+def test_reported_densities_replay(defaults, seed):
+    # every density a step places is one that its n = Y/d_max gives back, so
+    # the roles at a printed n* are the reported ones, bit for bit
+    def bits(u):
+        return [x.hex() for x in (u.eu_originator, u.eu_intermediate, u.eu_outsider, u.total)]
+
+    solved = 0
+    for t in [defaults] + [p for p, _ in random_draws(60, seed=seed)]:
+        for res in compare_regimes(t).solved_points():
+            solved += 1
+            again = regime_utilities(res.utilities.params, res.regime)
+            assert bits(again) == bits(res.utilities)
+            assert res.total_eu_at_n_star.hex() == again.total.hex()
+    assert solved >= 150
+
+
+def test_club_reports_the_best_total_of_its_last_cell(defaults, utility_calls):
+    # the last cell is the club's density and the nearest densities it
+    # evaluated on either side; no total of the three beats the reported one
+    solved = 0
+    for seed in (31, 7, 11):
+        for t in [defaults] + [p for p, _ in random_draws(60, seed=seed)]:
+            utility_calls.clear()
+            try:
+                club = club_optimal_density(t)
+            except BoundaryOptimum:
+                continue
+            solved += 1
+            ys = sorted({y for _, d in utility_calls for y in d.tolist()})
+            (i,) = [i for i, y in enumerate(ys) if y / t.d_max == club.n_star]
+            for y in ys[i - 1 : i + 2]:
+                total = sum(_roles(t, PERFCOMP, np.array([y]))[:, 0].tolist())
+                assert club.total_eu_at_n_star >= total
+    assert solved >= 150
 
 
 def test_free_entry_takes_at_most_three_rounds(defaults):
