@@ -8,7 +8,8 @@ and power differ from math's in the last bit on some inputs), so the
 manifest records the numpy and Python versions it was made with. They
 also depend on the SIMD kernels numpy picks for the CPU: with its AVX-512
 kernels off (NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"), 17
-requests of numpy 2.4.6's manifest move. They do not depend on the BLAS
+requests of numpy 2.4.6's manifest move, so the manifest also records the
+dispatch targets numpy enabled (cpu_dispatch). They do not depend on the BLAS
 kernel OpenBLAS picks at run time (OPENBLAS_CORETYPE): no reported number
 goes through BLAS.
 
@@ -83,6 +84,14 @@ def record(argv) -> dict:
         "trace_sha256": _take(TRACE),
         "stderr": err.getvalue(),
     }
+
+
+def cpu_dispatch() -> list:
+    """numpy's enabled dispatch targets: the entries of its __cpu_dispatch__
+    that its __cpu_features__ marks True."""
+    from numpy._core import _multiarray_umath as umath
+
+    return [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
 
 
 def _sets(template):
@@ -287,7 +296,7 @@ def main() -> None:
     for line in filter(None, lines):
         print(line)
     manifest = {"numpy": np.__version__, "python": platform.python_version(),
-                "requests": entries}
+                "cpu_dispatch": cpu_dispatch(), "requests": entries}
     MANIFEST.write_text(json.dumps(manifest, indent=1) + "\n", encoding="utf-8")
     codes = sorted({e["exit"] for e in entries})
     print(f"{len(entries)} requests, {sum(map(bool, lines))} moved or new, "
