@@ -6,7 +6,10 @@ bracket, from Y = 2 to the first doubling from 4 whose total utility is
 negative (or BRACKET_CAP), at GRID_POINTS evenly spaced Y; their rounds
 place Y values, DENSITY_TOL bounds the club's last cell in Y, and the
 scaling fit's densities are fixed Y. n = Y / d_max is formed only for
-results, diagnostics, findings and error texts.
+results, diagnostics, findings and error texts. The densities the steps
+place (the grid's inner points, each round's, the closed-form root) are
+_replayed: each is the Y that its n gives back, fl(fl(Y/d_max) d_max), so
+a result's roles are those regime_utilities gives at its printed n.
 
 Free entry: nodes keep joining while a marginal node's total expected
 utility (originator + intermediate + outsider) is positive, so the
@@ -29,12 +32,11 @@ aggregate welfare n^2 x per-node utility — the per-node sum is the club
 member's objective). The scan's argmax is refined in rounds that place
 REFINE_POINTS densities the same way around the vertex of the parabola
 through the cell's ends and its argmax, and keep the two cells around the
-round's argmax, until b - a is within tolerance. The result is the midpoint
-of the last cell, whose roles come from the last round: a round whose kept
-cell could end the refinement evaluates the midpoint of each such cell too.
-A maximum
-pinned to a bracket edge is surfaced as BoundaryOptimum rather than
-reported as an interior solution, since its economics are ambiguous.
+round's argmax, until b - a is within tolerance. The result is the middle
+density of the last cell (a, m, b), the best total evaluated, with the
+roles the scan or a round evaluated and checked there. A maximum pinned to
+a bracket edge is surfaced as BoundaryOptimum rather than reported as an
+interior solution, since its economics are ambiguous.
 
 Density is a continuous control throughout; "slots" map to choosing n.
 A result holds the RegimeUtilities at its density and the SolverDiagnostics
@@ -52,17 +54,16 @@ drives its steps alone, one evaluation per step. compare_regimes validates
 once and makes one evaluation per round for all pending densities of a
 regime: the scaling densities ride in the bracket's doubling call, as
 without peering do free entry's Y = 2 and closed-form root, free entry under
-competitive pricing and the club refine in lockstep on one shared scan, and
-the club's midpoint rides in its last round; on the default template that
-is 8 evaluations, 1 without peering. A refinement
+competitive pricing and the club refine in lockstep on one shared scan; on
+the default template that is 8 evaluations, 1 without peering. A refinement
 carries its densities' roles in a cell of plain floats, a list of
 (Y, (orig, inter, out)) points sorted by Y, so each result takes its roles
 from the round that evaluated its density. _lockstep only batches: it
 evaluates a round unchecked and sends each solver its own columns, and each
-step checks the columns it reads (the bracket its doublings up to its upper end, and
-n = Y / d_max at both ends; the club the one midpoint it reports), raising the NumericsError utility_arrays would
-raise for them. So errors surface as in a sequential run: a solver's error
-waits until the solvers before it have finished.
+step checks the columns it reads (the bracket its doublings up to its upper
+end, and n = Y / d_max at both ends), raising the NumericsError
+utility_arrays would raise for them. So errors surface as in a sequential
+run: a solver's error waits until the solvers before it have finished.
 """
 
 import math
@@ -271,7 +272,7 @@ def _scan(template, regime):
 def _replayed(ys, d_max):
     """The densities ys, each moved to fl(fl(Y/d_max) d_max), the Y that the
     reported n = Y/d_max gives back; a Y whose quotient is not finite or is 0
-    is kept, as the bracket's check of n refuses such an n."""
+    is kept, since no n gives it back."""
     return [y / d_max * d_max if 0 < y / d_max < math.inf else y for y in ys]
 
 
@@ -405,9 +406,10 @@ def club_optimal_density(template: ModelParams) -> EquilibriumResult:
     """Maximize per-node total utility under competitive peering over density.
 
     Grid scan of the default bracket locates the hump; rounds placed around
-    parabolic estimates narrow [a, b] around the argmax to DENSITY_TOL (at
-    most MAX_ROUNDS rounds) and report its midpoint. A grid argmax on a
-    bracket edge, or tied with the upper edge's total, raises BoundaryOptimum.
+    parabolic estimates narrow [a, b] around the argmax m to DENSITY_TOL (at
+    most MAX_ROUNDS rounds) and report m, the best total evaluated. A grid
+    argmax on a bracket edge, or tied with the upper edge's total, raises
+    BoundaryOptimum.
     """
     regime = Regime.PEERING_PERFECT_COMPETITION
     validate(template)
@@ -415,8 +417,9 @@ def club_optimal_density(template: ModelParams) -> EquilibriumResult:
 
 
 def _club_steps(template, regime, scanned):
-    """club_optimal_density's steps on a scan: its refinement rounds, the
-    last of which evaluates the midpoint it reports."""
+    """club_optimal_density's steps on a scan: its refinement rounds. The
+    result is the middle density m of the last cell (a, m, b), already
+    evaluated and checked."""
     grid, roles, bracket = scanned
     values = sum(roles)
     k = int(np.argmax(values))

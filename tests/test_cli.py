@@ -60,8 +60,33 @@ def test_eval_csv_golden_header_and_row(capsys):
     assert float(first[5]) == pytest.approx(lib.total, abs=1e-12)
 
 
+def _eval_roles(capsys, params, regime):
+    """The roles and total eval prints for regime at the parameter dict params."""
+    sets = [a for key, value in params.items() for a in ("--set", f"{key}={value!r}")]
+    code, out, _ = run(capsys, "eval", *sets)
+    assert code == 0
+    u = json.loads(out)[regime]
+    return [u["eu_originator"], u["eu_intermediate"], u["eu_outsider"], u["total"]]
+
+
+# a d_max whose quotients Y / d_max do not all round back to Y
+ODD_D_MAX = 1.0442042321164045
+
+
 # --------------------------------------------------------------------------
 # sweep
+
+
+@pytest.mark.parametrize("axis, lo, hi", [("n", "2.5", "40"), ("w", "0", "0.05"),
+                                          ("cost_beta", "1.2", "3")])
+def test_sweep_rows_replay_in_eval(capsys, axis, lo, hi):
+    # each row's roles are what eval prints at the row's printed parameters
+    code, out, _ = run(capsys, "sweep", "--set", f"d_max={ODD_D_MAX!r}", "--axis", axis,
+                       "--lo", lo, "--hi", hi, "--steps", "7")
+    assert code == 0
+    for row in json.loads(out):
+        assert _eval_roles(capsys, row["params"], row["regime"]) == [
+            row["eu_originator"], row["eu_intermediate"], row["eu_outsider"], row["total"]]
 
 
 def test_sweep_density_axis(capsys):
@@ -245,6 +270,20 @@ def test_simulate_gives_a_zero_role_one_sign(capsys, argv):
             (0.0, math.copysign(1.0, row["analytic"]))}, role
         zero_roles.append(role)
     assert zero_roles == (["intermediate", "outsider"] if "w=0" in argv else ["intermediate"])
+
+
+@pytest.mark.parametrize("regime", [r.value for r in Regime])
+def test_simulate_analytic_replays_in_eval(capsys, regime):
+    # the closed form simulate compares with, its analytic baseline's, is
+    # what eval prints for that regime
+    params = dataclasses.replace(default_params(), n=9.3, d_max=ODD_D_MAX)
+    code, out, _ = run(capsys, "simulate", "--regime", regime, "--side", "41",
+                       "--trials", "30", "--set", "n=9.3", "--set", f"d_max={ODD_D_MAX!r}")
+    assert code == 0
+    blob = json.loads(out)
+    analytic = [row["analytic"] for row in blob["roles"]]
+    assert analytic == _eval_roles(capsys, json.loads(params_to_json(params)),
+                                   blob["analytic_baseline"])
 
 
 def test_simulate_rejects_bad_config(capsys):

@@ -620,8 +620,6 @@ def test_compare_regimes_evaluates_each_density_once_in_few_calls(defaults, util
         for regime in (Regime.NO_PEERING, PERFCOMP):
             densities = np.concatenate([d for r, d in utility_calls if r is regime]).tolist()
             assert len(set(densities)) == len(densities)
-    # 322.8 densities when each round that could end the club's refinement
-    # also evaluated its cells' midpoints
     assert np.mean(calls) <= 6.4 and np.mean(evaluated) <= 315
 
 
