@@ -57,8 +57,9 @@ without peering do free entry's Y = 2 and closed-form root, free entry under
 competitive pricing and the club refine in lockstep on one shared scan; on
 the default template that is 8 evaluations, 1 without peering. A refinement
 carries its densities' roles in a cell of plain floats, a list of
-(Y, (orig, inter, out)) points sorted by Y, so each result takes its roles
-from the round that evaluated its density. _lockstep only batches: it
+(Y, total, (orig, inter, out)) points sorted by Y, so each result takes its
+roles from the round that evaluated its density; a point's total is summed
+once, by _points, and the steps read it there. _lockstep only batches: it
 evaluates a round unchecked and sends each solver its own columns, and each
 step checks the columns it reads (the bracket its doublings up to its upper
 end, and n = Y / d_max at both ends), raising the NumericsError
@@ -278,8 +279,9 @@ def _replayed(ys, d_max):
 
 def _points(ys, roles):
     """The densities ys with their role columns roles as a cell: a list of
-    (Y, (orig, inter, out)) points of floats."""
-    return list(zip(ys.tolist(), zip(*roles.tolist())))
+    (Y, total, (orig, inter, out)) points of floats, whose total is the sum
+    of the roles, formed here once."""
+    return [(y, sum(r), r) for y, r in zip(np.asarray(ys).tolist(), zip(*roles.tolist()))]
 
 
 def _refine_steps(template, regime, cell, estimate, rungs):
@@ -289,7 +291,7 @@ def _refine_steps(template, regime, cell, estimate, rungs):
     there, kept at least two ulps apart; where those, _replayed, do not fall
     apart and in order inside the cell, REFINE_POINTS evenly spaced densities,
     _replayed, instead. It evaluates no density of the cell again. Returns the
-    round's points with the cell's, sorted by density."""
+    round's points, as _points forms them, with the cell's, sorted by density."""
     a, b = cell[0][0], cell[-1][0]
     ulp = math.ulp(b)
     below = [estimate - max((estimate - a) * r, ulp * k) for r, k in zip(rungs, _ULPS)]
@@ -297,21 +299,18 @@ def _refine_steps(template, regime, cell, estimate, rungs):
     new = _replayed(below + [estimate] + above[::-1], template.d_max)
     if not (a < new[0] and new[-1] < b and all(x < y for x, y in zip(new, new[1:]))):
         new = _replayed(np.linspace(a, b, REFINE_POINTS + 2)[1:-1].tolist(), template.d_max)
-    inner = [x for x, _ in cell[1:-1]]
+    inner = [x for x, _, _ in cell[1:-1]]
     new = [x for x in new if x not in inner]
-    roles = yield new
-    _raise_not_finite(regime, new, roles, template.d_max)
-    return sorted(cell + list(zip(new, zip(*roles.tolist()))), key=itemgetter(0))
+    roles = yield from _evaluate(template, regime, new)
+    return sorted(cell + _points(new, roles), key=itemgetter(0))
 
 
 def _solved(kind, template, regime, y_star, column, bracket, iterations, residual, notes=()):
     """The result at Y = y_star, whose roles column (orig, inter, out) was
     evaluated there, found in iterations rounds on the scan of bracket."""
-    orig, inter, out = column
     return EquilibriumResult(
         kind=kind,
-        utilities=RegimeUtilities(regime, orig, inter, out, orig + inter + out,
-                                  template.with_n(y_star / template.d_max)),
+        utilities=RegimeUtilities(regime, *column, template.with_n(y_star / template.d_max)),
         diagnostics=SolverDiagnostics(iterations, *bracket, residual, tuple(notes)),
     )
 
@@ -377,27 +376,25 @@ def _free_entry_steps(template, regime, scanned):
     if not cells.size:
         raise NoCrossing(regime, *bracket)
 
-    # invariant: fs[0] > 0 >= fs[-1]
+    # invariant: the cell's totals fa > 0 >= fb
     i = cells[-1]
-    cell, fs = _points(grid[i : i + 2], roles[:, i : i + 2]), values[i : i + 2].tolist()
+    cell = _points(grid[i : i + 2], roles[:, i : i + 2])
     iterations = 0
-    while not min(map(abs, fs)) <= RESIDUAL_TOL:
+    while not min(abs(f) for _, f, _ in cell) <= RESIDUAL_TOL:
+        (a, fa, _), (b, fb, _) = cell
         if iterations == MAX_ROUNDS:
             raise NumericsError(
-                f"k-section stalled on {[x / template.d_max for x, _ in cell]} with "
-                f"residuals {fs[0]!r}, {fs[-1]!r} above {RESIDUAL_TOL!r}"
+                f"k-section stalled on {[a / template.d_max, b / template.d_max]} with "
+                f"residuals {fa!r}, {fb!r} above {RESIDUAL_TOL!r}"
             )
         # the regula-falsi root of the cell's ends
-        (a, _), (b, _) = cell
-        fa, fb = fs
         estimate = a + fa / (fa - fb) * (b - a)
         cell = yield from _refine_steps(template, regime, cell, estimate, _FREE_ENTRY_RUNGS)
-        fs = [sum(r) for _, r in cell]
-        j = max(j for j in range(len(fs) - 1) if fs[j] > 0 >= fs[j + 1])
-        cell, fs = cell[j : j + 2], fs[j : j + 2]
+        j = max(j for j in range(len(cell) - 1) if cell[j][1] > 0 >= cell[j + 1][1])
+        cell = cell[j : j + 2]
         iterations += 1
-    k = 0 if abs(fs[0]) <= abs(fs[1]) else 1  # the first of equal residuals
-    (y_star, column), residual = cell[k], fs[k]
+    k = 0 if abs(cell[0][1]) <= abs(cell[1][1]) else 1  # the first of equal residuals
+    y_star, residual, column = cell[k]
     return _solved(EquilibriumKind.FREE_ENTRY, template, regime, y_star,
                    column, bracket, iterations, residual)
 
@@ -442,11 +439,10 @@ def _club_steps(template, regime, scanned):
     while cell[-1][0] - cell[0][0] > DENSITY_TOL and iterations < MAX_ROUNDS:
         iterations += 1
         cell = yield from _refine_steps(template, regime, cell, _vertex(cell), _CLUB_RUNGS)
-        totals = [sum(r) for _, r in cell]
-        j = totals.index(max(totals))  # the first of equal totals
+        j = max(range(len(cell)), key=lambda i: cell[i][1])  # the first of equal totals
         cell = cell[j - 1 : j + 2]
     # the best total evaluated, at a density the scan or a round has checked
-    (a, _), (y_star, column), (b, _) = cell
+    (a, _, _), (y_star, _, column), (b, _, _) = cell
     res = _solved(EquilibriumKind.CLUB_OPTIMUM, template, regime, y_star,
                   column, bracket, iterations, (b - a) / template.d_max, notes)
     if not (res.total_eu_at_n_star >= 0):
@@ -461,8 +457,7 @@ def _vertex(cell):
     """The vertex of the parabola through the cell's three points, whose
     middle total is the highest: the club's estimate. The middle density
     when the parabola is flat."""
-    (a, ra), (m, rm), (b, rb) = cell
-    fa, fm, fb = sum(ra), sum(rm), sum(rb)
+    (a, fa, _), (m, fm, _), (b, fb, _) = cell
     p, q = (m - a) * (fm - fb), (b - m) * (fm - fa)
     return m - 0.5 * ((m - a) * p - (b - m) * q) / (p + q) if p + q > 0 else m
 

@@ -6,8 +6,9 @@ class ParamError(ValueError):
 
 
 class NumericsError(RuntimeError):
-    """A numerical routine (quadrature, root refinement) failed to meet its
-    accuracy contract."""
+    """A computed value is not finite or breaks its contract: roles, a bracket
+    end's n, a per-trial utility or a radio result not finite, a stalled
+    refinement, a negative club optimum, or quadrature missing its tolerance."""
 
 
 class NoCrossing(Exception):

@@ -75,10 +75,8 @@ class CostFunction:
     beta: float
 
     def __call__(self, d: float) -> float:
-        """a * d**beta. Where d**beta overflows or underflows to 0, the
-        value times gives. Arrays go through times."""
-        if isinstance(d, np.ndarray):
-            return self.times(1.0, d)
+        """a * d**beta at a scalar d; arrays go through times. Where d**beta
+        overflows or underflows to 0, the value times gives."""
         try:
             power = d**self.beta
         except OverflowError:

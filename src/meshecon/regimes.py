@@ -135,8 +135,11 @@ class RegimeUtilities:
     eu_originator: float
     eu_intermediate: float
     eu_outsider: float
-    total: float
     params: ModelParams
+
+    @property
+    def total(self) -> float:
+        return self.eu_originator + self.eu_intermediate + self.eu_outsider
 
     def to_json_dict(self) -> dict:
         return {
@@ -296,6 +299,12 @@ def _roles(template, regime, big_y):
 _VALUE, _NO_PEERING_VALUE = np.array([[[1.0], [-0.0], [-0.0]], [[1.0], [0.0], [-0.0]]])
 
 
+def _value_row(regime):
+    """The regime's value row a, whose zero signs its roles take where their
+    terms vanish: the simulator's lattice roles take it too."""
+    return _NO_PEERING_VALUE if regime is Regime.NO_PEERING else _VALUE
+
+
 def _basis(template, regime, big_y):
     """The term basis of _roles at the floats Y = n d_max, functions of Y,
     beta and z alone: P, the rows a, b and q and their denominators, as
@@ -308,7 +317,7 @@ def _basis(template, regime, big_y):
         u0 = np.minimum(1 / (big_y * math.sqrt(math.pi)), 1.0)
         area = lambda u: (math.pi * big_y * big_y * u * u / 2 - 1) * u * u  # int N(u) 2u du
         b[0], q[2] = 2.0, area(1.0) - area(u0)  # int u^beta 2u du = 2 / (beta + 2)
-        return prob, _NO_PEERING_VALUE, b, q, beta + 2, 1.0
+        return prob, _value_row(regime), b, q, beta + 2, 1.0
     if regime not in REGIME_ORDER:
         raise ParamError(f"unknown regime {regime!r}")
     # In units y = n x = Y u, each role is an integral against 2y dy on [0, Y], over
@@ -355,13 +364,13 @@ def _basis(template, regime, big_y):
         b[0] = (disc_cost + annulus_cost(hops)) / y2
     q[1], q[2] = relays, polluted
     den[0], den[1:] = 1.0, y2
-    return prob, _VALUE, b, q, 1.0, den
+    return prob, _value_row(regime), b, q, 1.0, den
 
 
 def regime_utilities(params: ModelParams, regime: Regime) -> RegimeUtilities:
     """The regime's expected utilities at params.n."""
-    orig, inter, out = utility_arrays(params, regime, [params.n])[:, 0].tolist()
-    return RegimeUtilities(regime, orig, inter, out, orig + inter + out, params)
+    roles = utility_arrays(params, regime, [params.n])[:, 0].tolist()
+    return RegimeUtilities(regime, *roles, params)
 
 
 # --------------------------------------------------------------------------

@@ -79,14 +79,7 @@ from .model import (
     intermediate_count_array,
     validate,
 )
-from .regimes import (
-    _NO_PEERING_VALUE,
-    _VALUE,
-    Choice,
-    ConnectionChoice,
-    Regime,
-    regime_utilities,
-)
+from .regimes import Choice, ConnectionChoice, Regime, _value_row, regime_utilities
 
 __all__ = [
     "SimConfig",
@@ -218,12 +211,16 @@ class _RegimeTables:
                 refuse, else 0
     relays      relay count (hops - 1) for peered connections, else 0
     polluted    nodes charged w across all of the connection's transmissions
+
+    receiver_exempt is whether polluted takes each hop's receiving endpoint
+    out of its circle: under PERFCOMP only.
     """
 
     peer = property(lambda self: self.tallies[0])
     refused = property(lambda self: self.tallies[1])
     relays = property(lambda self: self.tallies[2])
     polluted = property(lambda self: self.tallies[3])
+    receiver_exempt = False
 
     def __init__(self, lattice: Lattice, regime: Regime):
         p = lattice.params
@@ -236,7 +233,7 @@ class _RegimeTables:
         polluted[:] = lattice.circle_count(r2)  # receiver included
 
         d = np.sqrt(r2) / n
-        self.conn_cost = p.cost(d)  # direct; peered entries are replaced below
+        self.conn_cost = p.cost.times(1.0, d)  # direct; peered entries are replaced below
         # Originator's DIRECT/PEER best response at the competitive price,
         # evaluated on the continuum quantities at the torus distance.
         # Product order ((I+1) a) D^beta: where n d rounds just above 2 the
@@ -260,6 +257,7 @@ class _RegimeTables:
                 self.conn_cost,
             )
             # Receiving endpoint of each hop is exempt from its circle.
+            self.receiver_exempt = True
             c1, c2 = lattice.circle_count(1), lattice.circle_count(2)
             polluted[:] = np.where(wants_peer, straight * (c1 - 1) + diag * (c2 - 1), polluted - 1)
 
@@ -321,14 +319,14 @@ class _PathTables:
             for origin, k, row in zip(origins.tolist(), ks.tolist(), rows)
         ]
 
-    def charge(self, images, per_node, origins, ks, receiver_exempt: bool) -> None:
+    def charge(self, images, per_node, origins, ks) -> None:
         """Count each transmission at its transmitter node in images, in the
-        row of its circle count; with receiver_exempt, take each hop's
-        receiving endpoint out of per_node. The padding past a path's end
-        counts in the row of count 0, which charges no node."""
+        row of its circle count; where the tables' regime exempts receivers,
+        take each hop's receiving endpoint out of per_node. The padding past
+        a path's end counts in the row of count 0, which charges no node."""
         ti, tj = self.walk(origins, ks)
         nodes = ti * self.lattice.side + tj
-        if receiver_exempt:
+        if self.tables.receiver_exempt:
             per_node -= np.bincount(nodes[:, 1:][self.charged[ks] > 0], minlength=per_node.size)
         np.add.at(images, self.slots[ks] + nodes[:, :-1], 1)
 
@@ -433,11 +431,21 @@ def _mean_se(series: np.ndarray) -> tuple[float, float]:
     return mean, math.ldexp(float(series.std(ddof=1) / math.sqrt(len(series))), exponent)
 
 
-def _value_row(regime: Regime) -> np.ndarray:
-    """The value row a of the closed form the regime is compared with, whose
-    zero signs the lattice's roles take: the no-peering one where no
-    connection is relayed (NOTRANS is compared with NO_PEERING)."""
-    return _VALUE if regime is Regime.PEERING_PERFECT_COMPETITION else _NO_PEERING_VALUE
+def _baseline(regime: Regime) -> Regime:
+    """The regime whose closed form a run under regime is compared with: its
+    own, but NO_PEERING for NOTRANS, where relays refuse and the realized
+    play is the no-peering outcome."""
+    return Regime.NO_PEERING if regime is Regime.PEERING_NO_TRANSFERS else regime
+
+
+def _lattice_roles(config, prob, connections, cost, relays, polluted, den=1.0):
+    """The roles, over den, from the lattice's term basis: connections, the
+    originators' cost in units of c(d_max), relays and polluted nodes, with
+    demand probability prob and the value row of _baseline's closed form."""
+    zero = np.zeros(len(cost))
+    return _combine(config.params, prob,
+                    np.copysign((connections, zero, zero), _value_row(_baseline(config.regime))),
+                    np.array((cost, zero, zero)), np.array((zero, relays, polluted)), den=den)
 
 
 def _build(config: SimConfig) -> tuple[Lattice, _RegimeTables]:
@@ -593,7 +601,6 @@ def run_instant(
     paths = _PathTables(lattice, tables) if collect_per_node or collect_events else None
     # one side^2 image of transmitter counts per circle count, for spread
     images = np.zeros(paths.levels.size * n_nodes, dtype=np.int64) if collect_per_node else None
-    receiver_exempt = config.regime is Regime.PEERING_PERFECT_COMPETITION
     # Each table entry is below N = side^2 (K < N, and a relayed path charges
     # at most 7 nodes per hop over at most side / 2 hops), so every partial
     # sum of tables.tallies @ hist is an integer below N^2 < 2**53
@@ -623,7 +630,7 @@ def run_instant(
             if collect_events:
                 events += paths.events(trial, origins, ks)
             if collect_per_node:
-                paths.charge(images, per_node, origins, ks, receiver_exempt)
+                paths.charge(images, per_node, origins, ks)
 
     if collect_per_node:
         paths.spread(images, per_node)
@@ -637,12 +644,8 @@ def _outcome(config, n_conn, tallies, cost, per_node, events) -> SimOutcome:
     diagnostics; a per-node value past the float range raises NumericsError."""
     n_nodes = config.side * config.side
     _, _, relays, polluted = tallies.T
-    zero = np.zeros(config.trials)
     with np.errstate(over="ignore", invalid="ignore"):
-        roles = _combine(config.params, 1.0,
-                         np.copysign((n_conn, zero, zero), _value_row(config.regime)),
-                         np.array((cost, zero, zero)), np.array((zero, relays, polluted)),
-                         den=n_nodes)
+        roles = _lattice_roles(config, 1.0, n_conn, cost, relays, polluted, den=n_nodes)
         series = dict(zip((*ROLES, "total"), (*roles, roles[0] + roles[1] + roles[2])))
     for role, values in series.items():
         if not np.isfinite(values).all():
@@ -673,10 +676,9 @@ def lattice_exact_means(
     Carlo error): demand probability times the per-offset average."""
     lattice, tables = _built or _build(config)
     p = lattice.params
-    cost, relays, polluted = (np.mean(row) for row in (
+    cost, relays, polluted = ([np.mean(row)] for row in (
         tables.conn_cost / p.cost(p.d_max), tables.relays, tables.polluted))
-    roles = _combine(p, lattice.connect_prob, _value_row(config.regime),
-                     np.array([[cost], [0.0], [0.0]]), np.array([[0.0], [relays], [polluted]]))
+    roles = _lattice_roles(config, lattice.connect_prob, [1.0], cost, relays, polluted)
     return dict(zip(ROLES, roles[:, 0].tolist()))
 
 
@@ -686,17 +688,33 @@ def lattice_exact_means(
 
 @dataclass(frozen=True)
 class RoleComparison:
+    """One role's simulator mean and standard error beside its closed form
+    and its exact lattice expectation; bias, z and flagged (see
+    ComparisonRecord and estimate_vs_analytic) are read from them."""
+
     role: str
     sim_mean: float
     sim_se: float
     analytic: float
-    bias: float
-    z: float
     lattice_exact: float
-    flagged: bool
+
+    @property
+    def bias(self) -> float:
+        return self.sim_mean - self.analytic
+
+    @property
+    def z(self) -> float:
+        if self.sim_se > 0:
+            return self.bias / self.sim_se
+        return 0.0 if self.bias == 0 else math.copysign(math.inf, self.bias)
+
+    @property
+    def flagged(self) -> bool:
+        gap = self.sim_mean - self.lattice_exact
+        return abs(gap) > Z_FLAG_THRESHOLD * self.sim_se if self.sim_se > 0 else gap != 0
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return {**asdict(self), "bias": self.bias, "z": self.z, "flagged": self.flagged}
 
 
 @dataclass(frozen=True)
@@ -756,11 +774,8 @@ def estimate_vs_analytic(config: SimConfig, *, collect_events: bool = False) -> 
         raise ParamError(
             f"trials must be >= 30 for a usable variance estimate, got {config.trials!r}"
         )
-    baseline_regime = (
-        Regime.NO_PEERING if config.regime is Regime.PEERING_NO_TRANSFERS
-        else config.regime
-    )
-    analytic = regime_utilities(config.params, baseline_regime)
+    baseline = _baseline(config.regime)
+    analytic = regime_utilities(config.params, baseline)
     outcome = run_instant(config, collect_events=collect_events, _built=built)
 
     analytic_by_role = {
@@ -771,34 +786,10 @@ def estimate_vs_analytic(config: SimConfig, *, collect_events: bool = False) -> 
     }
     exact = lattice_exact_means(config, _built=built)
     exact["total"] = sum(exact.values())
-
-    rows = []
-    for role in (*ROLES, "total"):
-        sim_mean = outcome.mean[role]
-        sim_se = outcome.stderr[role]
-        ref = analytic_by_role[role]
-        bias = sim_mean - ref
-        if sim_se > 0:
-            zscore = bias / sim_se
-        else:
-            zscore = 0.0 if bias == 0 else math.copysign(math.inf, bias)
-        gap = sim_mean - exact[role]
-        flagged = abs(gap) > Z_FLAG_THRESHOLD * sim_se if sim_se > 0 else gap != 0
-        rows.append(RoleComparison(
-            role=role,
-            sim_mean=sim_mean,
-            sim_se=sim_se,
-            analytic=ref,
-            bias=bias,
-            z=zscore,
-            lattice_exact=exact[role],
-            flagged=flagged,
-        ))
-    return ComparisonRecord(
-        outcome=outcome,
-        analytic_baseline=baseline_regime,
-        roles=tuple(rows),
-    )
+    return ComparisonRecord(outcome, baseline, tuple(
+        RoleComparison(role, outcome.mean[role], outcome.stderr[role], analytic_by_role[role],
+                       exact[role])
+        for role in (*ROLES, "total")))
 
 
 def write_event_trace(events, fh) -> None:

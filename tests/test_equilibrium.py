@@ -244,12 +244,13 @@ def _round(xs, estimate, rungs, template=None):
     each density's roles are (n, 0, 0), as arrays: the densities and their
     (3, m) role columns."""
     steps = _refine_steps(template or make_params(), PERFCOMP,
-                          [(x, (x, 0.0, 0.0)) for x in xs], estimate, rungs)
+                          [(x, x, (x, 0.0, 0.0)) for x in xs], estimate, rungs)
     new = np.array(next(steps))
     with pytest.raises(StopIteration) as stop:
         steps.send(np.vstack([new, 0 * new, 0 * new]))
     cell = stop.value.value
-    return new, (np.array([x for x, _ in cell]), np.array([r for _, r in cell]).T)
+    assert all(total == sum(r) for _, total, r in cell)
+    return new, (np.array([x for x, _, _ in cell]), np.array([r for _, _, r in cell]).T)
 
 
 def test_refinement_round_places_a_ladder_around_the_estimate():

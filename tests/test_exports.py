@@ -81,6 +81,17 @@ def test_only_the_combination_helper_takes_power_of_2_units():
     assert users == ["model._combine"]
 
 
+def test_only_regimes_reads_the_value_rows():
+    # regimes._value_row decides the value row a, whose zero signs the
+    # closed forms' roles and the simulator's lattice roles take; a module
+    # that reads _VALUE or _NO_PEERING_VALUE itself would decide it again
+    names = {"_VALUE", "_NO_PEERING_VALUE"}
+    sites = _package_sites(lambda node: isinstance(node, ast.Name) and node.id in names
+                           or isinstance(node, ast.Attribute) and node.attr in names
+                           or isinstance(node, ast.alias) and node.name in names)
+    assert set(sites) == {"regimes.<module>", "regimes._value_row"}
+
+
 def test_one_json_writer_in_the_package():
     # model._json_text writes every JSON text the package prints, with the
     # bytes of json.dumps(obj, indent=2, sort_keys=True); an indented

@@ -528,7 +528,7 @@ def _trial_loop_reference(cfg, collect_per_node=False, collect_events=False):
             if collect_events:
                 events += paths.events(trial, origins, ks)
             if collect_per_node:
-                paths.charge(images, per_node, origins, ks, cfg.regime is PERFCOMP)
+                paths.charge(images, per_node, origins, ks)
     if collect_per_node:
         paths.spread(images, per_node)
     return _outcome(cfg, n_conn, tallies, cost, per_node,
@@ -964,6 +964,28 @@ def test_estimate_record_structure(defaults):
     blob = rec.to_json_dict()
     assert blob["analytic_baseline"] == "NO_PEERING"
     assert len(blob["roles"]) == 4
+
+
+def test_role_comparison_derives_bias_z_and_flag():
+    # a role's comparison stores five numbers; bias, z and flagged are read
+    # from them, at a zero standard error too
+    RoleComparison = meshecon.simulator.RoleComparison
+    assert [f.name for f in dataclasses.fields(RoleComparison)] == [
+        "role", "sim_mean", "sim_se", "analytic", "lattice_exact"]
+    rc = RoleComparison("outsider", -1.0, 0.25, -1.5, -1.0)
+    assert (rc.bias, rc.z, rc.flagged) == (0.5, 2.0, False)
+    assert rc.to_json_dict() == {"role": "outsider", "sim_mean": -1.0, "sim_se": 0.25,
+                                 "analytic": -1.5, "lattice_exact": -1.0,
+                                 "bias": 0.5, "z": 2.0, "flagged": False}
+    # flagged past three standard errors from lattice_exact, not at three
+    assert RoleComparison("outsider", -1.0, 0.25, -1.5, -2.0).flagged
+    assert not RoleComparison("outsider", -1.0, 0.25, -1.5, -1.75).flagged
+    # at a zero standard error z is an infinity of the bias's sign, or 0.0
+    # for none, and any gap from lattice_exact is flagged
+    rows = [RoleComparison("total", 2.0, 0.0, analytic, 2.0) for analytic in (1.0, 3.0, 2.0)]
+    assert [r.z for r in rows] == [math.inf, -math.inf, 0.0]
+    assert not any(r.flagged for r in rows)
+    assert RoleComparison("total", 2.0, 0.0, 2.0, math.nextafter(2.0, 3.0)).flagged
 
 
 def test_estimate_flags_a_role_more_than_three_standard_errors_out(monkeypatch):
