@@ -9,7 +9,9 @@ scaling fit's densities are fixed Y. n = Y / d_max is formed only for
 results, diagnostics, findings and error texts. The densities the steps
 place (the grid's inner points, each round's, the closed-form root) are
 _replayed: each is the Y that its n gives back, fl(fl(Y/d_max) d_max), so
-a result's roles are those regime_utilities gives at its printed n.
+a result's roles are those regime_utilities gives at its printed n. The
+grid's 198 inner points take the same arithmetic as one array expression,
+_replayed_array.
 
 Free entry: nodes keep joining while a marginal node's total expected
 utility (originator + intermediate + outsider) is positive, so the
@@ -24,7 +26,9 @@ an endpoint's residual |total utility| is within tolerance. Without peering
 the total falls for every Y > 1 and its root has a closed form, which free
 entry takes without a scan or rounds where the scan would find a
 downcrossing: where the total is positive at Y = 2 and not at the bracket's
-upper end.
+upper end. The root needs v', the originator's role at P = 1, which
+model._combine forms from the originator's constant rows, so no term basis
+is built outside an evaluation call.
 
 Club: an entry-controlling club admits members up to the density that
 maximizes the same per-node total under competitive relay pricing (not
@@ -55,29 +59,35 @@ once and makes one evaluation per round for all pending densities of a
 regime: the scaling densities ride in the bracket's doubling call, as
 without peering do free entry's Y = 2 and closed-form root, free entry under
 competitive pricing and the club refine in lockstep on one shared scan; on
-the default template that is 8 evaluations, 1 without peering. A refinement
-carries its densities' roles in a cell of plain floats, a list of
+the default template that is 8 evaluations, 1 without peering. The scaling
+fits' checks and centred log densities depend on no regime, and
+compare_regimes makes them once (_scaling_fit); each regime's step then
+takes only its outsiders' logs and the slope. A refinement carries its
+densities' roles in a cell of plain floats, a list of
 (Y, total, (orig, inter, out)) points sorted by Y, so each result takes its
 roles from the round that evaluated its density; a point's total is summed
 once, by _points, and the steps read it there. _lockstep only batches: it
 evaluates a round unchecked and sends each solver its own columns, and each
 step checks the columns it reads (the bracket its doublings up to its upper
 end, and n = Y / d_max at both ends), raising the NumericsError
-utility_arrays would raise for them. So errors surface as in a sequential
-run: a solver's error waits until the solvers before it have finished.
+utility_arrays would raise for them. A total is finite only where its three
+roles are, so where a step holds the totals (the bracket, the closed-form
+riders, a round) it reads them first and checks the roles only behind a
+total that is not finite. So errors surface as in a sequential run: a
+solver's error waits until the solvers before it have finished.
 """
 
 import math
 from dataclasses import dataclass
 from enum import Enum
-from operator import itemgetter, mul
+from operator import itemgetter, lt, mul
 
 import numpy as np
 
 from .errors import BoundaryOptimum, NoCrossing, NumericsError, ParamError
 from .model import (ModelParams, _combine, connect_probability_array, hop_distance_array,
                     intermediate_count, nodes_within_array, params_to_dict, validate)
-from .regimes import Regime, RegimeUtilities, _basis, _raise_not_finite, _roles, regime_utilities
+from .regimes import Regime, RegimeUtilities, _raise_not_finite, _roles, regime_utilities
 
 __all__ = [
     "EquilibriumKind",
@@ -196,8 +206,8 @@ def _lockstep(template, regime, lanes):
                 outcomes[i] = exc.with_traceback(exc.__traceback__.tb_next)
         if not batch:
             return outcomes
-        y = np.concatenate([d for _, d in batch]) if len(batch) > 1 else np.asarray(batch[0][1])
-        roles = _roles(template, regime, y)
+        ys = [y for _, d in batch for y in d] if len(batch) > 1 else batch[0][1]
+        roles = _roles(template, regime, np.asarray(ys))
         sends, lo = [], 0
         for i, densities in batch:
             sends.append((i, roles[:, lo : lo + len(densities)]))
@@ -245,7 +255,8 @@ def _bracket_steps(template, regime, riders=()):
     roles = yield _DOUBLINGS + list(riders)
     totals = sum(roles[:, :m]).tolist()
     i = next((i for i, t in enumerate(totals) if not t >= 0), m - 1)
-    _raise_not_finite(regime, _DOUBLINGS[: i + 1], roles[:, : i + 1], template.d_max)
+    if not math.isfinite(sum(totals[: i + 1])):  # finite totals have finite roles
+        _raise_not_finite(regime, _DOUBLINGS[: i + 1], roles[:, : i + 1], template.d_max)
     y_hi = _DOUBLINGS[i]
     for y in (2.0, y_hi):
         if not math.isfinite(y / template.d_max):
@@ -260,7 +271,7 @@ def _scan_steps(template, regime):
     doubling call has evaluated the last, its upper end."""
     bracket, y_hi, top, _ = yield from _bracket_steps(template, regime)
     grid = np.linspace(2.0, y_hi, GRID_POINTS)
-    grid[1:-1] = _replayed(grid[1:-1].tolist(), template.d_max)
+    grid[1:-1] = _replayed_array(grid[1:-1], template.d_max)
     roles = np.concatenate(((yield from _evaluate(template, regime, grid[:-1])), top), axis=1)
     return grid, roles, bracket
 
@@ -274,14 +285,25 @@ def _replayed(ys, d_max):
     """The densities ys, each moved to fl(fl(Y/d_max) d_max), the Y that the
     reported n = Y/d_max gives back; a Y whose quotient is not finite or is 0
     is kept, since no n gives it back."""
-    return [y / d_max * d_max if 0 < y / d_max < math.inf else y for y in ys]
+    return [n * d_max if 0 < (n := y / d_max) < math.inf else y for y in ys]
+
+
+def _replayed_array(ys, d_max):
+    """_replayed for an array of densities, as one array expression."""
+    with np.errstate(over="ignore"):
+        n = ys / d_max
+    return np.where((0 < n) & (n < math.inf), n * d_max, ys)
 
 
 def _points(ys, roles):
-    """The densities ys with their role columns roles as a cell: a list of
-    (Y, total, (orig, inter, out)) points of floats, whose total is the sum
-    of the roles, formed here once."""
-    return [(y, sum(r), r) for y, r in zip(np.asarray(ys).tolist(), zip(*roles.tolist()))]
+    """The densities ys, a list of floats, with their role columns roles as a
+    cell: a list of (Y, total, (orig, inter, out)) points of floats. The
+    total is formed here once, 0.0 + orig + inter + out, so it is finite only
+    where all three roles are."""
+    return [(y, 0.0 + o + i + u, (o, i, u)) for y, o, i, u in zip(ys, *roles.tolist())]
+
+
+_TOTAL = itemgetter(1)
 
 
 def _refine_steps(template, regime, cell, estimate, rungs):
@@ -290,19 +312,29 @@ def _refine_steps(template, regime, cell, estimate, rungs):
     each end of the cell, the densities at the fractions rungs of the way
     there, kept at least two ulps apart; where those, _replayed, do not fall
     apart and in order inside the cell, REFINE_POINTS evenly spaced densities,
-    _replayed, instead. It evaluates no density of the cell again. Returns the
-    round's points, as _points forms them, with the cell's, sorted by density."""
+    _replayed, instead. It evaluates no density of the cell again, and raises
+    the NumericsError utility_arrays would where a role is not finite. Returns
+    the round's points, as _points forms them, with the cell's, sorted by
+    density."""
     a, b = cell[0][0], cell[-1][0]
     ulp = math.ulp(b)
-    below = [estimate - max((estimate - a) * r, ulp * k) for r, k in zip(rungs, _ULPS)]
-    above = [estimate + max((b - estimate) * r, ulp * k) for r, k in zip(rungs, _ULPS)]
+    # a rung lies its fraction r of the way to the end, or k ulps of b away
+    # where that is farther: max(d, f), without a call per rung
+    below = [estimate - (f if (f := ulp * k) > (d := (estimate - a) * r) else d)
+             for r, k in zip(rungs, _ULPS)]
+    above = [estimate + (f if (f := ulp * k) > (d := (b - estimate) * r) else d)
+             for r, k in zip(rungs, _ULPS)]
     new = _replayed(below + [estimate] + above[::-1], template.d_max)
-    if not (a < new[0] and new[-1] < b and all(x < y for x, y in zip(new, new[1:]))):
+    if not (a < new[0] and new[-1] < b and all(map(lt, new, new[1:]))):
         new = _replayed(np.linspace(a, b, REFINE_POINTS + 2)[1:-1].tolist(), template.d_max)
     inner = [x for x, _, _ in cell[1:-1]]
     new = [x for x in new if x not in inner]
-    roles = yield from _evaluate(template, regime, new)
-    return sorted(cell + _points(new, roles), key=itemgetter(0))
+    roles = yield new
+    points = _points(new, roles)
+    # finite totals have finite roles; otherwise check the roles themselves
+    if not math.isfinite(sum(map(_TOTAL, points))):
+        _raise_not_finite(regime, new, roles, template.d_max)
+    return sorted(cell + points, key=itemgetter(0))
 
 
 def _solved(kind, template, regime, y_star, column, bracket, iterations, residual, notes=()):
@@ -333,16 +365,24 @@ def free_entry_density(template: ModelParams, regime: Regime) -> EquilibriumResu
     return _drive(template, regime, _free_entry_steps(template, regime, _scan(template, regime)))
 
 
+# the NO_PEERING originator's rows a, b and q, which hold no density (see regimes._basis)
+_NO_PEERING_ORIGINATOR = np.array([[[1.0]], [[2.0]], [[0.0]]])
+
+
+def _no_peering_net_value(template):
+    """v' = v - 2 c(d_max)/(beta + 2), the NO_PEERING originator's role at
+    P = 1, formed by model._combine from the originator's constant rows."""
+    return float(_combine(template, 1.0, *_NO_PEERING_ORIGINATOR, template.cost.beta + 2)[0, 0])
+
+
 def _no_peering_root(template):
     """The NO_PEERING free-entry root in Y, _replayed, or None when w = 0 or it
     is not finite or lies above BRACKET_CAP. For Y >= 1/sqrt(pi) the total is
-    P [v' - w (s/2 - 1 + 1/(2s))], s = pi Y^2, with v' = v - 2 c(d_max)/(beta + 2)
-    the originator's role at P = 1; it falls to zero at s = 1 + r + sqrt(r (r + 2)),
-    r = v'/w."""
+    P [v' - w (s/2 - 1 + 1/(2s))], s = pi Y^2, with v' = _no_peering_net_value;
+    it falls to zero at s = 1 + r + sqrt(r (r + 2)), r = v'/w."""
     if template.w == 0:
         return None
-    v_net = _combine(template, 1.0, *_basis(template, Regime.NO_PEERING, np.ones(1))[1:])[0, 0]
-    r = float(v_net) / template.w
+    r = _no_peering_net_value(template) / template.w
     if not math.isfinite(r):
         return None
     (y_star,) = _replayed([math.sqrt((1 + r + math.sqrt(r * (r + 2))) / math.pi)], template.d_max)
@@ -359,11 +399,13 @@ def _no_peering_steps(template):
     y_star = _no_peering_root(template)
     bracket, _, top, riders = yield from _bracket_steps(
         template, regime, [2.0] + ([] if y_star is None else [y_star]))
-    _raise_not_finite(regime, [2.0], riders[:, :1], template.d_max)
     totals = sum(riders).tolist()
+    if not math.isfinite(totals[0]):
+        _raise_not_finite(regime, [2.0], riders[:, :1], template.d_max)
     if y_star is None or not totals[0] > 0 >= sum(top).item():
         raise NoCrossing(regime, *bracket)
-    _raise_not_finite(regime, [y_star], riders[:, 1:], template.d_max)
+    if not math.isfinite(totals[1]):
+        _raise_not_finite(regime, [y_star], riders[:, 1:], template.d_max)
     return _solved(EquilibriumKind.FREE_ENTRY, template, regime, y_star,
                    riders[:, 1].tolist(), bracket, 0, totals[1], ["closed-form root"])
 
@@ -378,9 +420,9 @@ def _free_entry_steps(template, regime, scanned):
 
     # invariant: the cell's totals fa > 0 >= fb
     i = cells[-1]
-    cell = _points(grid[i : i + 2], roles[:, i : i + 2])
+    cell = _points(grid[i : i + 2].tolist(), roles[:, i : i + 2])
     iterations = 0
-    while not min(abs(f) for _, f, _ in cell) <= RESIDUAL_TOL:
+    while not min(abs(cell[0][1]), abs(cell[1][1])) <= RESIDUAL_TOL:
         (a, fa, _), (b, fb, _) = cell
         if iterations == MAX_ROUNDS:
             raise NumericsError(
@@ -390,7 +432,8 @@ def _free_entry_steps(template, regime, scanned):
         # the regula-falsi root of the cell's ends
         estimate = a + fa / (fa - fb) * (b - a)
         cell = yield from _refine_steps(template, regime, cell, estimate, _FREE_ENTRY_RUNGS)
-        j = max(j for j in range(len(cell) - 1) if cell[j][1] > 0 >= cell[j + 1][1])
+        # the largest downcrossing: the first from the top
+        j = next(j for j in range(len(cell) - 2, -1, -1) if cell[j][1] > 0 >= cell[j + 1][1])
         cell = cell[j : j + 2]
         iterations += 1
     k = 0 if abs(cell[0][1]) <= abs(cell[1][1]) else 1  # the first of equal residuals
@@ -426,20 +469,19 @@ def _club_steps(template, regime, scanned):
         raise BoundaryOptimum(bracket[1], "high", float(values[-1]))
 
     notes = []
-    rising = np.flatnonzero(np.diff(values[: k + 1]) < 0)
-    falling = np.flatnonzero(np.diff(values[k:]) > 0)
-    if len(rising) or len(falling):
+    # a total that falls before the argmax, or rises after it
+    if (values[1 : k + 1] < values[:k]).any() or (values[k + 1 :] > values[k:-1]).any():
         notes.append("multimodal grid profile")
 
     # the cell and its argmax, which is never at a cell end: argmax takes the
     # first of equal totals, and a cell end totals less than the argmax or
     # follows it
-    cell = _points(grid[k - 1 : k + 2], roles[:, k - 1 : k + 2])
+    cell = _points(grid[k - 1 : k + 2].tolist(), roles[:, k - 1 : k + 2])
     iterations = 0
     while cell[-1][0] - cell[0][0] > DENSITY_TOL and iterations < MAX_ROUNDS:
         iterations += 1
         cell = yield from _refine_steps(template, regime, cell, _vertex(cell), _CLUB_RUNGS)
-        j = max(range(len(cell)), key=lambda i: cell[i][1])  # the first of equal totals
+        j = cell.index(max(cell, key=_TOTAL))  # the first of equal totals
         cell = cell[j - 1 : j + 2]
     # the best total evaluated, at a density the scan or a round has checked
     (a, _, _), (y_star, _, column), (b, _, _) = cell
@@ -468,13 +510,15 @@ def congestion_scaling_exponent(template: ModelParams, regime: Regime, n_values)
     Requires at least four densities, all with demand effectively saturated
     (P(N(d_max)) > 0.99) so the fit isolates the congestion term's growth.
     """
-    y_values = [float(x) * template.d_max for x in n_values]
-    return _drive(template, regime, _scaling_steps(template, regime, y_values))
+    fit = _scaling_fit(template, [float(x) * template.d_max for x in n_values])
+    return _drive(template, regime, _scaling_steps(template, regime, fit))
 
 
-def _scaling_steps(template, regime, y_values):
-    """congestion_scaling_exponent's one step at the floats Y = n d_max,
-    after its checks. The slope against log Y is the slope against log n."""
+def _scaling_fit(template, y_values):
+    """congestion_scaling_exponent's checks at the floats Y = n d_max, and
+    what its fit takes from them alone, the same for every regime: the
+    densities, their centred logs x and the sum of x^2. The slope against
+    log Y is the slope against log n."""
     if len(y_values) < 4:
         raise ParamError(f"need >= 4 densities for a fit, got {len(y_values)}")
     # compare_regimes runs this check before its bracket search: a density
@@ -488,6 +532,16 @@ def _scaling_steps(template, regime, y_values):
             f"density n={y_values[saturated.argmin()] / template.d_max!r} leaves demand "
             f"unsaturated (P <= {SCALING_MIN_P}); the congestion fit requires large P"
         )
+    x = np.log(y_values)
+    x = (x - x.mean()).tolist()
+    return y_values, x, math.fsum(map(mul, x, x))
+
+
+def _scaling_steps(template, regime, fit):
+    """congestion_scaling_exponent's one step, on a fit whose checks
+    _scaling_fit has made: the outsiders' roles at its densities, and the
+    slope of their log|.|."""
+    y_values, x, sum_xx = fit
     outs = (yield from _evaluate(template, regime, y_values))[2]
     zero = outs == 0.0
     if zero.any():
@@ -498,9 +552,8 @@ def _scaling_steps(template, regime, y_values):
     # the least-squares slope, with both coordinates centred; its sums are
     # fsum's correctly rounded ones, not BLAS ddot's, whose summation order
     # follows the CPU kernel it picks at run time
-    x, y = np.log(y_values), np.log(np.abs(outs))
-    x, y = (x - x.mean()).tolist(), (y - y.mean()).tolist()
-    return math.fsum(map(mul, x, y)) / math.fsum(map(mul, x, x))
+    y = np.log(np.abs(outs))
+    return math.fsum(map(mul, x, (y - y.mean()).tolist())) / sum_xx
 
 
 # --------------------------------------------------------------------------
@@ -597,16 +650,25 @@ def compare_regimes(template: ModelParams) -> RegimeComparison:
     leapfrog profile, then the two scaling fits.
     """
     validate(template)
+    # the scaling fits' checks, made once for both regimes
+    try:
+        fit = _scaling_fit(template, _SCALING_Y_VALUES)
+    except ParamError as exc:
+        fit = exc
+
+    def with_scaling(regime, steps):
+        """The outcomes of steps and of the regime's scaling fit, run side by side."""
+        if isinstance(fit, ParamError):
+            return _lockstep(template, regime, [steps]) + [fit]
+        return _lockstep(template, regime, [steps, _scaling_steps(template, regime, fit)])
+
     # free entry without peering takes one step, in the scaling fit's call
-    fe_np, scaling_np = _lockstep(template, Regime.NO_PEERING, [
-        _no_peering_steps(template),
-        _scaling_steps(template, Regime.NO_PEERING, _SCALING_Y_VALUES)])
+    fe_np, scaling_np = with_scaling(Regime.NO_PEERING, _no_peering_steps(template))
     fe_np = _reported(fe_np)
     # free entry and the club share one scan, whose doubling call carries the
     # scaling densities
     regime = Regime.PEERING_PERFECT_COMPETITION
-    scanned, scaling_pc = _lockstep(template, regime, [
-        _scan_steps(template, regime), _scaling_steps(template, regime, _SCALING_Y_VALUES)])
+    scanned, scaling_pc = with_scaling(regime, _scan_steps(template, regime))
     fe_pc = club = scanned
     if not isinstance(scanned, _STEP_OUTCOMES):
         fe_pc, club = _lockstep(template, regime, [_free_entry_steps(template, regime, scanned),

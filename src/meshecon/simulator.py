@@ -523,26 +523,38 @@ def _pcg64_states(seed: int, trials: np.ndarray) -> Iterator[dict]:
         }
 
 
+def _first_gap(rng: np.random.Generator, q: float) -> float:
+    """The draw of rng.geometric(q, 1), as a float whose ceiling it is. Below
+    q = 1/3 numpy's geometric is ceil(-E / log1p(-q)) of one standard
+    exponential E, drawn here as a scalar, without an array; the float is
+    inf where numpy returns INT64_MAX. From 1/3 up numpy searches, and the
+    draw is its own."""
+    if q < 1 / 3:
+        return -rng.standard_exponential() / math.log1p(-q)
+    return float(rng.geometric(q, 1)[0])
+
+
 def _failing_nodes(rng: np.random.Generator, q: float, n_nodes: int) -> np.ndarray:
     """The ascending indices of the nodes, of n_nodes, that do not connect,
     each independently with probability q > 0: the partial sums of
     rng.geometric(q) gaps, minus one, that fall below n_nodes.
 
-    The first gap is drawn alone: at small q it mostly lands past the last
-    node, and no node fails. The rest come in batches sized to reach
-    n_nodes at the mean count plus four standard deviations, with more
-    batches while they fall short; nothing is drawn after them, so the
+    The first gap is drawn alone (_first_gap): at small q it mostly lands
+    past the last node, and no node fails. The rest come in batches sized
+    to reach n_nodes at the mean count plus four standard deviations, with
+    more batches while they fall short; nothing is drawn after them, so the
     batch sizes move no output. numpy returns INT64_MAX for a gap past that
     range at tiny q, so each batched gap is clipped at n_nodes + 1 before
-    the sum; the first is compared with n_nodes before any sum.
+    the sum; the first is compared with n_nodes before any sum or int
+    conversion.
     """
-    first = rng.geometric(q, 1) - 1  # the first position
-    last = int(first[0])  # the latest position summed so far
-    if last >= n_nodes:
-        return first[:0]
+    gap = _first_gap(rng, q)
+    if gap > n_nodes:  # the first position, ceil(gap) - 1, is past the last node
+        return np.empty(0, dtype=np.int64)
+    last = math.ceil(gap) - 1  # the latest position summed so far
     mean = n_nodes * q
     batch = min(n_nodes, int(mean + 4.0 * math.sqrt(mean)) + 1)
-    batches = [first]
+    batches = [np.array([last], dtype=np.int64)]
     while last < n_nodes - 1:
         gaps = np.minimum(rng.geometric(q, batch), n_nodes + 1)
         gaps[0] += last  # so that the partial sums are the positions

@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -47,10 +48,16 @@ from meshecon.equilibrium import (
     _drive,
     _free_entry_steps,
     _leapfrog_profile,
+    _no_peering_net_value,
+    _no_peering_root,
     _refine_steps,
+    _replayed,
+    _replayed_array,
+    _scaling_fit,
     _scaling_steps,
     _scan,
 )
+from meshecon.model import _combine
 from meshecon.regimes import _roles, utility_arrays
 from conftest import make_params, random_draws
 from test_regimes import valid_cost_laws
@@ -155,6 +162,34 @@ def test_free_entry_no_peering_is_the_closed_form_root_over_the_valid_region(tem
         # with v near the float maximum and the root below Y = 4, the
         # outsider role overflows at the bracket's upper end
         assert "utility is not finite" in str(exc)
+
+
+# v, c(d_max) and w from 2^512 up, where model._combine takes a role in a
+# power-of-2 unit (model._unit), or in the ordinary range below it
+_TERM_SCALES = st.just(2.0**512) | st.floats(2.0**512, 1e308) | st.floats(1e-300, 1e300)
+
+
+@st.composite
+def large_terms(draw):
+    """Templates whose v, c(d_max) = cost_a (d_max = 1) and w are each drawn
+    from _TERM_SCALES, w = 0 included, with beta anywhere in (1, 1000]."""
+    return make_params(v=draw(_TERM_SCALES), a=draw(_TERM_SCALES),
+                       w=draw(st.just(0.0) | _TERM_SCALES),
+                       beta=draw(st.floats(1.0, 1000.0, exclude_min=True)))
+
+
+@settings(max_examples=300, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(valid_cost_laws() | large_terms())
+def test_no_peering_net_value_is_the_originator_of_a_basis_at_y_one(template):
+    # v' from the originator's constant rows is, bit for bit, the originator
+    # role at P = 1 of a NO_PEERING basis evaluated at Y = 1, which
+    # _no_peering_root formed before
+    basis = meshecon.regimes._basis(template, Regime.NO_PEERING, np.ones(1))
+    originator = float(_combine(template, 1.0, *basis[1:])[0, 0])
+    assert _no_peering_net_value(template).hex() == originator.hex()
+    # without pollution the total never falls to zero: no root
+    assert _no_peering_root(dataclasses.replace(template, w=0.0)) is None
 
 
 def test_free_entry_perfcomp_matches_root_oracle(defaults):
@@ -293,6 +328,33 @@ def test_refinement_round_places_densities_that_replay():
     for cell, estimate in (([10.0, 11.0], 10.3), ([7.0, 7.0 + 8 * ulp], 7.0 + 4 * ulp)):
         new, _ = _round(cell, estimate, _FREE_ENTRY_RUNGS, t)
         assert [y for y in new.tolist() if y / t.d_max * t.d_max != y] == []
+
+
+def _replays_alike(ys, d_max):
+    """_replayed_array on the array ys is _replayed on its floats, element for
+    element, bit for bit, and no RuntimeWarning escapes it."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _replayed_array(ys, d_max)
+    assert [y.hex() for y in got.tolist()] == [y.hex() for y in _replayed(ys.tolist(), d_max)]
+    return got
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.floats(-300.0, 300.0), st.floats(2.0, BRACKET_CAP, exclude_min=True))
+def test_replayed_array_replays_a_scan_grid_as_replayed_does(log_d_max, y_hi):
+    _replays_alike(np.linspace(2.0, y_hi, GRID_POINTS), 10.0**log_d_max)
+
+
+def test_replayed_array_keeps_densities_whose_quotient_overflows_or_is_zero():
+    # Y/d_max overflows from Y = 1.8e308 * d_max: the grid's upper part keeps Y
+    grid = np.linspace(2.0, BRACKET_CAP, GRID_POINTS)
+    got = _replays_alike(grid, 1e-304)
+    assert got[-1] == BRACKET_CAP and BRACKET_CAP / 1e-304 == math.inf > 2.0 / 1e-304
+    # Y/d_max underflows to 0 at tiny Y: those keep Y, and Y = 0 stays 0
+    tiny = np.linspace(0.0, 1e-300, GRID_POINTS)
+    got = _replays_alike(tiny, 1e30)
+    assert got[1] == tiny[1] and tiny[1].item() / 1e30 == 0.0 and got[0] == 0.0
 
 
 def test_free_entry_stall_guard_raises(defaults, utility_calls, monkeypatch):
@@ -624,6 +686,29 @@ def test_compare_regimes_evaluates_each_density_once_in_few_calls(defaults, util
     assert np.mean(calls) <= 6.4 and np.mean(evaluated) <= 315
 
 
+def test_compare_regimes_builds_one_basis_per_evaluation_call(defaults, monkeypatch):
+    # every step's density goes through _lockstep: no basis is built outside
+    # an evaluation call, the NO_PEERING root's v' included
+    counts = {"basis": 0, "roles": 0}
+
+    def counted(name, real):
+        def spy(*args):
+            counts[name] += 1
+            return real(*args)
+        return spy
+
+    basis_spy = counted("basis", meshecon.regimes._basis)
+    monkeypatch.setattr(meshecon.regimes, "_basis", basis_spy)
+    monkeypatch.setattr(meshecon.equilibrium, "_basis", basis_spy, raising=False)
+    monkeypatch.setattr(meshecon.equilibrium, "_roles", counted("roles", _roles))
+    for i, t in enumerate([defaults] + [p for p, _ in random_draws(20, seed=31)]):
+        counts.update(basis=0, roles=0)
+        compare_regimes(t)
+        assert counts["basis"] == counts["roles"]
+        if i == 0:
+            assert counts == {"basis": 8, "roles": 8}  # 9 bases when v' took one
+
+
 def test_club_roles_equal_a_one_density_call_at_its_density(defaults, utility_calls):
     # the club's density was evaluated in a batch, which moves no bit: its
     # roles are those of a call on its density Y* alone, which utility_arrays
@@ -746,7 +831,8 @@ def _sequential_compare(template):
         # congestion_scaling_exponent at the densities whose Y are exactly the
         # comparison's: Y / d_max * d_max can miss Y by an ulp
         try:
-            return _drive(template, regime, _scaling_steps(template, regime, _SCALING_Y_VALUES))
+            fit = _scaling_fit(template, _SCALING_Y_VALUES)
+            return _drive(template, regime, _scaling_steps(template, regime, fit))
         except ParamError as exc:
             return f"UNDEFINED ({exc})"
 

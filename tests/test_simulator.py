@@ -216,6 +216,9 @@ class _ShortBatches:
     def geometric(self, q, size):
         return self.rng.geometric(q, min(size, self.most))
 
+    def standard_exponential(self):
+        return self.rng.standard_exponential()
+
 
 # q = 2**-53 is the below_full case's; q >= 1/3 takes numpy's search method
 # instead of inversion
@@ -239,6 +242,22 @@ def test_gap_batches_equal_gaps_drawn_one_at_a_time(q):
             # many short batches instead of one: the same nodes
             short = _ShortBatches(np.random.default_rng([seed, n_nodes]), 3)
             assert _failing_nodes(short, q, n_nodes).tolist() == want
+
+
+@pytest.mark.parametrize(
+    "q", [1e-300, 1e-15, 2.4e-11, 1e-6, 0.01, 0.1, 0.3, math.nextafter(1 / 3, 0), 1 / 3, 0.5])
+def test_first_gap_is_the_draw_of_geometric(q):
+    # below 1/3 the scalar exponential form draws what rng.geometric(q, 1)
+    # draws, INT64_MAX where it passes 2^63, and leaves the stream where
+    # geometric leaves it
+    from meshecon.simulator import _first_gap
+
+    for seed in range(200):
+        ours, numpys = np.random.default_rng([seed, 5]), np.random.default_rng([seed, 5])
+        gap = _first_gap(ours, q)
+        want = numpys.geometric(q, 1)[0]
+        assert (math.ceil(gap) if gap < 2.0**63 else np.iinfo(np.int64).max) == want
+        assert ours.random() == numpys.random()
 
 
 @pytest.mark.parametrize("q", [2.0**-53, 1e-300, 5e-324])
