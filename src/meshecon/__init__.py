@@ -4,81 +4,26 @@ Closed-form expected utilities per role under no-peering, unpriced peering,
 and competitively priced peering; free-entry and club-optimal density
 solvers; and a torus-lattice Monte Carlo simulator that realizes the same
 model discretely for cross-validation.
+
+The package exports each module's public names, which its __all__ lists
+(errors has none: all its classes are public); the simulator's resolve on
+first access, so `import meshecon` loads neither it nor numpy.random.
 """
 
 import types
 
-from .errors import (
-    BoundaryOptimum,
-    NoCrossing,
-    NumericsError,
-    ParamError,
-)
-from .model import (
-    CostFunction,
-    ModelParams,
-    RadioParams,
-    channels_per_cell,
-    connect_probability,
-    default_params,
-    hop_distance,
-    intermediate_count,
-    max_peers,
-    nodes_within,
-    params_from_dict,
-    params_from_json,
-    params_from_kv,
-    params_to_dict,
-    params_to_json,
-    params_to_kv,
-    path_loss,
-    read_params_file,
-    shannon_capacity,
-    validate,
-)
-from .regimes import (
-    Choice,
-    ConnectionChoice,
-    Regime,
-    RegimeUtilities,
-    REGIME_ORDER,
-    competitive_price,
-    gauss_nodes,
-    integrate,
-    intermediate_best_response,
-    leapfrog_profitable,
-    leapfrog_threshold,
-    originator_choice,
-    originator_savings,
-    price_bounds,
-    regime_utilities,
-    social_cost,
-    utility_arrays,
-    value_added,
-)
-from .equilibrium import (
-    EquilibriumKind,
-    EquilibriumResult,
-    RegimeComparison,
-    club_optimal_density,
-    compare_regimes,
-    congestion_scaling_exponent,
-    default_bracket,
-    free_entry_density,
-    total_eu,
-)
-# The simulator, and numpy.random with it, loads on first use (PEP 562), so
-# that commands which never simulate do not pay for importing it.
+from .errors import *
+from .model import *
+from .regimes import *
+from .equilibrium import *
+
+# The simulator, and numpy.random with it, loads on first use (PEP 562).
+# Reading simulator.__all__ would import it, so this is a copy of that list,
+# which a test holds equal to it.
 _SIMULATOR_NAMES = (
-    "ComparisonRecord",
-    "ConnectionEvent",
-    "Lattice",
-    "SimConfig",
-    "SimOutcome",
-    "build_lattice",
-    "estimate_vs_analytic",
-    "lattice_exact_means",
-    "run_instant",
+    "SimConfig", "Lattice", "ConnectionEvent", "SimOutcome", "RoleComparison",
+    "ComparisonRecord", "EVENT_CSV_HEADER", "build_lattice", "run_instant",
+    "estimate_vs_analytic", "lattice_exact_means", "write_event_trace",
 )
 
 

@@ -35,8 +35,9 @@ built without the stdlib's pure-Python indent encoder.
 main builds each command's parser once per process, in a cache keyed by
 the command, and reuses it, so in-process callers pay for argparse's setup
 once; any other first word (a typo, --help, none) shares the one full
-parser. The handler, cmd_<command>, is looked up when the command runs, so
-one wrapped or replaced after the first call still runs.
+parser. Help still wraps to the COLUMNS current when it prints. The
+handler, cmd_<command>, is looked up when the command runs, so one wrapped
+or replaced after the first call still runs.
 
 simulate loads the simulator, and numpy.random with it, on first use: the
 other commands never import it, and their start-up does not pay for it.

@@ -59,11 +59,13 @@ once and makes one evaluation per round for all pending densities of a
 regime: the scaling densities ride in the bracket's doubling call, as
 without peering do free entry's Y = 2 and closed-form root, free entry under
 competitive pricing and the club refine in lockstep on one shared scan; on
-the default template that is 8 evaluations, 1 without peering. The scaling
-fits' checks and centred log densities depend on no regime, and
-compare_regimes makes them once (_scaling_fit); each regime's step then
-takes only its outsiders' logs and the slope. A refinement carries its
-densities' roles in a cell of plain floats, a list of
+the default template that is 8 evaluations, 1 without peering (9 when the
+club's midpoint took a call of its own, 12 when free entry without peering
+scanned and refined, 20 with evenly spaced rounds, 31 with the solvers run
+one after another). The scaling fits' checks and centred log densities
+depend on no regime, and compare_regimes makes them once (_scaling_fit);
+each regime's step then takes only its outsiders' logs and the slope. A
+refinement carries its densities' roles in a cell of plain floats, a list of
 (Y, total, (orig, inter, out)) points sorted by Y, so each result takes its
 roles from the round that evaluated its density; a point's total is summed
 once, by _points, and the steps read it there. _lockstep only batches: it
@@ -145,7 +147,8 @@ class SolverDiagnostics:
 
 @dataclass(frozen=True)
 class EquilibriumResult:
-    """A solved density with the utilities prevailing there."""
+    """A solved density: its kind, the RegimeUtilities there, from which its
+    regime, n_star and total_eu_at_n_star are read, and SolverDiagnostics."""
 
     kind: EquilibriumKind
     utilities: RegimeUtilities
@@ -190,7 +193,8 @@ def _lockstep(template, regime, lanes):
 
     Each round evaluates the pending densities of every lane in one _roles
     call, unchecked, and sends each lane the columns of its own densities;
-    a lane checks the columns it reads (see _evaluate).
+    a lane checks the columns it reads (see _evaluate), so no density of a
+    failing round is evaluated again.
     """
     outcomes = [None] * len(lanes)
     sends = [(i, None) for i in range(len(lanes))]  # (lane, roles)
@@ -391,8 +395,9 @@ def _no_peering_root(template):
 
 def _no_peering_steps(template):
     """free_entry_density's one step without peering: the bracket's call,
-    with Y = 2 and the closed-form root as riders. The root is the result
-    when the total falls from positive at Y = 2 to zero or below at the
+    with Y = 2 and the closed-form root as riders. The root is the result,
+    with 0 rounds and the note "closed-form root", when the total falls
+    from positive at Y = 2 to zero or below at the
     bracket's upper end, the scan's condition for a downcrossing of this
     falling total; the bracket is checked first, as the scan's is."""
     regime = Regime.NO_PEERING

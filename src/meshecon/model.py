@@ -22,7 +22,9 @@ approximation is meant to apply.
 
 A small set of radio-physics helpers (Shannon capacity, channels per cell,
 path loss) lives here too. They motivate the cost and pollution structure
-qualitatively but do not feed the economic model.
+qualitatively but do not feed the economic model. They refuse non-finite
+inputs (ParamError), and a result that is not a finite float raises
+NumericsError.
 """
 
 import json
@@ -375,6 +377,7 @@ def params_to_dict(params: ModelParams) -> dict:
 
 
 def params_from_dict(data: dict) -> ModelParams:
+    """A ModelParams from exactly the PARAM_KEYS; a boolean value is refused."""
     unknown = sorted(set(data) - set(PARAM_KEYS))
     if unknown:
         raise ParamError(f"unknown parameter keys: {', '.join(unknown)}")

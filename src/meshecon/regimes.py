@@ -44,9 +44,9 @@ over the relayed annulus 2 < y <= Y. Those take one fixed rule in
 s = log(y - 1), 48 Gauss-Legendre nodes per density (ANNULUS_NODES; Golub &
 Welsch 1969), which a 96-node rule matches to 1e-13 relative. The rule is a
 table of float constants, the bits of numpy's leggauss(48), so evaluating a
-regime never imports numpy.polynomial; only integrate(), which nothing in
-the package calls, does. Non-finite utilities raise NumericsError,
-overflows too.
+regime never imports numpy.polynomial; only integrate() does, which nothing
+in the package calls (it stays for perfbench/selftest.py's absent-function
+probe). Non-finite utilities raise NumericsError, overflows too.
 
 All operations are pure functions; nothing here holds mutable state.
 """
@@ -101,12 +101,8 @@ class Regime(Enum):
     PEERING_PERFECT_COMPETITION = "PEERING_PERFECT_COMPETITION"
 
 
-# Canonical ordering for reports, sweeps, and CSV output.
-REGIME_ORDER = (
-    Regime.NO_PEERING,
-    Regime.PEERING_NO_TRANSFERS,
-    Regime.PEERING_PERFECT_COMPETITION,
-)
+# Canonical ordering for reports, sweeps, and CSV output: the enum's own.
+REGIME_ORDER = tuple(Regime)
 
 
 class Choice(Enum):

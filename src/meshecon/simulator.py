@@ -205,7 +205,8 @@ class _RegimeTables:
     tallies     the integer tables below as the rows of one (4, K) float64
                 array, so a trial's offset histogram gives all four counts
                 in one product; every entry is an integer below N = side^2,
-                held exactly, and the named tables are views of its rows
+                held exactly, and the named tables are views of its rows,
+                so a run reads them without a copy
     peer        1 if the originator chooses the relayed path, else 0
     refused     NOTRANS only: 1 if the originator wanted to peer but relays
                 refuse, else 0
@@ -373,7 +374,8 @@ class SimOutcome:
     """Monte Carlo tallies: per-node per-role means (mean) with standard
     errors from per-trial variation (stderr), each keyed originator,
     intermediate, outsider and total; event counts; and each role's
-    per-trial series (per_trial, a tuple per role).
+    per-trial series (per_trial, a tuple per role). connections_direct is
+    read from the stored counts.
 
     Standard errors are NaN for a single trial (no variance estimate).
     """
@@ -416,10 +418,10 @@ class SimOutcome:
 
 
 def _mean_se(series: np.ndarray) -> tuple[float, float]:
-    # a series reaching 2^511, or whose largest magnitude is below 2^-511, is
-    # taken in the power-of-2 unit of that magnitude, so that the sums of
-    # std's squares can neither overflow nor underflow; the scaling is exact,
-    # and ldexp also scales by 2^1024, which no float holds
+    """Mean and standard error of a per-trial series, taken in the exact
+    power-of-2 unit of its largest magnitude where that reaches 2^511 or is
+    below 2^-511, so the sums of std's squares can neither overflow nor
+    underflow (ldexp also scales by 2^1024, which no float holds)."""
     exponent = math.frexp(float(np.abs(series).max()))[1]
     exponent = 0 if -511 < exponent <= 511 else exponent
     series = np.ldexp(series, -exponent)

@@ -140,6 +140,20 @@ def test_free_entry_no_peering_is_the_closed_form_root(defaults):
     assert sum(map(_no_peering_root_check, templates)) == len(templates)
 
 
+def test_free_entry_no_peering_without_a_finite_closed_form_root(defaults, capsys):
+    # at w = 1e-310 (subnormal), r = v'/w overflows to inf: the closed form
+    # has no root to offer, and the scan finds no downcrossing below the cap
+    t = dataclasses.replace(defaults, w=1e-310)
+    assert math.isfinite(_no_peering_net_value(t))
+    assert _no_peering_net_value(t) / t.w == math.inf
+    assert _no_peering_root(t) is None
+    with pytest.raises(NoCrossing):
+        free_entry_density(t, Regime.NO_PEERING)
+    assert compare_regimes(t).free_entry_no_peering == "NO_CROSSING"
+    assert main(["equilibrium", "--set", "w=1e-310"]) == 4
+    assert json.loads(capsys.readouterr().out)["free_entry_no_peering"] == "NO_CROSSING"
+
+
 @st.composite
 def no_peering_roots(draw):
     """Templates of valid_cost_laws whose w puts the NO_PEERING root at a Y
@@ -684,6 +698,26 @@ def test_compare_regimes_evaluates_each_density_once_in_few_calls(defaults, util
             densities = np.concatenate([d for r, d in utility_calls if r is regime]).tolist()
             assert len(set(densities)) == len(densities)
     assert np.mean(calls) <= 6.4 and np.mean(evaluated) <= 315
+
+
+def test_compare_regimes_with_unsaturated_scaling_densities(defaults, utility_calls):
+    # at z = 0.99999, P(N) at Y = 50 is below SCALING_MIN_P: both scaling
+    # fields wrap the error congestion_scaling_exponent raises, the solvers
+    # still run, and the bracket calls carry no scaling densities
+    t = dataclasses.replace(defaults, z=0.99999)
+    with pytest.raises(ParamError, match="unsaturated") as refused:
+        congestion_scaling_exponent(t, Regime.NO_PEERING, _SCALING_Y_VALUES)
+    solved = (free_entry_density(t, Regime.NO_PEERING), free_entry_density(t, PERFCOMP),
+              club_optimal_density(t))
+    utility_calls.clear()
+    report = compare_regimes(t)
+    assert report.scaling_no_peering == report.scaling_perfcomp == f"UNDEFINED ({refused.value})"
+    assert (report.free_entry_no_peering, report.free_entry_perfcomp, report.club) == solved
+    assert [x.n_star for x in solved] == [24.605390388412214, 698.1395334455946,
+                                          258.36649927418415]
+    assert [(r, len(y)) for r, y in utility_calls[:2]] == [(Regime.NO_PEERING, 18), (PERFCOMP, 16)]
+    assert len(utility_calls) == 6
+    assert not set(_SCALING_Y_VALUES) & set(np.concatenate([y for _, y in utility_calls[:2]]))
 
 
 def test_compare_regimes_builds_one_basis_per_evaluation_call(defaults, monkeypatch):

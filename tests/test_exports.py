@@ -1,6 +1,7 @@
 import ast
 import importlib
 import pkgutil
+import types
 from pathlib import Path
 
 import pytest
@@ -8,12 +9,8 @@ import pytest
 import meshecon
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(meshecon.__path__))
-
-
-SIMULATOR_NAMES = (
-    "ComparisonRecord", "ConnectionEvent", "Lattice", "SimConfig", "SimOutcome",
-    "build_lattice", "estimate_vs_analytic", "lattice_exact_means", "run_instant",
-)
+# the modules the package imports when it loads; it exports all their public names
+EAGER_MODULES = ("errors", "model", "regimes", "equilibrium")
 
 
 @pytest.mark.parametrize("module", [None, *MODULES])
@@ -23,17 +20,52 @@ def test_every_exported_name_resolves(module):
     assert missing == []
 
 
+def _public_names(module):
+    # a module's __all__, or, where it has none (errors), every name a star
+    # import would bind from it
+    if hasattr(module, "__all__"):
+        return list(module.__all__)
+    return [name for name, value in vars(module).items()
+            if not name.startswith("_") and not isinstance(value, types.ModuleType)]
+
+
+def test_the_package_exports_each_module_public_names_and_no_other():
+    from meshecon import simulator
+
+    names = set()
+    for module in map(importlib.import_module, (f"meshecon.{m}" for m in EAGER_MODULES)):
+        public = _public_names(module)
+        assert public and not names & set(public), module.__name__
+        names |= set(public)
+        for name in public:
+            assert getattr(meshecon, name) is getattr(module, name)
+    assert set(meshecon.__all__) == names | set(simulator.__all__)
+    assert len(meshecon.__all__) == len(set(meshecon.__all__))
+
+
 def test_the_package_gives_the_simulator_names_it_loads_on_first_use():
     from meshecon import simulator
 
-    assert meshecon.SimConfig is simulator.SimConfig
+    # the package cannot read simulator.__all__ without importing the
+    # simulator, so it keeps a copy of the list; this holds the two equal
+    assert list(meshecon._SIMULATOR_NAMES) == simulator.__all__
     namespace = {}
     exec("from meshecon import *", namespace)
-    for name in SIMULATOR_NAMES:
+    for name in simulator.__all__:
+        assert name not in vars(meshecon)
+        assert getattr(meshecon, name) is getattr(simulator, name)
         assert namespace[name] is getattr(simulator, name)
-    assert set(SIMULATOR_NAMES) <= set(dir(meshecon))
+    assert set(simulator.__all__) <= set(dir(meshecon))
     with pytest.raises(AttributeError, match="has no attribute 'simulate'"):
         meshecon.simulate
+
+
+def test_regime_order_is_the_enum_order():
+    from meshecon.regimes import REGIME_ORDER, Regime
+
+    assert REGIME_ORDER == tuple(Regime)
+    assert [regime.value for regime in REGIME_ORDER] == [
+        "NO_PEERING", "PEERING_NO_TRANSFERS", "PEERING_PERFECT_COMPETITION"]
 
 
 def test_oracles_import_nothing_from_the_package():
