@@ -59,14 +59,12 @@ once and makes one evaluation per round for all pending densities of a
 regime: the scaling densities ride in the bracket's doubling call, as
 without peering do free entry's Y = 2 and closed-form root, free entry under
 competitive pricing and the club refine in lockstep on one shared scan; on
-the default template that is 8 evaluations, 1 without peering (9 when the
-club's midpoint took a call of its own, 12 when free entry without peering
-scanned and refined, 20 with evenly spaced rounds, 31 with the solvers run
-one after another). The scaling fits' checks and centred log densities
-depend on no regime, and compare_regimes makes them once (_scaling_fit);
-each regime's step then takes only its outsiders' logs and the slope. A
-refinement carries its densities' roles in a cell of plain floats, a list of
-(Y, total, (orig, inter, out)) points sorted by Y, so each result takes its
+the default template that is 8 evaluations, 1 without peering. The scaling
+fits' checks and centred log densities depend on no regime, and
+compare_regimes makes them once (_scaling_fit); each regime's step then
+takes only its outsiders' logs and the slope. A refinement carries its
+densities' roles in a cell of plain floats, a list of (Y, total, (orig,
+inter, out)) points sorted by Y, so each result takes its
 roles from the round that evaluated its density; a point's total is summed
 once, by _points, and the steps read it there. _lockstep only batches: it
 evaluates a round unchecked and sends each solver its own columns, and each

@@ -49,23 +49,21 @@ Exact per-offset expectations are exposed via lattice_exact_means() for
 diagnostics. Pollution and relay tallies are integer counts scaled by w at
 the end, so accumulation order cannot perturb them.
 
-Randomness: the stream for trial t of a run is PCG64 seeded by
-SeedSequence([seed, t]) and consumed as fixed node-indexed arrays, so
-trials are independent and a parallel executor could not reorder draws.
-Identical configs give bit-identical outcomes. The generator states of all
-trials are computed in one batch (SeedSequence's hashing as uint32 arrays,
-PCG64's seeding step in Python ints, trial by trial) and loaded in turn
-into one PCG64; they equal what SeedSequence([seed, t]) gives, so only the
-per-trial construction cost goes. A trial draws N destination indices, one
-per node, then the nodes that do not connect as geometric gaps between
-them: about N (1 - P(K)) draws, none where P(K) == 1.0 exactly.
+Randomness: the stream for trial t of a run is PCG64(seed).jumped(t),
+consumed as fixed node-indexed arrays, so it depends on (seed, t) alone:
+trials are independent and could be evaluated concurrently without
+reordering draws. Identical configs give bit-identical outcomes. One PCG64
+serves the run: before each trial it is reset to PCG64(seed)'s state and
+advanced by t jumps, which is what jumped(t) does, without building a
+generator per trial. A trial draws N destination indices, one per node,
+then the nodes that do not connect as geometric gaps between them: about
+N (1 - P(K)) draws, none where P(K) == 1.0 exactly.
 """
 
 import csv
 import functools
 import math
 import numbers
-from collections.abc import Iterator
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -455,74 +453,9 @@ def _build(config: SimConfig) -> tuple[Lattice, _RegimeTables]:
     return lattice, _RegimeTables(lattice, config.regime)
 
 
-# --------------------------------------------------------------------------
-# Per-trial streams: PCG64(SeedSequence([seed, t])) for every trial at once
-
-# numpy's SeedSequence hash and mix constants and PCG64's 128-bit multiplier
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_POOL_WORDS = 4
-_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
-
-
-def _hash(value: np.ndarray, h: int, mult: int) -> tuple[np.ndarray, int]:
-    """SeedSequence's hash of the uint32 array value under its running hash
-    constant h, and the constant's next value."""
-    after = h * mult & _MASK32
-    value = (value ^ np.uint32(h)) * np.uint32(after)  # wraps mod 2**32
-    return value ^ (value >> 16), after
-
-
-def _pcg64_states(seed: int, trials: np.ndarray) -> Iterator[dict]:
-    """PCG64(SeedSequence([seed, t])).state for each t in trials, in turn.
-
-    SeedSequence splits seed and t into 32-bit words, least significant
-    first, one word for a value below 2**32 and two otherwise: at most four,
-    its pool size, and a pool word with no entropy word hashes a zero. So
-    the pool of every t hashes the same four columns, the seed's words, then
-    t's low and high words, then zeros; its mixing and generate_state(4,
-    np.uint64) run once over all trials as uint32 arrays. PCG64 seeds its
-    128-bit LCG from the four 64-bit words (initstate from the first two,
-    the increment from the last two) by one step from state 0, adding
-    initstate, and one more step, in Python ints, one trial at a time, so
-    that only one state dict is alive.
-    """
-    trials = np.asarray(trials, dtype=np.uint64)
-    seed_words = [seed & _MASK32] + ([seed >> 32] if seed >> 32 else [])
-    words = [np.full(trials.shape, w, np.uint32) for w in seed_words]
-    words += [(trials & _MASK32).astype(np.uint32), (trials >> 32).astype(np.uint32)]
-    words += [np.zeros(trials.shape, np.uint32)] * (_POOL_WORDS - len(words))
-
-    pool, h = [], _INIT_A
-    for word in words:
-        hashed, h = _hash(word, h, _MULT_A)
-        pool.append(hashed)
-    for src in range(_POOL_WORDS):
-        for dst in range(_POOL_WORDS):
-            if src != dst:
-                hashed, h = _hash(pool[src], h, _MULT_A)
-                mixed = _MIX_MULT_L * pool[dst] - _MIX_MULT_R * hashed
-                pool[dst] = mixed ^ (mixed >> 16)
-
-    generated, h = [], _INIT_B
-    for i in range(2 * _POOL_WORDS):
-        value, h = _hash(pool[i % _POOL_WORDS], h, _MULT_B)
-        generated.append(value.astype(np.uint64))
-    # PCG's initstate and initseq, each from two of the four 64-bit words
-    init_hi, init_lo, seq_hi, seq_lo = (
-        (generated[2 * j + 1] << 32 | generated[2 * j]).tolist() for j in range(_POOL_WORDS)
-    )
-    for s_hi, s_lo, q_hi, q_lo in zip(init_hi, init_lo, seq_hi, seq_lo):
-        inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
-        state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
-        yield {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
+# PCG64.jumped's step, (phi - 1) * 2**128 draws: jumped(t) advances the state
+# by t steps, modulo the period 2**128
+_PCG64_JUMP = 0x9E3779B97F4A7C15F39CC0605CEDC835
 
 
 def _first_gap(rng: np.random.Generator, q: float) -> float:
@@ -588,8 +521,8 @@ def run_instant(
     (4, K) tables, exact because every partial sum is an integer below
     2**53, the originator's cost sum as an elementwise product summed
     without BLAS; so no byte depends on the BLAS library or its thread
-    count. The trials' generator states are hashed in one batch and
-    yielded in turn, and each trial loads its state into one reused PCG64.
+    count. Trial t draws from PCG64(seed).jumped(t): one reused PCG64 is
+    reset to the seed's state and advanced by t jumps.
 
     A trial's stream gives every node its destination offset,
     integers(0, K, N), and then, unless P(K) == 1.0, the nodes that do not
@@ -620,12 +553,14 @@ def run_instant(
     # sum of tables.tallies @ hist is an integer below N^2 < 2**53
     # (_check_side): the float64 product is exact in any summation order,
     # BLAS threads included, and equals the integer one.
-    bit_gen = np.random.PCG64(0)  # each trial sets its own state
+    bit_gen = np.random.PCG64(config.seed)
+    start = bit_gen.state  # each trial loads it and jumps from it
     rng = np.random.Generator(bit_gen)
     failing = np.empty(0, dtype=np.int64)  # at P(K) == 1.0 every node connects
 
-    for trial, state in enumerate(_pcg64_states(config.seed, np.arange(config.trials))):
-        bit_gen.state = state
+    for trial in range(config.trials):
+        bit_gen.state = start
+        bit_gen.advance(trial * _PCG64_JUMP % 2**128)  # now PCG64(seed).jumped(trial)
         ks = rng.integers(0, k_offsets, n_nodes)
         hist = np.bincount(ks, minlength=k_offsets)
         if q_fail > 0.0:

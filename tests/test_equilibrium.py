@@ -1012,6 +1012,7 @@ _CHECK_SITES = {
     "perfcomp scaling": lambda t: (PERFCOMP, _SCALING_Y_VALUES[2]),
     "no-peering root": lambda t: (Regime.NO_PEERING,
                                   compare_regimes(t).free_entry_no_peering.n_star * t.d_max),
+    "no-peering Y = 2": lambda t: (Regime.NO_PEERING, 2.0),
 }
 
 
@@ -1038,6 +1039,32 @@ def test_each_check_site_raises_as_in_a_sequential_run(defaults, monkeypatch, ca
     assert sum(planted in y for r, y in calls if r is regime) == 1
     assert main(["equilibrium"]) == 3
     assert capsys.readouterr().err == f"numeric failure: {expected[1]}\n"
+
+
+def test_a_negative_club_optimum_raises_and_exits_3(defaults, monkeypatch, capsys):
+    # every PERFCOMP intermediate role off the bracket's doublings lowered
+    # by c: the bracket and the scan's argmax stay, and the best total the
+    # club evaluates, M - c, is negative yet above the bracket top's T
+    club = club_optimal_density(defaults)
+    _, roles, _ = _scan(defaults, PERFCOMP)
+    top = float(sum(roles)[-1])
+    assert top < 0 < club.total_eu_at_n_star
+    c = club.total_eu_at_n_star - top / 2
+
+    def lowered(template, regime, y):
+        roles = _roles(template, regime, y)
+        if regime is PERFCOMP:
+            roles[1, ~np.isin(y, _DOUBLINGS)] -= c
+        return roles
+
+    monkeypatch.setattr(meshecon.equilibrium, "_roles", lowered)
+    with pytest.raises(NumericsError, match="has negative member utility -") as raised:
+        club_optimal_density(defaults)
+    message = str(raised.value)
+    assert message.startswith("club optimum at n=")
+    assert message.endswith("; the objective should be nonnegative there")
+    assert main(["equilibrium"]) == 3
+    assert capsys.readouterr().err == f"numeric failure: {message}\n"
 
 
 def test_compare_regimes_json_round_trip(defaults):

@@ -378,9 +378,9 @@ def test_perfcomp_outsider_gap_tends_to_the_square_lattice_limit():
 
 def _trial_draws(cfg, lattice, trial):
     """Trial t's destination offsets and connecting-node mask, from a fresh
-    default_rng(SeedSequence([seed, t])): integers(0, K, N), then, below
+    Generator(PCG64(seed).jumped(t)): integers(0, K, N), then, below
     P(K) == 1.0, the failing nodes with their gaps drawn one at a time."""
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, trial]))
+    rng = np.random.Generator(np.random.PCG64(cfg.seed).jumped(trial))
     dest_k = rng.integers(0, lattice.n_offsets, lattice.n_nodes)
     connecting = np.ones(lattice.n_nodes, dtype=bool)
     if lattice.connect_prob < 1.0:
@@ -436,7 +436,7 @@ CASES = {
     "below_full": dict(seed=44, z=2.0 ** (-53 / 316)),
     # q = z^316 = 9.3e-7: most trials' first gap lands past the lattice, and
     # at this seed trial 1 has one failing node
-    "rare_failure": dict(seed=296, z=0.957),
+    "rare_failure": dict(seed=132, z=0.957),
 }
 
 
@@ -504,21 +504,43 @@ def test_gaps_drawn_only_below_full_demand(monkeypatch, case):
     assert calls == ([] if case == "full_demand" else [q] * cfg.trials)
 
 
-@pytest.mark.parametrize("seed", [0, 1, 7, 2**32 - 1, 2**32, 2**63 + 5, 2**64 - 1])
-def test_batch_seeding_matches_seed_sequence(seed):
-    from meshecon.simulator import _pcg64_states
+@pytest.mark.parametrize("seed", [0, 1, 2**32, 2**64 - 1])
+def test_trial_loads_the_jumped_stream(seed, monkeypatch):
+    # the state each trial of a 200-trial run loads before its first draw is
+    # PCG64(seed).jumped(t); the jump count wraps modulo 2**128, as jumped's
+    # does, so the loop's jump holds as well at t = 2**32
+    import meshecon.simulator as sim
 
-    # trial indices of one and two 32-bit words, passed directly
-    trials = [*range(1000), 65_535, 65_536, 2**32 - 1, 2**32]
-    assert list(_pcg64_states(seed, np.array(trials, dtype=np.uint64))) == [
-        np.random.PCG64(np.random.SeedSequence([seed, t])).state for t in trials
-    ]
+    jumped = [np.random.PCG64(seed).jumped(t).state for t in (*range(200), 2**32)]
+    far = np.random.PCG64(seed).advance(2**32 * sim._PCG64_JUMP % 2**128)
+    assert far.state == jumped[-1]
+
+    loaded = []
+
+    class Recording(np.random.PCG64):
+        def advance(self, delta):
+            super().advance(delta)
+            loaded.append({**self.state, "bit_generator": "PCG64"})  # not the subclass's name
+            return self
+
+    monkeypatch.setattr(np.random, "PCG64", Recording)
+    run_instant(config(trials=200, seed=seed))
+    assert loaded == jumped[:200]
+
+
+@pytest.mark.parametrize("regime", list(Regime))
+def test_more_trials_leave_the_first_trials_as_they_were(regime):
+    # trial t's stream depends on (seed, t) alone, not on the trial count
+    short, long = (run_instant(config(regime=regime, trials=trials, seed=11))
+                   for trials in (30, 200))
+    for role, values in short.per_trial.items():
+        assert long.per_trial[role][:30] == values
 
 
 def _trial_loop_reference(cfg, collect_per_node=False, collect_events=False):
-    """run_instant's trial loop without batch seeding, batched gaps and the
-    float64 tally product: a fresh default_rng(SeedSequence([seed, t])) per
-    trial, gaps drawn one at a time and an int64 (4, K) @ hist; the costs
+    """run_instant's trial loop without the reused generator, batched gaps
+    and the float64 tally product: a fresh Generator(PCG64(seed).jumped(t))
+    per trial, gaps drawn one at a time and an int64 (4, K) @ hist; the costs
     are summed in units of c(d_max) and the package's _outcome builds the
     SimOutcome."""
     from meshecon.simulator import _PathTables, _RegimeTables, _outcome
