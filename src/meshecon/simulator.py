@@ -454,7 +454,7 @@ def _build(config: SimConfig) -> tuple[Lattice, _RegimeTables]:
 
 
 # PCG64.jumped's step, (phi - 1) * 2**128 draws: jumped(t) advances the state
-# by t steps, modulo the period 2**128
+# by t such steps, modulo the period 2**128
 _PCG64_JUMP = 0x9E3779B97F4A7C15F39CC0605CEDC835
 
 

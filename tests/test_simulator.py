@@ -507,8 +507,8 @@ def test_gaps_drawn_only_below_full_demand(monkeypatch, case):
 @pytest.mark.parametrize("seed", [0, 1, 2**32, 2**64 - 1])
 def test_trial_loads_the_jumped_stream(seed, monkeypatch):
     # the state each trial of a 200-trial run loads before its first draw is
-    # PCG64(seed).jumped(t); the jump count wraps modulo 2**128, as jumped's
-    # does, so the loop's jump holds as well at t = 2**32
+    # PCG64(seed).jumped(t); the loop's advance, t * _PCG64_JUMP modulo the
+    # period 2**128, also gives jumped(t) at t = 2**32, which no run reaches
     import meshecon.simulator as sim
 
     jumped = [np.random.PCG64(seed).jumped(t).state for t in (*range(200), 2**32)]
